@@ -3,7 +3,8 @@
 Two model families are implemented:
 
 * PMD-driven models, where the phases grow like sqrt(L) along the fiber
-  (prob_pa, prob_psy and their weighted sum prob_pasy);
+  (the components pa and psy, prob_pa and prob_psy taking them from a
+  parameter object, and the weighted sum prob_pasy);
 * cavity-style models, where the harmonic argument is linear in time
   (cavity_p and the two limiting cases p1, p2, summed into p3).
 
@@ -223,23 +224,34 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     return float(0.25 * np.exp(-2.0 * mu * length) * bracket**2)
 
 
-def prob_pa(t, params: PmdModelParams, units: UnitContext = UnitContext()):
-    """Counter-rotating component exp(-2 mu L) [cos(dphi1) +/- sin(dphi1)]^2,
-    with dphi1 from d_p1 (unweighted)."""
+def pa(t, delta_omega: float, d_p: float, mu: float, sign: int,
+       units: UnitContext = UnitContext()):
+    """Counter-rotating component exp(-2 mu L) [cos(dphi) + sign sin(dphi)]^2,
+    dphi = delta_omega d_p sqrt(L) (unweighted)."""
     length = length_from_time(t, units)
-    phi = params.delta_omega * params.d_p1 * np.sqrt(length)
-    out = np.exp(-2.0 * params.mu * np.asarray(length)) * (
-        np.cos(phi) + params.sign * np.sin(phi))**2
+    phi = delta_omega * d_p * np.sqrt(length)
+    out = np.exp(-2.0 * mu * np.asarray(length)) * (np.cos(phi) + sign * np.sin(phi))**2
     return float(out) if np.ndim(out) == 0 else out
+
+
+def psy(t, delta_omega: float, d_p: float, mu: float,
+        units: UnitContext = UnitContext()):
+    """Co-rotating component exp(-2 mu L) cos^2(dphi), dphi = delta_omega d_p
+    sqrt(L) (unweighted)."""
+    length = length_from_time(t, units)
+    phi = delta_omega * d_p * np.sqrt(length)
+    out = np.exp(-2.0 * mu * np.asarray(length)) * np.cos(phi)**2
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def prob_pa(t, params: PmdModelParams, units: UnitContext = UnitContext()):
+    """:func:`pa` with d_p1 and the sign branch of ``params``."""
+    return pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, units)
 
 
 def prob_psy(t, params: PmdModelParams, units: UnitContext = UnitContext()):
-    """Co-rotating component exp(-2 mu L) cos^2(dphi2), with dphi2 from d_p2
-    (unweighted)."""
-    length = length_from_time(t, units)
-    phi = params.delta_omega * params.d_p2 * np.sqrt(length)
-    out = np.exp(-2.0 * params.mu * np.asarray(length)) * np.cos(phi)**2
-    return float(out) if np.ndim(out) == 0 else out
+    """:func:`psy` with d_p2 of ``params``."""
+    return psy(t, params.delta_omega, params.d_p2, params.mu, units)
 
 
 def prob_pasy(t, params: PmdModelParams, units: UnitContext = UnitContext()):
@@ -297,6 +309,12 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
+def _check_rates(kappa: float, gamma0: float) -> None:
+    if not (0.0 <= kappa < math.inf and 0.0 <= gamma0 < math.inf):
+        raise ValueError(f"kappa and gamma0 must be finite and nonnegative, "
+                         f"got {kappa} and {gamma0}")
+
+
 def cavity_p(t, kappa: float, gamma0: float):
     """Qubit survival probability in the coupled-mode model, p(0) = 1.
 
@@ -306,8 +324,7 @@ def cavity_p(t, kappa: float, gamma0: float):
     analytic limit [1 + gamma0 t / 4]^2 applies.  All three branches are the
     same analytic function, so the value is continuous in the parameters.
     """
-    if kappa < 0 or gamma0 < 0:
-        raise ValueError("kappa and gamma0 must be nonnegative")
+    _check_rates(kappa, gamma0)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
@@ -385,8 +402,7 @@ def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
     Boundary when equal to within a relative 1e-12.  The criterion depends
     only on the ratio, so joint rescaling of both rates never changes it.
     """
-    if kappa < 0 or gamma0 < 0:
-        raise ValueError("kappa and gamma0 must be nonnegative")
+    _check_rates(kappa, gamma0)
     four_kappa = 4.0 * kappa
     scale = max(four_kappa, gamma0)
     if abs(four_kappa - gamma0) <= _BOUNDARY_RTOL * scale:

@@ -1,14 +1,19 @@
 """Weighted nonlinear least-squares fits of the decay models to (t, P) data.
 
-The two-component models are fitted over parameters rescaled to lab units
-(ps/sqrt(km), 1/km, 1/ms) so every free parameter is O(1); SI magnitudes like
+Both decay models have the separable form P = w1 c1(theta1, rate) +
+w2 c2(theta2, rate), linear in the weights, with the component functions
+taken from ``dynamics`` (pa/psy for pasy, p1/p2 for p3).  One code path fits
+either: a small model spec holds the component functions, the lab-unit
+scales and the scan grid.  The free parameters are rescaled to lab units
+(ps/sqrt(km), 1/km, 1/ms) so every one is O(1); SI magnitudes like
 D_p ~ 1e-17 s/sqrt(m) would otherwise wreck finite-difference Jacobians.
 
 Initialization (when no explicit guess is given) is a deterministic scan:
 a crude exponential pre-fit pins the envelope rate, a coarse grid over the
 two phase parameters with the component weights solved linearly (NNLS) at
 each grid point ranks candidate basins, and the top few candidates are each
-polished by a trust-region least-squares pass, keeping the best.
+polished by a trust-region least-squares pass, keeping the best.  The
+covariance comes from a complex-step Jacobian at the solution.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
 
+from . import dynamics
 from .dynamics import (PER_KM, PER_MS, PS_PER_SQRT_KM, CavityModelParams,
                        PmdModelParams, UnitContext)
 
@@ -44,10 +50,11 @@ class DataSeries:
         sigma = np.asarray(self.sigma, dtype=float)
         if t.ndim != 1 or t.shape != p.shape or t.shape != sigma.shape:
             raise ValueError("t, p and sigma must be 1-d arrays of equal length")
+        for name, values in (("times", t), ("probabilities", p), ("uncertainties", sigma)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
         if np.any(sigma < 0):
             raise ValueError("uncertainties must be nonnegative")
         object.__setattr__(self, "t", t)
@@ -99,154 +106,116 @@ class FitResult:
 PASY_FREE_PARAMS = ("d_p1", "d_p2", "mu", "a1", "a2")
 P3_FREE_PARAMS = ("kappa1", "kappa2", "gamma0", "w1", "w2")
 
-# lab-unit scale of each free parameter relative to SI
-_PASY_SCALES = np.array([PS_PER_SQRT_KM, PS_PER_SQRT_KM, PER_KM, 1.0, 1.0])
-_P3_SCALES = np.array([PER_MS, PER_MS, PER_MS, 1.0, 1.0])
+
+class _TwoComponent(NamedTuple):
+    """P = w1 c1(theta1, rate) + w2 c2(theta2, rate) over lab-unit parameters.
+
+    x = (theta1, theta2, rate, w1, w2) are the free parameters, named by
+    ``free`` and multiplied by ``scales`` to give SI; ``c1``/``c2`` take
+    (t, theta, rate) in SI; ``grid(t, p)`` returns the scan's rates, theta2
+    values and theta1 values in lab units.
+    """
+
+    name: str
+    free: tuple[str, ...]
+    scales: np.ndarray
+    c1: Callable
+    c2: Callable
+    grid: Callable
+
+    def __call__(self, t, x):
+        s = self.scales
+        return (x[3] * self.c1(t, x[0] * s[0], x[2] * s[2])
+                + x[4] * self.c2(t, x[1] * s[1], x[2] * s[2]))
 
 
-def _pasy_lab_model(t: np.ndarray, x: np.ndarray, delta_omega: float,
-                    units: UnitContext, sign: int) -> np.ndarray:
-    dp1, dp2, mu_km, a1, a2 = x
-    length = units.c / units.n_r * t
-    root = np.sqrt(length)
-    ph1 = delta_omega * dp1 * PS_PER_SQRT_KM * root
-    ph2 = delta_omega * dp2 * PS_PER_SQRT_KM * root
-    att = np.exp(-2.0 * mu_km * PER_KM * length)
-    return (a1 * att * (np.cos(ph1) + sign * np.sin(ph1)) ** 2
-            + a2 * att * np.cos(ph2) ** 2)
+def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoComponent:
+    def grid(t, p):
+        slope = _envelope_prefit(t, p)
+        mu0 = max(-slope * units.n_r / (2.0 * units.c) / PER_KM, 1e-9)
+        # widest phase observable on this record sets the dp2 grid ceiling
+        root = math.sqrt(dynamics.length_from_time(t[-1], units))
+        dp_hi = math.pi / max(delta_omega * PS_PER_SQRT_KM * root, 1e-30)
+        return ((0.75 * mu0, mu0, 1.25 * mu0),
+                np.linspace(dp_hi / 120.0, 1.2 * dp_hi, 90),
+                np.concatenate([[0.0], np.geomspace(dp_hi / 400.0, 1.2 * dp_hi, 26)]))
+
+    return _TwoComponent(
+        "pasy", PASY_FREE_PARAMS, np.array([PS_PER_SQRT_KM, PS_PER_SQRT_KM, PER_KM, 1.0, 1.0]),
+        lambda t, d_p, mu: dynamics.pa(t, delta_omega, d_p, mu, sign, units),
+        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), grid)
 
 
-def _p3_lab_model(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    k1, k2, g0, w1, w2 = x
-    tm = t * 1e3  # ms
-    env = np.exp(-g0 * tm / 2.0)
-    b1 = np.cos(k1 * tm / math.sqrt(2.0)) + np.sin(k1 * tm / math.sqrt(2.0))
-    return w1 * env * b1 ** 2 + w2 * env * np.cos(k2 * tm) ** 2
+def _p3_grid(t, p):
+    tm = t * 1e3
+    slope = _envelope_prefit(tm, p)
+    g0_0 = max(-2.0 * slope, 1e-3)
+    k_hi = 0.5 * math.pi / max(float(np.median(np.diff(tm))), 1e-12)
+    return ((0.7 * g0_0, g0_0, 1.3 * g0_0),
+            np.linspace(k_hi / 150.0, k_hi, 90),
+            np.concatenate([[0.0], np.geomspace(k_hi / 400.0, k_hi, 26)]))
 
 
-# Closed-form Jacobians of the two lab-unit models, one column per free
-# parameter.  They feed the covariance only: a finite-difference step relative
-# to |x| vanishes for a parameter pinned at a zero bound, which would leave a
-# zero column and report zero variance for the least identified parameter.
-# Both use (cos x + s sin x)^2 = 1 + s sin 2x.
-
-def _pasy_lab_jac(t: np.ndarray, x: np.ndarray, delta_omega: float,
-                  units: UnitContext, sign: int) -> np.ndarray:
-    dp1, dp2, mu_km, a1, a2 = x
-    length = units.c / units.n_r * t
-    dphase = delta_omega * PS_PER_SQRT_KM * np.sqrt(length)  # d(phase)/d(dp)
-    att = np.exp(-2.0 * mu_km * PER_KM * length)
-    c1 = att * (1.0 + sign * np.sin(2.0 * dp1 * dphase))
-    c2 = att * np.cos(dp2 * dphase) ** 2
-    return np.column_stack([
-        2.0 * sign * a1 * att * np.cos(2.0 * dp1 * dphase) * dphase,
-        -a2 * att * np.sin(2.0 * dp2 * dphase) * dphase,
-        -2.0 * PER_KM * length * (a1 * c1 + a2 * c2),
-        c1,
-        c2,
-    ])
+_P3_MODEL = _TwoComponent("p3", P3_FREE_PARAMS, np.array([PER_MS, PER_MS, PER_MS, 1.0, 1.0]),
+                          dynamics.p1, dynamics.p2, _p3_grid)
 
 
-def _p3_lab_jac(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    k1, k2, g0, w1, w2 = x
-    tm = t * 1e3  # ms
-    env = np.exp(-g0 * tm / 2.0)
-    x1 = k1 * tm / math.sqrt(2.0)
-    c1 = env * (1.0 + np.sin(2.0 * x1))
-    c2 = env * np.cos(k2 * tm) ** 2
-    return np.column_stack([
-        w1 * env * math.sqrt(2.0) * np.cos(2.0 * x1) * tm,
-        -w2 * env * np.sin(2.0 * k2 * tm) * tm,
-        -0.5 * tm * (w1 * c1 + w2 * c2),
-        c1,
-        c2,
-    ])
+def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d model / d x by complex step, one column per free parameter.
+
+    Exact to rounding for any x, so unlike a finite-difference step relative
+    to |x| it keeps a nonzero column for a parameter pinned at a zero bound
+    (zero variance would be reported for the least identified parameter).
+    """
+    h = 1e-20
+    return np.column_stack([model(t, x + 1j * h * e).imag / h for e in np.eye(len(x))])
 
 
-def _envelope_prefit(t_scaled: np.ndarray, p: np.ndarray) -> tuple[float, float]:
-    """Slope/intercept of ln p against scaled time, ignoring nonpositive points."""
+def _envelope_prefit(t_scaled: np.ndarray, p: np.ndarray) -> float:
+    """Slope of ln p against scaled time, ignoring nonpositive points."""
     mask = p > 0
     if mask.sum() < 2:
         raise FittingError("too few positive points for the envelope pre-fit")
-    slope, intercept = np.polyfit(t_scaled[mask], np.log(p[mask]), 1)
-    return float(slope), float(intercept)
+    return float(np.polyfit(t_scaled[mask], np.log(p[mask]), 1)[0])
 
 
-def _nnls_weights(c1: np.ndarray, c2: np.ndarray, p: np.ndarray,
-                  sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    design = np.column_stack([c1, c2]) / sigma[:, None]
-    weights, norm = nnls(design, p / sigma)
-    return weights, norm * norm
+def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
+          sigma: np.ndarray) -> list[np.ndarray]:
+    """Up to four starting points from the model's grid.
 
-
-def _top_candidates(cands: list[tuple[float, np.ndarray]], key_index: int,
-                    rel_gap: float, k_top: int) -> list[np.ndarray]:
-    """Best-scoring candidates, de-duplicated along one distinguishing axis."""
+    The weights are solved by NNLS at every grid point with theta1 <= theta2;
+    points are ranked by SSE and kept only if their theta2 differs by more
+    than a relative 5 % from every point already kept.
+    """
+    rates, theta2s, theta1s = model.grid(t, p)
+    s = model.scales
+    cands: list[tuple[float, np.ndarray]] = []
+    for rate in rates:
+        c1s = [model.c1(t, theta1 * s[0], rate * s[2]) for theta1 in theta1s]
+        for theta2 in theta2s:
+            c2 = model.c2(t, theta2 * s[1], rate * s[2])
+            for theta1, c1 in zip(theta1s, c1s):
+                if theta1 > theta2:
+                    continue
+                weights, norm = nnls(np.column_stack([c1, c2]) / sigma[:, None], p / sigma)
+                cands.append((norm * norm, np.array([theta1, theta2, rate,
+                                                     max(weights[0], 1e-6),
+                                                     max(weights[1], 1e-6)])))
     cands.sort(key=lambda c: c[0])
     picked: list[np.ndarray] = []
     for _, x in cands:
-        ref = x[key_index]
-        if all(abs(ref - other[key_index]) > rel_gap * max(other[key_index], 1e-9)
-               for other in picked):
+        if all(abs(x[1] - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
             picked.append(x)
-        if len(picked) >= k_top:
+        if len(picked) >= 4:
             break
     return picked
-
-
-def _scan_pasy(t: np.ndarray, p: np.ndarray, sigma: np.ndarray,
-               delta_omega: float, units: UnitContext, sign: int) -> list[np.ndarray]:
-    length = units.c / units.n_r * t
-    root = np.sqrt(length)
-    slope, _ = _envelope_prefit(t, p)
-    mu0 = max(-slope * units.n_r / (2.0 * units.c) / PER_KM, 1e-9)
-    # widest phase observable on this record sets the dp2 grid ceiling
-    dp_hi = math.pi / max(delta_omega * PS_PER_SQRT_KM * root[-1], 1e-30)
-    cands: list[tuple[float, np.ndarray]] = []
-    for mu_c in (0.75 * mu0, mu0, 1.25 * mu0):
-        att = np.exp(-2.0 * mu_c * PER_KM * length)
-        for dp2 in np.linspace(dp_hi / 120.0, 1.2 * dp_hi, 90):
-            ph2 = delta_omega * dp2 * PS_PER_SQRT_KM * root
-            c2 = att * np.cos(ph2) ** 2
-            for dp1 in np.concatenate([[0.0], np.geomspace(dp_hi / 400.0, 1.2 * dp_hi, 26)]):
-                if dp1 > dp2:
-                    continue
-                ph1 = delta_omega * dp1 * PS_PER_SQRT_KM * root
-                c1 = att * (np.cos(ph1) + sign * np.sin(ph1)) ** 2
-                weights, sse = _nnls_weights(c1, c2, p, sigma)
-                cands.append((sse, np.array([dp1, dp2, mu_c,
-                                             max(weights[0], 1e-6),
-                                             max(weights[1], 1e-6)])))
-    return _top_candidates(cands, key_index=1, rel_gap=0.05, k_top=4)
-
-
-def _scan_p3(t: np.ndarray, p: np.ndarray, sigma: np.ndarray) -> list[np.ndarray]:
-    tm = t * 1e3
-    slope, _ = _envelope_prefit(tm, p)
-    g0_0 = max(-2.0 * slope, 1e-3)
-    k_hi = 0.5 * math.pi / max(float(np.median(np.diff(tm))), 1e-12)
-    cands: list[tuple[float, np.ndarray]] = []
-    for g0c in (0.7 * g0_0, g0_0, 1.3 * g0_0):
-        env = np.exp(-g0c * tm / 2.0)
-        for k2 in np.linspace(k_hi / 150.0, k_hi, 90):
-            c2 = env * np.cos(k2 * tm) ** 2
-            for k1 in np.concatenate([[0.0], np.geomspace(k_hi / 400.0, k_hi, 26)]):
-                if k1 > k2:
-                    continue
-                x1 = k1 * tm / math.sqrt(2.0)
-                c1 = env * (np.cos(x1) + np.sin(x1)) ** 2
-                weights, sse = _nnls_weights(c1, c2, p, sigma)
-                cands.append((sse, np.array([k1, k2, g0c,
-                                             max(weights[0], 1e-6),
-                                             max(weights[1], 1e-6)])))
-    return _top_candidates(cands, key_index=1, rel_gap=0.05, k_top=4)
 
 
 def _polish(model, t, p, sigma, x0, bounds):
     # central-difference Jacobian whose step is 1e-6 * |x| per parameter (one
     # sided at a bound); lab units keep nonzero parameters O(1e-3..1), but the
     # step collapses for a parameter at a zero bound, so the covariance is
-    # taken from the closed-form Jacobians instead of ``result.jac``
+    # taken from ``_jacobian`` instead of ``result.jac``
     fun = lambda x: (model(t, x) - p) / sigma
     return least_squares(fun, np.clip(x0, bounds[0], bounds[1]),
                          bounds=bounds, method="trf", jac="3-point",
@@ -275,15 +244,27 @@ def _bound_flags(x: np.ndarray, bounds, names) -> tuple[str, ...]:
     return tuple(flags)
 
 
-def _fit_two_component(model, jac, t, p, sigma, candidates, bounds, names,
-                       scales, sigmas_known):
-    """Polish every candidate, keep the best, and resolve label order.
+def _fit(model: _TwoComponent, data: DataSeries, init, bounds,
+         make_params: Callable[[np.ndarray], object]) -> FitResult:
+    """Scan (or start from ``init``), polish every candidate, keep the best.
 
     If the winning solution has its components in non-canonical order
     (parameter 1 above parameter 2), refitting from the label-swapped point
     is attempted; the ordered solution is preferred whenever its cost is not
-    worse by more than a relative 1e-9.
+    worse by more than a relative 1e-9.  ``make_params`` builds the
+    parameter object from the SI values of the free parameters.
     """
+    if len(data) < 6:
+        raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
+    t, p = data.t, data.p
+    sigma = np.where(data.sigma > 0, data.sigma, 1.0)
+    sigmas_known = bool(np.any(data.sigma != 1.0))
+    lo, hi = bounds if bounds is not None else (np.zeros(5), np.full(5, np.inf))
+    bounds = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if init is not None:
+        candidates = [np.array([getattr(init, name) for name in model.free]) / model.scales]
+    else:
+        candidates = _scan(model, t, p, sigma)
     best = None
     for x0 in candidates:
         res = _polish(model, t, p, sigma, x0, bounds)
@@ -296,16 +277,11 @@ def _fit_two_component(model, jac, t, p, sigma, candidates, bounds, names,
         res2 = _polish(model, t, p, sigma, swapped, bounds)
         if res2.x[0] <= res2.x[1] and res2.cost <= best.cost * (1.0 + 1e-9):
             best = res2
-    converged = best.status > 0
-    residual_norm = float(math.sqrt(2.0 * best.cost))
-    cov = _covariance_diag(jac(t, best.x) / sigma[:, None], best.cost,
-                           len(names), scales, sigmas_known)
-    flags = _bound_flags(best.x, bounds, names)
-    return best, residual_norm, cov, converged, flags
-
-
-def _default_bounds() -> tuple[np.ndarray, np.ndarray]:
-    return np.zeros(5), np.full(5, np.inf)
+    cov = _covariance_diag(_jacobian(model, t, best.x) / sigma[:, None], best.cost,
+                           len(model.free), model.scales, sigmas_known)
+    return FitResult(model.name, make_params(best.x * model.scales),
+                     float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
+                     int(best.nfev), _bound_flags(best.x, bounds, model.free))
 
 
 def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
@@ -318,30 +294,10 @@ def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
     (lo, hi) arrays over the free parameters in lab units
     (ps/sqrt(km), ps/sqrt(km), 1/km, 1, 1); all-zero lower bounds by default.
     """
-    if len(data) < 6:
-        raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     delta_omega = init.delta_omega if init is not None else 2.0 * math.pi * 200e9
     sign = init.sign if init is not None else +1
-    sigma = np.where(data.sigma > 0, data.sigma, 1.0)
-    sigmas_known = bool(np.any(data.sigma != 1.0))
-    lo, hi = bounds if bounds is not None else _default_bounds()
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    model = lambda t, x: _pasy_lab_model(t, x, delta_omega, units, sign)
-    jac = lambda t, x: _pasy_lab_jac(t, x, delta_omega, units, sign)
-    if init is not None:
-        candidates = [np.array([init.d_p1 / PS_PER_SQRT_KM, init.d_p2 / PS_PER_SQRT_KM,
-                                init.mu / PER_KM, init.a1, init.a2])]
-    else:
-        candidates = _scan_pasy(data.t, data.p, sigma, delta_omega, units, sign)
-    best, residual_norm, cov, converged, flags = _fit_two_component(
-        model, jac, data.t, data.p, sigma, candidates, (lo, hi),
-        PASY_FREE_PARAMS, _PASY_SCALES, sigmas_known)
-    dp1, dp2, mu_km, a1, a2 = best.x
-    params = PmdModelParams(delta_omega=delta_omega,
-                            d_p1=dp1 * PS_PER_SQRT_KM, d_p2=dp2 * PS_PER_SQRT_KM,
-                            mu=mu_km * PER_KM, a1=a1, a2=a2, sign=sign)
-    return FitResult("pasy", params, residual_norm, cov, converged,
-                     int(best.nfev), flags)
+    return _fit(_pasy_model(delta_omega, sign, units), data, init, bounds,
+                lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
 def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
@@ -352,28 +308,9 @@ def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
     ``bounds`` are (lo, hi) arrays over the free parameters in 1/ms (rates)
     and raw weights.
     """
-    if len(data) < 6:
-        raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
-    sigma = np.where(data.sigma > 0, data.sigma, 1.0)
-    sigmas_known = bool(np.any(data.sigma != 1.0))
-    lo, hi = bounds if bounds is not None else _default_bounds()
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if init is not None:
-        candidates = [np.array([init.kappa1 / PER_MS, init.kappa2 / PER_MS,
-                                init.gamma0 / PER_MS, init.w1, init.w2])]
-        lambda_width = init.lambda_width
-    else:
-        candidates = _scan_p3(data.t, data.p, sigma)
-        lambda_width = 1e6
-    best, residual_norm, cov, converged, flags = _fit_two_component(
-        _p3_lab_model, _p3_lab_jac, data.t, data.p, sigma, candidates, (lo, hi),
-        P3_FREE_PARAMS, _P3_SCALES, sigmas_known)
-    k1, k2, g0, w1, w2 = best.x
-    params = CavityModelParams(kappa1=k1 * PER_MS, kappa2=k2 * PER_MS,
-                               gamma0=g0 * PER_MS, w1=w1, w2=w2,
-                               lambda_width=lambda_width)
-    return FitResult("p3", params, residual_norm, cov, converged,
-                     int(best.nfev), flags)
+    lambda_width = init.lambda_width if init is not None else 1e6
+    return _fit(_P3_MODEL, data, init, bounds,
+                lambda si: CavityModelParams(*si, lambda_width=lambda_width))
 
 
 def fit_exponential(data: DataSeries) -> FitResult:
@@ -416,15 +353,9 @@ _N_FREE = {"pasy": 5, "p3": 5, "exp": 2}
 def _predict(fit: FitResult, t: np.ndarray,
              units: UnitContext = UnitContext()) -> np.ndarray:
     if fit.model == "pasy":
-        p = fit.params
-        x = np.array([p.d_p1 / PS_PER_SQRT_KM, p.d_p2 / PS_PER_SQRT_KM,
-                      p.mu / PER_KM, p.a1, p.a2])
-        return _pasy_lab_model(t, x, p.delta_omega, units, p.sign)
+        return dynamics.prob_pasy(t, fit.params, units)
     if fit.model == "p3":
-        p = fit.params
-        x = np.array([p.kappa1 / PER_MS, p.kappa2 / PER_MS, p.gamma0 / PER_MS,
-                      p.w1, p.w2])
-        return _p3_lab_model(t, x)
+        return dynamics.p3(t, fit.params)
     if fit.model == "exp":
         return fit.params.p0 * np.exp(-fit.params.rate * t)
     raise ValueError(f"unknown model {fit.model!r}")
@@ -494,16 +425,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
         "at_bounds": list(fit.at_bounds),
         "covariance_diag": list(fit.covariance_diag),
     }
-    if fit.model == "pasy":
-        p = fit.params
-        out.update({"delta_omega_rad_s": p.delta_omega,
-                    "d_p1_s_per_sqrt_m": p.d_p1, "d_p2_s_per_sqrt_m": p.d_p2,
-                    "mu_per_m": p.mu, "a1": p.a1, "a2": p.a2, "sign": p.sign})
-    elif fit.model == "p3":
-        p = fit.params
-        out.update({"kappa1_per_s": p.kappa1, "kappa2_per_s": p.kappa2,
-                    "gamma0_per_s": p.gamma0, "w1": p.w1, "w2": p.w2,
-                    "lambda_per_s": p.lambda_width})
+    fields = {"pasy": dynamics._PMD_FIELDS, "p3": dynamics._CAVITY_FIELDS}.get(fit.model)
+    if fields is not None:
+        out.update({key: getattr(fit.params, attr) for key, attr in fields.items()})
     elif fit.model == "exp":
         out.update({"p0": fit.params.p0, "rate_per_s": fit.params.rate})
     return out

@@ -6,7 +6,6 @@ The x log2 x terms use the entropy convention x log2 x -> 0 as x -> 0.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -71,20 +70,6 @@ def correlation_report(p: float) -> CorrelationReport:
     # discord defined by subtraction so the identity total = classical + discord
     # holds exactly
     return CorrelationReport(p, total, classical, total - classical, concurrence(p))
-
-
-REPORT_CSV_HEADER = "t_s,L_m,P,total,classical,discord,concurrence"
-
-
-def reports_to_csv(rows: list[tuple[float, float, CorrelationReport]]) -> str:
-    """Render (t, L, report) rows in the fixed CSV schema."""
-    buf = io.StringIO()
-    buf.write(REPORT_CSV_HEADER + "\n")
-    for t, length, rep in rows:
-        fields = (t, length, rep.p, rep.total, rep.classical, rep.discord,
-                  rep.concurrence)
-        buf.write(",".join(format(v, ".12g") for v in fields) + "\n")
-    return buf.getvalue()
 
 
 def solve_level_crossing(model: Callable[[float], float], level: float,

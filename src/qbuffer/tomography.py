@@ -79,6 +79,22 @@ class CorrectedRecord:
 DEFAULT_PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
 
 
+def _mean_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
+                 pair_rate: float) -> tuple[list[float], float]:
+    """Validated count model: the true-coincidence mean of each setting,
+    n_gates * pair_rate * <proj|rho|proj>, and the accidental mean."""
+    rho = require_valid(rho)
+    if not 0.0 <= accidental_rate < 1.0:
+        raise ValueError("accidental rate must lie in [0, 1)")
+    if n_gates <= 0 or pair_rate < 0:
+        raise ValueError("n_gates must be positive and pair_rate nonnegative")
+    means = []
+    for setting in SETTINGS:
+        psi = projector(setting)
+        means.append(n_gates * pair_rate * max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
+    return means, n_gates * accidental_rate
+
+
 def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
                     seed: int, pair_rate: float = DEFAULT_PAIR_RATE
                     ) -> list[TomographyRecord]:
@@ -89,18 +105,11 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     window and are estimated separately from a delayed-gate draw of the same
     mean.  Identical seeds give identical records.
     """
-    rho = require_valid(rho)
-    if not 0.0 <= accidental_rate < 1.0:
-        raise ValueError("accidental rate must lie in [0, 1)")
-    if n_gates <= 0 or pair_rate < 0:
-        raise ValueError("n_gates must be positive and pair_rate nonnegative")
+    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate, pair_rate)
     rng = np.random.default_rng(seed)
-    acc_mean = n_gates * accidental_rate
     records = []
-    for setting in SETTINGS:
-        psi = projector(setting)
-        prob = max(float(np.real(psi.conj() @ rho @ psi)), 0.0)
-        true_counts = rng.poisson(n_gates * pair_rate * prob)
+    for setting, mean in zip(SETTINGS, means):
+        true_counts = rng.poisson(mean)
         acc_in_window = rng.poisson(acc_mean)
         acc_estimate = rng.poisson(acc_mean)
         cc = min(int(true_counts + acc_in_window), n_gates)
@@ -112,17 +121,9 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
 def expected_counts(rho: np.ndarray, n_gates: int, accidental_rate: float = 0.0,
                     pair_rate: float = DEFAULT_PAIR_RATE) -> list[TomographyRecord]:
     """Noise-free records carrying the expected values of the count model."""
-    rho = require_valid(rho)
-    if not 0.0 <= accidental_rate < 1.0:
-        raise ValueError("accidental rate must lie in [0, 1)")
-    acc_mean = n_gates * accidental_rate
-    records = []
-    for setting in SETTINGS:
-        psi = projector(setting)
-        prob = max(float(np.real(psi.conj() @ rho @ psi)), 0.0)
-        mean = n_gates * pair_rate * prob
-        records.append(TomographyRecord(setting, mean + acc_mean, acc_mean, n_gates))
-    return records
+    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate, pair_rate)
+    return [TomographyRecord(setting, mean + acc_mean, acc_mean, n_gates)
+            for setting, mean in zip(SETTINGS, means)]
 
 
 def subtract_accidentals(records: list[TomographyRecord]) -> list[CorrectedRecord]:
@@ -265,13 +266,9 @@ def reconstruct_mle(records: list[CorrectedRecord], max_iter: int = 10_000
         raise TomographyError("all counts are zero; nothing to reconstruct")
     psis = np.array([projector(s) for s in settings])  # (K, 4)
 
-    def rates(t: np.ndarray) -> np.ndarray:
-        u = psis @ t.T                    # row k = T psi_k
-        return np.maximum(np.sum(np.abs(u) ** 2, axis=1), 1e-300)
-
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         t = _t_from_params(theta)
-        u = psis @ t.T
+        u = psis @ t.T                    # row k = T psi_k
         m = np.maximum(np.sum(np.abs(u) ** 2, axis=1), 1e-300)
         f = float(np.sum(m - counts * np.log(m)))
         # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k
@@ -302,15 +299,12 @@ def reconstruct_mle(records: list[CorrectedRecord], max_iter: int = 10_000
     result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                       options={"maxiter": max_iter, "maxfun": 4 * max_iter,
                                "ftol": 1e-15, "gtol": 1e-10})
-    theta = result.x
-    t = _t_from_params(theta)
-    rho_hat = _rho_from_t(t)
-    grad_norm = float(np.linalg.norm(objective(theta)[1]))
-    converged = bool(result.success) or grad_norm < 1e-8
-    m = rates(t)
-    log_likelihood = float(np.sum(counts * np.log(m) - m))
-    rho_hat = require_valid(rho_hat)
-    return ReconstructionResult(rho_hat, log_likelihood, int(result.nit), converged)
+    # the objective is minus the log-likelihood, term by term, so negating
+    # its sum reproduces sum_k [n_k ln m_k - m_k] exactly
+    f, grad = objective(result.x)
+    converged = bool(result.success) or float(np.linalg.norm(grad)) < 1e-8
+    rho_hat = require_valid(_rho_from_t(_t_from_params(result.x)))
+    return ReconstructionResult(rho_hat, -f, int(result.nit), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,16 @@ class TestMainDispatch:
         assert main(["fit", str(csv_path), "--model", "p3"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fit_nonfinite_sigma_errors(self, tmp_path, capsys):
+        # a NaN sigma used to be replaced by 1.0 and the fit reported converged
+        csv_path = tmp_path / "nan.csv"
+        csv_path.write_text("t_s,p,sigma\n" + "".join(
+            f"{i * 1e-4},{0.9 - 0.01 * i},{'nan' if i == 3 else 0.01}\n"
+            for i in range(10)))
+        assert main(["fit", str(csv_path), "--model", "p3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_fit_unknown_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "x.csv", "--model", "bogus"])
@@ -199,6 +209,15 @@ class TestMainDispatch:
         report = json.loads(capsys.readouterr().out)
         assert report["regime"] == "Boundary"
         assert report["delta_per_s"] == 0.0
+
+    @pytest.mark.parametrize("flag", ["--kappa", "--gamma0"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_classify_nonfinite_errors(self, capsys, flag, value):
+        argv = {"--kappa": "4281", "--gamma0": "16292", flag: value}
+        assert main(["classify", *(x for kv in argv.items() for x in kv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_bad_config_path_errors(self, capsys):
         assert main(["classify", "--kappa", "1", "--gamma0", "2",

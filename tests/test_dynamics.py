@@ -316,6 +316,14 @@ class TestClassifyRegime:
         with pytest.raises(ValueError):
             classify_regime(-1.0, 10.0)
 
+    @pytest.mark.parametrize("kappa, gamma0", [(math.nan, 1.0), (math.inf, 1.0),
+                                               (1.0, math.nan), (1.0, math.inf)])
+    def test_nonfinite_rejected(self, kappa, gamma0):
+        with pytest.raises(ValueError, match="finite"):
+            classify_regime(kappa, gamma0)
+        with pytest.raises(ValueError, match="finite"):
+            cavity_p(1e-3, kappa, gamma0)
+
 
 class TestLorentzian:
     def test_peak(self):

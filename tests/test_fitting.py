@@ -8,9 +8,8 @@ import pytest
 
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
-from qbuffer.fitting import (DataSeries, FittingError, _p3_lab_jac,
-                             _p3_lab_model, _pasy_lab_jac, _pasy_lab_model,
-                             fit_exponential, fit_p3, fit_pasy,
+from qbuffer.fitting import (_P3_MODEL, DataSeries, FittingError, _jacobian,
+                             _pasy_model, fit_exponential, fit_p3, fit_pasy,
                              fit_result_to_dict, model_comparison,
                              series_from_csv, series_to_csv)
 
@@ -42,13 +41,13 @@ def p3_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
     return DataSeries.from_points(t, p)
 
 
-def assert_jacobian_matches(model, jac, x) -> None:
-    """Closed-form Jacobian against central differences of the model."""
+def assert_jacobian_matches(model, t, x) -> None:
+    """The fit's complex-step Jacobian against central differences of the model."""
     x = np.asarray(x, dtype=float)
     h = 1e-7
-    numeric = np.column_stack([(model(x + h * e) - model(x - h * e)) / (2 * h)
+    numeric = np.column_stack([(model(t, x + h * e) - model(t, x - h * e)) / (2 * h)
                                for e in np.eye(len(x))])
-    exact = jac(x)
+    exact = _jacobian(model, t, x)
     np.testing.assert_allclose(exact, numeric, rtol=0,
                                atol=1e-7 * np.abs(exact).max())
 
@@ -78,9 +77,14 @@ class TestDataSeries:
         with pytest.raises(ValueError):
             DataSeries.from_points([0.0, 0.0, 1.0], [1.0, 0.9, 0.8])
 
-    def test_finite_required(self):
-        with pytest.raises(ValueError):
-            DataSeries.from_points([0.0, 1.0], [1.0, np.nan])
+    @pytest.mark.parametrize("t, p, sigma", [
+        ([0.0, 1.0], [1.0, np.nan], [1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 0.9], [1.0, np.nan]),
+        ([0.0, np.inf], [1.0, 0.9], [1.0, 1.0]),
+    ], ids=["p", "sigma", "t"])
+    def test_finite_required(self, t, p, sigma):
+        with pytest.raises(ValueError, match="must be finite"):
+            DataSeries.from_points(t, p, sigma)
 
     def test_csv_round_trip(self):
         data = pasy_series(n=12)
@@ -175,9 +179,7 @@ class TestFitPasy:
                                    [0.0, 0.03, 0.01, 0.3, 0.7]])
     def test_closed_form_jacobian(self, sign, x):
         t = np.linspace(0.0, 5e-3, 300)
-        args = (TRUTH_PMD.delta_omega, UNITS, sign)
-        assert_jacobian_matches(lambda x: _pasy_lab_model(t, x, *args),
-                                lambda x: _pasy_lab_jac(t, x, *args), x)
+        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS), t, x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -245,8 +247,7 @@ class TestFitP3:
                                    [0.0, 2.0, 10.0, 0.4, 0.6]])
     def test_closed_form_jacobian(self, x):
         t = np.linspace(0.0, 1.5e-3, 50)
-        assert_jacobian_matches(lambda x: _p3_lab_model(t, x),
-                                lambda x: _p3_lab_jac(t, x), x)
+        assert_jacobian_matches(_P3_MODEL, t, x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qbuffer.dynamics import UnitContext, length_from_time
-from qbuffer.measures import (REPORT_CSV_HEADER, classical_correlation,
-                              concurrence, correlation_report, discord,
-                              discord_concurrence_crossover, reports_to_csv,
+from qbuffer.measures import (classical_correlation, concurrence,
+                              correlation_report, discord,
+                              discord_concurrence_crossover,
                               solve_level_crossing, total_correlation)
 
 
@@ -123,15 +123,3 @@ class TestLevelCrossing:
         t_star = solve_level_crossing(model, 0.2, (0.0, 2.0))
         assert abs(model(t_star) - 0.2) < 1e-9
 
-
-class TestReportCsv:
-    def test_header_and_rows(self):
-        rows = [(0.0, 0.0, correlation_report(1.0)),
-                (1e-3, 2e5, correlation_report(0.5))]
-        text = reports_to_csv(rows)
-        lines = text.strip().splitlines()
-        assert lines[0] == REPORT_CSV_HEADER
-        assert lines[0] == "t_s,L_m,P,total,classical,discord,concurrence"
-        first = lines[1].split(",")
-        assert float(first[2]) == 1.0
-        assert float(first[3]) == pytest.approx(2.0)
