@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,11 +68,21 @@ class RunConfig:
 
 
 def build_config(values: dict) -> RunConfig:
-    """Validate a flat config dict and assemble the typed RunConfig."""
+    """Validate a flat config dict and assemble the typed RunConfig: every
+    field a finite real number (numpy scalars pass, bools do not), and
+    gates, seed, n_points and sign integral."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
     merged = {**DEFAULT_CONFIG, **values}
+    for key, value in merged.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and -math.inf < value < math.inf):  # ints of any size pass
+            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
+        if key in ("gates", "seed", "n_points", "sign") and int(value) != value:
+            raise ConfigError(f"{key}: must be an integer, got {value!r}")
     problems = []
     if merged["n_points"] < 2:
         problems.append("n_points: must be at least 2")
@@ -98,11 +110,9 @@ def build_config(values: dict) -> RunConfig:
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    values: dict = {}
-    if path is not None:
-        values.update(json.loads(Path(path).read_text()))
-    if overrides:
-        values.update(overrides)
+    values = json.loads(Path(path).read_text()) if path is not None else {}
+    if overrides and isinstance(values, dict):
+        values = {**values, **overrides}
     return build_config(values)
 
 

@@ -6,14 +6,16 @@ taken from ``dynamics`` (pa/psy for pasy, p1/p2 for p3).  One code path fits
 either: a small model spec holds the component functions, the lab-unit
 scales and the scan grid.  The free parameters are rescaled to lab units
 (ps/sqrt(km), 1/km, 1/ms) so every one is O(1); SI magnitudes like
-D_p ~ 1e-17 s/sqrt(m) would otherwise wreck finite-difference Jacobians.
+D_p ~ 1e-17 s/sqrt(m) would otherwise wreck the solver's unit-scaled trust
+region and its step tolerances.  Every free parameter is bounded to [0, inf).
 
 Initialization (when no explicit guess is given) is a deterministic scan:
 a crude exponential pre-fit pins the envelope rate, a coarse grid over the
 two phase parameters with the component weights solved linearly (NNLS) at
 each grid point ranks candidate basins, and the top few candidates are each
-polished by a trust-region least-squares pass, keeping the best.  The
-covariance comes from a complex-step Jacobian at the solution.
+polished by a trust-region least-squares pass, keeping the best.  One
+complex-step Jacobian serves both the polish and the covariance at the
+solution.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ class DataSeries:
                 raise ValueError(f"{name} must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(sigma < 0):
-            raise ValueError("uncertainties must be nonnegative")
+        if np.any(sigma <= 0):
+            raise ValueError("uncertainties must be positive")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma", sigma)
@@ -211,16 +213,11 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     return picked
 
 
-def _polish(model, t, p, sigma, x0, bounds):
-    # central-difference Jacobian whose step is 1e-6 * |x| per parameter (one
-    # sided at a bound); lab units keep nonzero parameters O(1e-3..1), but the
-    # step collapses for a parameter at a zero bound, so the covariance is
-    # taken from ``_jacobian`` instead of ``result.jac``
-    fun = lambda x: (model(t, x) - p) / sigma
-    return least_squares(fun, np.clip(x0, bounds[0], bounds[1]),
-                         bounds=bounds, method="trf", jac="3-point",
-                         diff_step=1e-6, xtol=1e-12, ftol=1e-12, gtol=1e-13,
-                         max_nfev=4000)
+def _polish(model, t, p, sigma, x0):
+    return least_squares(lambda x: (model(t, x) - p) / sigma, np.maximum(x0, 0.0),
+                         jac=lambda x: _jacobian(model, t, x) / sigma[:, None],
+                         bounds=(0.0, np.inf), method="trf",
+                         xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
 
 
 def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
@@ -233,18 +230,7 @@ def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
     return tuple(float(v) for v in np.diag(cov) * scales ** 2)
 
 
-def _bound_flags(x: np.ndarray, bounds, names) -> tuple[str, ...]:
-    lo, hi = bounds
-    flags = []
-    for value, lo_i, hi_i, name in zip(x, lo, hi, names):
-        if value <= lo_i + 1e-9 * (1.0 + abs(lo_i)):
-            flags.append(name)
-        elif np.isfinite(hi_i) and value >= hi_i - 1e-9 * (1.0 + abs(hi_i)):
-            flags.append(name)
-    return tuple(flags)
-
-
-def _fit(model: _TwoComponent, data: DataSeries, init, bounds,
+def _fit(model: _TwoComponent, data: DataSeries, init,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
     """Scan (or start from ``init``), polish every candidate, keep the best.
 
@@ -256,60 +242,53 @@ def _fit(model: _TwoComponent, data: DataSeries, init, bounds,
     """
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
-    t, p = data.t, data.p
-    sigma = np.where(data.sigma > 0, data.sigma, 1.0)
-    sigmas_known = bool(np.any(data.sigma != 1.0))
-    lo, hi = bounds if bounds is not None else (np.zeros(5), np.full(5, np.inf))
-    bounds = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    t, p, sigma = data.t, data.p, data.sigma
+    sigmas_known = bool(np.any(sigma != 1.0))
     if init is not None:
         candidates = [np.array([getattr(init, name) for name in model.free]) / model.scales]
     else:
         candidates = _scan(model, t, p, sigma)
     best = None
     for x0 in candidates:
-        res = _polish(model, t, p, sigma, x0, bounds)
+        res = _polish(model, t, p, sigma, x0)
         if best is None or res.cost < best.cost:
             best = res
     if best.x[0] > best.x[1]:
         swapped = best.x.copy()
         swapped[[0, 1]] = swapped[[1, 0]]
         swapped[[3, 4]] = swapped[[4, 3]]
-        res2 = _polish(model, t, p, sigma, swapped, bounds)
+        res2 = _polish(model, t, p, sigma, swapped)
         if res2.x[0] <= res2.x[1] and res2.cost <= best.cost * (1.0 + 1e-9):
             best = res2
-    cov = _covariance_diag(_jacobian(model, t, best.x) / sigma[:, None], best.cost,
-                           len(model.free), model.scales, sigmas_known)
+    cov = _covariance_diag(best.jac, best.cost, len(model.free), model.scales,
+                           sigmas_known)
+    at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
     return FitResult(model.name, make_params(best.x * model.scales),
                      float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
-                     int(best.nfev), _bound_flags(best.x, bounds, model.free))
+                     int(best.nfev), at_bounds)
 
 
 def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
-             bounds: Optional[tuple[Sequence[float], Sequence[float]]] = None,
              units: UnitContext = UnitContext()) -> FitResult:
     """Fit the sqrt(L)-phase model; free parameters (d_p1, d_p2, mu, a1, a2).
 
     The detuning delta_omega and the sign branch are taken from ``init`` when
-    given and are held fixed (defaults: 2 pi x 200 GHz, +).  ``bounds`` are
-    (lo, hi) arrays over the free parameters in lab units
-    (ps/sqrt(km), ps/sqrt(km), 1/km, 1, 1); all-zero lower bounds by default.
+    given and are held fixed (defaults: 2 pi x 200 GHz, +).  Every free
+    parameter is bounded to [0, inf).
     """
     delta_omega = init.delta_omega if init is not None else 2.0 * math.pi * 200e9
     sign = init.sign if init is not None else +1
-    return _fit(_pasy_model(delta_omega, sign, units), data, init, bounds,
+    return _fit(_pasy_model(delta_omega, sign, units), data, init,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
-def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
-           bounds: Optional[tuple[Sequence[float], Sequence[float]]] = None
-           ) -> FitResult:
+def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None) -> FitResult:
     """Fit the linear-phase model; free parameters (kappa1, kappa2, gamma0, w1, w2).
 
-    ``bounds`` are (lo, hi) arrays over the free parameters in 1/ms (rates)
-    and raw weights.
+    Every free parameter is bounded to [0, inf).
     """
     lambda_width = init.lambda_width if init is not None else 1e6
-    return _fit(_P3_MODEL, data, init, bounds,
+    return _fit(_P3_MODEL, data, init,
                 lambda si: CavityModelParams(*si, lambda_width=lambda_width))
 
 
@@ -347,9 +326,6 @@ class ModelComparison:
     winner: str  # 'a', 'b' or 'tie'
 
 
-_N_FREE = {"pasy": 5, "p3": 5, "exp": 2}
-
-
 def _predict(fit: FitResult, t: np.ndarray,
              units: UnitContext = UnitContext()) -> np.ndarray:
     if fit.model == "pasy":
@@ -369,10 +345,9 @@ def model_comparison(data: DataSeries, fit_a: FitResult, fit_b: FitResult,
     ``data``; a mismatch means the fit belongs to different data and is
     rejected.
     """
-    sigma = np.where(data.sigma > 0, data.sigma, 1.0)
     norms = []
     for fit in (fit_a, fit_b):
-        resid = (_predict(fit, data.t, units) - data.p) / sigma
+        resid = (_predict(fit, data.t, units) - data.p) / data.sigma
         norm = float(np.linalg.norm(resid))
         if abs(norm - fit.residual_norm) > 1e-6 * (1.0 + fit.residual_norm):
             raise ValueError(
@@ -381,7 +356,7 @@ def model_comparison(data: DataSeries, fit_a: FitResult, fit_b: FitResult,
         norms.append(norm)
     chisq = []
     for fit, norm in zip((fit_a, fit_b), norms):
-        dof = max(len(data) - _N_FREE[fit.model], 1)
+        dof = max(len(data) - len(fit.covariance_diag), 1)
         chisq.append(norm ** 2 / dof)
     if abs(chisq[0] - chisq[1]) < 1e-9:
         winner = "tie"

@@ -73,20 +73,20 @@ def correlation_report(p: float) -> CorrelationReport:
 
 
 def solve_level_crossing(model: Callable[[float], float], level: float,
-                         bracket: tuple[float, float],
-                         grid_points: int = 10_000,
-                         residual_tol: float = 1e-9) -> Optional[float]:
+                         bracket: tuple[float, float]) -> Optional[float]:
     """Earliest time in ``bracket`` where ``model`` crosses ``level``.
 
-    The bracket is first subdivided on a uniform grid to isolate the first
-    sign change (oscillatory models cross many times), then the root is
-    refined until |model(t*) - level| < residual_tol.  Returns None when no
-    sign change exists on the grid.
+    The bracket is first subdivided on a uniform 10 000-point grid to isolate
+    the first sign change (oscillatory models cross many times), then the
+    root is refined until |model(t*) - level| < 1e-9.  Returns None when no
+    sign change exists on the grid.  Resolution limit: a dip below ``level``
+    that starts and ends between two grid points (about 1 us apart in a
+    10 ms bracket) is missed, and the next crossing, if any, is returned.
     """
     t_lo, t_hi = bracket
     if not t_hi > t_lo:
         raise ValueError("bracket must satisfy t_hi > t_lo")
-    grid = np.linspace(t_lo, t_hi, grid_points)
+    grid = np.linspace(t_lo, t_hi, 10_000)
     values = np.array([model(t) - level for t in grid])
     exact = np.nonzero(values == 0.0)[0]
     changes = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
@@ -99,7 +99,7 @@ def solve_level_crossing(model: Callable[[float], float], level: float,
     i = first_change
     root = brentq(lambda t: model(t) - level, grid[i], grid[i + 1],
                   xtol=1e-18 * max(1.0, abs(grid[i + 1])), rtol=8.9e-16, maxiter=200)
-    if abs(model(root) - level) > residual_tol:
+    if abs(model(root) - level) > 1e-9:
         raise RuntimeError(
             f"root refinement stalled: residual {abs(model(root) - level):.3g}")
     return float(root)

@@ -105,14 +105,14 @@ def product_ket(signal: str, idler: str) -> np.ndarray:
     return np.kron(ks, ki)
 
 
-def check_pure_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a pure-state vector (4 complex amplitudes, unit norm)."""
+def check_pure_state(psi: np.ndarray) -> np.ndarray:
+    """Validate a pure-state vector (4 complex amplitudes, norm^2 within 1e-12 of 1)."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape != (4,):
         raise ValueError(f"pure state must have 4 amplitudes, got {psi.shape}")
     norm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"pure state norm^2 = {norm2} deviates from 1 by more than {tol}")
+    if abs(norm2 - 1.0) > 1e-12:
+        raise ValueError(f"pure state norm^2 = {norm2} deviates from 1 by more than 1e-12")
     return psi
 
 

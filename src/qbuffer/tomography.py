@@ -76,36 +76,35 @@ class CorrectedRecord:
     gates: int
 
 
-DEFAULT_PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
+PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
 
 
-def _mean_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
-                 pair_rate: float) -> tuple[list[float], float]:
+def _mean_counts(rho: np.ndarray, n_gates: int,
+                 accidental_rate: float) -> tuple[list[float], float]:
     """Validated count model: the true-coincidence mean of each setting,
-    n_gates * pair_rate * <proj|rho|proj>, and the accidental mean."""
+    n_gates * PAIR_RATE * <proj|rho|proj>, and the accidental mean."""
     rho = require_valid(rho)
     if not 0.0 <= accidental_rate < 1.0:
         raise ValueError("accidental rate must lie in [0, 1)")
-    if n_gates <= 0 or pair_rate < 0:
-        raise ValueError("n_gates must be positive and pair_rate nonnegative")
+    if n_gates <= 0:
+        raise ValueError("n_gates must be positive")
     means = []
     for setting in SETTINGS:
         psi = projector(setting)
-        means.append(n_gates * pair_rate * max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
+        means.append(n_gates * PAIR_RATE * max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
     return means, n_gates * accidental_rate
 
 
 def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
-                    seed: int, pair_rate: float = DEFAULT_PAIR_RATE
-                    ) -> list[TomographyRecord]:
+                    seed: int) -> list[TomographyRecord]:
     """Draw Poisson counts for all 16 settings.
 
-    True-coincidence mean per setting is n_gates * pair_rate * <proj|rho|proj>;
+    True-coincidence mean per setting is n_gates * PAIR_RATE * <proj|rho|proj>;
     accidentals contribute an independent Poisson term to the coincidence
     window and are estimated separately from a delayed-gate draw of the same
     mean.  Identical seeds give identical records.
     """
-    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate, pair_rate)
+    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
     rng = np.random.default_rng(seed)
     records = []
     for setting, mean in zip(SETTINGS, means):
@@ -118,10 +117,10 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     return records
 
 
-def expected_counts(rho: np.ndarray, n_gates: int, accidental_rate: float = 0.0,
-                    pair_rate: float = DEFAULT_PAIR_RATE) -> list[TomographyRecord]:
+def expected_counts(rho: np.ndarray, n_gates: int,
+                    accidental_rate: float = 0.0) -> list[TomographyRecord]:
     """Noise-free records carrying the expected values of the count model."""
-    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate, pair_rate)
+    means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
     return [TomographyRecord(setting, mean + acc_mean, acc_mean, n_gates)
             for setting, mean in zip(SETTINGS, means)]
 
@@ -247,8 +246,7 @@ def _lower_factor(gram: np.ndarray) -> np.ndarray:
     return flip @ l.conj().T @ flip
 
 
-def reconstruct_mle(records: list[CorrectedRecord], max_iter: int = 10_000
-                    ) -> ReconstructionResult:
+def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
     The state is parametrized as rho = T^dag T / tr(T^dag T) with T lower
@@ -297,7 +295,7 @@ def reconstruct_mle(records: list[CorrectedRecord], max_iter: int = 10_000
     theta0 = _params_from_t(_lower_factor(scale * rho0))
 
     result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                      options={"maxiter": max_iter, "maxfun": 4 * max_iter,
+                      options={"maxiter": 10_000, "maxfun": 40_000,
                                "ftol": 1e-15, "gtol": 1e-10})
     # the objective is minus the log-likelihood, term by term, so negating
     # its sum reproduces sum_k [n_k ln m_k - m_k] exactly

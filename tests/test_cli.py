@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown"):
             build_config({"not_a_field": 1.0})
 
+    def test_numpy_scalars_and_integral_floats_accepted(self):
+        # an int too large for a float is still finite and integral
+        config = build_config({"n_points": np.int64(11), "gates": 1e8,
+                               "a1": np.float64(0.2), "seed": 10 ** 400})
+        assert (config.n_points, config.gates, config.pmd.a1) == (11, 100_000_000, 0.2)
+        assert config.seed == 10 ** 400
+
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7, "n_points": 11}))
@@ -169,6 +176,16 @@ class TestMainDispatch:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_fit_zero_sigma_errors(self, tmp_path, capsys):
+        # a zero sigma used to be replaced by 1.0 and the fit reported converged
+        csv_path = tmp_path / "zero.csv"
+        csv_path.write_text("t_s,p,sigma\n" + "".join(
+            f"{i * 1e-4},{0.9 - 0.01 * i},{0.0 if i == 3 else 0.01}\n"
+            for i in range(20)))
+        assert main(["fit", str(csv_path), "--model", "p3"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: uncertainties must be positive\n"
+
     def test_fit_unknown_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "x.csv", "--model", "bogus"])
@@ -218,6 +235,30 @@ class TestMainDispatch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, field", [
+        ("[1, 2]", "JSON object"),
+        ('{"gates": "abc"}', "gates"),
+        ('{"n_points": "5"}', "n_points"),
+        ('{"w1": true}', "w1"),
+        ('{"a1": [0.5]}', "a1"),
+        ('{"seed": null}', "seed"),
+        ('{"gates": 1.5}', "gates"),
+        ('{"seed": 2.5}', "seed"),
+        ('{"n_points": 10.5}', "n_points"),
+        ('{"sign": 0.5}', "sign"),
+        ('{"t_end_s": NaN}', "t_end_s"),
+        ('{"mu_per_m": -Infinity}', "mu_per_m"),
+    ])
+    def test_malformed_config_errors(self, tmp_path, capsys, text, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["classify", "--kappa", "1", "--gamma0", "2",
+                     "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert field in captured.err
 
     def test_bad_config_path_errors(self, capsys):
         assert main(["classify", "--kappa", "1", "--gamma0", "2",

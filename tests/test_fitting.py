@@ -77,13 +77,14 @@ class TestDataSeries:
         with pytest.raises(ValueError):
             DataSeries.from_points([0.0, 0.0, 1.0], [1.0, 0.9, 0.8])
 
-    @pytest.mark.parametrize("t, p, sigma", [
-        ([0.0, 1.0], [1.0, np.nan], [1.0, 1.0]),
-        ([0.0, 1.0], [1.0, 0.9], [1.0, np.nan]),
-        ([0.0, np.inf], [1.0, 0.9], [1.0, 1.0]),
-    ], ids=["p", "sigma", "t"])
-    def test_finite_required(self, t, p, sigma):
-        with pytest.raises(ValueError, match="must be finite"):
+    @pytest.mark.parametrize("t, p, sigma, message", [
+        ([0.0, 1.0], [1.0, np.nan], [1.0, 1.0], "must be finite"),
+        ([0.0, 1.0], [1.0, 0.9], [1.0, np.nan], "must be finite"),
+        ([0.0, np.inf], [1.0, 0.9], [1.0, 1.0], "must be finite"),
+        ([0.0, 1.0], [1.0, 0.9], [1.0, 0.0], "uncertainties must be positive"),
+    ], ids=["p", "sigma", "t", "sigma-zero"])
+    def test_finite_required(self, t, p, sigma, message):
+        with pytest.raises(ValueError, match=message):
             DataSeries.from_points(t, p, sigma)
 
     def test_csv_round_trip(self):
@@ -242,6 +243,21 @@ class TestFitP3:
             fit = fit_p3(data)
             chis.append(fit.residual_norm ** 2 / (len(data) - 5))
         assert 0.5 < np.mean(chis) < 1.5
+
+    def test_noisy_fit_keeps_kappa1_off_its_bound(self):
+        # record 41 of the benchmark's fit workload, seed 1: a polish with a
+        # finite-difference Jacobian stalled here with kappa1 on its zero
+        # bound and a reduced chi-square of 3.4
+        rng = np.random.default_rng([1, 0, 41])
+        truth = CavityModelParams(*[v * rng.uniform(0.8, 1.2)
+                                    for v in (753.0, 3528.0, 16292.0, 0.5, 0.5)])
+        t = np.linspace(0.0, 1.5e-3, 50)
+        y = p3(t, truth)
+        sigma = 0.02 * np.abs(y)
+        fit = fit_p3(DataSeries(t, y + rng.normal(0.0, sigma), sigma))
+        dof = len(t) - 5
+        assert abs(fit.residual_norm ** 2 / dof - 1.0) <= 6.0 * math.sqrt(2.0 / dof)
+        assert "kappa1" not in fit.at_bounds
 
     @pytest.mark.parametrize("x", [[0.753, 3.528, 16.292, 0.5, 0.5],
                                    [0.0, 2.0, 10.0, 0.4, 0.6]])
