@@ -120,27 +120,37 @@ SWEEP_CSV_HEADER = ("t_s,L_m,P_pasy,P_p3,total_pasy,classical_pasy,discord_pasy,
                     "concurrence_pasy,total_p3,classical_p3,discord_p3,concurrence_p3")
 
 
-def _measures_row(p_model: float) -> measures.CorrelationReport:
+def _measures_row(p_model: np.ndarray) -> measures.CorrelationReport:
     # model curves are proportionalities and may poke above 1; the
     # information measures are defined on [0, 1]
-    return measures.correlation_report(min(p_model, 1.0))
+    return measures.correlation_report(np.minimum(p_model, 1.0))
+
+
+_SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_CSV_HEADER.split(","))) + "\n"
+_SWEEP_BLOCK = 128  # rows held as Python floats at once, to bound peak memory
+
+
+def _sweep_table(config: RunConfig) -> np.ndarray:
+    """The sweep's 12 columns, one row per grid point."""
+    t = np.linspace(config.t_start_s, config.t_end_s, config.n_points)
+    p_pasy = dynamics.prob_pasy(t, config.pmd, config.units)
+    p_p3 = dynamics.p3(t, config.cavity)
+    ma = _measures_row(p_pasy)
+    mb = _measures_row(p_p3)
+    return np.column_stack((t, dynamics.length_from_time(t, config.units),
+                            p_pasy, p_p3, ma.total, ma.classical, ma.discord,
+                            ma.concurrence, mb.total, mb.classical, mb.discord,
+                            mb.concurrence))
 
 
 def cmd_sweep(config: RunConfig) -> str:
     """Evaluate both decay models and their correlation measures on the grid."""
-    grid = np.linspace(config.t_start_s, config.t_end_s, config.n_points)
-    rows = []
-    for t in grid:
-        length = dynamics.length_from_time(float(t), config.units)
-        p_pasy = dynamics.prob_pasy(float(t), config.pmd, config.units)
-        p_p3 = dynamics.p3(float(t), config.cavity)
-        ma = _measures_row(p_pasy)
-        mb = _measures_row(p_p3)
-        fields = (t, length, p_pasy, p_p3, ma.total, ma.classical, ma.discord,
-                  ma.concurrence, mb.total, mb.classical, mb.discord,
-                  mb.concurrence)
-        rows.append(",".join(format(v, ".12g") for v in fields))
-    return "\n".join([SWEEP_CSV_HEADER, *rows]) + "\n"
+    table = _sweep_table(config)
+    parts = [SWEEP_CSV_HEADER + "\n"]
+    for start in range(0, len(table), _SWEEP_BLOCK):
+        block = table[start:start + _SWEEP_BLOCK].tolist()
+        parts.append("".join(_SWEEP_ROW % tuple(row) for row in block))
+    return "".join(parts)
 
 
 def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
@@ -315,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _json_text(report) if args.format == "json" else _dict_csv(report)
             _emit(text, args.out)
         return 0
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

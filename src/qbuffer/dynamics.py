@@ -216,6 +216,9 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     phase and zero loss:
 
         (1/4) exp(-2 mu L) [cos(dphi_h) + sin(dphi_h) - sin(dphi_v) + cos(dphi_v)]^2
+
+    Its range is [0, 2], not [0, 1]: the bracket reaches 2 sqrt(2) at
+    (dphi_h, dphi_v) = (pi/4, -pi/4), where the value is 2 at zero loss.
     """
     if mu < 0 or length < 0:
         raise ValueError("mu and length must be nonnegative")

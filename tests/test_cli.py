@@ -8,8 +8,9 @@ import pytest
 from qbuffer import cli
 from qbuffer.cli import (DEFAULT_CONFIG, SWEEP_CSV_HEADER, ConfigError,
                          build_config, cmd_sweep, cmd_tomo, load_config, main)
-from qbuffer.dynamics import prob_pasy, p3 as p3_model
+from qbuffer.dynamics import length_from_time, prob_pasy, p3 as p3_model
 from qbuffer.fitting import DataSeries, series_to_csv
+from qbuffer.measures import correlation_report
 
 
 @pytest.fixture
@@ -85,6 +86,26 @@ class TestSweep:
     def test_byte_identical_runs(self, config):
         assert cmd_sweep(config) == cmd_sweep(config)
 
+    def test_clipped_rows_and_scalar_reference(self):
+        # a1 + a2 = 1.2, so P_pasy starts above 1: the P column keeps the raw
+        # model value and the measure columns are evaluated at min(P, 1)
+        config = build_config({"a1": 0.6, "a2": 0.6})
+        rows = cmd_sweep(config).splitlines()[1:]
+        cols = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert cols[0, 2] == 1.2
+        assert list(cols[0, 4:8]) == [2.0, 1.0, 1.0, 1.0]
+        reference = []
+        for t in np.linspace(config.t_start_s, config.t_end_s, config.n_points):
+            t = float(t)
+            p_a = prob_pasy(t, config.pmd, config.units)
+            p_b = p3_model(t, config.cavity)
+            ma = correlation_report(min(p_a, 1.0))
+            mb = correlation_report(min(p_b, 1.0))
+            reference.append([t, length_from_time(t, config.units), p_a, p_b,
+                              ma.total, ma.classical, ma.discord, ma.concurrence,
+                              mb.total, mb.classical, mb.discord, mb.concurrence])
+        np.testing.assert_allclose(cols, reference, rtol=1e-11, atol=0.0)
+
 
 class TestTomo:
     def test_exact_round_trip(self, config):
@@ -111,6 +132,17 @@ class TestMainDispatch:
         code = main(["sweep", "--out", str(out)])
         assert code == 0
         assert out.read_text().splitlines()[0] == SWEEP_CSV_HEADER
+
+    def test_sweep_unallocatable_grid_errors(self, tmp_path, capsys):
+        # 10**15 points need petabytes, so the grid allocation fails at once
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"n_points": 10 ** 15}))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_sweep_requires_out(self, capsys):
         assert main(["sweep"]) == 1

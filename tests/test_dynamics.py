@@ -60,6 +60,13 @@ class TestProbPf:
     def test_normalized_at_zero(self):
         assert prob_pf(PmdPhases(0.0, 0.0), 0.0, 0.0) == pytest.approx(1.0)
 
+    def test_range_reaches_two(self):
+        assert prob_pf(PmdPhases(math.pi / 4, -math.pi / 4), 0.0, 0.0) == pytest.approx(
+            2.0, abs=1e-12)
+        phases = np.linspace(-math.pi, math.pi, 41)
+        values = [prob_pf(PmdPhases(h, v), 0.0, 0.0) for h in phases for v in phases]
+        assert 0.0 <= min(values) and max(values) <= 2.0 + 1e-12
+
     def test_opposite_rotation_reduces_to_counter_form(self):
         for phi in np.linspace(-1.0, 1.0, 17):
             got = prob_pf(PmdPhases(phi, -phi), 0.0, 0.0)

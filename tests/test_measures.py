@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbuffer.dynamics import UnitContext, length_from_time
 from qbuffer.measures import (classical_correlation, concurrence,
@@ -73,6 +75,41 @@ class TestGridProperties:
         assert sign_changes == 1
 
 
+class TestArrayMatchesScalar:
+    """Each measure on an array equals the list of its scalar values, bit for
+    bit; the scalar calls are the reference."""
+
+    MEASURES = (total_correlation, classical_correlation, discord, concurrence)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_array_equals_scalar_list(self, extra):
+        p = np.array([0.0, 1.0 / 3.0, 1.0, *extra])
+        for fn in self.MEASURES:
+            expected = np.array([fn(float(x)) for x in p])
+            assert fn(p).tobytes() == expected.tobytes(), fn.__name__
+        report = correlation_report(p)
+        scalar_reports = [correlation_report(float(x)) for x in p]
+        for field in ("p", "total", "classical", "discord", "concurrence"):
+            expected = np.array([getattr(r, field) for r in scalar_reports])
+            assert getattr(report, field).tobytes() == expected.tobytes(), field
+
+    @pytest.mark.parametrize("p", [0.5, np.float64(0.5), np.array(0.5)])
+    def test_scalar_input_returns_float(self, p):
+        for fn in self.MEASURES:
+            assert type(fn(p)) is float
+        report = correlation_report(p)
+        for field in ("p", "total", "classical", "discord", "concurrence"):
+            assert type(getattr(report, field)) is float
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
+    def test_one_element_out_of_range_rejected(self, bad):
+        p = np.array([0.0, 0.5, bad, 1.0])
+        for fn in (*self.MEASURES, correlation_report):
+            with pytest.raises(ValueError, match="Werner probability"):
+                fn(p)
+
+
 class TestCrossover:
     def test_location(self):
         p_star = discord_concurrence_crossover()
@@ -92,24 +129,24 @@ class TestLevelCrossing:
         units = UnitContext()
         mu = 6e-6
         rate = 2 * mu * units.c / units.n_r
-        model = lambda t: math.exp(-rate * t)
+        model = lambda t: np.exp(-rate * t)
         t_star = solve_level_crossing(model, 1.0 / 3.0, (0.0, 10e-3))
         assert t_star == pytest.approx(math.log(3.0) / rate, rel=1e-6)
         length_km = length_from_time(t_star, units) / 1e3
         assert length_km == pytest.approx(91.5510, abs=1e-2)
 
     def test_constant_model_not_found(self):
-        assert solve_level_crossing(lambda t: 0.7, 0.5, (0.0, 1.0)) is None
+        assert solve_level_crossing(lambda t: np.full_like(t, 0.7), 0.5, (0.0, 1.0)) is None
 
     def test_earliest_crossing_of_oscillatory_model(self):
-        model = lambda t: math.cos(2 * math.pi * t) ** 2
+        model = lambda t: np.cos(2 * math.pi * t) ** 2
         t_star = solve_level_crossing(model, 0.5, (0.0, 3.0))
         assert t_star == pytest.approx(0.125, abs=1e-9)
 
     def test_composed_concurrence_known_inverse(self):
         # P(t) linear from 1 to 0 over [0, 1]; concurrence hits zero where
         # P = 1/3, i.e. t0 = 2/3
-        model = lambda t: concurrence(max(0.0, 1.0 - t))
+        model = lambda t: concurrence(np.maximum(0.0, 1.0 - t))
         t_star = solve_level_crossing(model, 1e-12, (0.0, 1.0))
         assert t_star == pytest.approx(2.0 / 3.0, abs=1e-6)
 
@@ -119,7 +156,24 @@ class TestLevelCrossing:
         assert t_star == 0.0
 
     def test_residual_tolerance_met(self):
-        model = lambda t: math.exp(-3.0 * t)
+        model = lambda t: np.exp(-3.0 * t)
         t_star = solve_level_crossing(model, 0.2, (0.0, 2.0))
         assert abs(model(t_star) - 0.2) < 1e-9
 
+    def test_grid_evaluated_in_one_call(self):
+        # one call for the whole grid, then Brent's method (maxiter 200) on
+        # the first bracket and one residual check
+        calls = []
+
+        def model(t):
+            calls.append(np.shape(t))
+            return np.exp(-3.0 * t)
+
+        t_star = solve_level_crossing(model, 0.2, (0.0, 2.0))
+        assert t_star == pytest.approx(math.log(5.0) / 3.0, rel=1e-12)
+        assert calls[0] == (10_000,)
+        assert len(calls) <= 202
+
+    def test_model_must_broadcast(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            solve_level_crossing(lambda t: 0.7, 0.5, (0.0, 1.0))
