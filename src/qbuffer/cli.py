@@ -185,10 +185,15 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
 
 
 def cmd_fit(model_name: str, csv_text: str,
-            units: dynamics.UnitContext = dynamics.UnitContext()) -> fitting.FitResult:
+            config: RunConfig | None = None) -> fitting.FitResult:
+    """Fit the named model to CSV data; pasy holds the config's detuning and
+    sign branch fixed and converts times with its units (default config
+    when none is given)."""
     data = fitting.series_from_csv(csv_text)
     if model_name == "pasy":
-        return fitting.fit_pasy(data, units=units)
+        config = config if config is not None else build_config({})
+        return fitting.fit_pasy(data, units=config.units,
+                                delta_omega=config.pmd.delta_omega, sign=config.pmd.sign)
     if model_name == "p3":
         return fitting.fit_p3(data)
     if model_name == "exp":
@@ -311,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write("reconstruction did not converge\n")
                 return 1
         elif args.command == "fit":
-            result = cmd_fit(args.model, Path(args.data).read_text(), config.units)
+            result = cmd_fit(args.model, Path(args.data).read_text(), config)
             _emit(fitting.fit_result_to_json(result) + "\n", args.out)
             if not result.converged:
                 sys.stderr.write("fit did not converge\n")

@@ -11,11 +11,12 @@ region and its step tolerances.  Every free parameter is bounded to [0, inf).
 
 Initialization (when no explicit guess is given) is a deterministic scan:
 a crude exponential pre-fit pins the envelope rate, a coarse grid over the
-two phase parameters with the component weights solved linearly (NNLS) at
-each grid point ranks candidate basins, and the top few candidates are each
-polished by a trust-region least-squares pass, keeping the best.  One
-complex-step Jacobian serves both the polish and the covariance at the
-solution.
+two phase parameters with the component weights solved by closed-form
+two-column NNLS at each grid point (one Gram pass per rate) ranks candidate
+basins, scipy's ``nnls`` solves the weights of the few kept candidates, and
+each is polished by a trust-region least-squares pass, keeping the best.
+One complex-step Jacobian, from a single model call, serves both the polish
+and the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     (zero variance would be reported for the least identified parameter).
     """
     h = 1e-20
-    return np.column_stack([model(t, x + 1j * h * e).imag / h for e in np.eye(len(x))])
+    steps = (x[:, None] + 1j * h * np.eye(len(x)))[:, :, None]  # row k steps x[k]
+    return np.ascontiguousarray((model(t, steps).imag / h).T)
 
 
 def _envelope_prefit(t_scaled: np.ndarray, p: np.ndarray) -> float:
@@ -181,35 +183,65 @@ def _envelope_prefit(t_scaled: np.ndarray, p: np.ndarray) -> float:
     return float(np.polyfit(t_scaled[mask], np.log(p[mask]), 1)[0])
 
 
+def _nnls2(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
+    """Weights and SSE of min ||w1 c1[i] + w2 c2[j] - y|| over w >= 0 for
+    every row pair (i, j), each returned array shaped (len(c1), len(c2)).
+
+    The KKT point in closed form (Lawson & Hanson): the unconstrained
+    solution of the 2x2 normal equations when both its weights are
+    positive, otherwise the better of the two clipped one-column solutions.
+    At that point SSE = y.y - w1 b1 - w2 b2 with b = A^T y.
+    """
+    a11 = np.einsum("in,in->i", c1, c1)[:, None]
+    a22 = np.einsum("jn,jn->j", c2, c2)
+    a12 = c1 @ c2.T
+    b1 = (c1 @ y)[:, None]
+    b2 = c2 @ y
+    det = a11 * a22 - a12 * a12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = (a22 * b1 - a12 * b2) / det
+        w2 = (a11 * b2 - a12 * b1) / det
+        u1 = np.where(a11 > 0, np.maximum(b1 / a11, 0.0), 0.0)  # c1 alone
+        u2 = np.where(a22 > 0, np.maximum(b2 / a22, 0.0), 0.0)  # c2 alone
+    interior = (det > 0) & (w1 > 0) & (w2 > 0)
+    first = u1 * b1 >= u2 * b2
+    w1 = np.where(interior, w1, np.where(first, u1, 0.0))
+    w2 = np.where(interior, w2, np.where(first, 0.0, u2))
+    return w1, w2, y @ y - w1 * b1 - w2 * b2
+
+
 def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
           sigma: np.ndarray) -> list[np.ndarray]:
     """Up to four starting points from the model's grid.
 
-    The weights are solved by NNLS at every grid point with theta1 <= theta2;
-    points are ranked by SSE and kept only if their theta2 differs by more
-    than a relative 5 % from every point already kept.
+    At every grid point with theta1 <= theta2 the weights are solved by
+    closed-form two-column NNLS, one Gram pass over all theta pairs per
+    rate.  Points are ranked by SSE, ties in grid order (rate, theta2,
+    theta1), and kept only if their theta2 differs by more than a relative
+    5 % from every point already kept.  The weights of a kept point are
+    recomputed by scipy's ``nnls`` from that point's own columns.
     """
     rates, theta2s, theta1s = model.grid(t, p)
     s = model.scales
-    cands: list[tuple[float, np.ndarray]] = []
-    for rate in rates:
-        c1s = [model.c1(t, theta1 * s[0], rate * s[2]) for theta1 in theta1s]
-        for theta2 in theta2s:
-            c2 = model.c2(t, theta2 * s[1], rate * s[2])
-            for theta1, c1 in zip(theta1s, c1s):
-                if theta1 > theta2:
-                    continue
-                weights, norm = nnls(np.column_stack([c1, c2]) / sigma[:, None], p / sigma)
-                cands.append((norm * norm, np.array([theta1, theta2, rate,
-                                                     max(weights[0], 1e-6),
-                                                     max(weights[1], 1e-6)])))
-    cands.sort(key=lambda c: c[0])
+    y = p / sigma
+    sse = np.empty((len(rates), len(theta2s), len(theta1s)))
+    for k, rate in enumerate(rates):
+        c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
+        c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
+        sse[k] = _nnls2(c1, c2, y)[2].T
+    ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
+    ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
     picked: list[np.ndarray] = []
-    for _, x in cands:
-        if all(abs(x[1] - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
-            picked.append(x)
-        if len(picked) >= 4:
-            break
+    for i_rate, i2, i1 in zip(*np.unravel_index(ranked, sse.shape)):
+        rate, theta2, theta1 = rates[i_rate], theta2s[i2], theta1s[i1]
+        if all(abs(theta2 - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
+            c1 = model.c1(t, theta1 * s[0], rate * s[2])
+            c2 = model.c2(t, theta2 * s[1], rate * s[2])
+            weights, _ = nnls(np.column_stack([c1, c2]) / sigma[:, None], y)
+            picked.append(np.array([theta1, theta2, rate,
+                                    max(weights[0], 1e-6), max(weights[1], 1e-6)]))
+            if len(picked) >= 4:
+                break
     return picked
 
 
@@ -269,15 +301,18 @@ def _fit(model: _TwoComponent, data: DataSeries, init,
 
 
 def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
-             units: UnitContext = UnitContext()) -> FitResult:
+             units: UnitContext = UnitContext(), delta_omega: Optional[float] = None,
+             sign: Optional[int] = None) -> FitResult:
     """Fit the sqrt(L)-phase model; free parameters (d_p1, d_p2, mu, a1, a2).
 
-    The detuning delta_omega and the sign branch are taken from ``init`` when
-    given and are held fixed (defaults: 2 pi x 200 GHz, +).  Every free
-    parameter is bounded to [0, inf).
+    The detuning ``delta_omega`` (rad/s) and the ``sign`` branch are held
+    fixed; each not given is taken from ``init``, else defaults to
+    2 pi x 200 GHz and +.  Every free parameter is bounded to [0, inf).
     """
-    delta_omega = init.delta_omega if init is not None else 2.0 * math.pi * 200e9
-    sign = init.sign if init is not None else +1
+    if delta_omega is None:
+        delta_omega = init.delta_omega if init is not None else 2.0 * math.pi * 200e9
+    if sign is None:
+        sign = init.sign if init is not None else +1
     return _fit(_pasy_model(delta_omega, sign, units), data, init,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 

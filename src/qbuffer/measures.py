@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import bisect, brentq
+from scipy.optimize import brentq
 
 
 def _xlog2(x):
@@ -124,9 +124,9 @@ def solve_level_crossing(model: Callable, level: float,
 def discord_concurrence_crossover() -> float:
     """The unique P in (1/3, 1) where discord equals concurrence.
 
-    Found by bisection; discord exceeds concurrence just above 1/3 and falls
-    below it before P reaches 1 (both equal 1 exactly at P = 1, which is not
-    a crossing of interest).
+    Found by Brent's method; discord exceeds concurrence just above 1/3 and
+    falls below it before P reaches 1 (both equal 1 exactly at P = 1, which
+    is not a crossing of interest).
     """
     gap = lambda p: discord(p) - concurrence(p)
-    return float(bisect(gap, 0.34, 0.999, xtol=1e-9))
+    return float(brentq(gap, 0.34, 0.999, xtol=1e-9))

@@ -11,6 +11,7 @@ parametrization.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,10 @@ class TomographyRecord:
     gates: int
 
     def __post_init__(self) -> None:
+        for name in ("coincidences", "accidentals", "gates"):
+            value = getattr(self, name)
+            if not -math.inf < value < math.inf:  # ints of any size pass
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gates <= 0:
             raise ValueError("gate count must be positive")
         if self.coincidences < 0 or self.accidentals < 0:

@@ -180,6 +180,28 @@ class TestMainDispatch:
         assert result["converged"]
         assert result["mu_per_m"] == pytest.approx(config.pmd.mu, rel=0.01)
 
+    def test_fit_pasy_uses_config_detuning(self, tmp_path):
+        # the fit used to hold the detuning at 2 pi x 200 GHz whatever the
+        # config said, and reported d_p2 at 2e-4 of the truth here
+        values = {"delta_omega_rad_s": 2.0 * np.pi * 100e9, "a1": 0.5, "a2": 0.5}
+        config = build_config(values)
+        t = np.linspace(0.0, 5e-3, 300)
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(series_to_csv(DataSeries.from_points(
+            t, prob_pasy(t, config.pmd, config.units))))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv_path), "--model", "pasy", "--config",
+                     str(config_path), "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        assert result["delta_omega_rad_s"] == config.pmd.delta_omega
+        assert result["sign"] == config.pmd.sign
+        for key, truth in (("d_p1_s_per_sqrt_m", config.pmd.d_p1),
+                           ("d_p2_s_per_sqrt_m", config.pmd.d_p2),
+                           ("mu_per_m", config.pmd.mu), ("a1", 0.5), ("a2", 0.5)):
+            assert result[key] == pytest.approx(truth, rel=1e-6), key
+
     def test_fit_exp_control(self, tmp_path):
         t = np.linspace(0.0, 5e-3, 30)
         rate = 2 * 6e-6 * 2.99792458e8 / 1.468

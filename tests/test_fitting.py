@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
+from qbuffer import fitting
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
 from qbuffer.fitting import (_P3_MODEL, DataSeries, FittingError, _jacobian,
-                             _pasy_model, fit_exponential, fit_p3, fit_pasy,
-                             fit_result_to_dict, model_comparison,
+                             _nnls2, _pasy_model, _scan, fit_exponential, fit_p3,
+                             fit_pasy, fit_result_to_dict, model_comparison,
                              series_from_csv, series_to_csv)
 
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
@@ -96,6 +100,130 @@ class TestDataSeries:
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
             series_from_csv("time,p,sigma\n0,1,1\n")
+
+
+def kkt_problem(branch: str, seed: int):
+    """Nonnegative columns c1, c2 and a y whose NNLS weights on them are
+    known to have the branch's zero pattern, built from the KKT conditions:
+    the residual Aw - y is orthogonal to every column with a positive
+    weight and has a positive inner product with every column at zero."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    c1, c2 = rng.uniform(0.0, 1.0, (2, n)) * (rng.uniform(size=(2, n)) > 0.2)
+    assume(min(c1 @ c1, c2 @ c2) > 1e-2)
+    assume((c1 @ c1) * (c2 @ c2) - (c1 @ c2) ** 2 > 1e-2 * (c1 @ c1) * (c2 @ c2))
+    w = rng.uniform(0.1, 10.0, 2) * {"interior": (1, 1), "w1 clipped": (0, 1),
+                                     "w2 clipped": (1, 0), "both zero": (0, 0)}[branch]
+    if branch == "both zero":
+        return c1, c2, -(c1 + c2), w
+    active = [c for c, weight in zip((c1, c2), w) if weight > 0]
+    q, _ = np.linalg.qr(np.column_stack(active))
+    z = rng.normal(size=n)
+    r = z - q @ (q.T @ z)
+    assume(np.linalg.norm(r) > 1e-3 * np.linalg.norm(z))
+    for c, weight in zip((c1, c2), w):
+        if weight == 0:
+            r = r if c @ r > 0 else -r
+            assume(c @ r > 1e-3 * np.linalg.norm(c) * np.linalg.norm(r))
+    fitted = w[0] * c1 + w[1] * c2
+    r *= rng.uniform(0.1, 1.0) * np.linalg.norm(fitted) / np.linalg.norm(r)
+    return c1, c2, fitted - r, w
+
+
+def grid_nnls_scan(model, t, p, sigma):
+    """The scan with one scipy ``nnls`` call per grid point, as it stood
+    before the closed form: the reference the batched scan must reproduce."""
+    rates, theta2s, theta1s = model.grid(t, p)
+    s = model.scales
+    cands = []
+    for rate in rates:
+        c1s = [model.c1(t, theta1 * s[0], rate * s[2]) for theta1 in theta1s]
+        for theta2 in theta2s:
+            c2 = model.c2(t, theta2 * s[1], rate * s[2])
+            for theta1, c1 in zip(theta1s, c1s):
+                if theta1 <= theta2:
+                    weights, norm = nnls(np.column_stack([c1, c2]) / sigma[:, None],
+                                         p / sigma)
+                    cands.append((norm * norm, np.array(
+                        [theta1, theta2, rate, max(weights[0], 1e-6),
+                         max(weights[1], 1e-6)])))
+    cands.sort(key=lambda c: c[0])
+    picked = []
+    for _, x in cands:
+        if all(abs(x[1] - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
+            picked.append(x)
+        if len(picked) >= 4:
+            break
+    return picked
+
+
+SCAN_CASES = [
+    pytest.param(lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
+                 lambda: pasy_series(n=300, t_end=5e-3, noise=0.02, seed=1), id="pasy-noisy"),
+    pytest.param(lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
+                 lambda: pasy_series(), id="pasy-clean"),
+    pytest.param(lambda: _P3_MODEL, lambda: p3_series(noise=0.02, seed=2), id="p3-noisy"),
+    pytest.param(lambda: _P3_MODEL, lambda: p3_series(), id="p3-clean"),
+    # no p1 component: w1 clips to 0 at many grid points, whose SSEs then
+    # tie exactly, and only grid order decides which theta1 is kept
+    pytest.param(lambda: _P3_MODEL,
+                 lambda: p3_series(noise=0.02, seed=2,
+                                   params=CavityModelParams(753.0, 3528.0, 16292.0, 0.0, 1.0)),
+                 id="p3-w1-zero"),
+]
+
+
+class TestScan:
+    @pytest.mark.parametrize("branch", ["interior", "w1 clipped", "w2 clipped",
+                                        "both zero"])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_matches_scipy_nnls(self, branch, seed):
+        c1, c2, y, w = kkt_problem(branch, seed)
+        w1, w2, sse = _nnls2(c1[None, :], c2[None, :], y)
+        weights, rnorm = nnls(np.column_stack([c1, c2]), y)
+        np.testing.assert_allclose([w1[0, 0], w2[0, 0]], weights, rtol=1e-10, atol=0)
+        np.testing.assert_allclose([w1[0, 0], w2[0, 0]], w, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(sse[0, 0], rnorm ** 2, rtol=1e-10)
+
+    def test_closed_form_pairs_every_row(self):
+        rng = np.random.default_rng(5)
+        c1, c2, y = rng.uniform(size=(3, 8)), rng.uniform(size=(4, 8)), rng.normal(size=8)
+        w1, w2, sse = _nnls2(c1, c2, y)
+        assert sse.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                weights, rnorm = nnls(np.column_stack([c1[i], c2[j]]), y)
+                np.testing.assert_allclose([w1[i, j], w2[i, j]], weights,
+                                           rtol=1e-10, atol=1e-14)
+                assert sse[i, j] == pytest.approx(rnorm ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
+    def test_matches_one_nnls_per_grid_point(self, make_model, make_data):
+        model, data = make_model(), make_data()
+        expected = grid_nnls_scan(model, data.t, data.p, data.sigma)
+        got = _scan(model, data.t, data.p, data.sigma)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
+    def test_scipy_nnls_only_for_kept_points(self, monkeypatch, make_model, make_data):
+        # one call per kept starting point; 6 072 calls, one per grid
+        # point, before the closed form
+        calls = []
+        monkeypatch.setattr(fitting, "nnls",
+                            lambda *args: calls.append(args) or nnls(*args))
+        model, data = make_model(), make_data()
+        picked = _scan(model, data.t, data.p, data.sigma)
+        assert 1 <= len(picked) <= 4
+        assert len(calls) == len(picked)
+
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
+    def test_jacobian_c_contiguous(self, make_model, make_data):
+        model, data = make_model(), make_data()
+        x = _scan(model, data.t, data.p, data.sigma)[0]
+        jac = _jacobian(model, data.t, x)
+        assert jac.shape == (len(data), 5)
+        assert jac.flags.c_contiguous
 
 
 class TestFitExponential:

@@ -1,15 +1,17 @@
 """Golden outputs of the default config: refactors must keep these bytes.
 
 The values were captured from the code as it stood before the decay models
-were moved into one definition each; a change that alters any of them
-changes the CLI artifacts and must say so.
+were moved into one definition each, and the fit digests from the code as
+it stood before the fit scan solved its weights in closed form; a change
+that alters any of them changes the CLI artifacts and must say so.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from qbuffer import cli
+from qbuffer import cli, dynamics, fitting
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +53,30 @@ def test_classify():
         '{\n  "delta_is_imaginary": false,\n'
         '  "delta_per_s": 5272.770808597696,\n'
         '  "regime": "NonMarkovian"\n}\n')
+
+
+def fit_record(config, model: str, noise: float) -> str:
+    """CSV of the default model curve: 300 points to 5 ms for pasy, 50 to
+    1.5 ms for p3, with relative Gaussian noise of known sigma (seed 7)."""
+    if model == "pasy":
+        t = np.linspace(0.0, 5e-3, 300)
+        y = dynamics.prob_pasy(t, config.pmd, config.units)
+    else:
+        t = np.linspace(0.0, 1.5e-3, 50)
+        y = dynamics.p3(t, config.cavity)
+    if not noise:
+        return fitting.series_to_csv(fitting.DataSeries.from_points(t, y))
+    sigma = noise * np.abs(y)
+    noisy = y + np.random.default_rng(7).normal(0.0, sigma)
+    return fitting.series_to_csv(fitting.DataSeries(t, noisy, sigma))
+
+
+@pytest.mark.parametrize("model, noise, digest", [
+    ("pasy", 0.0, "187e29e6600ecdbd0dec94e5b072505e97175f911bd89eb6eb0415cd7b104db1"),
+    ("pasy", 0.02, "8a3c334922060839fd179d025e91e74a21b5ffd6e2c00d339f59559cda681bd2"),
+    ("p3", 0.0, "363475f3f560beea7f78d9d39a2e685bdd1194bffa0f5a98f91798f85935343a"),
+    ("p3", 0.02, "3db63def04d6af22170a42c69924c6f4eb4bf339e431e76c0a37c2320f297d48"),
+])
+def test_fit_json(config, model, noise, digest):
+    fit = cli.cmd_fit(model, fit_record(config, model, noise))
+    assert sha256(fitting.fit_result_to_json(fit)) == digest

@@ -257,3 +257,11 @@ class TestRecordValidation:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             TomographyRecord(MeasurementSetting("H", "H"), -1, 0, 10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["coincidences", "accidentals", "gates"])
+    def test_nonfinite_rejected(self, field, value):
+        # nan < 0 and nan > gates are both False, so NaN used to pass
+        fields = {"coincidences": 5, "accidentals": 1, "gates": 10, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TomographyRecord(MeasurementSetting("H", "H"), **fields)
