@@ -3,7 +3,7 @@
 Submodules:
 
 * ``states``     two-qubit states, Werner family, validation, serialization
-* ``channels``   PMD polarization map, amplitude damping, attenuation
+* ``channels``   PMD polarization map, amplitude damping
 * ``dynamics``   scalar decay models and the regime classifier
 * ``tomography`` 16-setting count simulation and state reconstruction
 * ``measures``   correlation measures and threshold solvers
@@ -11,19 +11,17 @@ Submodules:
 * ``cli``        command-line entry points
 """
 
-from .channels import (PmdPhases, amplitude_damping_kraus, attenuation_factor,
-                       damp_werner, pmd_operator)
+from .channels import PmdPhases, amplitude_damping_kraus, damp_werner, pmd_operator
 from .dynamics import (CavityModelParams, PmdModelParams, RegimeResult,
                        UnitContext, cavity_p, classify_regime, length_from_time,
-                       markovian_exponential, p1, p2, p3, pmd_phase, prob_pa,
-                       prob_pasy, prob_pf, prob_psy, time_from_length)
-from .fitting import (DataSeries, FitResult, fit_exponential, fit_p3, fit_pasy,
-                      model_comparison)
+                       markovian_exponential, p1, p2, p3, pmd_phase, prob_pasy,
+                       prob_pf)
+from .fitting import DataSeries, FitResult, fit_exponential, fit_p3, fit_pasy
 from .measures import (CorrelationReport, classical_correlation, concurrence,
                        correlation_report, discord, discord_concurrence_crossover,
                        solve_level_crossing, total_correlation)
 from .states import (SingleQubitOperator, ValidationReport, apply_operator,
-                     make_bell_phi_plus, make_werner, overlap, validate)
+                     make_bell_phi_plus, make_werner, validate)
 from .tomography import (MeasurementSetting, ReconstructionResult, SETTINGS,
                          TomographyRecord, estimate_werner_probability,
                          expected_counts, fidelity, linear_inversion, projector,

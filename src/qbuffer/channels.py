@@ -1,7 +1,8 @@
 """Decoherence channels acting on the buffered photon pair.
 
-Three mechanisms: the birefringence-induced polarization rotation (PMD),
-amplitude damping of the buffered arm, and scalar fiber attenuation.
+Two mechanisms: the birefringence-induced polarization rotation (PMD) and
+amplitude damping of the buffered arm.  Scalar fiber attenuation exp(-2 mu L)
+enters only as the envelope of the PMD decay models in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -55,26 +56,11 @@ def amplitude_damping_kraus(xi: float) -> tuple[SingleQubitOperator, SingleQubit
     return (SingleQubitOperator(gamma0, "idler"), SingleQubitOperator(gamma1, "idler"))
 
 
-def damping_feed_operator(xi: float) -> SingleQubitOperator:
-    """Population-feed operator sqrt(xi) |V><H| on the buffered arm.
-
-    Companion of Gamma0 in :func:`damp_werner`.  It moves population H -> V,
-    the direction matching the excited-H/ground-V reading of the buffer
-    (Gamma1 of :func:`amplitude_damping_kraus` moves it the other way and is
-    the trace-preserving partner for arbitrary inputs).
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"damping probability must lie in [0, 1], got {xi}")
-    feed = np.array([[0.0, 0.0], [np.sqrt(xi), 0.0]], dtype=complex)
-    return SingleQubitOperator(feed, "idler")
-
-
 def damp_werner(p: float, xi: float) -> np.ndarray:
     """Werner state after amplitude relaxation of the buffered arm.
 
     Operator-sum action of diag(1, sqrt(1-xi)) together with the H -> V
-    population feed sqrt(xi)|V><H| (see :func:`damping_feed_operator`), which
-    yields the closed form
+    population feed sqrt(xi)|V><H|, which yields the closed form
 
         diag( (1+p)/4,
               (1-p)(1-xi)/4 + (1+p) xi/4,
@@ -85,18 +71,11 @@ def damp_werner(p: float, xi: float) -> np.ndarray:
     the Werner family (though not universally), keeps the maximally mixed
     state fixed, and reproduces the single-element probability estimators
     p'11 = p, p'22 = p(1-2 xi), p'14 = p sqrt(1-xi) extracted downstream by
-    tomography.
+    tomography.  The feed matches the excited-H/ground-V reading of the
+    buffer; Gamma1 of :func:`amplitude_damping_kraus` feeds V -> H instead.
     """
     rho = make_werner(p)
-    gamma0, _ = amplitude_damping_kraus(xi)
-    feed = damping_feed_operator(xi)
+    gamma0, _ = amplitude_damping_kraus(xi)  # checks xi
+    feed = SingleQubitOperator(np.array([[0.0, 0.0], [np.sqrt(xi), 0.0]]), "idler")
     return apply_operator(rho, gamma0) + apply_operator(rho, feed)
 
-
-def attenuation_factor(mu: float, length: float) -> float:
-    """Two-pass intensity attenuation exp(-2 mu L) for loss mu [1/m] over L [m]."""
-    if mu < 0.0:
-        raise ValueError(f"loss parameter must be nonnegative, got {mu}")
-    if length < 0.0:
-        raise ValueError(f"fiber length must be nonnegative, got {length}")
-    return float(np.exp(-2.0 * mu * length))

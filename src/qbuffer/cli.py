@@ -187,15 +187,15 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
 def cmd_fit(model_name: str, csv_text: str,
             config: RunConfig | None = None) -> fitting.FitResult:
     """Fit the named model to CSV data; pasy holds the config's detuning and
-    sign branch fixed and converts times with its units (default config
-    when none is given)."""
+    sign branch fixed and converts times with its units, p3 carries the
+    config's reservoir width (default config when none is given)."""
     data = fitting.series_from_csv(csv_text)
+    config = config if config is not None else build_config({})
     if model_name == "pasy":
-        config = config if config is not None else build_config({})
         return fitting.fit_pasy(data, units=config.units,
                                 delta_omega=config.pmd.delta_omega, sign=config.pmd.sign)
     if model_name == "p3":
-        return fitting.fit_p3(data)
+        return fitting.fit_p3(data, lambda_width=config.cavity.lambda_width)
     if model_name == "exp":
         return fitting.fit_exponential(data)
     raise ValueError(f"unknown model {model_name!r}; choose pasy, p3 or exp")

@@ -3,10 +3,11 @@
 Two model families are implemented:
 
 * PMD-driven models, where the phases grow like sqrt(L) along the fiber
-  (the components pa and psy, prob_pa and prob_psy taking them from a
-  parameter object, and the weighted sum prob_pasy);
+  (the components pa and psy, summed into prob_pasy, and the two-phase
+  forms prob_pf and prob_asym), under the envelope exp(-2 mu L);
 * cavity-style models, where the harmonic argument is linear in time
-  (cavity_p and the two limiting cases p1, p2, summed into p3).
+  (cavity_p and the two limiting cases p1, p2, summed into p3), under the
+  envelope exp(-gamma0 t / 2).  Each is the square of ``_bracket``.
 
 Everything is stored in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m));
 constructors accept the usual lab units (GHz, ps/sqrt(km), 1/km, 1/ms) and
@@ -15,9 +16,8 @@ convert exactly once.  All model functions broadcast over numpy arrays.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +49,6 @@ def length_from_time(t, units: UnitContext = UnitContext()):
     if np.any(t < 0):
         raise ValueError("buffer time must be nonnegative")
     out = units.c / units.n_r * t
-    return float(out) if out.ndim == 0 else out
-
-
-def time_from_length(length, units: UnitContext = UnitContext()):
-    """Buffer time t = L n_r / c spent in a fiber of length L."""
-    length = np.asarray(length, dtype=float)
-    if np.any(length < 0):
-        raise ValueError("fiber length must be nonnegative")
-    out = length * units.n_r / units.c
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,12 +93,6 @@ class PmdModelParams:
             a1=a1, a2=a2, sign=sign,
         )
 
-    def canonical(self) -> "PmdModelParams":
-        """Order the components so that d_p1 <= d_p2 (weights follow)."""
-        if self.d_p1 <= self.d_p2:
-            return self
-        return replace(self, d_p1=self.d_p2, d_p2=self.d_p1, a1=self.a2, a2=self.a1)
-
 
 @dataclass(frozen=True)
 class CavityModelParams:
@@ -140,13 +125,6 @@ class CavityModelParams:
                    gamma0=gamma0_per_ms * PER_MS, w1=w1, w2=w2,
                    lambda_width=lambda_per_ms * PER_MS)
 
-    def canonical(self) -> "CavityModelParams":
-        """Order the components so that kappa1 <= kappa2 (weights follow)."""
-        if self.kappa1 <= self.kappa2:
-            return self
-        return replace(self, kappa1=self.kappa2, kappa2=self.kappa1,
-                       w1=self.w2, w2=self.w1)
-
 
 # JSON field names shared with the CLI config format.
 _PMD_FIELDS = {
@@ -168,19 +146,9 @@ _CAVITY_FIELDS = {
 }
 
 
-def params_to_dict(pmd: PmdModelParams, cavity: CavityModelParams,
-                   units: UnitContext) -> dict:
-    """Flat JSON-ready dict holding both parameter sets and the unit context."""
-    out: dict = {"n_r": units.n_r}
-    for key, attr in _PMD_FIELDS.items():
-        out[key] = getattr(pmd, attr)
-    for key, attr in _CAVITY_FIELDS.items():
-        out[key] = getattr(cavity, attr)
-    return out
-
-
 def params_from_dict(data: dict) -> tuple[PmdModelParams, CavityModelParams, UnitContext]:
-    """Inverse of :func:`params_to_dict`; raises KeyError on missing fields."""
+    """Both parameter sets and the unit context from a flat dict keyed by the
+    config field names; raises KeyError on missing fields."""
     units = UnitContext(n_r=float(data["n_r"]))
     pmd = PmdModelParams(**{attr: (int(data[key]) if attr == "sign" else float(data[key]))
                             for key, attr in _PMD_FIELDS.items()})
@@ -189,13 +157,10 @@ def params_from_dict(data: dict) -> tuple[PmdModelParams, CavityModelParams, Uni
     return pmd, cavity, units
 
 
-def params_to_json(pmd: PmdModelParams, cavity: CavityModelParams,
-                   units: UnitContext) -> str:
-    return json.dumps(params_to_dict(pmd, cavity, units), sort_keys=True, indent=2)
-
-
-def params_from_json(text: str) -> tuple[PmdModelParams, CavityModelParams, UnitContext]:
-    return params_from_dict(json.loads(text))
+def _bracket(phi, sign: int):
+    """cos(phi) + sign sin(phi); broadcasts, accepts complex phi, and
+    evaluates no sine when sign is 0."""
+    return np.cos(phi) + sign * np.sin(phi) if sign else np.cos(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +187,7 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     """
     if mu < 0 or length < 0:
         raise ValueError("mu and length must be nonnegative")
-    bracket = (np.cos(phases.dphi_h) + np.sin(phases.dphi_h)
-               - np.sin(phases.dphi_v) + np.cos(phases.dphi_v))
+    bracket = _bracket(phases.dphi_h, +1) + _bracket(phases.dphi_v, -1)
     return float(0.25 * np.exp(-2.0 * mu * length) * bracket**2)
 
 
@@ -233,57 +197,38 @@ def pa(t, delta_omega: float, d_p: float, mu: float, sign: int,
     dphi = delta_omega d_p sqrt(L) (unweighted)."""
     length = length_from_time(t, units)
     phi = delta_omega * d_p * np.sqrt(length)
-    out = np.exp(-2.0 * mu * np.asarray(length)) * (np.cos(phi) + sign * np.sin(phi))**2
+    out = np.exp(-2.0 * mu * np.asarray(length)) * _bracket(phi, sign)**2
     return float(out) if np.ndim(out) == 0 else out
 
 
 def psy(t, delta_omega: float, d_p: float, mu: float,
         units: UnitContext = UnitContext()):
     """Co-rotating component exp(-2 mu L) cos^2(dphi), dphi = delta_omega d_p
-    sqrt(L) (unweighted)."""
-    length = length_from_time(t, units)
-    phi = delta_omega * d_p * np.sqrt(length)
-    out = np.exp(-2.0 * mu * np.asarray(length)) * np.cos(phi)**2
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def prob_pa(t, params: PmdModelParams, units: UnitContext = UnitContext()):
-    """:func:`pa` with d_p1 and the sign branch of ``params``."""
-    return pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, units)
-
-
-def prob_psy(t, params: PmdModelParams, units: UnitContext = UnitContext()):
-    """:func:`psy` with d_p2 of ``params``."""
-    return psy(t, params.delta_omega, params.d_p2, params.mu, units)
+    sqrt(L) (unweighted): :func:`pa` without the sine term."""
+    return pa(t, delta_omega, d_p, mu, 0, units)
 
 
 def prob_pasy(t, params: PmdModelParams, units: UnitContext = UnitContext()):
-    """Weighted two-component PMD model a1 * prob_pa + a2 * prob_psy."""
-    out = params.a1 * prob_pa(t, params, units) + params.a2 * prob_psy(t, params, units)
+    """Weighted two-component PMD model a1 * pa(d_p1, sign) + a2 * psy(d_p2)."""
+    out = (params.a1 * pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, units)
+           + params.a2 * psy(t, params.delta_omega, params.d_p2, params.mu, units))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int = +1) -> float:
-    """Expanded seven-term pair probability for unequal phases.
-
-    Evaluates, with s = sign selecting the rotation branch,
+    """Expanded seven-term pair probability for unequal phases, s = sign
+    selecting the rotation branch:
 
         exp(-2 mu L) [ 2 + 2 cos(dv) cos(dh) - 2 sin(dh) sin(dv)
                        + s (  2 cos(dh) sin(dh) - 2 cos(dh) sin(dv)
                             - 2 cos(dv) sin(dv) + 2 cos(dv) sin(dh) ) ]
 
-    For s = +1 this equals 4 * prob_pf of the same phases (the unnormalized
-    square of the four-term bracket).
+    On both branches this equals 4 * prob_pf of the phases (s dh, s dv), the
+    unnormalized square of the four-term bracket, and is evaluated as such.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if mu < 0 or length < 0:
-        raise ValueError("mu and length must be nonnegative")
-    ch, sh = np.cos(phases.dphi_h), np.sin(phases.dphi_h)
-    cv, sv = np.cos(phases.dphi_v), np.sin(phases.dphi_v)
-    bracket = (2.0 + 2.0 * cv * ch - 2.0 * sh * sv
-               + sign * (2.0 * ch * sh - 2.0 * ch * sv - 2.0 * cv * sv + 2.0 * cv * sh))
-    return float(np.exp(-2.0 * mu * length) * bracket)
+    return 4.0 * prob_pf(PmdPhases(sign * phases.dphi_h, sign * phases.dphi_v), mu, length)
 
 
 def asym_series_residual(phases: PmdPhases, mu: float, length: float) -> float:
@@ -360,7 +305,7 @@ def p1(t, kappa1: float, gamma0: float):
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     x = kappa1 * t / math.sqrt(2.0)
-    out = np.exp(-gamma0 * t / 2.0) * (np.cos(x) + np.sin(x))**2
+    out = np.exp(-gamma0 * t / 2.0) * _bracket(x, +1)**2
     return float(out) if out.ndim == 0 else out
 
 
@@ -369,7 +314,7 @@ def p2(t, kappa2: float, gamma0: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    out = np.exp(-gamma0 * t / 2.0) * np.cos(kappa2 * t)**2
+    out = np.exp(-gamma0 * t / 2.0) * _bracket(kappa2 * t, 0)**2
     return float(out) if out.ndim == 0 else out
 
 

@@ -254,12 +254,13 @@ def _polish(model, t, p, sigma, x0):
 
 def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
                      scales: np.ndarray, sigmas_known: bool) -> tuple[float, ...]:
-    """Diagonal of pinv(J^T J) in SI units, J the sigma-weighted Jacobian."""
+    """Diagonal of pinv(J^T J) in SI units, J the sigma-weighted Jacobian,
+    clamped at 0: a near-singular J^T J leaves rounding-level negatives."""
     n_points = jac.shape[0]
     cov = np.linalg.pinv(jac.T @ jac)
     if not sigmas_known and n_points > n_free:
         cov = cov * (2.0 * cost / (n_points - n_free))
-    return tuple(float(v) for v in np.diag(cov) * scales ** 2)
+    return tuple(float(v) for v in np.maximum(np.diag(cov), 0.0) * scales ** 2)
 
 
 def _fit(model: _TwoComponent, data: DataSeries, init,
@@ -317,12 +318,16 @@ def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
-def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None) -> FitResult:
+def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
+           lambda_width: Optional[float] = None) -> FitResult:
     """Fit the linear-phase model; free parameters (kappa1, kappa2, gamma0, w1, w2).
 
-    Every free parameter is bounded to [0, inf).
+    The reservoir width ``lambda_width`` (1/s) does not enter the curve and
+    is carried through unchanged; when not given it is taken from ``init``,
+    else defaults to 1e6.  Every free parameter is bounded to [0, inf).
     """
-    lambda_width = init.lambda_width if init is not None else 1e6
+    if lambda_width is None:
+        lambda_width = init.lambda_width if init is not None else 1e6
     return _fit(_P3_MODEL, data, init,
                 lambda si: CavityModelParams(*si, lambda_width=lambda_width))
 
@@ -352,54 +357,6 @@ def fit_exponential(data: DataSeries) -> FitResult:
                      float(np.linalg.norm(resid)), cov, True, 1)
 
 
-@dataclass(frozen=True)
-class ModelComparison:
-    residual_norm_a: float
-    residual_norm_b: float
-    reduced_chisq_a: float
-    reduced_chisq_b: float
-    winner: str  # 'a', 'b' or 'tie'
-
-
-def _predict(fit: FitResult, t: np.ndarray,
-             units: UnitContext = UnitContext()) -> np.ndarray:
-    if fit.model == "pasy":
-        return dynamics.prob_pasy(t, fit.params, units)
-    if fit.model == "p3":
-        return dynamics.p3(t, fit.params)
-    if fit.model == "exp":
-        return fit.params.p0 * np.exp(-fit.params.rate * t)
-    raise ValueError(f"unknown model {fit.model!r}")
-
-
-def model_comparison(data: DataSeries, fit_a: FitResult, fit_b: FitResult,
-                     units: UnitContext = UnitContext()) -> ModelComparison:
-    """Compare two fits of the same data by reduced chi-square.
-
-    Each fit's stored residual norm must match the norm recomputed from
-    ``data``; a mismatch means the fit belongs to different data and is
-    rejected.
-    """
-    norms = []
-    for fit in (fit_a, fit_b):
-        resid = (_predict(fit, data.t, units) - data.p) / data.sigma
-        norm = float(np.linalg.norm(resid))
-        if abs(norm - fit.residual_norm) > 1e-6 * (1.0 + fit.residual_norm):
-            raise ValueError(
-                f"{fit.model} fit does not correspond to this data "
-                f"(stored residual {fit.residual_norm:.6g}, recomputed {norm:.6g})")
-        norms.append(norm)
-    chisq = []
-    for fit, norm in zip((fit_a, fit_b), norms):
-        dof = max(len(data) - len(fit.covariance_diag), 1)
-        chisq.append(norm ** 2 / dof)
-    if abs(chisq[0] - chisq[1]) < 1e-9:
-        winner = "tie"
-    else:
-        winner = "a" if chisq[0] < chisq[1] else "b"
-    return ModelComparison(norms[0], norms[1], chisq[0], chisq[1], winner)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -414,7 +371,7 @@ def series_from_csv(text: str) -> DataSeries:
     rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
     if any(len(r) != 3 for r in rows):
         raise ValueError("every data row must have t_s,p,sigma")
-    t, p, sigma = (np.array(col) for col in zip(*rows))
+    t, p, sigma = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
     return DataSeries(t, p, sigma)
 
 

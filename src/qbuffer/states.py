@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BASIS_LABELS = ("HH", "HV", "VH", "VV")
-
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
 KET_D = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -105,17 +103,6 @@ def product_ket(signal: str, idler: str) -> np.ndarray:
     return np.kron(ks, ki)
 
 
-def check_pure_state(psi: np.ndarray) -> np.ndarray:
-    """Validate a pure-state vector (4 complex amplitudes, norm^2 within 1e-12 of 1)."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ValueError(f"pure state must have 4 amplitudes, got {psi.shape}")
-    norm2 = float(np.sum(np.abs(psi) ** 2))
-    if abs(norm2 - 1.0) > 1e-12:
-        raise ValueError(f"pure state norm^2 = {norm2} deviates from 1 by more than 1e-12")
-    return psi
-
-
 def make_werner(p: float) -> np.ndarray:
     """Werner state: the Bell projector mixed with identity.
 
@@ -169,30 +156,9 @@ def apply_operator(rho: np.ndarray, op: SingleQubitOperator) -> np.ndarray:
     return k @ np.asarray(rho, dtype=complex) @ k.conj().T
 
 
-def overlap(psi: np.ndarray, rho: np.ndarray) -> float:
-    """Projection probability <psi|rho|psi> of a state onto a pure state.
-
-    ``rho`` may also be a pure-state vector, in which case this is the
-    squared inner product |<psi|phi>|^2.
-    """
-    psi = check_pure_state(psi)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim == 1:
-        phi = check_pure_state(rho)
-        return float(np.abs(psi.conj() @ phi) ** 2)
-    return float(np.real(psi.conj() @ rho @ psi))
-
-
 def rho_to_json(rho: np.ndarray) -> str:
     """Serialize a 4x4 matrix as row-major nested lists of [re, im] pairs."""
     rho = np.asarray(rho, dtype=complex)
     rows = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
     return json.dumps(rows)
 
-
-def rho_from_json(text: str) -> np.ndarray:
-    """Inverse of :func:`rho_to_json`."""
-    rows = json.loads(text)
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise ValueError("expected a 4x4 array of [re, im] pairs")
-    return np.array([[complex(re, im) for re, im in row] for row in rows])

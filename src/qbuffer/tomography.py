@@ -388,14 +388,3 @@ def records_to_csv(records: list[TomographyRecord]) -> str:
                   f"{format(r.accidentals, '.17g')},{r.gates}\n")
     return buf.getvalue()
 
-
-def records_from_csv(text: str) -> list[TomographyRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != RECORDS_CSV_HEADER:
-        raise ValueError(f"expected header {RECORDS_CSV_HEADER!r}")
-    records = []
-    for ln in lines[1:]:
-        signal, idler, cc, ac, gates = ln.split(",")
-        records.append(TomographyRecord(MeasurementSetting(signal, idler),
-                                        float(cc), float(ac), int(gates)))
-    return records

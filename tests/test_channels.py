@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from qbuffer.channels import (PmdPhases, amplitude_damping_kraus,
-                              attenuation_factor, damp_werner,
-                              damping_feed_operator, pmd_operator)
-from qbuffer.states import apply_operator, make_werner, validate
+from qbuffer.channels import (PmdPhases, amplitude_damping_kraus, damp_werner,
+                              pmd_operator)
+from qbuffer.dynamics import prob_pf
+from qbuffer.states import SingleQubitOperator, apply_operator, make_werner, validate
 from qbuffer.tomography import estimate_werner_probability, werner_estimators
 
 
@@ -112,7 +112,7 @@ class TestDampWerner:
         for p, xi in [(0.3, 0.1), (0.9, 0.02), (0.6, 0.7)]:
             rho = make_werner(p)
             g0, _ = amplitude_damping_kraus(xi)
-            feed = damping_feed_operator(xi)
+            feed = SingleQubitOperator(np.array([[0, 0], [np.sqrt(xi), 0]]), "idler")
             brute = apply_operator(rho, g0) + apply_operator(rho, feed)
             assert np.abs(brute - closed_form_damped_werner(p, xi)).max() < 1e-12
 
@@ -136,20 +136,23 @@ class TestDampWerner:
 
 
 class TestAttenuation:
+    """Two-pass fiber attenuation exp(-2 mu L): prob_pf at zero PMD phase."""
+
+    ZERO = PmdPhases(0.0, 0.0)
+
     def test_zero_length(self):
-        assert attenuation_factor(1.0, 0.0) == 1.0
+        assert prob_pf(self.ZERO, 1.0, 0.0) == 1.0
 
     def test_zero_loss(self):
-        assert attenuation_factor(0.0, 5e5) == 1.0
+        assert prob_pf(self.ZERO, 0.0, 5e5) == 1.0
 
     def test_buffer_scale_value(self):
         # exp(-2 * 6e-6 * 190e3) = exp(-2.28)
-        assert attenuation_factor(6.0e-6, 190_000.0) == pytest.approx(
+        assert prob_pf(self.ZERO, 6.0e-6, 190_000.0) == pytest.approx(
             np.exp(-2.28), rel=1e-12)
-        assert attenuation_factor(6.0e-6, 190_000.0) == pytest.approx(0.102284,
-                                                                      abs=5e-7)
+        assert prob_pf(self.ZERO, 6.0e-6, 190_000.0) == pytest.approx(0.102284, abs=5e-7)
 
     @pytest.mark.parametrize("mu,length", [(-1e-6, 10.0), (1e-6, -1.0)])
     def test_negative_rejected(self, mu, length):
         with pytest.raises(ValueError):
-            attenuation_factor(mu, length)
+            prob_pf(self.ZERO, mu, length)

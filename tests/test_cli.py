@@ -202,6 +202,31 @@ class TestMainDispatch:
                            ("mu_per_m", config.pmd.mu), ("a1", 0.5), ("a2", 0.5)):
             assert result[key] == pytest.approx(truth, rel=1e-6), key
 
+    def test_fit_p3_uses_config_lambda(self, tmp_path):
+        # the fit used to write lambda_per_s 1e6 whatever the config said
+        t = np.linspace(0.0, 1.5e-3, 50)
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text(series_to_csv(DataSeries.from_points(
+            t, p3_model(t, build_config({}).cavity))))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"lambda_per_s": 5e5}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(csv_path), "--model", "p3", "--config",
+                     str(config_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["lambda_per_s"] == 5e5
+
+    @pytest.mark.parametrize("model", ["pasy", "p3", "exp"])
+    def test_fit_header_only_csv_errors(self, tmp_path, capsys, model):
+        # an empty body used to fail unpacking its columns, with an error
+        # that named no points
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text("t_s,p,sigma\n")
+        assert main(["fit", str(csv_path), "--model", model]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least ")
+        assert captured.err.endswith("got 0\n") and captured.err.count("\n") == 1
+
     def test_fit_exp_control(self, tmp_path):
         t = np.linspace(0.0, 5e-3, 30)
         rate = 2 * 6e-6 * 2.99792458e8 / 1.468

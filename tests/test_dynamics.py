@@ -1,24 +1,31 @@
 """Unit tests for the scalar decay models and regime classifier."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbuffer.channels import PmdPhases
+from qbuffer.channels import PmdPhases, pmd_operator
 from qbuffer import dynamics
+from qbuffer.states import apply_operator, make_bell_phi_plus, product_ket
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               asym_series_residual, cavity_p, classify_regime,
                               length_from_time, lorentzian_spectral_density,
-                              markovian_exponential, p1, p2, p3, pmd_phase,
-                              prob_asym, prob_pa, prob_pasy, prob_pf, prob_psy,
-                              time_from_length)
+                              markovian_exponential, p1, p2, p3, pa, pmd_phase,
+                              prob_asym, prob_pasy, prob_pf, psy)
 
 REF_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 REF_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
                                  w1=0.5, w2=0.5)
+
+PHASES = st.floats(-2 * math.pi, 2 * math.pi)
+LOSSES = st.floats(0.0, 1e-5)        # 1/m
+LENGTHS = st.floats(0.0, 2e5)        # m
+TIMES = st.floats(0.0, 2e-3)         # s
+SIGNS = st.sampled_from((+1, -1))
 
 
 class TestUnits:
@@ -32,7 +39,7 @@ class TestUnits:
         assert length == pytest.approx(183_796.0, abs=1.0)
 
     def test_inverse(self):
-        t = time_from_length(25_000.0)
+        t = 25_000.0 * 1.468 / 2.99792458e8
         assert t == pytest.approx(1.2242e-4, abs=1e-8)
         assert length_from_time(t) == pytest.approx(25_000.0, rel=1e-12)
 
@@ -78,51 +85,50 @@ class TestProbPf:
             assert got == pytest.approx(np.cos(phi) ** 2, abs=1e-12)
 
 
+WO, DP1, DP2, MU = REF_PMD.delta_omega, REF_PMD.d_p1, REF_PMD.d_p2, REF_PMD.mu
+
+
 class TestComponentModels:
     def test_both_start_at_one(self):
-        assert prob_pa(0.0, REF_PMD) == pytest.approx(1.0)
-        assert prob_psy(0.0, REF_PMD) == pytest.approx(1.0)
+        assert pa(0.0, WO, DP1, MU, +1) == pytest.approx(1.0)
+        assert psy(0.0, WO, DP2, MU) == pytest.approx(1.0)
 
     def test_counter_component_quarter_phase(self):
         # phase pi/4 gives bracket sqrt(2) squared = 2 on the + branch, 0 on -
-        params = PmdModelParams(delta_omega=1.0, d_p1=1.0, d_p2=1.0, mu=0.0,
-                                a1=1.0, a2=0.0, sign=+1)
-        t = time_from_length((np.pi / 4) ** 2)
-        assert prob_pa(t, params) == pytest.approx(2.0, rel=1e-12)
-        params_minus = PmdModelParams(delta_omega=1.0, d_p1=1.0, d_p2=1.0, mu=0.0,
-                                      a1=1.0, a2=0.0, sign=-1)
-        assert prob_pa(t, params_minus) == pytest.approx(0.0, abs=1e-12)
+        units = UnitContext()
+        t = (np.pi / 4) ** 2 * units.n_r / units.c
+        assert pa(t, 1.0, 1.0, 0.0, +1) == pytest.approx(2.0, rel=1e-12)
+        assert pa(t, 1.0, 1.0, 0.0, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_zero_at_quarter_period(self):
-        params = PmdModelParams(delta_omega=1.0, d_p1=1.0, d_p2=1.0, mu=0.0,
-                                a1=0.0, a2=1.0)
-        t = time_from_length((np.pi / 2) ** 2)
-        assert prob_psy(t, params) == pytest.approx(0.0, abs=1e-12)
+        units = UnitContext()
+        t = (np.pi / 2) ** 2 * units.n_r / units.c
+        assert psy(t, 1.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_attenuated_value(self):
         # independent arithmetic chain: exp(-2.28) * cos^2(phase at 190 km)
         units = UnitContext()
-        t = time_from_length(190e3, units)
-        phi = pmd_phase(REF_PMD.delta_omega, REF_PMD.d_p2, 190e3)
+        t = 190e3 * units.n_r / units.c
+        phi = pmd_phase(WO, DP2, 190e3)
         expect = np.exp(-2.28) * np.cos(phi) ** 2
-        assert prob_psy(t, REF_PMD, units) == pytest.approx(expect, rel=1e-9)
+        assert psy(t, WO, DP2, MU, units) == pytest.approx(expect, rel=1e-9)
 
     def test_weighted_sum(self):
         t = 0.3e-3
         got = prob_pasy(t, REF_PMD)
-        assert got == pytest.approx(0.5 * prob_pa(t, REF_PMD)
-                                    + 0.5 * prob_psy(t, REF_PMD), rel=1e-14)
+        assert got == pytest.approx(0.5 * pa(t, WO, DP1, MU, +1)
+                                    + 0.5 * psy(t, WO, DP2, MU), rel=1e-14)
         assert prob_pasy(0.0, REF_PMD) == pytest.approx(REF_PMD.a1 + REF_PMD.a2)
 
     def test_nonnegative_and_bounded(self):
         t = np.linspace(0.0, 2e-3, 400)
         length = length_from_time(t)
-        att = np.exp(-2 * REF_PMD.mu * length)
-        pa = prob_pa(t, REF_PMD)
-        psy = prob_psy(t, REF_PMD)
-        assert np.all(pa >= 0) and np.all(psy >= 0)
-        assert np.all(pa <= 2 * att + 1e-15)
-        assert np.all(psy <= att + 1e-15)
+        att = np.exp(-2 * MU * length)
+        counter = pa(t, WO, DP1, MU, +1)
+        co = psy(t, WO, DP2, MU)
+        assert np.all(counter >= 0) and np.all(co >= 0)
+        assert np.all(counter <= 2 * att + 1e-15)
+        assert np.all(co <= att + 1e-15)
 
 
 class TestAsymmetricExpansion:
@@ -167,6 +173,60 @@ class TestAsymmetricExpansion:
         assert np.all(orders > 1.3)
         assert np.all(orders < 1.7)
         assert np.mean(orders) == pytest.approx(1.5, abs=0.1)
+
+
+def seven_term_asym(dh, dv, mu, length, sign):
+    """The expanded seven-term form of prob_asym, written out term by term."""
+    ch, sh, cv, sv = np.cos(dh), np.sin(dh), np.cos(dv), np.sin(dv)
+    bracket = (2.0 + 2.0 * cv * ch - 2.0 * sh * sv
+               + sign * (2.0 * ch * sh - 2.0 * ch * sv - 2.0 * cv * sv + 2.0 * cv * sh))
+    return np.exp(-2.0 * mu * length) * bracket
+
+
+class TestModelIdentities:
+    """The scalar models against the channel operator and against each other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dh=PHASES, dv=PHASES, mu=LOSSES, length=LENGTHS)
+    def test_prob_pf_is_dd_projection_of_pmd_map(self, dh, dv, mu, length):
+        # 2 exp(-2 mu L) <DD| (I x M) Phi+ Phi+^dag (I x M)^dag |DD>
+        bell = make_bell_phi_plus()
+        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(PmdPhases(dh, dv)))
+        dd = product_ket("D", "D")
+        expect = 2.0 * np.exp(-2.0 * mu * length) * np.real(dd.conj() @ rho @ dd)
+        assert prob_pf(PmdPhases(dh, dv), mu, length) == pytest.approx(expect, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=TIMES, d_p=st.floats(0.0, 0.1), mu=LOSSES, sign=SIGNS)
+    def test_pmd_components_are_prob_pf(self, t, d_p, mu, sign):
+        # pa takes opposite phases (s phi, -s phi), psy equal ones (phi, phi)
+        d_p *= dynamics.PS_PER_SQRT_KM
+        length = length_from_time(t)
+        phi = pmd_phase(WO, d_p, length)
+        assert pa(t, WO, d_p, mu, sign) == pytest.approx(
+            prob_pf(PmdPhases(sign * phi, -sign * phi), mu, length), abs=1e-12)
+        assert psy(t, WO, d_p, mu) == pytest.approx(
+            prob_pf(PmdPhases(phi, phi), mu, length), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dh=PHASES, dv=PHASES, mu=LOSSES, length=LENGTHS, sign=SIGNS)
+    def test_prob_asym_matches_seven_term_form(self, dh, dv, mu, length, sign):
+        got = prob_asym(PmdPhases(dh, dv), mu, length, sign)
+        assert got == pytest.approx(seven_term_asym(dh, dv, mu, length, sign), abs=1e-12)
+        assert got == pytest.approx(
+            4.0 * prob_pf(PmdPhases(sign * dh, sign * dv), mu, length), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=TIMES, kappa=st.floats(0.0, 1e5))
+    def test_p1_is_cavity_p_at_tied_rates(self, t, kappa):
+        # gamma0 = 2 sqrt2 kappa makes delta = gamma0, so the bracket is cos + sin
+        gamma0 = 2.0 * math.sqrt(2.0) * kappa
+        assert p1(t, kappa, gamma0) == pytest.approx(cavity_p(t, kappa, gamma0), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=TIMES, kappa=st.floats(0.0, 1e5))
+    def test_p2_is_cavity_p_without_reservoir(self, t, kappa):
+        assert p2(t, kappa, 0.0) == pytest.approx(cavity_p(t, kappa, 0.0), abs=1e-12)
 
 
 class TestCavityModel:
@@ -373,17 +433,18 @@ class TestMarkovianExponential:
 
 class TestParamsSerialization:
     def test_exact_field_names_round_trip(self):
-        units = UnitContext(n_r=1.47)
-        text = dynamics.params_to_json(REF_PMD, REF_CAVITY, units)
-        data = json.loads(text)
-        assert set(data) == {
-            "delta_omega_rad_s", "d_p1_s_per_sqrt_m", "d_p2_s_per_sqrt_m",
-            "mu_per_m", "n_r", "a1", "a2", "sign", "kappa1_per_s",
-            "kappa2_per_s", "gamma0_per_s", "w1", "w2", "lambda_per_s"}
-        pmd, cavity, units2 = dynamics.params_from_json(text)
+        # the flat field names of the JSON config and of the fit JSON
+        data = {"n_r": 1.47,
+                "delta_omega_rad_s": REF_PMD.delta_omega, "d_p1_s_per_sqrt_m": REF_PMD.d_p1,
+                "d_p2_s_per_sqrt_m": REF_PMD.d_p2, "mu_per_m": REF_PMD.mu,
+                "a1": REF_PMD.a1, "a2": REF_PMD.a2, "sign": REF_PMD.sign,
+                "kappa1_per_s": REF_CAVITY.kappa1, "kappa2_per_s": REF_CAVITY.kappa2,
+                "gamma0_per_s": REF_CAVITY.gamma0, "w1": REF_CAVITY.w1,
+                "w2": REF_CAVITY.w2, "lambda_per_s": REF_CAVITY.lambda_width}
+        pmd, cavity, units = dynamics.params_from_dict(data)
         assert pmd == REF_PMD
         assert cavity == REF_CAVITY
-        assert units2.n_r == pytest.approx(1.47)
+        assert units.n_r == 1.47
 
     def test_lab_unit_constructors(self):
         assert REF_PMD.delta_omega == pytest.approx(2 * np.pi * 200e9)
@@ -392,13 +453,6 @@ class TestParamsSerialization:
         lab = CavityModelParams.from_lab_units(0.753, 3.528, 16.292, 0.5, 0.5)
         assert lab.kappa1 == pytest.approx(753.0)
         assert lab.gamma0 == pytest.approx(16292.0)
-
-    def test_canonical_ordering(self):
-        swapped = PmdModelParams(delta_omega=1.0, d_p1=2e-15, d_p2=1e-15,
-                                 mu=0.0, a1=0.3, a2=0.7)
-        fixed = swapped.canonical()
-        assert fixed.d_p1 < fixed.d_p2
-        assert fixed.a1 == 0.7 and fixed.a2 == 0.3
 
     def test_invariant_checks(self):
         with pytest.raises(ValueError):
