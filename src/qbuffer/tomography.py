@@ -1,11 +1,12 @@
 """Simulated two-photon state tomography and density-matrix reconstruction.
 
 The measurement set is the 16-setting product grid {H, V, D, R} x {H, V, D, R},
-which is informationally complete for two qubits.  Coincidence and accidental
+which is informationally complete for two qubits.  Its 16 projector kets and
+16x16 design matrix are built once, at import.  Coincidence and accidental
 counts are modeled as independent Poisson draws; reconstruction offers a
-linear-inversion oracle (exact but possibly unphysical) and a maximum-
-likelihood estimate constrained to physical states through the T^dag T
-parametrization.
+linear-inversion oracle (exact but possibly unphysical; it needs each setting
+exactly once) and a maximum-likelihood estimate constrained to physical states
+through the T^dag T parametrization.
 """
 
 from __future__ import annotations
@@ -45,6 +46,26 @@ def projector(setting: MeasurementSetting) -> np.ndarray:
     return product_ket(setting.signal, setting.idler)
 
 
+def _born(kets: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Re <psi_k|op|psi_k> per row of ``kets``, for one 4x4 ``op`` (shape (K,))
+    or a stack of B (shape (B, K)); bit-identical to ``psi.conj() @ op @ psi``."""
+    return np.real((kets.conj() @ op)[..., None, :] @ kets[:, :, None])[..., 0, 0]
+
+
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# Orthonormal Hermitian basis under the Hilbert-Schmidt inner product.
+_HERM_BASIS = tuple(np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS)
+
+_KETS = np.array([projector(s) for s in SETTINGS])  # row k projects SETTINGS[k]
+_ROW = {s: k for k, s in enumerate(SETTINGS)}
+_DESIGN = _born(_KETS, np.array(_HERM_BASIS)).T
+
+
 @dataclass(frozen=True)
 class TomographyRecord:
     """Raw counts of one acquisition.
@@ -80,6 +101,10 @@ class CorrectedRecord:
     count: float
     gates: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.count < math.inf:
+            raise ValueError(f"count must be finite and nonnegative, got {self.count!r}")
+
 
 PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
 
@@ -93,11 +118,8 @@ def _mean_counts(rho: np.ndarray, n_gates: int,
         raise ValueError("accidental rate must lie in [0, 1)")
     if n_gates <= 0:
         raise ValueError("n_gates must be positive")
-    means = []
-    for setting in SETTINGS:
-        psi = projector(setting)
-        means.append(n_gates * PAIR_RATE * max(float(np.real(psi.conj() @ rho @ psi)), 0.0))
-    return means, n_gates * accidental_rate
+    means = n_gates * PAIR_RATE * np.maximum(_born(_KETS, rho), 0.0)
+    return means.tolist(), n_gates * accidental_rate
 
 
 def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
@@ -144,19 +166,10 @@ class TomographyError(RuntimeError):
     pass
 
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-# Orthonormal Hermitian basis under the Hilbert-Schmidt inner product.
-_HERM_BASIS = tuple(np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS)
-
 _RECT_SETTINGS = tuple(MeasurementSetting(s, i) for s in "HV" for i in "HV")
 
 
-def _frequencies(records: list[CorrectedRecord]) -> tuple[list[MeasurementSetting], np.ndarray, float]:
+def _frequencies(records: list[CorrectedRecord]) -> tuple[list[MeasurementSetting], np.ndarray]:
     """Normalize corrected counts by the pair-number estimate.
 
     The rectilinear quartet (H/V on both arms) forms a complete basis whose
@@ -172,17 +185,12 @@ def _frequencies(records: list[CorrectedRecord]) -> tuple[list[MeasurementSettin
         raise TomographyError("total rectilinear counts must be positive")
     settings = [r.setting for r in records]
     freqs = np.array([r.count for r in records]) / n_pairs
-    return settings, freqs, float(n_pairs)
+    return settings, freqs
 
 
 def design_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
     """Linear map from Hermitian-basis coefficients to setting probabilities."""
-    rows = []
-    for setting in settings:
-        psi = projector(setting)
-        rows.append([float(np.real(psi.conj() @ basis @ psi))
-                     for basis in _HERM_BASIS])
-    return np.array(rows)
+    return _DESIGN[[_ROW[s] for s in settings]]
 
 
 def linear_inversion(records: list[CorrectedRecord]) -> np.ndarray:
@@ -190,13 +198,13 @@ def linear_inversion(records: list[CorrectedRecord]) -> np.ndarray:
 
     The result is Hermitian with unit trace but can carry negative
     eigenvalues when the counts are noisy; it is returned as a raw matrix,
-    not a validated state.
+    not a validated state.  The 16 design rows are independent, so the system
+    is square and nonsingular exactly when each setting appears once.
     """
-    settings, freqs, _ = _frequencies(records)
-    a = design_matrix(settings)
-    if np.linalg.matrix_rank(a, tol=1e-10) < 16:
-        raise TomographyError("degenerate settings: design matrix is singular")
-    coeffs = np.linalg.solve(a, freqs)
+    settings, freqs = _frequencies(records)
+    if len(settings) != 16 or len(set(settings)) != 16:
+        raise TomographyError("linear inversion needs each of the 16 settings exactly once")
+    coeffs = np.linalg.solve(design_matrix(settings), freqs)
     rho = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
     # x over the Hermitian basis gives an exactly Hermitian matrix up to
     # floating error; tidy it and renormalize the trace
@@ -213,24 +221,22 @@ class ReconstructionResult:
 
 
 # Lower-triangular parametrization: 4 real diagonal entries followed by
-# (re, im) pairs for the strictly-lower entries in this fixed order.
-_LOWER_ENTRIES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+# (re, im) pairs for the strictly-lower entries in row-major order.
+_LOWER = np.tril_indices(4, -1)
 
 
 def _t_from_params(theta: np.ndarray) -> np.ndarray:
     t = np.zeros((4, 4), dtype=complex)
     t[np.diag_indices(4)] = theta[:4]
-    for j, (r, c) in enumerate(_LOWER_ENTRIES):
-        t[r, c] = theta[4 + 2 * j] + 1j * theta[5 + 2 * j]
+    t[_LOWER] = theta[4::2] + 1j * theta[5::2]
     return t
 
 
 def _params_from_t(t: np.ndarray) -> np.ndarray:
-    theta = np.zeros(16)
+    theta = np.empty(16)
     theta[:4] = np.real(np.diag(t))
-    for j, (r, c) in enumerate(_LOWER_ENTRIES):
-        theta[4 + 2 * j] = t[r, c].real
-        theta[5 + 2 * j] = t[r, c].imag
+    theta[4::2] = t[_LOWER].real
+    theta[5::2] = t[_LOWER].imag
     return theta
 
 
@@ -261,28 +267,21 @@ def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     sum_k [n_k ln m_k - m_k].  Convergence is declared when the per-iteration
     improvement falls below 1e-10 or the gradient norm below 1e-8.
     """
-    settings = [r.setting for r in records]
     counts = np.array([r.count for r in records], dtype=float)
-    if np.any(counts < 0):
-        raise TomographyError("corrected counts must be nonnegative")
     if counts.sum() <= 0:
         raise TomographyError("all counts are zero; nothing to reconstruct")
-    psis = np.array([projector(s) for s in settings])  # (K, 4)
+    psis = _KETS[[_ROW[r.setting] for r in records]]  # (K, 4)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         t = _t_from_params(theta)
         u = psis @ t.T                    # row k = T psi_k
         m = np.maximum(np.sum(np.abs(u) ** 2, axis=1), 1e-300)
         f = float(np.sum(m - counts * np.log(m)))
-        # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k
+        # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k, so
+        # df/dRe T_rc = 2 Re G_rc, df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T layout
         w = 1.0 - counts / m
         g_mat = np.einsum("k,kr,kc->rc", w, u.conj(), psis)
-        grad = np.zeros(16)
-        grad[:4] = 2.0 * np.real(np.diagonal(g_mat))
-        for j, (r, c) in enumerate(_LOWER_ENTRIES):
-            grad[4 + 2 * j] = 2.0 * np.real(g_mat[r, c])
-            grad[5 + 2 * j] = -2.0 * np.imag(g_mat[r, c])
-        return f, grad
+        return f, _params_from_t(2.0 * g_mat.conj())
 
     # Start from the linear-inversion estimate, clipped to a physical state
     # and rescaled so the initial rates match the data.

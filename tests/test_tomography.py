@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qbuffer import tomography
 from qbuffer.channels import damp_werner
 from qbuffer.states import make_bell_phi_plus, make_werner, validate
-from qbuffer.tomography import (SETTINGS, CorrectedRecord, MeasurementSetting,
+from qbuffer.tomography import (PAIR_RATE, SETTINGS, CorrectedRecord, MeasurementSetting,
                                 TomographyError, TomographyRecord, design_matrix,
                                 estimate_werner_probability, expected_counts,
                                 fidelity, linear_inversion, projector,
@@ -14,6 +18,40 @@ from qbuffer.tomography import (SETTINGS, CorrectedRecord, MeasurementSetting,
                                 werner_estimators)
 
 GATES = 100_000_000  # 1e5 expected pairs per setting at the default pair rate
+
+
+def reference_born(psi, op):
+    """The per-setting Born rule the import-time tables replaced."""
+    return float(np.real(psi.conj() @ op @ psi))
+
+
+def reference_design(settings_):
+    """The row-by-row, basis-by-basis product loop the design table replaced."""
+    return np.array([[reference_born(projector(s), basis) for basis in tomography._HERM_BASIS]
+                     for s in settings_])
+
+
+def adversarial_records():
+    # counts whose linear inversion has a negative eigenvalue
+    counts = {s: 0.0 for s in SETTINGS}
+    counts[MeasurementSetting("H", "H")] = 1000.0
+    counts[MeasurementSetting("V", "V")] = 1000.0
+    counts[MeasurementSetting("D", "D")] = 1500.0
+    counts[MeasurementSetting("R", "R")] = 1500.0
+    return [CorrectedRecord(s, counts[s], GATES) for s in SETTINGS]
+
+
+@st.composite
+def random_states(draw):
+    """Density matrices A A^dag / tr from 32 bounded real entries."""
+    x = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32)))
+    a = (x[:16] + 1j * x[16:]).reshape(4, 4)
+    gram = a @ a.conj().T
+    trace = np.real(gram.trace())
+    return gram / trace if trace > 1e-3 else np.eye(4, dtype=complex) / 4
+
+
+DAMPED_WERNER = st.builds(damp_werner, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
 
 class TestSettingsAndProjectors:
@@ -37,6 +75,16 @@ class TestSettingsAndProjectors:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             MeasurementSetting("H", "L")
+
+    def test_ket_table_rows_are_projectors(self):
+        assert tomography._KETS.shape == (16, 4)
+        for k, setting in enumerate(SETTINGS):
+            assert np.array_equal(tomography._KETS[k], projector(setting))
+
+    def test_design_matrix_equals_product_loop(self):
+        assert np.array_equal(design_matrix(list(SETTINGS)), reference_design(SETTINGS))
+        shuffled = list(reversed(SETTINGS)) + [SETTINGS[5], SETTINGS[5]]
+        assert np.array_equal(design_matrix(shuffled), reference_design(shuffled))
 
 
 class TestSimulateCounts:
@@ -72,6 +120,17 @@ class TestSimulateCounts:
         assert hh.coincidences == pytest.approx(GATES * 1e-3 * (1.75 / 4) + GATES * 1e-6)
         assert hh.accidentals == pytest.approx(GATES * 1e-6)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rho=st.one_of(DAMPED_WERNER, random_states()),
+           acc_rate=st.sampled_from((0.0, 1e-6)))
+    def test_expected_counts_equal_per_setting_born_rule(self, rho, acc_rate):
+        acc = GATES * acc_rate
+        for record in expected_counts(rho, GATES, acc_rate):
+            psi = projector(record.setting)
+            want = GATES * PAIR_RATE * max(reference_born(psi, rho), 0.0) + acc
+            assert record.coincidences == want
+            assert record.accidentals == acc
+
 
 class TestSubtractAccidentals:
     def test_plain_subtraction(self):
@@ -106,6 +165,14 @@ class TestLinearInversion:
         rho = linear_inversion(corrected)
         assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
 
+    def test_duplicate_setting_rejected(self):
+        # 17 records: a complete set plus one repeat, so the system is not square
+        corrected = [CorrectedRecord(s, 100.0, GATES) for s in SETTINGS + SETTINGS[3:4]]
+        with pytest.raises(TomographyError, match="exactly once"):
+            linear_inversion(corrected)
+        # the MLE falls back to the maximally mixed start instead
+        assert validate(reconstruct_mle(corrected).rho_hat).passed
+
     def test_degenerate_settings_rejected(self):
         rect = [s for s in SETTINGS if s.signal in "HV" and s.idler in "HV"]
         corrected = [CorrectedRecord(s, 100.0, GATES) for s in rect * 4]
@@ -121,13 +188,7 @@ class TestLinearInversion:
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
-        counts = {s: 0.0 for s in SETTINGS}
-        counts[MeasurementSetting("H", "H")] = 1000.0
-        counts[MeasurementSetting("V", "V")] = 1000.0
-        counts[MeasurementSetting("D", "D")] = 1500.0
-        counts[MeasurementSetting("R", "R")] = 1500.0
-        corrected = [CorrectedRecord(s, counts[s], GATES) for s in SETTINGS]
-        rho = linear_inversion(corrected)
+        rho = linear_inversion(adversarial_records())
         assert np.linalg.eigvalsh(rho)[0] < -1e-3
         assert np.real(rho.trace()) == pytest.approx(1.0, abs=1e-12)
 
@@ -150,14 +211,7 @@ class TestReconstructMle:
         assert trace_distance(result.rho_hat, oracle) < 1e-6
 
     def test_output_always_physical(self):
-        # adversarial input whose linear inversion has a negative eigenvalue
-        counts = {s: 0.0 for s in SETTINGS}
-        counts[MeasurementSetting("H", "H")] = 1000.0
-        counts[MeasurementSetting("V", "V")] = 1000.0
-        counts[MeasurementSetting("D", "D")] = 1500.0
-        counts[MeasurementSetting("R", "R")] = 1500.0
-        corrected = [CorrectedRecord(s, counts[s], GATES) for s in SETTINGS]
-        result = reconstruct_mle(corrected)
+        result = reconstruct_mle(adversarial_records())
         assert validate(result.rho_hat).passed
 
     def test_poisson_noise_fidelity(self):
@@ -175,6 +229,27 @@ class TestReconstructMle:
         corrected = [CorrectedRecord(s, 0.0, GATES) for s in SETTINGS]
         with pytest.raises(TomographyError):
             reconstruct_mle(corrected)
+
+    def test_gradient_matches_central_differences(self, monkeypatch):
+        # a swapped (re, im) pair would still converge, so check the gradient
+        # itself: capture the objective L-BFGS-B is handed
+        seen = {}
+
+        def spy(fun, x0, **kwargs):
+            seen["fun"], seen["x0"] = fun, x0
+            return scipy.optimize.minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", spy)
+        reconstruct_mle(adversarial_records())  # unphysical start: a large gradient
+        fun, x0 = seen["fun"], seen["x0"]
+        rng = np.random.default_rng(7)
+        spread = 0.3 * np.abs(x0).max()
+        for theta in [x0, *(x0 + rng.normal(scale=spread, size=(3, 16)))]:
+            _, grad = fun(theta)
+            h = 1e-5 * np.abs(theta).max()
+            numeric = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h)
+                                for e in np.eye(16)])
+            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
 
 class TestWernerExtraction:
@@ -263,3 +338,10 @@ class TestRecordValidation:
         fields = {"coincidences": 5, "accidentals": 1, "gates": 10, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TomographyRecord(MeasurementSetting("H", "H"), **fields)
+
+    @pytest.mark.parametrize("count", [np.nan, np.inf, -np.inf, -1.0])
+    def test_corrected_count_must_be_finite_and_nonnegative(self, count):
+        # a NaN count used to give an all-NaN linear inversion and an
+        # eigenvalue failure inside the MLE
+        with pytest.raises(ValueError, match="^count must be finite and nonnegative"):
+            CorrectedRecord(MeasurementSetting("H", "H"), count, 10)
