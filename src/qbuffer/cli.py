@@ -14,6 +14,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -69,8 +70,8 @@ class RunConfig:
 
 def build_config(values: dict) -> RunConfig:
     """Validate a flat config dict and assemble the typed RunConfig: every
-    field a finite real number (numpy scalars pass, bools do not), and
-    gates, seed, n_points and sign integral."""
+    field a finite real number (numpy scalars pass, bools do not), gates,
+    seed, n_points and sign integral, and the others within the float range."""
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
@@ -81,8 +82,12 @@ def build_config(values: dict) -> RunConfig:
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (real and -math.inf < value < math.inf):  # ints of any size pass
             raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-        if key in ("gates", "seed", "n_points", "sign") and int(value) != value:
-            raise ConfigError(f"{key}: must be an integer, got {value!r}")
+        if key in ("gates", "seed", "n_points", "sign"):
+            if int(value) != value:
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+        elif abs(value) > sys.float_info.max:
+            raise ConfigError(f"{key}: must lie within the float range, got an "
+                              f"integer of {len(str(abs(value)))} digits")
     problems = []
     if merged["n_points"] < 2:
         problems.append("n_points: must be at least 2")
@@ -130,14 +135,28 @@ _SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_CSV_HEADER.split(","))) + "\n"
 _SWEEP_BLOCK = 128  # rows held as Python floats at once, to bound peak memory
 
 
+def _finite(name: str, model: Callable, t, *args):
+    """``model(t, *args)`` with numpy's floating-point warnings off; a value
+    that overflowed to inf or nan raises one error naming ``name``."""
+    with np.errstate(all="ignore"):
+        values = model(t, *args)
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        t_bad = np.broadcast_to(t, np.shape(values))[bad][0]
+        raise ValueError(f"{name} is not finite at t = {t_bad:.12g} s: "
+                         f"{np.asarray(values)[bad][0]}")
+    return values
+
+
 def _sweep_table(config: RunConfig) -> np.ndarray:
     """The sweep's 12 columns, one row per grid point."""
     t = np.linspace(config.t_start_s, config.t_end_s, config.n_points)
-    p_pasy = dynamics.prob_pasy(t, config.pmd, config.units)
-    p_p3 = dynamics.p3(t, config.cavity)
+    length = _finite("L_m", dynamics.length_from_time, t, config.units)
+    p_pasy = _finite("P_pasy", dynamics.prob_pasy, t, config.pmd, config.units)
+    p_p3 = _finite("P_p3", dynamics.p3, t, config.cavity)
     ma = _measures_row(p_pasy)
     mb = _measures_row(p_p3)
-    return np.column_stack((t, dynamics.length_from_time(t, config.units),
+    return np.column_stack((t, length,
                             p_pasy, p_p3, ma.total, ma.classical, ma.discord,
                             ma.concurrence, mb.total, mb.classical, mb.discord,
                             mb.concurrence))
@@ -217,7 +236,8 @@ def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
         model = lambda t: dynamics.markovian_exponential(t, 1.0, rate)
     else:
         raise ValueError(f"unknown model {model_name!r}; choose pasy, p3 or exp")
-    t_star = measures.solve_level_crossing(model, level, THRESHOLD_BRACKET_S)
+    t_star = measures.solve_level_crossing(
+        lambda t: _finite(f"model {model_name!r}", model, t), level, THRESHOLD_BRACKET_S)
     if t_star is None:
         raise ValueError(
             f"model {model_name!r} never crosses level {level} in "

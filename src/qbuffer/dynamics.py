@@ -74,6 +74,8 @@ class PmdModelParams:
         for name in ("delta_omega", "d_p1", "d_p2", "mu", "a1", "a2"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.mu < 0:
+            raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.a1 < 0 or self.a2 < 0 or self.a1 + self.a2 <= 0:
             raise ValueError("weights must be nonnegative with a positive sum")
         if self.sign not in (+1, -1):
@@ -257,9 +259,13 @@ def _sinhc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
+_RATE_MAX = 1e150  # 1/s; keeps 16 kappa**2 and gamma0**2 inside the float range
+
+
 def _check_rates(kappa: float, gamma0: float) -> None:
-    if not (0.0 <= kappa < math.inf and 0.0 <= gamma0 < math.inf):
-        raise ValueError(f"kappa and gamma0 must be finite and nonnegative, "
+    if not (0.0 <= kappa <= _RATE_MAX and 0.0 <= gamma0 <= _RATE_MAX):
+        raise ValueError(f"kappa and gamma0 must be finite, nonnegative and at "
+                         f"most {_RATE_MAX:g}, "
                          f"got {kappa} and {gamma0}")
 
 

@@ -13,7 +13,7 @@ Initialization (when no explicit guess is given) is a deterministic scan:
 a crude exponential pre-fit pins the envelope rate, a coarse grid over the
 two phase parameters with the component weights solved by closed-form
 two-column NNLS at each grid point (one Gram pass per rate) ranks candidate
-basins, scipy's ``nnls`` solves the weights of the few kept candidates, and
+basins, the ``nnls`` solver finds the weights of the few kept candidates, and
 each is polished by a trust-region least-squares pass, keeping the best.
 One complex-step Jacobian, from a single model call, serves both the polish
 and the covariance at the solution.
@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
 
 from . import dynamics
+from ._optimize import least_squares, nnls
 from .dynamics import (PER_KM, PER_MS, PS_PER_SQRT_KM, CavityModelParams,
                        PmdModelParams, UnitContext)
 
@@ -219,7 +219,7 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     rate.  Points are ranked by SSE, ties in grid order (rate, theta2,
     theta1), and kept only if their theta2 differs by more than a relative
     5 % from every point already kept.  The weights of a kept point are
-    recomputed by scipy's ``nnls`` from that point's own columns.
+    recomputed by the ``nnls`` solver from that point's own columns.
     """
     rates, theta2s, theta1s = model.grid(t, p)
     s = model.scales

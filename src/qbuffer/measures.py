@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._optimize import brentq
 
 
 def _xlog2(x):

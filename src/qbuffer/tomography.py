@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
+from ._optimize import minimize
 from .states import product_ket, require_valid
 
 SETTING_LABELS = ("H", "V", "D", "R")

@@ -307,13 +307,41 @@ class TestMainDispatch:
         assert report["delta_per_s"] == 0.0
 
     @pytest.mark.parametrize("flag", ["--kappa", "--gamma0"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])  # 1e300: 16 kappa**2 overflows
     def test_classify_nonfinite_errors(self, capsys, flag, value):
         argv = {"--kappa": "4281", "--gamma0": "16292", flag: value}
         assert main(["classify", *(x for kv in argv.items() for x in kv)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, command, message", [
+        # a negative loss once overflowed into a silent P_pasy of 2.4e177
+        ({"mu_per_m": -1}, ["sweep", "--out", "sweep.csv"],
+         "mu must be nonnegative, got -1.0"),
+        ({"mu_per_m": -1}, ["threshold", "--model", "pasy", "--level", "0.5"],
+         "mu must be nonnegative, got -1.0"),
+        ({"d_p2_s_per_sqrt_m": 1e300}, ["sweep", "--out", "sweep.csv"],
+         "P_pasy is not finite at t = 0 s: nan"),
+        ({"t_end_s": 1e300}, ["sweep", "--out", "sweep.csv"], "L_m is not finite"),
+        ({"kappa2_per_s": 1e300, "t_end_s": 1e10}, ["sweep", "--out", "sweep.csv"],
+         "P_p3 is not finite"),
+        ({"d_p2_s_per_sqrt_m": 1e300}, ["threshold", "--model", "pasy", "--level", "0.5"],
+         "model 'pasy' is not finite at t = 0 s: nan"),
+        ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
+         "model 'exp' is not finite at t = 0 s: nan"),
+    ])
+    def test_bad_model_config_errors(self, tmp_path, capsys, monkeypatch,
+                                     values, command, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        assert main([*command, "--config", "cfg.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("text, field", [
         ("[1, 2]", "JSON object"),
@@ -328,6 +356,7 @@ class TestMainDispatch:
         ('{"sign": 0.5}', "sign"),
         ('{"t_end_s": NaN}', "t_end_s"),
         ('{"mu_per_m": -Infinity}', "mu_per_m"),
+        ('{"t_end_s": 1' + "0" * 400 + "}", "t_end_s"),
     ])
     def test_malformed_config_errors(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
