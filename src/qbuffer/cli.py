@@ -97,6 +97,8 @@ def build_config(values: dict) -> RunConfig:
         problems.append("t_end_s: must exceed t_start_s")
     if merged["gates"] <= 0:
         problems.append("gates: must be positive")
+    elif merged["gates"] > 2**53:  # the count model holds gates in a float
+        problems.append("gates: must be at most 2**53")
     if not 0.0 <= merged["accidental_rate"] < 1.0:
         problems.append("accidental_rate: must lie in [0, 1)")
     if problems:

@@ -60,6 +60,16 @@ class DataSeries:
             raise ValueError("times must be strictly increasing")
         if np.any(sigma <= 0):
             raise ValueError("uncertainties must be positive")
+        with np.errstate(over="ignore"):
+            # the fits square these: values whose sum of squares overflows, or
+            # underflows although they are not all zero, cannot be fitted
+            for name, values in (("times", t), ("probabilities/uncertainties", p / sigma),
+                                 ("1/uncertainties", 1.0 / sigma)):
+                total = np.sum(values * values)
+                if not np.isfinite(total):
+                    raise ValueError(f"{name} are too large: their sum of squares overflows")
+                if total < np.finfo(float).tiny and np.any(values != 0):
+                    raise ValueError(f"{name} are too small: their sum of squares underflows")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma", sigma)
@@ -226,8 +236,12 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     y = p / sigma
     sse = np.empty((len(rates), len(theta2s), len(theta1s)))
     for k, rate in enumerate(rates):
-        c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
-        c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
+        with np.errstate(all="ignore"):  # a value that overflowed is reported below
+            c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
+            c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
+        if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
+            raise FittingError(f"the {model.name} model is not finite on this record's "
+                               f"scan grid; check the fixed model parameters")
         sse[k] = _nnls2(c1, c2, y)[2].T
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
@@ -246,10 +260,19 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
 
 
 def _polish(model, t, p, sigma, x0):
-    return least_squares(lambda x: (model(t, x) - p) / sigma, np.maximum(x0, 0.0),
-                         jac=lambda x: _jacobian(model, t, x) / sigma[:, None],
-                         bounds=(0.0, np.inf), method="trf",
-                         xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
+    def jac(x):
+        j = _jacobian(model, t, x) / sigma[:, None]
+        if not np.all(np.isfinite(j)):
+            raise FittingError(f"the {model.name} model's derivative is not finite at "
+                               f"a polish step; check the fixed model parameters")
+        return j
+
+    # numpy's warnings are off: the solver shrinks its step past a non-finite
+    # residual, and a non-finite derivative raises above
+    with np.errstate(all="ignore"):
+        return least_squares(lambda x: (model(t, x) - p) / sigma, np.maximum(x0, 0.0),
+                             jac=jac, bounds=(0.0, np.inf), method="trf",
+                             xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
 
 
 def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,

@@ -221,23 +221,22 @@ class ReconstructionResult:
 
 
 # Lower-triangular parametrization: 4 real diagonal entries followed by
-# (re, im) pairs for the strictly-lower entries in row-major order.
-_LOWER = np.tril_indices(4, -1)
+# (re, im) pairs for the strictly-lower entries in row-major order.  _SLOTS[i]
+# is the position of parameter i in the row-major (re, im) float view of a
+# 4x4 complex T, so packing and unpacking move values without arithmetic.
+_SLOTS = np.concatenate([
+    2 * np.ravel_multi_index(np.diag_indices(4), (4, 4)),
+    (2 * np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))[:, None] + [0, 1]).ravel()])
 
 
 def _t_from_params(theta: np.ndarray) -> np.ndarray:
-    t = np.zeros((4, 4), dtype=complex)
-    t[np.diag_indices(4)] = theta[:4]
-    t[_LOWER] = theta[4::2] + 1j * theta[5::2]
-    return t
+    flat = np.zeros(32)
+    flat[_SLOTS] = theta
+    return flat.view(complex).reshape(4, 4)
 
 
 def _params_from_t(t: np.ndarray) -> np.ndarray:
-    theta = np.empty(16)
-    theta[:4] = np.real(np.diag(t))
-    theta[4::2] = t[_LOWER].real
-    theta[5::2] = t[_LOWER].imag
-    return theta
+    return t.ravel().view(float)[_SLOTS]
 
 
 def _rho_from_t(t: np.ndarray) -> np.ndarray:
@@ -257,6 +256,9 @@ def _lower_factor(gram: np.ndarray) -> np.ndarray:
     return flip @ l.conj().T @ flip
 
 
+_GTOL = 1e-10  # L-BFGS-B's projected-gradient tolerance, also tested before calling it
+
+
 def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
@@ -264,8 +266,15 @@ def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     triangular (16 real parameters); the overall scale of T doubles as the
     pair-number estimate, so the Poisson rates are m_k = |T psi_k|^2 and the
     objective is the (constant-free) Poisson log-likelihood
-    sum_k [n_k ln m_k - m_k].  Convergence is declared when the per-iteration
-    improvement falls below 1e-10 or the gradient norm below 1e-8.
+    sum_k [n_k ln m_k - m_k].
+
+    The start is the linear inversion, clipped to a physical state.  When the
+    largest gradient component there is at most ``_GTOL`` (a state inside the
+    physical region, whose linear inversion already is the MLE), the start is
+    returned after 0 iterations with no solver call: that is the test L-BFGS-B
+    applies before its first iteration, so the result is the one it would
+    return.  Otherwise L-BFGS-B runs with ``gtol=_GTOL``; convergence is
+    declared when it reports success or the final gradient norm is below 1e-8.
     """
     counts = np.array([r.count for r in records], dtype=float)
     if counts.sum() <= 0:
@@ -298,15 +307,22 @@ def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     scale = counts.sum() / probs0.sum()
     theta0 = _params_from_t(_lower_factor(scale * rho0))
 
-    result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                      options={"maxiter": 10_000, "maxfun": 40_000,
-                               "ftol": 1e-15, "gtol": 1e-10})
+    f, grad = objective(theta0)
+    if np.max(np.abs(grad)) <= _GTOL:
+        # L-BFGS-B's own test before its first iteration (the projected
+        # gradient is the gradient: no bounds); it would return theta0 as is
+        theta, iterations, converged = theta0, 0, True
+    else:
+        result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                          options={"maxiter": 10_000, "maxfun": 40_000,
+                                   "ftol": 1e-15, "gtol": _GTOL})
+        f, grad = objective(result.x)
+        theta, iterations = result.x, int(result.nit)
+        converged = bool(result.success) or float(np.linalg.norm(grad)) < 1e-8
+    rho_hat = require_valid(_rho_from_t(_t_from_params(theta)))
     # the objective is minus the log-likelihood, term by term, so negating
     # its sum reproduces sum_k [n_k ln m_k - m_k] exactly
-    f, grad = objective(result.x)
-    converged = bool(result.success) or float(np.linalg.norm(grad)) < 1e-8
-    rho_hat = require_valid(_rho_from_t(_t_from_params(result.x)))
-    return ReconstructionResult(rho_hat, -f, int(result.nit), converged)
+    return ReconstructionResult(rho_hat, -f, iterations, converged)
 
 
 # ---------------------------------------------------------------------------

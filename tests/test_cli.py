@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,27 @@ class TestMainDispatch:
         err = capsys.readouterr().err
         assert err == "error: uncertainties must be positive\n"
 
+    @pytest.mark.parametrize("model, row", [
+        # LAPACK wrote DLASCL lines to stdout, then a misleading error
+        ("exp", lambda i: (i * 1e-4, 0.9 - 0.01 * i, 1e-320 if i == 3 else 0.01)),
+        ("pasy", lambda i: (i * 1e-4, 0.9 - 0.01 * i, 1e-320 if i == 3 else 0.01)),
+        # exit 0 with a zero covariance after overflow warnings
+        ("exp", lambda i: (i * 1e300, 0.9 - 0.01 * i, 0.01)),
+        # an OverflowError traceback
+        ("exp", lambda i: (i * 1e-4, (0.9 - 0.01 * i) * 1e300, 0.01)),
+    ], ids=["sigma-exp", "sigma-pasy", "t-exp", "p-exp"])
+    def test_fit_overflowing_values_error(self, tmp_path, capfd, model, row):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("t_s,p,sigma\n" + "".join(
+            ",".join(map(repr, row(i))) + "\n" for i in range(10)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", str(csv_path), "--model", model]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""  # file-descriptor level, so LAPACK's own prints show
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too large" in err
+
     def test_fit_unknown_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "x.csv", "--model", "bogus"])
@@ -331,11 +353,18 @@ class TestMainDispatch:
          "model 'pasy' is not finite at t = 0 s: nan"),
         ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
          "model 'exp' is not finite at t = 0 s: nan"),
+        # fits printed numpy warnings, then scipy's "array must not contain infs or NaNs"
+        ({"delta_omega_rad_s": -1e300}, ["fit", "decay.csv", "--model", "pasy"],
+         "the pasy model is not finite on this record's scan grid"),
+        ({"delta_omega_rad_s": 1e300}, ["fit", "decay.csv", "--model", "pasy"],
+         "the pasy model's derivative is not finite"),
     ])
     def test_bad_model_config_errors(self, tmp_path, capsys, monkeypatch,
                                      values, command, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(values))
+        (tmp_path / "decay.csv").write_text("t_s,p,sigma\n" + "".join(
+            f"{i * 1e-4},{0.9 * 0.6 ** i},0.01\n" for i in range(8)))
         assert main([*command, "--config", "cfg.json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -357,6 +386,8 @@ class TestMainDispatch:
         ('{"t_end_s": NaN}', "t_end_s"),
         ('{"mu_per_m": -Infinity}', "mu_per_m"),
         ('{"t_end_s": 1' + "0" * 400 + "}", "t_end_s"),
+        ('{"gates": 1' + "0" * 400 + "}", "gates"),
+        ('{"gates": 1e300}', "gates"),
     ])
     def test_malformed_config_errors(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"

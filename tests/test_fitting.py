@@ -87,7 +87,14 @@ class TestDataSeries:
         ([0.0, 1.0], [1.0, 0.9], [1.0, np.nan], "must be finite"),
         ([0.0, np.inf], [1.0, 0.9], [1.0, 1.0], "must be finite"),
         ([0.0, 1.0], [1.0, 0.9], [1.0, 0.0], "uncertainties must be positive"),
-    ], ids=["p", "sigma", "t", "sigma-zero"])
+        ([0.0, 1e300], [1.0, 0.9], [1.0, 1.0], "^times are too large"),
+        ([0.0, 1.0], [1.0, 1e300], [1.0, 1.0], "^probabilities/uncertainties are too large"),
+        ([0.0, 1.0], [0.0, 0.0], [1.0, 1e-320], "^1/uncertainties are too large"),
+        ([0.0, 1e-200], [1.0, 0.9], [1.0, 1.0], "^times are too small"),
+        ([0.0, 1.0], [1e-200, 0.0], [1.0, 1.0], "^probabilities/uncertainties are too small"),
+        ([0.0, 1.0], [0.0, 0.0], [1e200, 1e200], "^1/uncertainties are too small"),
+    ], ids=["p", "sigma", "t", "sigma-zero", "t-squares", "p-squares", "sigma-squares",
+            "t-underflow", "p-underflow", "sigma-underflow"])
     def test_finite_required(self, t, p, sigma, message):
         with pytest.raises(ValueError, match=message):
             DataSeries.from_points(t, p, sigma)

@@ -24,15 +24,25 @@ assert main(["classify", "--kappa", "4281", "--gamma0", "16292",
 print("classify", loaded())
 assert main(["sweep", "--out", sys.argv[1]]) == 0
 print("sweep", loaded())
+# an interior state: the linear inversion already is the MLE, nothing to solve
+assert main(["tomo", "--werner-p", "0.5", "--out", sys.argv[1]]) == 0
+print("tomo", loaded())
+assert main(["tomo", "--werner-p", "0.5", "--exact", "--out", sys.argv[1]]) == 0
+print("tomo --exact", loaded())
+# a pure state: the clipped start is off the optimum, so L-BFGS-B iterates
+assert main(["tomo", "--werner-p", "1.0", "--out", sys.argv[1]]) == 0
+print("tomo P = 1", "scipy.optimize" in loaded())
 """
 
 
 def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
+    # and so does an interior tomo; only a tomo whose MLE iterates loads it
     run = subprocess.run([sys.executable, "-c", STARTUP, str(tmp_path / "sweep.csv")],
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["import []", "classify []", "sweep []"]
+    assert run.stdout.splitlines() == ["import []", "classify []", "sweep []", "tomo []",
+                                       "tomo --exact []", "tomo P = 1 True"]
 
 
 def test_scipy_named_in_one_module():

@@ -53,6 +53,51 @@ def random_states(draw):
 
 DAMPED_WERNER = st.builds(damp_werner, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 
+LBFGSB_OPTIONS = {"maxiter": 10_000, "maxfun": 40_000, "ftol": 1e-15, "gtol": 1e-10}
+
+
+def reference_mle(records):
+    """``reconstruct_mle`` as it stood before its early exit: L-BFGS-B always
+    runs, with the options it has always had."""
+    calls = []
+
+    def solve(fun, x0, **_):
+        calls.append(x0)
+        return scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                       options=LBFGSB_OPTIONS)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "_GTOL", -np.inf)  # the early test never passes
+        patch.setattr(tomography, "minimize", solve)
+        result = reconstruct_mle(records)
+    assert len(calls) == 1, "the reference must run the solver"
+    return result
+
+
+def seeded_records(p, xi, seed):
+    return subtract_accidentals(simulate_counts(damp_werner(p, xi), GATES, 1e-6, seed))
+
+
+def reference_t_from_params(theta):
+    """The diag/tril/complex-add packing the slot table replaced."""
+    t = np.zeros((4, 4), dtype=complex)
+    t[np.diag_indices(4)] = theta[:4]
+    t[np.tril_indices(4, -1)] = theta[4::2] + 1j * theta[5::2]
+    return t
+
+
+def reference_params_from_t(t):
+    """The diag-plus-slices unpacking the slot table replaced."""
+    lower = np.tril_indices(4, -1)
+    theta = np.empty(16)
+    theta[:4] = np.real(np.diag(t))
+    theta[4::2] = t[lower].real
+    theta[5::2] = t[lower].imag
+    return theta
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
 
 class TestSettingsAndProjectors:
     def test_sixteen_distinct(self):
@@ -230,6 +275,36 @@ class TestReconstructMle:
         with pytest.raises(TomographyError):
             reconstruct_mle(corrected)
 
+    @pytest.mark.parametrize("records", [
+        pytest.param(seeded_records(p, xi, seed), id=f"P{p}-xi{xi}-seed{seed}")
+        for p, xi, seed in [(0.3, 0.1, 5), (0.5, 0.0, 12345), (0.9, 0.02, 12345),
+                            (0.95, 0.0, 7), (1.0, 0.0, 3), (0.99, 0.02, 4)]
+    ] + [
+        pytest.param(subtract_accidentals(expected_counts(damp_werner(0.8, 0.05), GATES,
+                                                          1e-6)), id="exact-P0.8"),
+        pytest.param(subtract_accidentals(expected_counts(damp_werner(1.0, 0.0), GATES)),
+                     id="exact-P1.0"),
+        pytest.param(adversarial_records(), id="adversarial"),
+    ])
+    def test_equals_solver_that_always_runs(self, records):
+        got, want = reconstruct_mle(records), reference_mle(records)
+        assert got.rho_hat.tobytes() == want.rho_hat.tobytes()
+        assert got.log_likelihood.hex() == want.log_likelihood.hex()
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+
+    def test_solver_called_only_when_the_start_iterates(self, monkeypatch):
+        class Called(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Called
+
+        monkeypatch.setattr(tomography, "minimize", refuse)
+        result = reconstruct_mle(seeded_records(0.5, 0.0, 12345))  # interior
+        assert (result.iterations, result.converged) == (0, True)
+        with pytest.raises(Called):  # the known 195-iteration boundary record
+            reconstruct_mle(seeded_records(0.99, 0.0, 12345))
+
     def test_gradient_matches_central_differences(self, monkeypatch):
         # a swapped (re, im) pair would still converge, so check the gradient
         # itself: capture the objective L-BFGS-B is handed
@@ -250,6 +325,27 @@ class TestReconstructMle:
             numeric = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h)
                                 for e in np.eye(16)])
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+
+class TestTLayout:
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.lists(FINITE, min_size=16, max_size=16))
+    def test_t_from_params_equals_reference(self, theta):
+        theta = np.array(theta)
+        t = tomography._t_from_params(theta)
+        assert t.shape == (4, 4) and t.dtype == complex
+        assert np.array_equal(t, reference_t_from_params(theta))
+        assert tomography._params_from_t(t).tobytes() == theta.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(FINITE, min_size=32, max_size=32))
+    def test_params_from_t_equals_reference(self, parts):
+        # a full matrix, as the gradient hands it over: the upper triangle and
+        # the diagonal's imaginary parts are not parameters
+        t = np.array(parts[:16]).reshape(4, 4) + 1j * np.array(parts[16:]).reshape(4, 4)
+        want = reference_params_from_t(t)
+        assert np.array_equal(tomography._params_from_t(t), want)
+        assert np.array_equal(tomography._params_from_t(np.asfortranarray(t)), want)
 
 
 class TestWernerExtraction:
