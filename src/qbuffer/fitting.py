@@ -288,14 +288,8 @@ def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
 
 def _fit(model: _TwoComponent, data: DataSeries, init,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
-    """Scan (or start from ``init``), polish every candidate, keep the best.
-
-    If the winning solution has its components in non-canonical order
-    (parameter 1 above parameter 2), refitting from the label-swapped point
-    is attempted; the ordered solution is preferred whenever its cost is not
-    worse by more than a relative 1e-9.  ``make_params`` builds the
-    parameter object from the SI values of the free parameters.
-    """
+    """Scan (or start from ``init``), polish each candidate once and keep the
+    least cost; ``make_params`` builds the parameters from their SI values."""
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma
@@ -304,18 +298,7 @@ def _fit(model: _TwoComponent, data: DataSeries, init,
         candidates = [np.array([getattr(init, name) for name in model.free]) / model.scales]
     else:
         candidates = _scan(model, t, p, sigma)
-    best = None
-    for x0 in candidates:
-        res = _polish(model, t, p, sigma, x0)
-        if best is None or res.cost < best.cost:
-            best = res
-    if best.x[0] > best.x[1]:
-        swapped = best.x.copy()
-        swapped[[0, 1]] = swapped[[1, 0]]
-        swapped[[3, 4]] = swapped[[4, 3]]
-        res2 = _polish(model, t, p, sigma, swapped)
-        if res2.x[0] <= res2.x[1] and res2.cost <= best.cost * (1.0 + 1e-9):
-            best = res2
+    best = min((_polish(model, t, p, sigma, x0) for x0 in candidates), key=lambda r: r.cost)
     cov = _covariance_diag(best.jac, best.cost, len(model.free), model.scales,
                            sigmas_known)
     at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
@@ -356,28 +339,34 @@ def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
 
 
 def fit_exponential(data: DataSeries) -> FitResult:
-    """Closed-form weighted linear fit of p0 * exp(-rate t) on log p."""
+    """Weighted linear fit of ln p = ln p0 - rate t; sigma on p is sigma/p on ln p.
+
+    Times are divided by max|t|, so both design columns are O(1) at any time
+    scale; the covariance follows the two-component fits' rule.
+    """
     if len(data) < 2:
         raise FittingError(f"need at least 2 points, got {len(data)}")
     if np.any(data.p <= 0):
         raise FittingError("exponential fit requires strictly positive p")
     sigmas_known = bool(np.any(data.sigma != 1.0))
-    # sigma on p maps to sigma/p on ln p
     w = data.p / data.sigma if sigmas_known else np.ones_like(data.p)
-    design = np.column_stack([np.ones_like(data.t), -data.t])
-    lhs = design * w[:, None]
+    t_scale = float(np.max(np.abs(data.t)))
+    lhs = np.column_stack([w, -w * (data.t / t_scale)])
     rhs = np.log(data.p) * w
-    coef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    ln_p0, rate = coef
-    p0 = float(np.exp(ln_p0))
-    resid = (p0 * np.exp(-rate * data.t) - data.p) / data.sigma
-    cov_ln = np.linalg.pinv(lhs.T @ lhs)
-    if not sigmas_known and len(data) > 2:
-        log_resid = rhs - lhs @ coef
-        cov_ln = cov_ln * float(log_resid @ log_resid) / (len(data) - 2)
-    cov = (float(cov_ln[0, 0]) * p0 ** 2, float(cov_ln[1, 1]))
-    return FitResult("exp", ExponentialParams(p0, float(rate)),
-                     float(np.linalg.norm(resid)), cov, True, 1)
+    coef, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if rank < 2:
+        raise FittingError(f"times {data.t[0]:.17g} to {data.t[-1]:.17g} s are too "
+                           f"close together for their size to resolve a rate")
+    log_resid = rhs - lhs @ coef
+    rate = float(coef[1] / t_scale)
+    with np.errstate(all="ignore"):  # an overflow raises below
+        p0 = float(np.exp(coef[0]))
+        norm = float(np.linalg.norm((p0 * np.exp(-rate * data.t) - data.p) / data.sigma))
+        cov = _covariance_diag(lhs, 0.5 * float(log_resid @ log_resid), 2,
+                               np.array([p0, 1.0 / t_scale]), sigmas_known)
+    if not np.all(np.isfinite([p0, norm, *cov])):
+        raise FittingError("the exponential fit overflows on this record")
+    return FitResult("exp", ExponentialParams(p0, rate), norm, cov, True, 1)
 
 
 # ---------------------------------------------------------------------------

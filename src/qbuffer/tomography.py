@@ -371,14 +371,15 @@ def estimate_werner_probability(rho: np.ndarray) -> float:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped at 1: the
+    roots of a near-pure state's near-zero eigenvalues carry O(sqrt(eps)) errors."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
     sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     inner_vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))) ** 2)
+    return min(float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))) ** 2), 1.0)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

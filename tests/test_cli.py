@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -119,6 +120,11 @@ class TestTomo:
         expect = 0.9 * (4 - 4 * 0.02 + 2 * np.sqrt(1 - 0.02)) / 6
         assert report["P_hat"] == pytest.approx(expect, abs=1e-3)
         assert report["fidelity"] > 0.999
+
+    def test_near_pure_fidelity_at_most_one(self, config):
+        # the roots of near-zero eigenvalues read 1.0000000105 before the clamp
+        _, report = cmd_tomo(config, werner_p=0.9999999999999999, xi=0.0, exact=True)
+        assert report["fidelity"] <= 1.0
 
     def test_seeded_reports_reproducible(self, config):
         csv_a, rep_a = cmd_tomo(config, werner_p=0.8, xi=0.01)
@@ -286,6 +292,24 @@ class TestMainDispatch:
         assert out == ""  # file-descriptor level, so LAPACK's own prints show
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too large" in err
+
+    @pytest.mark.parametrize("row, message", [
+        # consecutive doubles: exit 0 with p0 1 and a rate of 4.6e-17
+        (lambda i: (1e16 + 2.0 * i, 0.9 * math.exp(-0.3 * i), 0.01), "too close together"),
+        # p0 = 1e450: exit 0 with Infinity and NaN after overflow warnings
+        (lambda i: (10.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
+        # p0 = 1e180 squared raised an OverflowError traceback
+        (lambda i: (1.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
+    ], ids=["unresolved-times", "p0", "p0-squared"])
+    def test_fit_exp_unfittable_record_errors(self, tmp_path, capfd, row, message):
+        csv_path = tmp_path / "exp.csv"
+        csv_path.write_text("t_s,p,sigma\n" + "".join(
+            ",".join(map(repr, row(i))) + "\n" for i in range(10)))
+        assert main(["fit", str(csv_path), "--model", "exp"]) == 1
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_fit_unknown_model_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -278,6 +278,25 @@ class TestFitExponential:
         assert fit.params.p0 == pytest.approx(math.exp(ln_p0), rel=1e-9)
         assert fit.params.rate == pytest.approx(rate, rel=1e-9)
 
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("sigma", [1.0, 0.01])
+    @pytest.mark.parametrize("spacing", [1e-60, 1e-15, 1e-12, 1.0, 1e100])
+    def test_recovery_at_any_time_scale(self, spacing, sigma, first):
+        # the unscaled design [1, -t] lost its t column: 1e-15 s apart gave
+        # a rate of 5.2e-16 for 3e14, and 1e100 s apart one of 3.2e-101
+        i = np.arange(first, first + 8)
+        fit = fit_exponential(DataSeries(i * spacing, 0.9 * np.exp(-0.3 * i),
+                                         np.full(8, sigma)))
+        assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
+        assert fit.params.rate == pytest.approx(0.3 / spacing, rel=1e-12)
+
+    def test_times_too_close_for_their_size_rejected(self):
+        # 1e16 + 2i are consecutive doubles: no scaling separates the columns
+        i = np.arange(8)
+        data = DataSeries.from_points(1e16 + 2.0 * i, 0.9 * np.exp(-0.3 * i))
+        with pytest.raises(FittingError, match="too close together"):
+            fit_exponential(data)
+
 
 class TestFitPasy:
     def test_noiseless_round_trip(self):
@@ -411,6 +430,18 @@ class TestFitP3:
         # -1.3e-28 (seed 0) and -1.1e-31 (seed 3) on its diagonal
         fit = fit_p3(p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0)))
         assert min(fit.covariance_diag) >= 0.0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_one_polish_per_scan_start(self, monkeypatch, seed):
+        # these records' best polish has kappa1 > kappa2, which used to buy
+        # a second, label-swapped polish that never won
+        data = p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0))
+        calls = []
+        polish = fitting._polish
+        monkeypatch.setattr(fitting, "_polish",
+                            lambda *args: calls.append(args) or polish(*args))
+        fit_p3(data)
+        assert len(calls) == len(_scan(_P3_MODEL, data.t, data.p, data.sigma))
 
     def test_lambda_width_carried(self):
         assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5
