@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,7 +37,7 @@ class UnitContext:
     """Propagation constants tying buffer time to fiber length."""
 
     n_r: float = 1.468  # group index of standard single-mode fiber
-    c: float = SPEED_OF_LIGHT
+    c: ClassVar[float] = SPEED_OF_LIGHT  # a constant, not a setting
 
     def __post_init__(self) -> None:
         if not self.n_r > 1.0:

@@ -160,10 +160,9 @@ def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoCompon
 
 
 def _p3_grid(t, p):
-    tm = t * 1e3
-    slope = _envelope_prefit(tm, p)
+    slope = _envelope_prefit(t, p, 1e3)
     g0_0 = max(-2.0 * slope, 1e-3)
-    k_hi = 0.5 * math.pi / max(float(np.median(np.diff(tm))), 1e-12)
+    k_hi = 0.5 * math.pi / max(float(np.median(np.diff(t * 1e3))), 1e-12)
     return ((0.7 * g0_0, g0_0, 1.3 * g0_0),
             np.linspace(k_hi / 150.0, k_hi, 90),
             np.concatenate([[0.0], np.geomspace(k_hi / 400.0, k_hi, 26)]))
@@ -185,12 +184,20 @@ def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((model(t, steps).imag / h).T)
 
 
-def _envelope_prefit(t_scaled: np.ndarray, p: np.ndarray) -> float:
-    """Slope of ln p against scaled time, ignoring nonpositive points."""
+def _unresolved(t: np.ndarray) -> FittingError:
+    return FittingError(f"times {t[0]:.17g} to {t[-1]:.17g} s are too close together "
+                        f"for their size to resolve a rate")
+
+
+def _envelope_prefit(t: np.ndarray, p: np.ndarray, per_unit: float = 1.0) -> float:
+    """Slope of ln p against t * per_unit (``t`` in s), ignoring nonpositive points."""
     mask = p > 0
     if mask.sum() < 2:
         raise FittingError("too few positive points for the envelope pre-fit")
-    return float(np.polyfit(t_scaled[mask], np.log(p[mask]), 1)[0])
+    coef, _, rank, _, _ = np.polyfit(t[mask] * per_unit, np.log(p[mask]), 1, full=True)
+    if rank < 2:
+        raise _unresolved(t)
+    return float(coef[0])
 
 
 def _nnls2(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
@@ -229,12 +236,13 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     rate.  Points are ranked by SSE, ties in grid order (rate, theta2,
     theta1), and kept only if their theta2 differs by more than a relative
     5 % from every point already kept.  The weights of a kept point are
-    recomputed by the ``nnls`` solver from that point's own columns.
+    recomputed by the ``nnls`` solver from that point's rows of the scan's columns.
     """
     rates, theta2s, theta1s = model.grid(t, p)
     s = model.scales
     y = p / sigma
     sse = np.empty((len(rates), len(theta2s), len(theta1s)))
+    columns = []  # the sigma-weighted (c1, c2) of each rate
     for k, rate in enumerate(rates):
         with np.errstate(all="ignore"):  # a value that overflowed is reported below
             c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
@@ -243,15 +251,15 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
             raise FittingError(f"the {model.name} model is not finite on this record's "
                                f"scan grid; check the fixed model parameters")
         sse[k] = _nnls2(c1, c2, y)[2].T
+        columns.append((c1, c2))
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
     picked: list[np.ndarray] = []
     for i_rate, i2, i1 in zip(*np.unravel_index(ranked, sse.shape)):
         rate, theta2, theta1 = rates[i_rate], theta2s[i2], theta1s[i1]
         if all(abs(theta2 - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
-            c1 = model.c1(t, theta1 * s[0], rate * s[2])
-            c2 = model.c2(t, theta2 * s[1], rate * s[2])
-            weights, _ = nnls(np.column_stack([c1, c2]) / sigma[:, None], y)
+            c1, c2 = columns[i_rate]
+            weights, _ = nnls(np.column_stack([c1[i1], c2[i2]]), y)
             picked.append(np.array([theta1, theta2, rate,
                                     max(weights[0], 1e-6), max(weights[1], 1e-6)]))
             if len(picked) >= 4:
@@ -355,8 +363,7 @@ def fit_exponential(data: DataSeries) -> FitResult:
     rhs = np.log(data.p) * w
     coef, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
     if rank < 2:
-        raise FittingError(f"times {data.t[0]:.17g} to {data.t[-1]:.17g} s are too "
-                           f"close together for their size to resolve a rate")
+        raise _unresolved(data.t)
     log_resid = rhs - lhs @ coef
     rate = float(coef[1] / t_scale)
     with np.errstate(all="ignore"):  # an overflow raises below

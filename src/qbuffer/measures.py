@@ -18,12 +18,9 @@ from ._optimize import brentq
 
 
 def _xlog2(x):
-    """x * log2(x) with the continuous extension 0 at x = 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError(f"xlog2 argument must be nonnegative, got {x[x < 0.0][0]}")
-    out = x * np.log2(np.where(x > 0.0, x, 1.0))  # 0 * log2(1) = 0 at x = 0
-    return float(out) if out.ndim == 0 else out
+    """x * log2(x) with the continuous extension 0 at x = 0, for x >= 0: the
+    callers pass 1 - P, 1 + P and 1 + 3P after ``_check_p``."""
+    return x * np.log2(np.where(x > 0.0, x, 1.0))  # 0 * log2(1) = 0 at x = 0
 
 
 def _check_p(p) -> np.ndarray:
@@ -105,15 +102,13 @@ def solve_level_crossing(model: Callable, level: float,
     values = np.asarray(model(grid), dtype=float) - level
     if values.shape != grid.shape:
         raise ValueError("model must broadcast over an array of times")
-    exact = np.nonzero(values == 0.0)[0]
-    changes = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    first_exact = exact[0] if exact.size else None
-    first_change = changes[0] if changes.size else None
-    if first_exact is not None and (first_change is None or first_exact <= first_change):
-        return float(grid[first_exact])
-    if first_change is None:
+    sign = np.sign(values)
+    hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] * sign[1:] < 0, False))
+    if not hits.size:
         return None
-    i = first_change
+    i = hits[0]
+    if sign[i] == 0.0:
+        return float(grid[i])
     root = brentq(lambda t: model(t) - level, grid[i], grid[i + 1],
                   xtol=1e-18 * max(1.0, abs(grid[i + 1])), rtol=8.9e-16, maxiter=200)
     residual = abs(model(root) - level)

@@ -110,7 +110,7 @@ PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
 
 
 def _mean_counts(rho: np.ndarray, n_gates: int,
-                 accidental_rate: float) -> tuple[list[float], float]:
+                 accidental_rate: float) -> tuple[np.ndarray, float]:
     """Validated count model: the true-coincidence mean of each setting,
     n_gates * PAIR_RATE * <proj|rho|proj>, and the accidental mean."""
     rho = require_valid(rho)
@@ -119,7 +119,7 @@ def _mean_counts(rho: np.ndarray, n_gates: int,
     if n_gates <= 0:
         raise ValueError("n_gates must be positive")
     means = n_gates * PAIR_RATE * np.maximum(_born(_KETS, rho), 0.0)
-    return means.tolist(), n_gates * accidental_rate
+    return means, n_gates * accidental_rate
 
 
 def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
@@ -129,19 +129,14 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     True-coincidence mean per setting is n_gates * PAIR_RATE * <proj|rho|proj>;
     accidentals contribute an independent Poisson term to the coincidence
     window and are estimated separately from a delayed-gate draw of the same
-    mean.  Identical seeds give identical records.
+    mean.  All 48 counts come from one draw, in the order true, in-window,
+    estimate per setting.  Identical seeds give identical records.
     """
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
-    rng = np.random.default_rng(seed)
-    records = []
-    for setting, mean in zip(SETTINGS, means):
-        true_counts = rng.poisson(mean)
-        acc_in_window = rng.poisson(acc_mean)
-        acc_estimate = rng.poisson(acc_mean)
-        cc = min(int(true_counts + acc_in_window), n_gates)
-        records.append(TomographyRecord(setting, float(cc), float(acc_estimate),
-                                        n_gates))
-    return records
+    draws = np.random.default_rng(seed).poisson(
+        np.column_stack([means, np.full((len(means), 2), acc_mean)]))
+    return [TomographyRecord(s, float(min(true + acc, n_gates)), float(estimate), n_gates)
+            for s, (true, acc, estimate) in zip(SETTINGS, draws.tolist())]
 
 
 def expected_counts(rho: np.ndarray, n_gates: int,
@@ -149,7 +144,7 @@ def expected_counts(rho: np.ndarray, n_gates: int,
     """Noise-free records carrying the expected values of the count model."""
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
     return [TomographyRecord(setting, mean + acc_mean, acc_mean, n_gates)
-            for setting, mean in zip(SETTINGS, means)]
+            for setting, mean in zip(SETTINGS, means.tolist())]
 
 
 def subtract_accidentals(records: list[TomographyRecord]) -> list[CorrectedRecord]:
@@ -316,7 +311,7 @@ def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
         result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                           options={"maxiter": 10_000, "maxfun": 40_000,
                                    "ftol": 1e-15, "gtol": _GTOL})
-        f, grad = objective(result.x)
+        f, grad = result.fun, result.jac  # the solver's own values at result.x
         theta, iterations = result.x, int(result.nit)
         converged = bool(result.success) or float(np.linalg.norm(grad)) < 1e-8
     rho_hat = require_valid(_rho_from_t(_t_from_params(theta)))

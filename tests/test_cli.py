@@ -293,19 +293,22 @@ class TestMainDispatch:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too large" in err
 
-    @pytest.mark.parametrize("row, message", [
-        # consecutive doubles: exit 0 with p0 1 and a rate of 4.6e-17
-        (lambda i: (1e16 + 2.0 * i, 0.9 * math.exp(-0.3 * i), 0.01), "too close together"),
+    @pytest.mark.parametrize("model, row, message", [
+        # consecutive doubles: exp exited 0 with p0 1 and a rate of 4.6e-17;
+        # pasy and p3 printed a RankWarning and exited 0 with converged true
+        *[(model, lambda i: (1e16 + 2.0 * i, 0.9 * math.exp(-0.3 * i), 0.01),
+           "too close together") for model in ("exp", "pasy", "p3")],
         # p0 = 1e450: exit 0 with Infinity and NaN after overflow warnings
-        (lambda i: (10.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
+        ("exp", lambda i: (10.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
         # p0 = 1e180 squared raised an OverflowError traceback
-        (lambda i: (1.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
-    ], ids=["unresolved-times", "p0", "p0-squared"])
-    def test_fit_exp_unfittable_record_errors(self, tmp_path, capfd, row, message):
+        ("exp", lambda i: (1.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
+    ], ids=["unresolved-times", "unresolved-times-pasy", "unresolved-times-p3", "p0",
+            "p0-squared"])
+    def test_fit_exp_unfittable_record_errors(self, tmp_path, capfd, model, row, message):
         csv_path = tmp_path / "exp.csv"
         csv_path.write_text("t_s,p,sigma\n" + "".join(
             ",".join(map(repr, row(i))) + "\n" for i in range(10)))
-        assert main(["fit", str(csv_path), "--model", "exp"]) == 1
+        assert main(["fit", str(csv_path), "--model", model]) == 1
         out, err = capfd.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from qbuffer import fitting
+from qbuffer import dynamics, fitting
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
 from qbuffer.fitting import (_P3_MODEL, DataSeries, FittingError, _jacobian,
@@ -225,6 +225,17 @@ class TestScan:
         assert 1 <= len(picked) <= 4
         assert len(calls) == len(picked)
 
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES[:2])
+    def test_each_component_evaluated_once_per_rate(self, monkeypatch, make_model, make_data):
+        # pa for c1 and, through psy, for c2; a kept start's nnls reads rows
+        # of those columns (each start evaluated both components again before)
+        model, data = make_model(), make_data()
+        rates = model.grid(data.t, data.p)[0]
+        calls, pa = [], dynamics.pa
+        monkeypatch.setattr(dynamics, "pa", lambda *args: calls.append(args) or pa(*args))
+        assert _scan(model, data.t, data.p, data.sigma)
+        assert len(calls) == 2 * len(rates)
+
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_jacobian_c_contiguous(self, make_model, make_data):
         model, data = make_model(), make_data()
@@ -290,12 +301,15 @@ class TestFitExponential:
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
         assert fit.params.rate == pytest.approx(0.3 / spacing, rel=1e-12)
 
-    def test_times_too_close_for_their_size_rejected(self):
-        # 1e16 + 2i are consecutive doubles: no scaling separates the columns
+    @pytest.mark.parametrize("fit", [fit_pasy, fit_p3, fit_exponential],
+                             ids=lambda fit: fit.__name__)
+    def test_times_too_close_for_their_size_rejected(self, fit):
+        # 1e16 + 2i are consecutive doubles: no scaling separates the columns;
+        # pasy and p3 warned in their envelope pre-fit and reported converged
         i = np.arange(8)
         data = DataSeries.from_points(1e16 + 2.0 * i, 0.9 * np.exp(-0.3 * i))
         with pytest.raises(FittingError, match="too close together"):
-            fit_exponential(data)
+            fit(data)
 
 
 class TestFitPasy:

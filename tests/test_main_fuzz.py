@@ -246,6 +246,8 @@ def table_of(row) -> str:
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 @example(config={"n_r": 1e300}, model="pasy",
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="pasy", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="p3", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 def test_fit(work, config, model, table):
     data = work / "fit.csv"
     data.write_text(table)

@@ -13,6 +13,8 @@ from qbuffer.measures import (classical_correlation, concurrence,
                               discord_concurrence_crossover,
                               solve_level_crossing, total_correlation)
 
+GRID = np.linspace(0.0, 1.0, 10_000)  # the grid solve_level_crossing searches on (0, 1)
+
 
 class TestClosedForms:
     def test_pure_bell_limit(self):
@@ -150,10 +152,16 @@ class TestLevelCrossing:
         t_star = solve_level_crossing(model, 1e-12, (0.0, 1.0))
         assert t_star == pytest.approx(2.0 / 3.0, abs=1e-6)
 
-    def test_exact_grid_hit(self):
-        model = lambda t: 1.0 - t
-        t_star = solve_level_crossing(model, 1.0, (0.0, 1.0))
-        assert t_star == 0.0
+    @pytest.mark.parametrize("model, level, want", [
+        (lambda t: 1.0 - t, 1.0, 0.0),
+        (lambda t: t, 1.0, 1.0),
+        (lambda t: t, GRID[4321], GRID[4321]),
+        # a crossing near 0.3 between grid points comes before the hit at GRID[7000]
+        (lambda t: np.where(t < 0.5, 0.3 - t, t - GRID[7000])[()], 0.0,
+         pytest.approx(0.3, abs=1e-12)),
+    ], ids=["first", "last", "interior", "change-before-hit"])
+    def test_exact_grid_hit(self, model, level, want):
+        assert solve_level_crossing(model, level, (0.0, 1.0)) == want
 
     def test_residual_tolerance_met(self):
         model = lambda t: np.exp(-3.0 * t)

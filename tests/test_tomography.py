@@ -74,6 +74,21 @@ def reference_mle(records):
     return result
 
 
+def reference_simulate_counts(rho, n_gates, accidental_rate, seed):
+    """The 48 scalar draws, three per setting, that one array draw replaced."""
+    acc_mean = n_gates * accidental_rate
+    rng = np.random.default_rng(seed)
+    records = []
+    for setting in SETTINGS:
+        mean = n_gates * PAIR_RATE * max(reference_born(projector(setting), rho), 0.0)
+        true_counts = rng.poisson(mean)
+        acc_in_window = rng.poisson(acc_mean)
+        acc_estimate = rng.poisson(acc_mean)
+        cc = min(int(true_counts + acc_in_window), n_gates)
+        records.append(TomographyRecord(setting, float(cc), float(acc_estimate), n_gates))
+    return records
+
+
 def seeded_records(p, xi, seed):
     return subtract_accidentals(simulate_counts(damp_werner(p, xi), GATES, 1e-6, seed))
 
@@ -157,6 +172,14 @@ class TestSimulateCounts:
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             simulate_counts(np.eye(4), GATES, 0.0, seed=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rho=st.one_of(DAMPED_WERNER, random_states()), gates=st.integers(1, 2**53),
+           acc_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           seed=st.integers(0, 2**64 - 1))
+    def test_equals_per_setting_draw_loop(self, rho, gates, acc_rate, seed):
+        assert simulate_counts(rho, gates, acc_rate, seed) == \
+            reference_simulate_counts(rho, gates, acc_rate, seed)
 
     def test_expected_counts_noise_free(self):
         records = expected_counts(make_werner(0.75), GATES, accidental_rate=1e-6)
@@ -304,6 +327,21 @@ class TestReconstructMle:
         assert (result.iterations, result.converged) == (0, True)
         with pytest.raises(Called):  # the known 195-iteration boundary record
             reconstruct_mle(seeded_records(0.99, 0.0, 12345))
+
+    def test_objective_not_reevaluated_after_the_solver(self, monkeypatch):
+        # one evaluation at the start, the solver's nfev, and one unpacking of
+        # its result into rho_hat: each evaluation unpacks T once
+        unpacked, seen, t_from_params = [], {}, tomography._t_from_params
+
+        def spy(fun, x0, **kwargs):
+            seen["result"] = scipy.optimize.minimize(fun, x0, **kwargs)
+            return seen["result"]
+
+        monkeypatch.setattr(tomography, "_t_from_params",
+                            lambda theta: unpacked.append(1) or t_from_params(theta))
+        monkeypatch.setattr(tomography, "minimize", spy)
+        reconstruct_mle(seeded_records(0.99, 0.0, 12345))
+        assert len(unpacked) == seen["result"].nfev + 2
 
     def test_gradient_matches_central_differences(self, monkeypatch):
         # a swapped (re, im) pair would still converge, so check the gradient
