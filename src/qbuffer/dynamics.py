@@ -199,7 +199,7 @@ def pa(t, delta_omega: float, d_p: float, mu: float, sign: int,
     """Counter-rotating component exp(-2 mu L) [cos(dphi) + sign sin(dphi)]^2,
     dphi = delta_omega d_p sqrt(L) (unweighted)."""
     length = length_from_time(t, units)
-    phi = delta_omega * d_p * np.sqrt(length)
+    phi = pmd_phase(delta_omega, d_p, length)
     out = np.exp(-2.0 * mu * np.asarray(length)) * _bracket(phi, sign)**2
     return float(out) if np.ndim(out) == 0 else out
 

@@ -9,12 +9,12 @@ scales and the scan grid.  The free parameters are rescaled to lab units
 D_p ~ 1e-17 s/sqrt(m) would otherwise wreck the solver's unit-scaled trust
 region and its step tolerances.  Every free parameter is bounded to [0, inf).
 
-Initialization (when no explicit guess is given) is a deterministic scan:
-a crude exponential pre-fit pins the envelope rate, a coarse grid over the
-two phase parameters with the component weights solved by closed-form
-two-column NNLS at each grid point (one Gram pass per rate) ranks candidate
-basins, the ``nnls`` solver finds the weights of the few kept candidates, and
-each is polished by a trust-region least-squares pass, keeping the best.
+Every pasy and p3 fit starts from a deterministic scan: a crude exponential
+pre-fit pins the envelope rate, a coarse grid over the two phase parameters
+with the component weights solved by closed-form two-column NNLS at each grid
+point (one Gram pass per rate) ranks candidate basins, the ``nnls`` solver
+finds the weights of the few kept candidates, and each is polished by a
+trust-region least-squares pass, keeping the best.
 One complex-step Jacobian, from a single model call, serves both the polish
 and the covariance at the solution.
 """
@@ -147,8 +147,8 @@ def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoCompon
         slope = _envelope_prefit(t, p)
         mu0 = max(-slope * units.n_r / (2.0 * units.c) / PER_KM, 1e-9)
         # widest phase observable on this record sets the dp2 grid ceiling
-        root = math.sqrt(dynamics.length_from_time(t[-1], units))
-        dp_hi = math.pi / max(delta_omega * PS_PER_SQRT_KM * root, 1e-30)
+        length = dynamics.length_from_time(t[-1], units)
+        dp_hi = math.pi / max(dynamics.pmd_phase(delta_omega, PS_PER_SQRT_KM, length), 1e-30)
         return ((0.75 * mu0, mu0, 1.25 * mu0),
                 np.linspace(dp_hi / 120.0, 1.2 * dp_hi, 90),
                 np.concatenate([[0.0], np.geomspace(dp_hi / 400.0, 1.2 * dp_hi, 26)]))
@@ -237,6 +237,7 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     theta1), and kept only if their theta2 differs by more than a relative
     5 % from every point already kept.  The weights of a kept point are
     recomputed by the ``nnls`` solver from that point's rows of the scan's columns.
+    Raises when no grid point fits better than P = 0.
     """
     rates, theta2s, theta1s = model.grid(t, p)
     s = model.scales
@@ -254,6 +255,9 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
         columns.append((c1, c2))
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
+    if not sse.ravel()[ranked[0]] < y @ y:  # every start would have both weights at 0
+        raise FittingError(f"no point of the {model.name} scan grid fits times {t[0]:.17g} "
+                           f"to {t[-1]:.17g} s better than P = 0")
     picked: list[np.ndarray] = []
     for i_rate, i2, i1 in zip(*np.unravel_index(ranked, sse.shape)):
         rate, theta2, theta1 = rates[i_rate], theta2s[i2], theta1s[i1]
@@ -278,7 +282,7 @@ def _polish(model, t, p, sigma, x0):
     # numpy's warnings are off: the solver shrinks its step past a non-finite
     # residual, and a non-finite derivative raises above
     with np.errstate(all="ignore"):
-        return least_squares(lambda x: (model(t, x) - p) / sigma, np.maximum(x0, 0.0),
+        return least_squares(lambda x: (model(t, x) - p) / sigma, x0,
                              jac=jac, bounds=(0.0, np.inf), method="trf",
                              xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
 
@@ -294,19 +298,16 @@ def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
     return tuple(float(v) for v in np.maximum(np.diag(cov), 0.0) * scales ** 2)
 
 
-def _fit(model: _TwoComponent, data: DataSeries, init,
+def _fit(model: _TwoComponent, data: DataSeries,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
-    """Scan (or start from ``init``), polish each candidate once and keep the
-    least cost; ``make_params`` builds the parameters from their SI values."""
+    """Scan, polish each start once and keep the least cost; ``make_params``
+    builds the parameters from their SI values."""
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma
     sigmas_known = bool(np.any(sigma != 1.0))
-    if init is not None:
-        candidates = [np.array([getattr(init, name) for name in model.free]) / model.scales]
-    else:
-        candidates = _scan(model, t, p, sigma)
-    best = min((_polish(model, t, p, sigma, x0) for x0 in candidates), key=lambda r: r.cost)
+    best = min((_polish(model, t, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
+               key=lambda r: r.cost)
     cov = _covariance_diag(best.jac, best.cost, len(model.free), model.scales,
                            sigmas_known)
     at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
@@ -315,34 +316,24 @@ def _fit(model: _TwoComponent, data: DataSeries, init,
                      int(best.nfev), at_bounds)
 
 
-def fit_pasy(data: DataSeries, init: Optional[PmdModelParams] = None,
-             units: UnitContext = UnitContext(), delta_omega: Optional[float] = None,
-             sign: Optional[int] = None) -> FitResult:
+def fit_pasy(data: DataSeries, units: UnitContext = UnitContext(),
+             delta_omega: float = 2.0 * math.pi * 200e9, sign: int = +1) -> FitResult:
     """Fit the sqrt(L)-phase model; free parameters (d_p1, d_p2, mu, a1, a2).
 
     The detuning ``delta_omega`` (rad/s) and the ``sign`` branch are held
-    fixed; each not given is taken from ``init``, else defaults to
-    2 pi x 200 GHz and +.  Every free parameter is bounded to [0, inf).
+    fixed.  Every free parameter is bounded to [0, inf).
     """
-    if delta_omega is None:
-        delta_omega = init.delta_omega if init is not None else 2.0 * math.pi * 200e9
-    if sign is None:
-        sign = init.sign if init is not None else +1
-    return _fit(_pasy_model(delta_omega, sign, units), data, init,
+    return _fit(_pasy_model(delta_omega, sign, units), data,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
-def fit_p3(data: DataSeries, init: Optional[CavityModelParams] = None,
-           lambda_width: Optional[float] = None) -> FitResult:
+def fit_p3(data: DataSeries, lambda_width: float = 1e6) -> FitResult:
     """Fit the linear-phase model; free parameters (kappa1, kappa2, gamma0, w1, w2).
 
     The reservoir width ``lambda_width`` (1/s) does not enter the curve and
-    is carried through unchanged; when not given it is taken from ``init``,
-    else defaults to 1e6.  Every free parameter is bounded to [0, inf).
+    is carried through unchanged.  Every free parameter is bounded to [0, inf).
     """
-    if lambda_width is None:
-        lambda_width = init.lambda_width if init is not None else 1e6
-    return _fit(_P3_MODEL, data, init,
+    return _fit(_P3_MODEL, data,
                 lambda si: CavityModelParams(*si, lambda_width=lambda_width))
 
 

@@ -302,8 +302,13 @@ class TestMainDispatch:
         ("exp", lambda i: (10.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
         # p0 = 1e180 squared raised an OverflowError traceback
         ("exp", lambda i: (1.0 + i, 10.0 ** (150 - 30 * i), 1.0), "overflows"),
+        # both components vanish this far from t = 0: exit 0 with converged
+        # true, the weights at the scan's floor and the residual of P = 0
+        *[(model, lambda i: (1e12 + 2.0 * i, 0.9 * 0.6 ** i, 0.01),
+           f"the {model} scan grid fits times 1000000000000 to 1000000000018 s")
+          for model in ("pasy", "p3")],
     ], ids=["unresolved-times", "unresolved-times-pasy", "unresolved-times-p3", "p0",
-            "p0-squared"])
+            "p0-squared", "far-from-zero-pasy", "far-from-zero-p3"])
     def test_fit_exp_unfittable_record_errors(self, tmp_path, capfd, model, row, message):
         csv_path = tmp_path / "exp.csv"
         csv_path.write_text("t_s,p,sigma\n" + "".join(

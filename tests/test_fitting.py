@@ -236,6 +236,18 @@ class TestScan:
         assert _scan(model, data.t, data.p, data.sigma)
         assert len(calls) == 2 * len(rates)
 
+    @pytest.mark.parametrize("start", [1e6, 1e9, 1e12, 1e15])
+    @pytest.mark.parametrize("fit", [fit_pasy, fit_p3], ids=lambda fit: fit.__name__)
+    def test_no_start_beats_zero_rejected(self, fit, start):
+        # both components vanish this far from t = 0: every start had both
+        # weights at the scan's 1e-6 floor, and the fit reported converged
+        # after one evaluation with the residual of P = 0
+        i = np.arange(10)
+        data = DataSeries(start + 2.0 * i, 0.9 * 0.6 ** i, np.full(10, 0.01))
+        with pytest.raises(FittingError, match=f"{fit.__name__[4:]} scan grid fits times "
+                                               f"{start:.17g} to {start + 18:.17g} s"):
+            fit(data)
+
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_jacobian_c_contiguous(self, make_model, make_data):
         model, data = make_model(), make_data()
@@ -362,19 +374,16 @@ class TestFitPasy:
                   *fit.covariance_diag]
         assert np.all(np.isfinite(values))
 
-    def test_explicit_init_honored(self):
-        fit = fit_pasy(pasy_series(), init=TRUTH_PMD)
-        assert np.all(pmd_rel_errors(fit.params) < 1e-6)
-
     def test_monotone_descent_from_init(self):
-        # the accepted solution never scores worse than its starting point
-        from dataclasses import replace
+        # the polished solution never scores worse than its starting point
         data = pasy_series(noise=0.02, seed=21)
         init = replace(TRUTH_PMD, d_p2=TRUTH_PMD.d_p2 * 1.3, a1=0.4, a2=0.6)
         init_resid = np.linalg.norm(
             (prob_pasy(data.t, init, UNITS) - data.p) / data.sigma)
-        fit = fit_pasy(data, init=init)
-        assert fit.residual_norm <= init_resid + 1e-12
+        model = _pasy_model(init.delta_omega, init.sign, UNITS)
+        x0 = np.array([getattr(init, name) for name in model.free]) / model.scales
+        result = fitting._polish(model, data.t, data.p, data.sigma, x0)
+        assert math.sqrt(2.0 * result.cost) <= init_resid + 1e-12
 
 
 class TestFitP3:
@@ -391,11 +400,12 @@ class TestFitP3:
         assert classify_regime(total_kappa, fit.params.gamma0).regime == "NonMarkovian"
 
     def test_swapped_init_lands_on_sorted_labels(self):
-        swapped = CavityModelParams(kappa1=3528.0, kappa2=753.0, gamma0=16292.0,
-                                    w1=0.5, w2=0.5)
-        fit = fit_p3(p3_series(), init=swapped)
-        assert fit.params.kappa1 <= fit.params.kappa2
-        assert np.all(cavity_rel_errors(fit.params) < 0.01)
+        data = p3_series()
+        swapped = np.array([3.528, 0.753, 16.292, 0.5, 0.5])  # lab units, 1/ms
+        result = fitting._polish(_P3_MODEL, data.t, data.p, data.sigma, swapped)
+        params = CavityModelParams(*(result.x * _P3_MODEL.scales))
+        assert params.kappa1 <= params.kappa2
+        assert np.all(cavity_rel_errors(params) < 0.01)
 
     def test_noisy_recovery(self):
         errs = []
@@ -445,22 +455,29 @@ class TestFitP3:
         fit = fit_p3(p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0)))
         assert min(fit.covariance_diag) >= 0.0
 
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_one_polish_per_scan_start(self, monkeypatch, seed):
-        # these records' best polish has kappa1 > kappa2, which used to buy
+    @pytest.mark.parametrize("fit, make_model, make_data", [
+        # these p3 records' best polish has kappa1 > kappa2, which used to buy
         # a second, label-swapped polish that never won
-        data = p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0))
+        *[pytest.param(fit_p3, lambda: _P3_MODEL,
+                       lambda seed=seed: p3_series(noise=0.02, seed=seed,
+                                                   params=replace(TRUTH_CAVITY, w1=0.0)),
+                       id=str(seed)) for seed in (0, 3)],
+        pytest.param(fit_pasy, lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
+                     lambda: pasy_series(noise=0.02, seed=21), id="pasy"),
+    ])
+    def test_one_polish_per_scan_start(self, monkeypatch, fit, make_model, make_data):
+        # the fit polishes exactly the starts the scan returns, in their order
+        model, data = make_model(), make_data()
         calls = []
         polish = fitting._polish
         monkeypatch.setattr(fitting, "_polish",
                             lambda *args: calls.append(args) or polish(*args))
-        fit_p3(data)
-        assert len(calls) == len(_scan(_P3_MODEL, data.t, data.p, data.sigma))
+        fit(data)
+        starts = _scan(model, data.t, data.p, data.sigma)
+        assert [args[4].tobytes() for args in calls] == [x.tobytes() for x in starts]
 
     def test_lambda_width_carried(self):
         assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5
-        init = replace(TRUTH_CAVITY, lambda_width=2e5)
-        assert fit_p3(p3_series(), init=init).params.lambda_width == 2e5
         assert fit_p3(p3_series()).params.lambda_width == 1e6
 
 

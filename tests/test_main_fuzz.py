@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbuffer.cli import DEFAULT_CONFIG, SWEEP_CSV_HEADER, main
-from qbuffer.fitting import SERIES_CSV_HEADER
+from qbuffer.fitting import SERIES_CSV_HEADER, series_from_csv
 from qbuffer.tomography import RECORDS_CSV_HEADER
 
 BIG = 10 ** 400
@@ -248,6 +248,8 @@ def table_of(row) -> str:
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="pasy", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="p3", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="pasy", table=table_of(lambda i: (1e12 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="p3", table=table_of(lambda i: (1e12 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 def test_fit(work, config, model, table):
     data = work / "fit.csv"
     data.write_text(table)
@@ -258,3 +260,6 @@ def test_fit(work, config, model, table):
         assert report["model"] == model
         assert 0.0 <= report["residual_norm"] < math.inf
         assert all(v >= 0.0 for v in report["covariance_diag"])
+        if model != "exp":  # a pasy or p3 fit beats P = 0
+            series = series_from_csv(table)
+            assert report["residual_norm"] < math.hypot(*(series.p / series.sigma))
