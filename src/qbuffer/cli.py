@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         overrides = {}
-        if getattr(args, "seed", None) is not None:
+        if args.seed is not None:
             overrides["seed"] = args.seed
         config = load_config(args.config, overrides)
         if args.command == "sweep":
@@ -352,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
             text = _json_text(report) if args.format == "json" else _dict_csv(report)
             _emit(text, args.out)
         return 0
-    except (ValueError, RuntimeError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

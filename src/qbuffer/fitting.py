@@ -146,9 +146,10 @@ def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoCompon
     def grid(t, p):
         slope = _envelope_prefit(t, p)
         mu0 = max(-slope * units.n_r / (2.0 * units.c) / PER_KM, 1e-9)
-        # widest phase observable on this record sets the dp2 grid ceiling
+        # widest phase observable on this record sets the dp2 grid ceiling; pa and
+        # psy change only their sign branch with the sign of delta_omega
         length = dynamics.length_from_time(t[-1], units)
-        dp_hi = math.pi / max(dynamics.pmd_phase(delta_omega, PS_PER_SQRT_KM, length), 1e-30)
+        dp_hi = np.divide(math.pi, dynamics.pmd_phase(abs(delta_omega), PS_PER_SQRT_KM, length))
         return ((0.75 * mu0, mu0, 1.25 * mu0),
                 np.linspace(dp_hi / 120.0, 1.2 * dp_hi, 90),
                 np.concatenate([[0.0], np.geomspace(dp_hi / 400.0, 1.2 * dp_hi, 26)]))
@@ -162,7 +163,7 @@ def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoCompon
 def _p3_grid(t, p):
     slope = _envelope_prefit(t, p, 1e3)
     g0_0 = max(-2.0 * slope, 1e-3)
-    k_hi = 0.5 * math.pi / max(float(np.median(np.diff(t * 1e3))), 1e-12)
+    k_hi = 0.5 * math.pi / np.median(np.diff(t * 1e3))
     return ((0.7 * g0_0, g0_0, 1.3 * g0_0),
             np.linspace(k_hi / 150.0, k_hi, 90),
             np.concatenate([[0.0], np.geomspace(k_hi / 400.0, k_hi, 26)]))
@@ -239,20 +240,19 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     recomputed by the ``nnls`` solver from that point's rows of the scan's columns.
     Raises when no grid point fits better than P = 0.
     """
-    rates, theta2s, theta1s = model.grid(t, p)
     s = model.scales
     y = p / sigma
+    with np.errstate(all="ignore"):  # a value that overflowed is reported below
+        rates, theta2s, theta1s = model.grid(t, p)
+        columns = [(model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma,
+                    model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma)
+                   for rate in rates]  # the sigma-weighted (c1, c2) of each rate
     sse = np.empty((len(rates), len(theta2s), len(theta1s)))
-    columns = []  # the sigma-weighted (c1, c2) of each rate
-    for k, rate in enumerate(rates):
-        with np.errstate(all="ignore"):  # a value that overflowed is reported below
-            c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
-            c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
+    for k, (c1, c2) in enumerate(columns):
         if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
             raise FittingError(f"the {model.name} model is not finite on this record's "
-                               f"scan grid; check the fixed model parameters")
+                               f"scan grid; check its times and the fixed model parameters")
         sse[k] = _nnls2(c1, c2, y)[2].T
-        columns.append((c1, c2))
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
     if not sse.ravel()[ranked[0]] < y @ y:  # every start would have both weights at 0
@@ -261,7 +261,7 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     picked: list[np.ndarray] = []
     for i_rate, i2, i1 in zip(*np.unravel_index(ranked, sse.shape)):
         rate, theta2, theta1 = rates[i_rate], theta2s[i2], theta1s[i1]
-        if all(abs(theta2 - other[1]) > 0.05 * max(other[1], 1e-9) for other in picked):
+        if all(abs(theta2 - other[1]) > 0.05 * other[1] for other in picked):
             c1, c2 = columns[i_rate]
             weights, _ = nnls(np.column_stack([c1[i1], c2[i2]]), y)
             picked.append(np.array([theta1, theta2, rate,
@@ -287,13 +287,14 @@ def _polish(model, t, p, sigma, x0):
                              xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
 
 
-def _covariance_diag(jac: np.ndarray, cost: float, n_free: int,
-                     scales: np.ndarray, sigmas_known: bool) -> tuple[float, ...]:
+def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
+                     sigma: np.ndarray) -> tuple[float, ...]:
     """Diagonal of pinv(J^T J) in SI units, J the sigma-weighted Jacobian,
-    clamped at 0: a near-singular J^T J leaves rounding-level negatives."""
-    n_points = jac.shape[0]
+    clamped at 0: a near-singular J^T J leaves rounding-level negatives.
+    Sigmas all 1.0 are unknown, so the residual variance scales the result."""
+    n_points, n_free = jac.shape
     cov = np.linalg.pinv(jac.T @ jac)
-    if not sigmas_known and n_points > n_free:
+    if np.all(sigma == 1.0) and n_points > n_free:
         cov = cov * (2.0 * cost / (n_points - n_free))
     return tuple(float(v) for v in np.maximum(np.diag(cov), 0.0) * scales ** 2)
 
@@ -305,11 +306,9 @@ def _fit(model: _TwoComponent, data: DataSeries,
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma
-    sigmas_known = bool(np.any(sigma != 1.0))
     best = min((_polish(model, t, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
                key=lambda r: r.cost)
-    cov = _covariance_diag(best.jac, best.cost, len(model.free), model.scales,
-                           sigmas_known)
+    cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
     at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
     return FitResult(model.name, make_params(best.x * model.scales),
                      float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
@@ -360,8 +359,8 @@ def fit_exponential(data: DataSeries) -> FitResult:
     with np.errstate(all="ignore"):  # an overflow raises below
         p0 = float(np.exp(coef[0]))
         norm = float(np.linalg.norm((p0 * np.exp(-rate * data.t) - data.p) / data.sigma))
-        cov = _covariance_diag(lhs, 0.5 * float(log_resid @ log_resid), 2,
-                               np.array([p0, 1.0 / t_scale]), sigmas_known)
+        cov = _covariance_diag(lhs, 0.5 * float(log_resid @ log_resid),
+                               np.array([p0, 1.0 / t_scale]), data.sigma)
     if not np.all(np.isfinite([p0, norm, *cov])):
         raise FittingError("the exponential fit overflows on this record")
     return FitResult("exp", ExponentialParams(p0, rate), norm, cov, True, 1)

@@ -99,7 +99,6 @@ class CorrectedRecord:
 
     setting: MeasurementSetting
     count: float
-    gates: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.count < math.inf:
@@ -149,8 +148,8 @@ def expected_counts(rho: np.ndarray, n_gates: int,
 
 def subtract_accidentals(records: list[TomographyRecord]) -> list[CorrectedRecord]:
     """Subtract each record's accidental estimate, clamping at zero."""
-    return [CorrectedRecord(r.setting, max(0.0, r.coincidences - r.accidentals),
-                            r.gates) for r in records]
+    return [CorrectedRecord(r.setting, max(0.0, r.coincidences - r.accidentals))
+            for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +200,6 @@ def linear_inversion(records: list[CorrectedRecord]) -> np.ndarray:
         raise TomographyError("linear inversion needs each of the 16 settings exactly once")
     coeffs = np.linalg.solve(design_matrix(settings), freqs)
     rho = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
-    # x over the Hermitian basis gives an exactly Hermitian matrix up to
-    # floating error; tidy it and renormalize the trace
-    rho = 0.5 * (rho + rho.conj().T)
     return rho / np.real(rho.trace())
 
 

@@ -31,7 +31,7 @@ from qbuffer.channels import PmdPhases, amplitude_damping_kraus, damp_werner
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               cavity_p, classify_regime, length_from_time,
                               markovian_exponential, prob_asym, prob_pasy,
-                              prob_pf, asym_series_residual)
+                              asym_series_residual)
 from qbuffer.fitting import DataSeries, fit_p3, fit_pasy
 from qbuffer.measures import (concurrence, discord, discord_concurrence_crossover,
                               solve_level_crossing, total_correlation,
@@ -304,9 +304,12 @@ def test_criterion_10_algebraic_equivalences():
     for _ in range(1000):
         dh, dv = rng.uniform(-np.pi, np.pi, 2)
         mu, length = rng.uniform(0, 1e-5), rng.uniform(0, 2e5)
-        lhs = prob_asym(PmdPhases(dh, dv), mu, length, +1)
-        rhs = 4.0 * prob_pf(PmdPhases(dh, dv), mu, length)
-        worst_eq = max(worst_eq, abs(lhs - rhs))
+        # prob_asym evaluates the squared bracket; the seven terms written out
+        ch, sh, cv, sv = np.cos(dh), np.sin(dh), np.cos(dv), np.sin(dv)
+        seven = np.exp(-2.0 * mu * length) * (
+            2.0 + 2.0 * cv * ch - 2.0 * sh * sv
+            + 2.0 * ch * sh - 2.0 * ch * sv - 2.0 * cv * sv + 2.0 * cv * sh)
+        worst_eq = max(worst_eq, abs(prob_asym(PmdPhases(dh, dv), mu, length, +1) - seven))
 
     b_h, b_v = 0.22, 0.13
     lengths = 1.0 * 0.5 ** np.arange(0, 8)

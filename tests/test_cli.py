@@ -385,11 +385,14 @@ class TestMainDispatch:
          "model 'pasy' is not finite at t = 0 s: nan"),
         ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
          "model 'exp' is not finite at t = 0 s: nan"),
-        # fits printed numpy warnings, then scipy's "array must not contain infs or NaNs"
-        ({"delta_omega_rad_s": -1e300}, ["fit", "decay.csv", "--model", "pasy"],
-         "the pasy model is not finite on this record's scan grid"),
-        ({"delta_omega_rad_s": 1e300}, ["fit", "decay.csv", "--model", "pasy"],
-         "the pasy model's derivative is not finite"),
+        # fits printed numpy warnings, then scipy's "array must not contain infs or NaNs";
+        # the scan grid takes |delta_omega|, so both signs fail at the polish
+        *[({"delta_omega_rad_s": value}, ["fit", "decay.csv", "--model", "pasy"],
+           "the pasy model's derivative is not finite") for value in (-1e300, 1e300)],
+        # no phase to resolve: a 1e-30 rad floor on the grid ceiling made these
+        # exit 0 with converged true and a d_p2 of 2.2e15 s/sqrt(m)
+        *[({"delta_omega_rad_s": value}, ["fit", "decay.csv", "--model", "pasy"],
+           "the pasy model is not finite on this record's scan grid") for value in (0, 1e-300)],
     ])
     def test_bad_model_config_errors(self, tmp_path, capsys, monkeypatch,
                                      values, command, message):

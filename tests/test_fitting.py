@@ -374,6 +374,15 @@ class TestFitPasy:
                   *fit.covariance_diag]
         assert np.all(np.isfinite(values))
 
+    def test_negative_detuning_round_trip(self):
+        # pa(-dw, sign) = pa(dw, -sign) and psy is even in the phase; a grid
+        # ceiling from the signed detuning hit its 1e-30 rad floor here and
+        # reported converged with d_p2 at 5e31 times the truth
+        params = replace(TRUTH_PMD, delta_omega=-TRUTH_PMD.delta_omega)
+        fit = fit_pasy(pasy_series(n=300, params=params), delta_omega=params.delta_omega)
+        assert fit.converged
+        assert np.all(pmd_rel_errors(fit.params) < 1e-8)
+
     def test_monotone_descent_from_init(self):
         # the polished solution never scores worse than its starting point
         data = pasy_series(noise=0.02, seed=21)
@@ -392,6 +401,21 @@ class TestFitP3:
         assert fit.converged
         assert np.all(cavity_rel_errors(fit.params) < 0.01)
         assert fit.residual_norm < 1e-8
+
+    @pytest.mark.parametrize("k", [-20, -18, -16, -15, -14, -12, 0, 4])
+    def test_recovery_at_any_time_scale(self, k):
+        # times x 10^k, rates x 10^-k: a 1e-12 ms floor on the median step
+        # capped the kappa grid from k = -15 down and left kappa1 on its bound
+        scale = 10.0 ** k
+        truth = replace(TRUTH_CAVITY, kappa1=TRUTH_CAVITY.kappa1 / scale,
+                        kappa2=TRUTH_CAVITY.kappa2 / scale,
+                        gamma0=TRUTH_CAVITY.gamma0 / scale)
+        t = np.linspace(0.0, 1.5e-3, 50) * scale
+        fit = fit_p3(DataSeries.from_points(t, p3(t, truth)))
+        assert fit.converged and fit.at_bounds == ()
+        errors = [getattr(fit.params, name) / getattr(truth, name) - 1.0
+                  for name in fitting.P3_FREE_PARAMS]
+        assert np.all(np.abs(errors) < 1e-5)
 
     def test_recovered_rates_are_non_markovian(self):
         from qbuffer.dynamics import classify_regime

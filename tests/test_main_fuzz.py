@@ -244,12 +244,19 @@ def table_of(row) -> str:
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 @example(config={"delta_omega_rad_s": -1e300}, model="pasy",
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
+@example(config={"delta_omega_rad_s": 0}, model="pasy",
+         table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
+@example(config={"delta_omega_rad_s": 1e-300}, model="pasy",
+         table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 @example(config={"n_r": 1e300}, model="pasy",
          table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="pasy", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="p3", table=table_of(lambda i: (1e16 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="pasy", table=table_of(lambda i: (1e12 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
 @example(config={}, model="p3", table=table_of(lambda i: (1e12 + 2.0 * i, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="p3",
+         table=table_of(lambda i: (i * 5e-324 if i < 6 else (i - 5) * 1e-150,
+                                   0.9 - 0.05 * i, 0.01)))
 def test_fit(work, config, model, table):
     data = work / "fit.csv"
     data.write_text(table)

@@ -38,7 +38,7 @@ def adversarial_records():
     counts[MeasurementSetting("V", "V")] = 1000.0
     counts[MeasurementSetting("D", "D")] = 1500.0
     counts[MeasurementSetting("R", "R")] = 1500.0
-    return [CorrectedRecord(s, counts[s], GATES) for s in SETTINGS]
+    return [CorrectedRecord(s, counts[s]) for s in SETTINGS]
 
 
 @st.composite
@@ -229,13 +229,13 @@ class TestLinearInversion:
         assert np.abs(rho - bell).max() < 1e-10
 
     def test_uniform_counts_give_maximally_mixed(self):
-        corrected = [CorrectedRecord(s, 1000.0, GATES) for s in SETTINGS]
+        corrected = [CorrectedRecord(s, 1000.0) for s in SETTINGS]
         rho = linear_inversion(corrected)
         assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
 
     def test_duplicate_setting_rejected(self):
         # 17 records: a complete set plus one repeat, so the system is not square
-        corrected = [CorrectedRecord(s, 100.0, GATES) for s in SETTINGS + SETTINGS[3:4]]
+        corrected = [CorrectedRecord(s, 100.0) for s in SETTINGS + SETTINGS[3:4]]
         with pytest.raises(TomographyError, match="exactly once"):
             linear_inversion(corrected)
         # the MLE falls back to the maximally mixed start instead
@@ -243,16 +243,29 @@ class TestLinearInversion:
 
     def test_degenerate_settings_rejected(self):
         rect = [s for s in SETTINGS if s.signal in "HV" and s.idler in "HV"]
-        corrected = [CorrectedRecord(s, 100.0, GATES) for s in rect * 4]
+        corrected = [CorrectedRecord(s, 100.0) for s in rect * 4]
         with pytest.raises(TomographyError):
             linear_inversion(corrected)
 
     def test_missing_rectilinear_quartet_rejected(self):
         # the H/V quartet provides the pair-number normalization
-        partial = [CorrectedRecord(s, 100.0, GATES) for s in SETTINGS
+        partial = [CorrectedRecord(s, 100.0) for s in SETTINGS
                    if s != MeasurementSetting("H", "H")]
         with pytest.raises(TomographyError, match="rectilinear"):
             linear_inversion(partial)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.one_of(
+        st.builds(lambda rho, seed: subtract_accidentals(simulate_counts(rho, GATES, 1e-6, seed)),
+                  random_states(), st.integers(0, 2**32 - 1)),
+        st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(lambda counts: [
+            CorrectedRecord(s, max(c, 1.0) if s.signal in "HV" and s.idler in "HV" else c)
+            for s, c in zip(SETTINGS, counts)])))
+    def test_exactly_hermitian(self, records):
+        # real coefficients times the exactly Hermitian basis sum to an exactly
+        # Hermitian matrix, with no symmetrizing step
+        rho = linear_inversion(records)
+        assert np.array_equal(rho, rho.conj().T)
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
@@ -294,7 +307,7 @@ class TestReconstructMle:
         assert good >= 18
 
     def test_all_zero_counts_rejected(self):
-        corrected = [CorrectedRecord(s, 0.0, GATES) for s in SETTINGS]
+        corrected = [CorrectedRecord(s, 0.0) for s in SETTINGS]
         with pytest.raises(TomographyError):
             reconstruct_mle(corrected)
 
@@ -478,4 +491,4 @@ class TestRecordValidation:
         # a NaN count used to give an all-NaN linear inversion and an
         # eigenvalue failure inside the MLE
         with pytest.raises(ValueError, match="^count must be finite and nonnegative"):
-            CorrectedRecord(MeasurementSetting("H", "H"), count, 10)
+            CorrectedRecord(MeasurementSetting("H", "H"), count)
