@@ -276,21 +276,21 @@ def cavity_p(t, kappa: float, gamma0: float):
     p(t) = exp(-gamma0 t / 2) [cos(delta t / 4) + (gamma0/delta) sin(delta t / 4)]^2
     with delta = sqrt(16 kappa^2 - gamma0^2).  For 4 kappa < gamma0 the root
     is imaginary and the harmonics turn hyperbolic; at 4 kappa = gamma0 the
-    analytic limit [1 + gamma0 t / 4]^2 applies.  All three branches are the
-    same analytic function, so the value is continuous in the parameters.
+    sinc form gives [1 + gamma0 t / 4]^2.  Both branches are one analytic
+    function, so the value is continuous in the parameters.
     """
     _check_rates(kappa, gamma0)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     disc = 16.0 * kappa**2 - gamma0**2
-    if disc > 0.0:
+    if disc >= 0.0:
         delta = math.sqrt(disc)
         x = delta * t / 4.0
         # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as disc -> 0
         bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
         out = np.exp(-gamma0 * t / 2.0) * bracket**2
-    elif disc < 0.0:
+    else:
         delta = math.sqrt(-disc)
         x = delta * t / 4.0
         big = x > 30.0
@@ -300,8 +300,6 @@ def cavity_p(t, kappa: float, gamma0: float):
         log_out_big = (-gamma0 * t / 2.0 + 2.0 * x
                        + 2.0 * np.log((1.0 + gamma0 / delta) / 2.0))
         out = np.where(big, np.exp(log_out_big), out_small)
-    else:
-        out = np.exp(-gamma0 * t / 2.0) * (1.0 + gamma0 * t / 4.0)**2
     return float(out) if out.ndim == 0 else out
 
 

@@ -3,20 +3,20 @@
 Both decay models have the separable form P = w1 c1(theta1, rate) +
 w2 c2(theta2, rate), linear in the weights, with the component functions
 taken from ``dynamics`` (pa/psy for pasy, p1/p2 for p3).  One code path fits
-either: a small model spec holds the component functions, the lab-unit
-scales and the scan grid.  The free parameters are rescaled to lab units
-(ps/sqrt(km), 1/km, 1/ms) so every one is O(1); SI magnitudes like
-D_p ~ 1e-17 s/sqrt(m) would otherwise wreck the solver's unit-scaled trust
-region and its step tolerances.  Every free parameter is bounded to [0, inf).
+either, in the record's own units: each rate per record duration (mu per fiber
+length at the last time), each phase parameter per radian at the last time.
+Every free parameter is then O(1) at any time scale, where SI magnitudes like
+D_p ~ 1e-17 s/sqrt(m) would wreck the solver's unit-scaled trust region and its
+step tolerances.  Every free parameter is bounded to [0, inf), and every
+threshold of the scan and the polish is relative.
 
 Every pasy and p3 fit starts from a deterministic scan: a crude exponential
-pre-fit pins the envelope rate, a coarse grid over the two phase parameters
-with the component weights solved by closed-form two-column NNLS at each grid
-point (one Gram pass per rate) ranks candidate basins, the ``nnls`` solver
-finds the weights of the few kept candidates, and each is polished by a
-trust-region least-squares pass, keeping the best.
-One complex-step Jacobian, from a single model call, serves both the polish
-and the covariance at the solution.
+pre-fit pins the envelope rate, one coarse grid for both models over the two
+phase parameters, with the weights solved by closed-form two-column NNLS at each
+point (one Gram pass per rate), ranks candidate basins; the ``nnls`` solver
+finds the weights of the few kept ones, each is polished by a trust-region
+least-squares pass, and the best kept.  One complex-step Jacobian, from a
+single model call, serves both the polish and the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 
 from . import dynamics
 from ._optimize import least_squares, nnls
-from .dynamics import (PER_KM, PER_MS, PS_PER_SQRT_KM, CavityModelParams,
-                       PmdModelParams, UnitContext)
+from .dynamics import CavityModelParams, PmdModelParams, UnitContext
 
 
 class FittingError(RuntimeError):
@@ -118,15 +117,16 @@ class FitResult:
 
 PASY_FREE_PARAMS = ("d_p1", "d_p2", "mu", "a1", "a2")
 P3_FREE_PARAMS = ("kappa1", "kappa2", "gamma0", "w1", "w2")
+_STEP = 1e-20  # the complex step of ``_jacobian``, in record units
 
 
 class _TwoComponent(NamedTuple):
-    """P = w1 c1(theta1, rate) + w2 c2(theta2, rate) over lab-unit parameters.
+    """P = w1 c1(theta1, rate) + w2 c2(theta2, rate) in the record's units.
 
     x = (theta1, theta2, rate, w1, w2) are the free parameters, named by
     ``free`` and multiplied by ``scales`` to give SI; ``c1``/``c2`` take
-    (t, theta, rate) in SI; ``grid(t, p)`` returns the scan's rates, theta2
-    values and theta1 values in lab units.
+    (t, theta, rate) in SI.  ``envelope`` maps the slope of ln P per record
+    duration to the rate, and ``ceiling`` is the top of both theta grids.
     """
 
     name: str
@@ -134,7 +134,8 @@ class _TwoComponent(NamedTuple):
     scales: np.ndarray
     c1: Callable
     c2: Callable
-    grid: Callable
+    envelope: float
+    ceiling: float
 
     def __call__(self, t, x):
         s = self.scales
@@ -142,35 +143,25 @@ class _TwoComponent(NamedTuple):
                 + x[4] * self.c2(t, x[1] * s[1], x[2] * s[2]))
 
 
-def _pasy_model(delta_omega: float, sign: int, units: UnitContext) -> _TwoComponent:
-    def grid(t, p):
-        slope = _envelope_prefit(t, p)
-        mu0 = max(-slope * units.n_r / (2.0 * units.c) / PER_KM, 1e-9)
-        # widest phase observable on this record sets the dp2 grid ceiling; pa and
-        # psy change only their sign branch with the sign of delta_omega
-        length = dynamics.length_from_time(t[-1], units)
-        dp_hi = np.divide(math.pi, dynamics.pmd_phase(abs(delta_omega), PS_PER_SQRT_KM, length))
-        return ((0.75 * mu0, mu0, 1.25 * mu0),
-                np.linspace(dp_hi / 120.0, 1.2 * dp_hi, 90),
-                np.concatenate([[0.0], np.geomspace(dp_hi / 400.0, 1.2 * dp_hi, 26)]))
-
+def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray) -> _TwoComponent:
+    """mu per fiber length at the last time, d_p per radian there; pa and psy
+    change only their sign branch with the sign of delta_omega."""
+    length = dynamics.length_from_time(t[-1], units)
+    with np.errstate(divide="ignore", over="ignore"):
+        phase = dynamics.pmd_phase(abs(delta_omega), 1.0, length)
+        scales = 1.0 / np.array([phase, phase, length, 1.0, 1.0])
     return _TwoComponent(
-        "pasy", PASY_FREE_PARAMS, np.array([PS_PER_SQRT_KM, PS_PER_SQRT_KM, PER_KM, 1.0, 1.0]),
+        "pasy", PASY_FREE_PARAMS, scales,
         lambda t, d_p, mu: dynamics.pa(t, delta_omega, d_p, mu, sign, units),
-        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), grid)
+        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), -0.5, 1.2 * math.pi)
 
 
-def _p3_grid(t, p):
-    slope = _envelope_prefit(t, p, 1e3)
-    g0_0 = max(-2.0 * slope, 1e-3)
-    k_hi = 0.5 * math.pi / np.median(np.diff(t * 1e3))
-    return ((0.7 * g0_0, g0_0, 1.3 * g0_0),
-            np.linspace(k_hi / 150.0, k_hi, 90),
-            np.concatenate([[0.0], np.geomspace(k_hi / 400.0, k_hi, 26)]))
-
-
-_P3_MODEL = _TwoComponent("p3", P3_FREE_PARAMS, np.array([PER_MS, PER_MS, PER_MS, 1.0, 1.0]),
-                          dynamics.p1, dynamics.p2, _p3_grid)
+def _p3_model(t: np.ndarray) -> _TwoComponent:
+    """Every rate per record duration; the kappa ceiling turns kappa t by pi/2 per median step."""
+    with np.errstate(over="ignore"):  # a ceiling that overflowed fails the scan
+        scales = 1.0 / np.array([t[-1], t[-1], t[-1], 1.0, 1.0])
+        ceiling = 0.5 * math.pi * t[-1] / np.median(np.diff(t))
+    return _TwoComponent("p3", P3_FREE_PARAMS, scales, dynamics.p1, dynamics.p2, -2.0, ceiling)
 
 
 def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,9 +171,8 @@ def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
     to |x| it keeps a nonzero column for a parameter pinned at a zero bound
     (zero variance would be reported for the least identified parameter).
     """
-    h = 1e-20
-    steps = (x[:, None] + 1j * h * np.eye(len(x)))[:, :, None]  # row k steps x[k]
-    return np.ascontiguousarray((model(t, steps).imag / h).T)
+    steps = (x[:, None] + 1j * _STEP * np.eye(len(x)))[:, :, None]  # row k steps x[k]
+    return np.ascontiguousarray((model(t, steps).imag / _STEP).T)
 
 
 def _unresolved(t: np.ndarray) -> FittingError:
@@ -190,15 +180,22 @@ def _unresolved(t: np.ndarray) -> FittingError:
                         f"for their size to resolve a rate")
 
 
-def _envelope_prefit(t: np.ndarray, p: np.ndarray, per_unit: float = 1.0) -> float:
-    """Slope of ln p against t * per_unit (``t`` in s), ignoring nonpositive points."""
+def _envelope_prefit(t: np.ndarray, p: np.ndarray) -> float:
+    """Slope of ln p against t / t[-1], ignoring nonpositive points."""
     mask = p > 0
     if mask.sum() < 2:
         raise FittingError("too few positive points for the envelope pre-fit")
-    coef, _, rank, _, _ = np.polyfit(t[mask] * per_unit, np.log(p[mask]), 1, full=True)
+    coef, _, rank, _, _ = np.polyfit(t[mask] / t[-1], np.log(p[mask]), 1, full=True)
     if rank < 2:
         raise _unresolved(t)
     return float(coef[0])
+
+
+def _grid(model: _TwoComponent, t: np.ndarray, p: np.ndarray):
+    """The scan's rates, theta2 values and theta1 values, in record units."""
+    rate, c = max(model.envelope * _envelope_prefit(t, p), 0.0), model.ceiling
+    return ((0.7 * rate, rate, 1.3 * rate), np.linspace(c / 150.0, c, 90),
+            np.concatenate([[0.0], np.geomspace(c / 400.0, c, 26)]))
 
 
 def _nnls2(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
@@ -230,7 +227,7 @@ def _nnls2(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
 
 def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
           sigma: np.ndarray) -> list[np.ndarray]:
-    """Up to four starting points from the model's grid.
+    """Up to four starting points from ``_grid``.
 
     At every grid point with theta1 <= theta2 the weights are solved by
     closed-form two-column NNLS, one Gram pass over all theta pairs per
@@ -240,10 +237,9 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     recomputed by the ``nnls`` solver from that point's rows of the scan's columns.
     Raises when no grid point fits better than P = 0.
     """
-    s = model.scales
-    y = p / sigma
+    s, y = model.scales, p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
-        rates, theta2s, theta1s = model.grid(t, p)
+        rates, theta2s, theta1s = _grid(model, t, p)
         columns = [(model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma,
                     model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma)
                    for rate in rates]  # the sigma-weighted (c1, c2) of each rate
@@ -299,16 +295,23 @@ def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
     return tuple(float(v) for v in np.maximum(np.diag(cov), 0.0) * scales ** 2)
 
 
-def _fit(model: _TwoComponent, data: DataSeries,
+def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
-    """Scan, polish each start once and keep the least cost; ``make_params``
-    builds the parameters from their SI values."""
+    """Scan, polish each start once and keep the least cost, in ``make_model(t)``'s units."""
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma
+    if t[0] < 0:  # both models start at t = 0, and the record's units need t[-1] > 0
+        raise FittingError("time must be nonnegative")
+    model = make_model(t)
+    if not np.all(_STEP * model.scales >= np.finfo(float).tiny):  # the step in SI
+        raise FittingError(f"the {model.name} fit's derivative step underflows on this record")
     best = min((_polish(model, t, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
                key=lambda r: r.cost)
-    cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
+    if not np.all(np.isfinite(cov)):
+        raise FittingError(f"the {model.name} fit overflows on this record")
     at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
     return FitResult(model.name, make_params(best.x * model.scales),
                      float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
@@ -322,7 +325,7 @@ def fit_pasy(data: DataSeries, units: UnitContext = UnitContext(),
     The detuning ``delta_omega`` (rad/s) and the ``sign`` branch are held
     fixed.  Every free parameter is bounded to [0, inf).
     """
-    return _fit(_pasy_model(delta_omega, sign, units), data,
+    return _fit(lambda t: _pasy_model(delta_omega, sign, units, t), data,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
@@ -332,8 +335,7 @@ def fit_p3(data: DataSeries, lambda_width: float = 1e6) -> FitResult:
     The reservoir width ``lambda_width`` (1/s) does not enter the curve and
     is carried through unchanged.  Every free parameter is bounded to [0, inf).
     """
-    return _fit(_P3_MODEL, data,
-                lambda si: CavityModelParams(*si, lambda_width=lambda_width))
+    return _fit(_p3_model, data, lambda si: CavityModelParams(*si, lambda_width=lambda_width))
 
 
 def fit_exponential(data: DataSeries) -> FitResult:

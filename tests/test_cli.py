@@ -386,13 +386,18 @@ class TestMainDispatch:
         ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
          "model 'exp' is not finite at t = 0 s: nan"),
         # fits printed numpy warnings, then scipy's "array must not contain infs or NaNs";
-        # the scan grid takes |delta_omega|, so both signs fail at the polish
+        # d_p per radian at the last time is 2.6e-303 s/sqrt(m), so the fit's
+        # complex step of 1e-20 of it is subnormal for both signs
         *[({"delta_omega_rad_s": value}, ["fit", "decay.csv", "--model", "pasy"],
-           "the pasy model's derivative is not finite") for value in (-1e300, 1e300)],
+           "the pasy fit's derivative step underflows on this record")
+          for value in (-1e300, 1e300)],
         # no phase to resolve: a 1e-30 rad floor on the grid ceiling made these
-        # exit 0 with converged true and a d_p2 of 2.2e15 s/sqrt(m)
-        *[({"delta_omega_rad_s": value}, ["fit", "decay.csv", "--model", "pasy"],
-           "the pasy model is not finite on this record's scan grid") for value in (0, 1e-300)],
+        # exit 0 with converged true and a d_p2 of 2.2e15 s/sqrt(m); at 1e-300,
+        # d_p per radian is 2.6e297 s/sqrt(m) and its variance about 1e594
+        ({"delta_omega_rad_s": 0}, ["fit", "decay.csv", "--model", "pasy"],
+         "the pasy model is not finite on this record's scan grid"),
+        ({"delta_omega_rad_s": 1e-300}, ["fit", "decay.csv", "--model", "pasy"],
+         "the pasy fit overflows on this record"),
     ])
     def test_bad_model_config_errors(self, tmp_path, capsys, monkeypatch,
                                      values, command, message):
@@ -406,6 +411,18 @@ class TestMainDispatch:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_fit_pasy_phase_overflow_errors(self, tmp_path, capsys, monkeypatch):
+        # the PMD phase on this record overflows: the lab-unit grid ceiling was
+        # pi/inf = 0 and numpy's "Geometric sequence cannot include zero" the error
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"delta_omega_rad_s": 1e300}))
+        (tmp_path / "decay.csv").write_text("t_s,p,sigma\n" + "".join(
+            f"{i * 1e100!r},{0.9 * 0.6 ** i!r},0.01\n" for i in range(8)))
+        assert main(["fit", "decay.csv", "--model", "pasy", "--config", "cfg.json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the pasy ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("text, field", [
         ("[1, 2]", "JSON object"),

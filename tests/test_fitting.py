@@ -13,8 +13,8 @@ from scipy.optimize import nnls
 from qbuffer import dynamics, fitting
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
-from qbuffer.fitting import (_P3_MODEL, DataSeries, FittingError, _jacobian,
-                             _nnls2, _pasy_model, _scan, fit_exponential, fit_p3,
+from qbuffer.fitting import (DataSeries, FittingError, _jacobian, _nnls2,
+                             _p3_model, _pasy_model, _scan, fit_exponential, fit_p3,
                              fit_pasy, fit_result_to_dict, series_from_csv,
                              series_to_csv)
 
@@ -57,14 +57,9 @@ def assert_jacobian_matches(model, t, x) -> None:
                                atol=1e-7 * np.abs(exact).max())
 
 
-def pmd_rel_errors(params: PmdModelParams) -> np.ndarray:
-    return np.abs(np.array([
-        (params.d_p1 - TRUTH_PMD.d_p1) / TRUTH_PMD.d_p1,
-        (params.d_p2 - TRUTH_PMD.d_p2) / TRUTH_PMD.d_p2,
-        (params.mu - TRUTH_PMD.mu) / TRUTH_PMD.mu,
-        (params.a1 - TRUTH_PMD.a1) / TRUTH_PMD.a1,
-        (params.a2 - TRUTH_PMD.a2) / TRUTH_PMD.a2,
-    ]))
+def pmd_rel_errors(params: PmdModelParams, truth: PmdModelParams = TRUTH_PMD) -> np.ndarray:
+    return np.abs(np.array([getattr(params, name) / getattr(truth, name) - 1.0
+                            for name in fitting.PASY_FREE_PARAMS]))
 
 
 def cavity_rel_errors(params: CavityModelParams) -> np.ndarray:
@@ -140,8 +135,12 @@ def kkt_problem(branch: str, seed: int):
 
 def grid_nnls_scan(model, t, p, sigma):
     """The scan with one scipy ``nnls`` call per grid point, as it stood
-    before the closed form: the reference the batched scan must reproduce."""
-    rates, theta2s, theta1s = model.grid(t, p)
+    before the closed form: the reference the batched scan must reproduce.
+    Points rank by the least-squares residual on the columns whose ``nnls``
+    weight is positive: it ties exactly wherever w1 clips to 0, as the closed
+    form does, while the solver's own norm and weights carry rounding noise
+    from the clipped column."""
+    rates, theta2s, theta1s = fitting._grid(model, t, p)
     s = model.scales
     cands = []
     for rate in rates:
@@ -150,9 +149,11 @@ def grid_nnls_scan(model, t, p, sigma):
             c2 = model.c2(t, theta2 * s[1], rate * s[2])
             for theta1, c1 in zip(theta1s, c1s):
                 if theta1 <= theta2:
-                    weights, norm = nnls(np.column_stack([c1, c2]) / sigma[:, None],
-                                         p / sigma)
-                    cands.append((norm * norm, np.array(
+                    a = np.column_stack([c1, c2]) / sigma[:, None]
+                    weights, _ = nnls(a, p / sigma)
+                    active = a[:, weights > 0]
+                    fitted = active @ np.linalg.lstsq(active, p / sigma)[0]
+                    cands.append((np.sum((fitted - p / sigma) ** 2), np.array(
                         [theta1, theta2, rate, max(weights[0], 1e-6),
                          max(weights[1], 1e-6)])))
     cands.sort(key=lambda c: c[0])
@@ -165,16 +166,19 @@ def grid_nnls_scan(model, t, p, sigma):
     return picked
 
 
+def pasy_model(t):
+    return _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS, t)
+
+
 SCAN_CASES = [
-    pytest.param(lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
-                 lambda: pasy_series(n=300, t_end=5e-3, noise=0.02, seed=1), id="pasy-noisy"),
-    pytest.param(lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
-                 lambda: pasy_series(), id="pasy-clean"),
-    pytest.param(lambda: _P3_MODEL, lambda: p3_series(noise=0.02, seed=2), id="p3-noisy"),
-    pytest.param(lambda: _P3_MODEL, lambda: p3_series(), id="p3-clean"),
+    pytest.param(pasy_model, lambda: pasy_series(n=300, t_end=5e-3, noise=0.02, seed=1),
+                 id="pasy-noisy"),
+    pytest.param(pasy_model, lambda: pasy_series(), id="pasy-clean"),
+    pytest.param(_p3_model, lambda: p3_series(noise=0.02, seed=2), id="p3-noisy"),
+    pytest.param(_p3_model, lambda: p3_series(), id="p3-clean"),
     # no p1 component: w1 clips to 0 at many grid points, whose SSEs then
     # tie exactly, and only grid order decides which theta1 is kept
-    pytest.param(lambda: _P3_MODEL,
+    pytest.param(_p3_model,
                  lambda: p3_series(noise=0.02, seed=2,
                                    params=CavityModelParams(753.0, 3528.0, 16292.0, 0.0, 1.0)),
                  id="p3-w1-zero"),
@@ -208,7 +212,8 @@ class TestScan:
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_matches_one_nnls_per_grid_point(self, make_model, make_data):
-        model, data = make_model(), make_data()
+        data = make_data()
+        model = make_model(data.t)
         expected = grid_nnls_scan(model, data.t, data.p, data.sigma)
         got = _scan(model, data.t, data.p, data.sigma)
         assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
@@ -220,7 +225,8 @@ class TestScan:
         calls = []
         monkeypatch.setattr(fitting, "nnls",
                             lambda *args: calls.append(args) or nnls(*args))
-        model, data = make_model(), make_data()
+        data = make_data()
+        model = make_model(data.t)
         picked = _scan(model, data.t, data.p, data.sigma)
         assert 1 <= len(picked) <= 4
         assert len(calls) == len(picked)
@@ -229,8 +235,9 @@ class TestScan:
     def test_each_component_evaluated_once_per_rate(self, monkeypatch, make_model, make_data):
         # pa for c1 and, through psy, for c2; a kept start's nnls reads rows
         # of those columns (each start evaluated both components again before)
-        model, data = make_model(), make_data()
-        rates = model.grid(data.t, data.p)[0]
+        data = make_data()
+        model = make_model(data.t)
+        rates = fitting._grid(model, data.t, data.p)[0]
         calls, pa = [], dynamics.pa
         monkeypatch.setattr(dynamics, "pa", lambda *args: calls.append(args) or pa(*args))
         assert _scan(model, data.t, data.p, data.sigma)
@@ -250,7 +257,8 @@ class TestScan:
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_jacobian_c_contiguous(self, make_model, make_data):
-        model, data = make_model(), make_data()
+        data = make_data()
+        model = make_model(data.t)
         x = _scan(model, data.t, data.p, data.sigma)[0]
         jac = _jacobian(model, data.t, x)
         assert jac.shape == (len(data), 5)
@@ -361,7 +369,7 @@ class TestFitPasy:
                                    [0.0, 0.03, 0.01, 0.3, 0.7]])
     def test_closed_form_jacobian(self, sign, x):
         t = np.linspace(0.0, 5e-3, 300)
-        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS), t, x)
+        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS, t), t, x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -383,13 +391,35 @@ class TestFitPasy:
         assert fit.converged
         assert np.all(pmd_rel_errors(fit.params) < 1e-8)
 
+    @pytest.mark.parametrize("k", [-20, -12, 0, 8, 12, 20])
+    def test_recovery_at_any_time_scale(self, k):
+        # times x 10^k, mu x 10^-k and d_p x 10^(-k/2): fitted in ps/sqrt(km)
+        # and 1/km with a 1e-9 /km floor on mu, k >= 8 reported converged
+        # with errors of 1e4 and more
+        scale = 10.0 ** k
+        truth = replace(TRUTH_PMD, d_p1=TRUTH_PMD.d_p1 / math.sqrt(scale),
+                        d_p2=TRUTH_PMD.d_p2 / math.sqrt(scale), mu=TRUTH_PMD.mu / scale)
+        fit = fit_pasy(pasy_series(t_end=1.5e-3 * scale, params=truth))
+        assert fit.converged and fit.at_bounds == ()
+        assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
+
+    @pytest.mark.parametrize("c", [1e-100, 1e-10, 1e10, 1e100])
+    def test_recovery_at_any_detuning(self, c):
+        # the detuning x c and d_p / c give the same curve; the lab-unit fit
+        # reported converged with an error of 0.91 at 1e-100 and 587 at 1e10
+        truth = replace(TRUTH_PMD, delta_omega=TRUTH_PMD.delta_omega * c,
+                        d_p1=TRUTH_PMD.d_p1 / c, d_p2=TRUTH_PMD.d_p2 / c)
+        fit = fit_pasy(pasy_series(params=truth), delta_omega=truth.delta_omega)
+        assert fit.converged and fit.at_bounds == ()
+        assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
+
     def test_monotone_descent_from_init(self):
         # the polished solution never scores worse than its starting point
         data = pasy_series(noise=0.02, seed=21)
         init = replace(TRUTH_PMD, d_p2=TRUTH_PMD.d_p2 * 1.3, a1=0.4, a2=0.6)
         init_resid = np.linalg.norm(
             (prob_pasy(data.t, init, UNITS) - data.p) / data.sigma)
-        model = _pasy_model(init.delta_omega, init.sign, UNITS)
+        model = _pasy_model(init.delta_omega, init.sign, UNITS, data.t)
         x0 = np.array([getattr(init, name) for name in model.free]) / model.scales
         result = fitting._polish(model, data.t, data.p, data.sigma, x0)
         assert math.sqrt(2.0 * result.cost) <= init_resid + 1e-12
@@ -402,10 +432,12 @@ class TestFitP3:
         assert np.all(cavity_rel_errors(fit.params) < 0.01)
         assert fit.residual_norm < 1e-8
 
-    @pytest.mark.parametrize("k", [-20, -18, -16, -15, -14, -12, 0, 4])
+    @pytest.mark.parametrize("k", [-20, -18, -16, -15, -14, -12, 0, 4, 6, 8, 12, 20])
     def test_recovery_at_any_time_scale(self, k):
         # times x 10^k, rates x 10^-k: a 1e-12 ms floor on the median step
-        # capped the kappa grid from k = -15 down and left kappa1 on its bound
+        # capped the kappa grid from k = -15 down and left kappa1 on its bound;
+        # fitted in 1/ms with a 1e-3 /ms floor on the envelope rate, k = 6 gave
+        # converged false and k >= 8 converged true, both with errors >= 26
         scale = 10.0 ** k
         truth = replace(TRUTH_CAVITY, kappa1=TRUTH_CAVITY.kappa1 / scale,
                         kappa2=TRUTH_CAVITY.kappa2 / scale,
@@ -417,6 +449,13 @@ class TestFitP3:
                   for name in fitting.P3_FREE_PARAMS]
         assert np.all(np.abs(errors) < 1e-5)
 
+    def test_negative_times_rejected(self):
+        # a record that ends at or before t = 0 has no duration to fit in
+        i = np.arange(8)
+        for end in (-1e-2, 0.0):
+            with pytest.raises(FittingError, match="^time must be nonnegative$"):
+                fit_p3(DataSeries.from_points(end + 1e-4 * (i - 7), 0.9 * 0.6 ** i))
+
     def test_recovered_rates_are_non_markovian(self):
         from qbuffer.dynamics import classify_regime
         fit = fit_p3(p3_series())
@@ -425,9 +464,10 @@ class TestFitP3:
 
     def test_swapped_init_lands_on_sorted_labels(self):
         data = p3_series()
-        swapped = np.array([3.528, 0.753, 16.292, 0.5, 0.5])  # lab units, 1/ms
-        result = fitting._polish(_P3_MODEL, data.t, data.p, data.sigma, swapped)
-        params = CavityModelParams(*(result.x * _P3_MODEL.scales))
+        model = _p3_model(data.t)
+        swapped = np.array([3528.0, 753.0, 16292.0, 0.5, 0.5]) / model.scales  # from SI
+        result = fitting._polish(model, data.t, data.p, data.sigma, swapped)
+        params = CavityModelParams(*(result.x * model.scales))
         assert params.kappa1 <= params.kappa2
         assert np.all(cavity_rel_errors(params) < 0.01)
 
@@ -466,7 +506,7 @@ class TestFitP3:
                                    [0.0, 2.0, 10.0, 0.4, 0.6]])
     def test_closed_form_jacobian(self, x):
         t = np.linspace(0.0, 1.5e-3, 50)
-        assert_jacobian_matches(_P3_MODEL, t, x)
+        assert_jacobian_matches(_p3_model(t), t, x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -482,16 +522,17 @@ class TestFitP3:
     @pytest.mark.parametrize("fit, make_model, make_data", [
         # these p3 records' best polish has kappa1 > kappa2, which used to buy
         # a second, label-swapped polish that never won
-        *[pytest.param(fit_p3, lambda: _P3_MODEL,
+        *[pytest.param(fit_p3, _p3_model,
                        lambda seed=seed: p3_series(noise=0.02, seed=seed,
                                                    params=replace(TRUTH_CAVITY, w1=0.0)),
                        id=str(seed)) for seed in (0, 3)],
-        pytest.param(fit_pasy, lambda: _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS),
-                     lambda: pasy_series(noise=0.02, seed=21), id="pasy"),
+        pytest.param(fit_pasy, pasy_model, lambda: pasy_series(noise=0.02, seed=21),
+                     id="pasy"),
     ])
     def test_one_polish_per_scan_start(self, monkeypatch, fit, make_model, make_data):
         # the fit polishes exactly the starts the scan returns, in their order
-        model, data = make_model(), make_data()
+        data = make_data()
+        model = make_model(data.t)
         calls = []
         polish = fitting._polish
         monkeypatch.setattr(fitting, "_polish",

@@ -257,6 +257,11 @@ def table_of(row) -> str:
 @example(config={}, model="p3",
          table=table_of(lambda i: (i * 5e-324 if i < 6 else (i - 5) * 1e-150,
                                    0.9 - 0.05 * i, 0.01)))
+@example(config={"delta_omega_rad_s": 1e300}, model="pasy",
+         table=table_of(lambda i: (i * 1e100, 0.9 * 0.6 ** i, 0.01)))
+@example(config={}, model="p3", table=table_of(lambda i: (i * 1e-4 - 1e-2, 0.9 * 0.6 ** i, 0.01)))
+@example(config={"delta_omega_rad_s": 1e-200}, model="pasy",
+         table=table_of(lambda i: (i * 1e-4, 0.9 * 0.6 ** i, 0.01)))
 def test_fit(work, config, model, table):
     data = work / "fit.csv"
     data.write_text(table)
