@@ -252,15 +252,7 @@ def asym_series_residual(phases: PmdPhases, mu: float, length: float) -> float:
 # linear-phase (cavity-style) models
 # ---------------------------------------------------------------------------
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x, stable at 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
-_RATE_MAX = 1e150  # 1/s; keeps 16 kappa**2 and gamma0**2 inside the float range
+_RATE_MAX = 1e150  # 1/s; rates beyond any physical buffer are an input error
 
 
 def _check_rates(kappa: float, gamma0: float) -> None:
@@ -270,6 +262,14 @@ def _check_rates(kappa: float, gamma0: float) -> None:
                          f"got {kappa} and {gamma0}")
 
 
+def _regime(kappa: float, gamma0: float) -> tuple[float, float]:
+    """diff = 4 kappa - gamma0, whose sign is the regime, and delta =
+    |sqrt(16 kappa^2 - gamma0^2)| from its factors, so no square underflows."""
+    _check_rates(kappa, gamma0)
+    diff = 4.0 * kappa - gamma0
+    return diff, math.sqrt(abs(diff)) * math.sqrt(4.0 * kappa + gamma0)
+
+
 def cavity_p(t, kappa: float, gamma0: float):
     """Qubit survival probability in the coupled-mode model, p(0) = 1.
 
@@ -277,29 +277,23 @@ def cavity_p(t, kappa: float, gamma0: float):
     with delta = sqrt(16 kappa^2 - gamma0^2).  For 4 kappa < gamma0 the root
     is imaginary and the harmonics turn hyperbolic; at 4 kappa = gamma0 the
     sinc form gives [1 + gamma0 t / 4]^2.  Both branches are one analytic
-    function, so the value is continuous in the parameters.
+    function, so the value is continuous in the parameters.  The branch is
+    the exact sign of 4 kappa - gamma0 (see ``_regime``).
     """
-    _check_rates(kappa, gamma0)
+    diff, delta = _regime(kappa, gamma0)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    disc = 16.0 * kappa**2 - gamma0**2
-    if disc >= 0.0:
-        delta = math.sqrt(disc)
-        x = delta * t / 4.0
-        # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as disc -> 0
+    x = delta * t / 4.0
+    if diff < 0:
+        # e^-x [cosh x + (gamma0/delta) sinh x] <= 1 + gamma0/delta; the exponent
+        # left for e^2x and the envelope is <= 0 because delta <= gamma0
+        bracket = 0.5 * (1.0 + np.exp(-2.0 * x)) - 0.5 * (gamma0 / delta) * np.expm1(-2.0 * x)
+        out = np.exp(2.0 * x - gamma0 * t / 2.0) * bracket**2
+    else:
+        # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
         bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
         out = np.exp(-gamma0 * t / 2.0) * bracket**2
-    else:
-        delta = math.sqrt(-disc)
-        x = delta * t / 4.0
-        big = x > 30.0
-        # log-domain evaluation where sinh/cosh would overflow
-        bracket_small = np.cosh(np.where(big, 0.0, x)) + gamma0 * (t / 4.0) * _sinhc(np.where(big, 0.0, x))
-        out_small = np.exp(-gamma0 * t / 2.0) * bracket_small**2
-        log_out_big = (-gamma0 * t / 2.0 + 2.0 * x
-                       + 2.0 * np.log((1.0 + gamma0 / delta) / 2.0))
-        out = np.where(big, np.exp(log_out_big), out_small)
     return float(out) if out.ndim == 0 else out
 
 
@@ -349,21 +343,20 @@ class RegimeResult:
 
 
 def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
-    """Classify the dynamics by the sign of 16 kappa^2 - gamma0^2.
+    """Classify the dynamics by the sign of 4 kappa - gamma0.
 
     Non-Markovian when 4 kappa > gamma0, Markovian when 4 kappa < gamma0,
     Boundary when equal to within a relative 1e-12.  The criterion depends
-    only on the ratio, so joint rescaling of both rates never changes it.
+    only on the ratio, and ``_regime`` computes it without squaring a rate,
+    so rescaling both rates by a power of two changes neither the regime nor
+    any bit of delta beyond the same power of two.
     """
-    _check_rates(kappa, gamma0)
-    four_kappa = 4.0 * kappa
-    scale = max(four_kappa, gamma0)
-    if abs(four_kappa - gamma0) <= _BOUNDARY_RTOL * scale:
+    diff, delta = _regime(kappa, gamma0)
+    if abs(diff) <= _BOUNDARY_RTOL * max(4.0 * kappa, gamma0):
         return RegimeResult(REGIME_BOUNDARY, 0.0, False)
-    disc = 16.0 * kappa**2 - gamma0**2
-    if disc > 0:
-        return RegimeResult(REGIME_NON_MARKOVIAN, math.sqrt(disc), False)
-    return RegimeResult(REGIME_MARKOVIAN, math.sqrt(-disc), True)
+    if diff > 0:
+        return RegimeResult(REGIME_NON_MARKOVIAN, delta, False)
+    return RegimeResult(REGIME_MARKOVIAN, delta, True)
 
 
 def lorentzian_spectral_density(omega: float, omega0: float, gamma0: float,

@@ -118,11 +118,7 @@ def solve_level_crossing(model: Callable, level: float,
 
 
 def discord_concurrence_crossover() -> float:
-    """The unique P in (1/3, 1) where discord equals concurrence.
-
-    Found by Brent's method; discord exceeds concurrence just above 1/3 and
-    falls below it before P reaches 1 (both equal 1 exactly at P = 1, which
-    is not a crossing of interest).
-    """
-    gap = lambda p: discord(p) - concurrence(p)
-    return float(brentq(gap, 0.34, 0.999, xtol=1e-9))
+    """The unique P in (1/3, 1) where discord equals concurrence: discord
+    exceeds concurrence just above 1/3 and falls below it before P reaches 1
+    (both equal 1 exactly at P = 1, which is not a crossing of interest)."""
+    return solve_level_crossing(lambda p: discord(p) - concurrence(p), 0.0, (0.34, 0.999))

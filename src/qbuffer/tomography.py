@@ -163,25 +163,6 @@ class TomographyError(RuntimeError):
 _RECT_SETTINGS = tuple(MeasurementSetting(s, i) for s in "HV" for i in "HV")
 
 
-def _frequencies(records: list[CorrectedRecord]) -> tuple[list[MeasurementSetting], np.ndarray]:
-    """Normalize corrected counts by the pair-number estimate.
-
-    The rectilinear quartet (H/V on both arms) forms a complete basis whose
-    probabilities sum to one, so its summed counts estimate the produced
-    pair number.
-    """
-    by_setting = {r.setting: r for r in records}
-    missing = [s for s in _RECT_SETTINGS if s not in by_setting]
-    if missing:
-        raise TomographyError(f"records lack the rectilinear settings {missing}")
-    n_pairs = sum(by_setting[s].count for s in _RECT_SETTINGS)
-    if n_pairs <= 0:
-        raise TomographyError("total rectilinear counts must be positive")
-    settings = [r.setting for r in records]
-    freqs = np.array([r.count for r in records]) / n_pairs
-    return settings, freqs
-
-
 def design_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
     """Linear map from Hermitian-basis coefficients to setting probabilities."""
     return _DESIGN[[_ROW[s] for s in settings]]
@@ -193,11 +174,18 @@ def linear_inversion(records: list[CorrectedRecord]) -> np.ndarray:
     The result is Hermitian with unit trace but can carry negative
     eigenvalues when the counts are noisy; it is returned as a raw matrix,
     not a validated state.  The 16 design rows are independent, so the system
-    is square and nonsingular exactly when each setting appears once.
+    is square and nonsingular exactly when each setting appears once.  The
+    rectilinear quartet (H/V on both arms) is a complete basis, so its summed
+    counts estimate the pair number that turns counts into frequencies.
     """
-    settings, freqs = _frequencies(records)
+    settings = [r.setting for r in records]
     if len(settings) != 16 or len(set(settings)) != 16:
         raise TomographyError("linear inversion needs each of the 16 settings exactly once")
+    by_setting = {r.setting: r for r in records}
+    n_pairs = sum(by_setting[s].count for s in _RECT_SETTINGS)
+    if n_pairs <= 0:
+        raise TomographyError("total rectilinear counts must be positive")
+    freqs = np.array([r.count for r in records]) / n_pairs
     coeffs = np.linalg.solve(design_matrix(settings), freqs)
     rho = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
     return rho / np.real(rho.trace())

@@ -354,6 +354,14 @@ class TestMainDispatch:
         assert report["regime"] == "NonMarkovian"
         assert report["delta_per_s"] == pytest.approx(5272.77, abs=0.01)
 
+    def test_classify_tiny_rates(self, capsys):
+        # 16 kappa**2 and gamma0**2 both underflow here, and the regime must not
+        # depend on them
+        assert main(["classify", "--kappa", "1e-187", "--gamma0", "3e-187"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["regime"] == "NonMarkovian"
+        assert report["delta_per_s"] == pytest.approx(math.sqrt(7.0) * 1e-187, rel=1e-15)
+
     def test_classify_boundary(self, capsys):
         assert main(["classify", "--kappa", "25", "--gamma0", "100"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -361,7 +369,7 @@ class TestMainDispatch:
         assert report["delta_per_s"] == 0.0
 
     @pytest.mark.parametrize("flag", ["--kappa", "--gamma0"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])  # 1e300: 16 kappa**2 overflows
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])  # 1e300: above the rate ceiling
     def test_classify_nonfinite_errors(self, capsys, flag, value):
         argv = {"--kappa": "4281", "--gamma0": "16292", flag: value}
         assert main(["classify", *(x for kv in argv.items() for x in kv)]) == 1

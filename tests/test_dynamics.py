@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -276,8 +277,9 @@ class TestCavityModel:
         assert 0 <= val <= 1
 
     def test_hyperbolic_branch_switch_is_continuous(self):
-        # the log-domain evaluation takes over at argument 30; both sides of
-        # the switch must agree
+        # one bounded expression covers every hyperbolic argument x = delta t / 4,
+        # so the values on both sides of x = 30 (deep in the e^x growth of
+        # cosh and sinh) must agree as any smooth curve's do
         kappa, gamma0 = 10.0, 2000.0
         delta = math.sqrt(gamma0**2 - 16 * kappa**2)
         t_switch = 4 * 30.0 / delta
@@ -287,6 +289,43 @@ class TestCavityModel:
         mid_lo = cavity_p(t_switch * 0.9999999, kappa, gamma0)
         mid_hi = cavity_p(t_switch * 1.0000001, kappa, gamma0)
         assert mid_lo == pytest.approx(mid_hi, rel=1e-5)
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 2.0**-400, 2.0**400],
+                             ids=["2**-600", "2**-400", "2**400"])
+    def test_time_scale_invariance(self, scale):
+        # rates times a power of two and times divided by it scale every rounding
+        # alike, so both regimes give the unscaled value bit for bit
+        t = np.linspace(0.0, 1e-2, 40)
+        for kappa, gamma0 in ((1e2, 3e2), (4281.0, 16292.0), (753.0, 16292.0)):
+            np.testing.assert_array_equal(
+                cavity_p(t / scale, kappa * scale, gamma0 * scale), cavity_p(t, kappa, gamma0))
+
+    def test_matches_high_precision_reference(self):
+        # 60-digit reference; the bound is the conditioning of the exponent and,
+        # on the oscillating side, of the harmonic argument delta t / 4
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            gamma0 = 10 ** rng.uniform(-3, 6)
+            if rng.random() < 0.7:
+                kappa = gamma0 / 4 * 10 ** rng.uniform(-3, 3)
+            else:
+                kappa = gamma0 / 4 * (1 + rng.normal() * 10 ** rng.uniform(-14, -1))
+            t = 10 ** rng.uniform(-2, 2.5) / gamma0
+            with mpmath.workdps(60):
+                k, g, s = mpmath.mpf(kappa), mpmath.mpf(gamma0), mpmath.mpf(t)
+                disc = 16 * k**2 - g**2
+                root = mpmath.sqrt(abs(disc))
+                x = root * s / 4
+                if disc > 0:
+                    bracket = mpmath.cos(x) + g / root * mpmath.sin(x)
+                elif disc < 0:
+                    bracket = mpmath.cosh(x) + g / root * mpmath.sinh(x)
+                else:
+                    bracket = 1 + g * s / 4
+                ref = float(mpmath.exp(-g * s / 2) * bracket**2)
+            rate = gamma0 + (float(root) if disc > 0 else 0.0)
+            assert abs(cavity_p(t, kappa, gamma0) - ref) <= (
+                16.5 * np.finfo(float).eps * rate * t + 1e-15), (kappa, gamma0, t)
 
     def test_reduces_to_p1_when_tied(self):
         # gamma0 = 4 kappa / sqrt(2) turns the bracket into cos + sin
@@ -375,9 +414,21 @@ class TestClassifyRegime:
         rng = np.random.default_rng(3)
         for _ in range(50):
             kappa, gamma0 = rng.uniform(1.0, 1e5, 2)
-            base = classify_regime(kappa, gamma0).regime
+            base = classify_regime(kappa, gamma0)
             for s in (1e-6, 0.5, 3.0, 1e6):
-                assert classify_regime(s * kappa, s * gamma0).regime == base
+                assert classify_regime(s * kappa, s * gamma0).regime == base.regime
+            # a power of two scales every rounding with it, down to rates
+            # whose squares underflow
+            for s in (2.0**-600, 2.0**-400, 2.0**400):
+                scaled = classify_regime(s * kappa, s * gamma0)
+                assert scaled.regime == base.regime
+                assert scaled.delta == s * base.delta
+
+    def test_near_boundary_delta_is_exact(self):
+        # 16 kappa^2 - gamma0^2 = 8e8 - 1 exactly, which the squares lose to rounding
+        result = classify_regime(1e8, 4e8 - 1)
+        assert result.regime == "NonMarkovian"
+        assert result.delta == pytest.approx(28284.27122978423, rel=1e-15)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

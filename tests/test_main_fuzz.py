@@ -12,10 +12,12 @@ through.
 
 import contextlib
 import csv
+import decimal
 import io
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -154,14 +156,32 @@ def test_threshold(work, config, model, level, fmt, seed):
 @given(config=OVERRIDES, kappa=number_text(0.0, 1e5), gamma0=number_text(0.0, 1e5),
        fmt=st.sampled_from(["json", "csv"]), seed=optional(TEXTS))
 @example(config={}, kappa="1e300", gamma0="16292", fmt="json", seed=None)
+@example(config={}, kappa="1e-187", gamma0="3e-187", fmt="json", seed=None)
+@example(config={}, kappa="3e-170", gamma0="1e-169", fmt="json", seed=None)
 def test_classify(work, config, kappa, gamma0, fmt, seed):
     stdout = run(work, config, ["classify", f"--format={fmt}"],
                  {"--kappa": (float, kappa), "--gamma0": (float, gamma0),
                   "--seed": (int, seed)})
-    if stdout is not None:
-        report = parse_report(stdout, fmt)
-        assert report["regime"] in ("Markovian", "NonMarkovian", "Boundary")
-        assert 0.0 <= float(report["delta_per_s"]) < math.inf
+    if stdout is None:
+        return
+    report = parse_report(stdout, fmt)
+    delta = float(report["delta_per_s"])
+    assert math.copysign(1.0, delta) == 1.0 and delta < math.inf
+    # exact oracle: the sign of 4 kappa - gamma0 and the root of 16 kappa^2 - gamma0^2
+    four_kappa, g = 4 * Fraction(float(kappa)), Fraction(float(gamma0))
+    if report["regime"] == "Boundary":
+        assert abs(four_kappa - g) <= Fraction(2, 10**12) * max(four_kappa, g)
+        assert delta == 0.0
+        return
+    assert report["regime"] == ("NonMarkovian" if four_kappa > g else "Markovian")
+    assert str(report["delta_is_imaginary"]) == str(four_kappa < g)
+    square = abs(four_kappa - g) * (four_kappa + g)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = float((decimal.Decimal(square.numerator)
+                       / decimal.Decimal(square.denominator)).sqrt())
+    # json carries every bit, csv twelve significant digits
+    tol = 4.0 * math.ulp(exact) if fmt == "json" else 1e-11 * exact
+    assert abs(delta - exact) <= tol, (kappa, gamma0, delta, exact)
 
 
 @FUZZ

@@ -251,7 +251,7 @@ class TestLinearInversion:
         # the H/V quartet provides the pair-number normalization
         partial = [CorrectedRecord(s, 100.0) for s in SETTINGS
                    if s != MeasurementSetting("H", "H")]
-        with pytest.raises(TomographyError, match="rectilinear"):
+        with pytest.raises(TomographyError, match="exactly once"):
             linear_inversion(partial)
 
     @settings(max_examples=200, deadline=None)
