@@ -15,8 +15,8 @@ pre-fit pins the envelope rate, one coarse grid for both models over the two
 phase parameters, with the weights solved by closed-form two-column NNLS at each
 point (one Gram pass per rate), ranks candidate basins; the ``nnls`` solver
 finds the weights of the few kept ones, each is polished by a trust-region
-least-squares pass, and the best kept.  One complex-step Jacobian, from a
-single model call, serves both the polish and the covariance at the solution.
+least-squares pass, and the best kept.  One closed-form Jacobian in real
+arithmetic serves both the polish and the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class FitResult:
 
 PASY_FREE_PARAMS = ("d_p1", "d_p2", "mu", "a1", "a2")
 P3_FREE_PARAMS = ("kappa1", "kappa2", "gamma0", "w1", "w2")
-_STEP = 1e-20  # the complex step of ``_jacobian``, in record units
+_UNIT_RESOLUTION = 1e-20  # of a record unit; its SI value must be a normal float
 
 
 class _TwoComponent(NamedTuple):
@@ -127,6 +127,9 @@ class _TwoComponent(NamedTuple):
     ``free`` and multiplied by ``scales`` to give SI; ``c1``/``c2`` take
     (t, theta, rate) in SI.  ``envelope`` maps the slope of ln P per record
     duration to the rate, and ``ceiling`` is the top of both theta grids.
+    Each component is env (cos phi + s sin phi)^2, phi linear in its theta and
+    ln env in the rate: on the record's times, ``signs`` holds each s,
+    ``phase_slopes`` each d phi / d theta and ``rate_slope`` d ln env / d rate.
     """
 
     name: str
@@ -136,6 +139,9 @@ class _TwoComponent(NamedTuple):
     c2: Callable
     envelope: float
     ceiling: float
+    signs: np.ndarray
+    phase_slopes: np.ndarray
+    rate_slope: np.ndarray
 
     def __call__(self, t, x):
         s = self.scales
@@ -146,14 +152,16 @@ class _TwoComponent(NamedTuple):
 def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray) -> _TwoComponent:
     """mu per fiber length at the last time, d_p per radian there; pa and psy
     change only their sign branch with the sign of delta_omega."""
-    length = dynamics.length_from_time(t[-1], units)
-    with np.errstate(divide="ignore", over="ignore"):
-        phase = dynamics.pmd_phase(abs(delta_omega), 1.0, length)
-        scales = 1.0 / np.array([phase, phase, length, 1.0, 1.0])
+    lengths = dynamics.length_from_time(t, units)
+    with np.errstate(all="ignore"):  # units that are not finite fail the scan or the unit check
+        phases = dynamics.pmd_phase(abs(delta_omega), 1.0, lengths)
+        scales = 1.0 / np.array([phases[-1], phases[-1], lengths[-1], 1.0, 1.0])
+        phase_slope = math.copysign(scales[0], delta_omega) * phases
     return _TwoComponent(
         "pasy", PASY_FREE_PARAMS, scales,
         lambda t, d_p, mu: dynamics.pa(t, delta_omega, d_p, mu, sign, units),
-        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), -0.5, 1.2 * math.pi)
+        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), -0.5, 1.2 * math.pi,
+        np.array([[sign], [0]]), np.array([phase_slope, phase_slope]), -2.0 * lengths * scales[2])
 
 
 def _p3_model(t: np.ndarray) -> _TwoComponent:
@@ -161,18 +169,23 @@ def _p3_model(t: np.ndarray) -> _TwoComponent:
     with np.errstate(over="ignore"):  # a ceiling that overflowed fails the scan
         scales = 1.0 / np.array([t[-1], t[-1], t[-1], 1.0, 1.0])
         ceiling = 0.5 * math.pi * t[-1] / np.median(np.diff(t))
-    return _TwoComponent("p3", P3_FREE_PARAMS, scales, dynamics.p1, dynamics.p2, -2.0, ceiling)
+    return _TwoComponent("p3", P3_FREE_PARAMS, scales, dynamics.p1, dynamics.p2, -2.0, ceiling,
+                         np.array([[1], [0]]), np.outer([scales[0] / math.sqrt(2.0), scales[1]], t),
+                         -0.5 * t * scales[2])
 
 
 def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d model / d x by complex step, one column per free parameter.
-
-    Exact to rounding for any x, so unlike a finite-difference step relative
-    to |x| it keeps a nonzero column for a parameter pinned at a zero bound
-    (zero variance would be reported for the least identified parameter).
-    """
-    steps = (x[:, None] + 1j * _STEP * np.eye(len(x)))[:, :, None]  # row k steps x[k]
-    return np.ascontiguousarray((model(t, steps).imag / _STEP).T)
+    """d model / d x in closed form, on the times ``t`` the model was built on:
+    with B = cos phi + s sin phi and B' = s cos phi - sin phi, the columns are
+    w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and c_i.
+    Exact at any x: a parameter pinned at a zero bound keeps its column."""
+    phi = x[:2, None] * model.phase_slopes
+    cos, sin = np.cos(phi), np.sin(phi)
+    bracket = cos + model.signs * sin
+    env = np.exp(x[2] * model.rate_slope)
+    c = env * bracket * bracket
+    d_theta = 2.0 * x[3:, None] * env * bracket * (model.signs * cos - sin) * model.phase_slopes
+    return np.column_stack([*d_theta, (x[3:] @ c) * model.rate_slope, *c])
 
 
 def _unresolved(t: np.ndarray) -> FittingError:
@@ -304,8 +317,9 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
     if t[0] < 0:  # both models start at t = 0, and the record's units need t[-1] > 0
         raise FittingError("time must be nonnegative")
     model = make_model(t)
-    if not np.all(_STEP * model.scales >= np.finfo(float).tiny):  # the step in SI
-        raise FittingError(f"the {model.name} fit's derivative step underflows on this record")
+    if not np.all(_UNIT_RESOLUTION * model.scales >= np.finfo(float).tiny):
+        raise FittingError(f"the {model.name} fit's record units are too small: 1e-20 of one "
+                           f"is not a normal float in SI")
     best = min((_polish(model, t, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
                key=lambda r: r.cost)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below

@@ -394,10 +394,10 @@ class TestMainDispatch:
         ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
          "model 'exp' is not finite at t = 0 s: nan"),
         # fits printed numpy warnings, then scipy's "array must not contain infs or NaNs";
-        # d_p per radian at the last time is 2.6e-303 s/sqrt(m), so the fit's
-        # complex step of 1e-20 of it is subnormal for both signs
+        # d_p per radian at the last time is 2.6e-303 s/sqrt(m), so 1e-20 of
+        # that record unit is subnormal in SI for both signs
         *[({"delta_omega_rad_s": value}, ["fit", "decay.csv", "--model", "pasy"],
-           "the pasy fit's derivative step underflows on this record")
+           "the pasy fit's record units are too small: 1e-20 of one is not a normal float in SI")
           for value in (-1e300, 1e300)],
         # no phase to resolve: a 1e-30 rad floor on the grid ceiling made these
         # exit 0 with converged true and a d_p2 of 2.2e15 s/sqrt(m); at 1e-300,

@@ -4,7 +4,9 @@ The values were captured from the code as it stood before the decay models
 were moved into one definition each, and the fit digests from the code that
 fits pasy and p3 in the record's own units (each golden parameter moved by
 at most 2.6e-8 of its reported standard error on the noisy records, and by
-at most 1.7e-13 relative on the clean ones, when the fits left lab units);
+at most 1.7e-13 relative on the clean ones, when the fits left lab units)
+with a closed-form Jacobian (moves of at most 1.7e-14 sd and 2.1e-13
+relative from the complex-step one);
 a change that alters any of them changes the CLI artifacts and must say so.
 """
 
@@ -74,10 +76,10 @@ def fit_record(config, model: str, noise: float) -> str:
 
 
 @pytest.mark.parametrize("model, noise, digest", [
-    ("pasy", 0.0, "2cdc3268a51cf5f3dc2de7056fa7cc05f7ba913cd176be946bee304943fada2e"),
-    ("pasy", 0.02, "a096480209c935ba96a9476a83417e9a2073d3002fccdd2d8bea269776936f84"),
-    ("p3", 0.0, "da3d22450473a24a624d40c38a62bcd4fa2c96d8b4d32ab7aeff51be96e22fc7"),
-    ("p3", 0.02, "3ba445119433c82c16e8c1dbb2787e1d40bdb75a2a484bcd3c33b4aa3a8282d1"),
+    ("pasy", 0.0, "586fe1f4c30725b9011845e1d6bf4e3bf6f7b181febf5bf0934801cab4316c79"),
+    ("pasy", 0.02, "cd841062e190b63158ca3644b6cd1a09b77de87c884f83a3d3683d1fb73a8e1b"),
+    ("p3", 0.0, "ceba3ea84f639b1e64b53d6a9e084ed9e0d98ddbf3e81a73e1bcf0b74235bb01"),
+    ("p3", 0.02, "a0e480e34525bb0643d69818d2d577e335c2bace6b123e14279e39d3490e597d"),
 ])
 def test_fit_json(config, model, noise, digest):
     fit = cli.cmd_fit(model, fit_record(config, model, noise))
