@@ -1,11 +1,19 @@
-"""scipy.optimize entry points, imported on first call.
+"""qbuffer's own bounded least-squares solver, and scipy.optimize entry points
+imported on first call.
 
 Importing scipy.optimize is most of a cold command's start-up, and
 ``classify`` and ``sweep`` never solve anything.  Callers keep these names as
-module globals, so tests and the benchmark's tracer can swap them; they are
-objects rather than functions, so that tracer, which wraps every qbuffer
-function, wraps each one once, as the scipy entry point it stands for.
+module globals, so tests and the benchmark's tracer can swap them.  The scipy
+entry points (``brentq``, ``minimize``, ``nnls``) are objects rather than
+functions, so that tracer, which wraps every qbuffer function, wraps each one
+once, as the scipy entry point it stands for.  ``least_squares`` is a
+function, so the tracer wraps it twice: as ``_optimize.least_squares`` inside
+``fitting.least_squares``.
 """
+
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 
 class _OnFirstCall:
@@ -18,6 +26,100 @@ class _OnFirstCall:
 
 
 brentq = _OnFirstCall("brentq")
-least_squares = _OnFirstCall("least_squares")
 minimize = _OnFirstCall("minimize")
 nnls = _OnFirstCall("nnls")
+
+
+class LeastSquaresResult(NamedTuple):
+    x: np.ndarray
+    cost: float         # 0.5 * |fun(x)|^2
+    jac: np.ndarray     # jac(x)
+    nfev: int
+    status: int         # 0: evaluation cap; 1: zero gradient; 2: cost test; 3: step test
+
+
+_DAMPING = 2e-4    # the first lam, relative to the largest diagonal entry
+_INTERIOR = 1e-10  # start this far inside the bound
+_AT_BOUND = 1e-9   # a variable this close to it is held when its step points outward
+_STEP_BACK = 0.995
+_FTOL = 1e-15
+_XTOL = 1e-13
+
+
+def least_squares(fun: Callable, x0, jac: Callable, max_nfev: int = 4000) -> LeastSquaresResult:
+    """Minimize 0.5 |fun(x)|^2 over x >= 0 by Levenberg-Marquardt.
+
+    Each step solves (D J^T J D + diag(g dv) + lam I) s = -D g for the step
+    D s, with g = J^T r and Coleman & Li's (1996) scaling D^2 = diag(v):
+    v_i = x_i where g_i > 0 (the descent direction points at the bound), else
+    1, and dv its derivative in x.  lam starts at 2e-4 of the largest
+    diagonal entry and follows Nielsen's update: times max(1/3, 1 - (2 rho -
+    1)^3) on an accepted step (rho: actual over Gauss-Newton predicted
+    decrease), times nu, with nu doubling, on a rejected one.  A variable
+    within 1e-9 of the bound whose step points outward is held and the system
+    re-solved without it; a step that would cross the bound goes 0.995 of the
+    way to it.  A trial whose residual is not finite is rejected.  Stops on a
+    relative cost decrease <= 1e-15 or a relative step <= 1e-13; status 0
+    means ``max_nfev`` evaluations of ``fun`` were spent first.
+    """
+    x = np.maximum(np.asarray(x0, dtype=float), _INTERIOR)
+    r = fun(x)
+    cost, nfev, status = 0.5 * float(r @ r), 1, 0
+    j = jac(x)
+    lam, nu = None, 2.0
+    while status == 0 and nfev < max_nfev:
+        g = j.T @ r
+        if not g.any():
+            status = 1
+            break
+        outward = g > 0
+        d = np.sqrt(np.where(outward, x, 1.0))
+        a = (j.T @ j) * np.outer(d, d) + np.diag(np.where(outward, g, 0.0))
+        if lam is None:
+            lam = _DAMPING * a.diagonal().max()
+        while nfev < max_nfev:
+            step = _step(a, d, g, x, lam)
+            crossing = step < 0
+            reach = np.min(x[crossing] / -step[crossing], initial=np.inf)
+            if reach <= 1.0:
+                step = _STEP_BACK * reach * step
+            x_new = x + step
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)  # nan or inf: not a decrease below
+            decrease = cost - cost_new
+            small_step = step @ step <= _XTOL**2 * (x @ x)
+            if decrease > 0:
+                js = j @ step
+                predicted = -float(g @ step + 0.5 * (js @ js))
+                rho = min(decrease / predicted, 1.0) if predicted > 0 else 1.0
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+                if decrease <= _FTOL * cost:
+                    status = 2
+                elif small_step:
+                    status = 3
+                x, r, cost = x_new, r_new, cost_new
+                j = jac(x)
+                break
+            if small_step:
+                status = 3
+                break
+            lam *= nu
+            nu *= 2.0
+    return LeastSquaresResult(x, cost, j, nfev, status)
+
+
+def _step(a: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray,
+          lam: float) -> np.ndarray:
+    """The damped step in x, with every outward-pointing variable at the bound held."""
+    free = np.ones(len(x), dtype=bool)
+    step = d * np.linalg.solve(a + lam * np.eye(len(x)), -d * g)
+    while True:
+        held = free & (x <= _AT_BOUND) & (step < 0)
+        if not held.any():
+            return step
+        free &= ~held
+        step = np.zeros(len(x))
+        sub = a[np.ix_(free, free)] + lam * np.eye(np.count_nonzero(free))
+        step[free] = d[free] * np.linalg.solve(sub, -d[free] * g[free])

@@ -270,6 +270,13 @@ def _regime(kappa: float, gamma0: float) -> tuple[float, float]:
     return diff, math.sqrt(abs(diff)) * math.sqrt(4.0 * kappa + gamma0)
 
 
+def _enveloped(gamma0: float, t: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """exp(-gamma0 t / 2) * square, and 0 where that envelope is 0: there a
+    phase that overflowed leaves square nan, but the product's limit is 0."""
+    env = np.exp(-gamma0 * t / 2.0)
+    return np.where(env > 0, env * square, 0.0)
+
+
 def cavity_p(t, kappa: float, gamma0: float):
     """Qubit survival probability in the coupled-mode model, p(0) = 1.
 
@@ -284,16 +291,21 @@ def cavity_p(t, kappa: float, gamma0: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    x = delta * t / 4.0
-    if diff < 0:
-        # e^-x [cosh x + (gamma0/delta) sinh x] <= 1 + gamma0/delta; the exponent
-        # left for e^2x and the envelope is <= 0 because delta <= gamma0
-        bracket = 0.5 * (1.0 + np.exp(-2.0 * x)) - 0.5 * (gamma0 / delta) * np.expm1(-2.0 * x)
-        out = np.exp(2.0 * x - gamma0 * t / 2.0) * bracket**2
-    else:
-        # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
-        bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
-        out = np.exp(-gamma0 * t / 2.0) * bracket**2
+    with np.errstate(over="ignore", invalid="ignore"):  # rate x time may overflow
+        x = delta * t / 4.0
+        if diff < 0:
+            # e^-x [cosh x + (gamma0/delta) sinh x] <= 1 + gamma0/delta; the exponent
+            # left for e^2x and the envelope, (delta - gamma0) t / 2, is <= 0
+            bracket = 0.5 * (1.0 + np.exp(-2.0 * x)) - 0.5 * (gamma0 / delta) * np.expm1(-2.0 * x)
+            exponent = 2.0 * x - gamma0 * t / 2.0
+            # where both terms overflowed: delta - gamma0 = -16 kappa^2 / (delta + gamma0)
+            exponent = np.where(np.isnan(exponent),
+                                -4.0 * kappa * (4.0 * kappa / (delta + gamma0)) * t / 2.0, exponent)
+            out = np.exp(exponent) * bracket**2
+        else:
+            # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
+            bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
+            out = _enveloped(gamma0, t, bracket**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -303,8 +315,8 @@ def p1(t, kappa1: float, gamma0: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    x = kappa1 * t / math.sqrt(2.0)
-    out = np.exp(-gamma0 * t / 2.0) * _bracket(x, +1)**2
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa1 x time may overflow
+        out = _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -313,7 +325,8 @@ def p2(t, kappa2: float, gamma0: float):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    out = np.exp(-gamma0 * t / 2.0) * _bracket(kappa2 * t, 0)**2
+    with np.errstate(over="ignore", invalid="ignore"):  # kappa2 x time may overflow
+        out = _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
     return float(out) if out.ndim == 0 else out
 
 

@@ -14,9 +14,10 @@ Every pasy and p3 fit starts from a deterministic scan: a crude exponential
 pre-fit pins the envelope rate, one coarse grid for both models over the two
 phase parameters, with the weights solved by closed-form two-column NNLS at each
 point (one Gram pass per rate), ranks candidate basins; the ``nnls`` solver
-finds the weights of the few kept ones, each is polished by a trust-region
-least-squares pass, and the best kept.  One closed-form Jacobian in real
-arithmetic serves both the polish and the covariance at the solution.
+finds the weights of the few kept ones, each is polished by qbuffer's own
+bounded Levenberg-Marquardt solver (``_optimize.least_squares``), and the best
+kept.  One closed-form Jacobian in real arithmetic serves both the polish and
+the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -281,6 +282,8 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
 
 
 def _polish(model, t, p, sigma, x0):
+    """One bounded Levenberg-Marquardt pass from ``x0`` over x >= 0 on the
+    sigma-weighted residuals; its status is 0 when the evaluation cap stopped it."""
     def jac(x):
         j = _jacobian(model, t, x) / sigma[:, None]
         if not np.all(np.isfinite(j)):
@@ -288,12 +291,10 @@ def _polish(model, t, p, sigma, x0):
                                f"a polish step; check the fixed model parameters")
         return j
 
-    # numpy's warnings are off: the solver shrinks its step past a non-finite
-    # residual, and a non-finite derivative raises above
+    # numpy's warnings are off: the solver rejects a step whose residual is
+    # not finite, and a non-finite derivative raises above
     with np.errstate(all="ignore"):
-        return least_squares(lambda x: (model(t, x) - p) / sigma, x0,
-                             jac=jac, bounds=(0.0, np.inf), method="trf",
-                             xtol=1e-12, ftol=1e-12, gtol=1e-13, max_nfev=4000)
+        return least_squares(lambda x: (model(t, x) - p) / sigma, x0, jac)
 
 
 def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,

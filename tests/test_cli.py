@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
 import json
 import math
 import warnings
@@ -387,8 +388,9 @@ class TestMainDispatch:
         ({"d_p2_s_per_sqrt_m": 1e300}, ["sweep", "--out", "sweep.csv"],
          "P_pasy is not finite at t = 0 s: nan"),
         ({"t_end_s": 1e300}, ["sweep", "--out", "sweep.csv"], "L_m is not finite"),
-        ({"kappa2_per_s": 1e300, "t_end_s": 1e10}, ["sweep", "--out", "sweep.csv"],
-         "P_p3 is not finite"),
+        # kappa2 t overflows with no decay to take it to 0: cos^2 of it has no value
+        ({"kappa2_per_s": 1e300, "gamma0_per_s": 0, "t_end_s": 1e10},
+         ["sweep", "--out", "sweep.csv"], "P_p3 is not finite"),
         ({"d_p2_s_per_sqrt_m": 1e300}, ["threshold", "--model", "pasy", "--level", "0.5"],
          "model 'pasy' is not finite at t = 0 s: nan"),
         ({"mu_per_m": 1e300}, ["threshold", "--model", "exp", "--level", "0.5"],
@@ -419,6 +421,18 @@ class TestMainDispatch:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_overflowing_phase_under_a_zero_envelope(self, tmp_path, capsys, monkeypatch):
+        # kappa2 t overflows past t = 0, where e^(-gamma0 t / 2) is already 0:
+        # P_p3 was nan there and the sweep exited 1; the limit, 0, is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"kappa2_per_s": 1e300, "t_end_s": 1e10}))
+        assert main(["sweep", "--out", "sweep.csv", "--config", "cfg.json"]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            p3 = [float(row["P_p3"]) for row in csv.DictReader(handle)]
+        assert p3[0] == 1.0 and p3[1:] == [0.0] * (len(p3) - 1)
 
     def test_fit_pasy_phase_overflow_errors(self, tmp_path, capsys, monkeypatch):
         # the PMD phase on this record overflows: the lab-unit grid ceiling was

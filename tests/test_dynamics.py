@@ -276,6 +276,15 @@ class TestCavityModel:
         assert np.isfinite(val)
         assert 0 <= val <= 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rate_times_time(self):
+        # delta t and gamma0 t overflow: the values were nan after a warning
+        assert cavity_p(1e300, 1e10, 1e10) == 0.0  # oscillating, zero envelope
+        assert cavity_p(1e300, 1e10, 1e11) == 0.0  # hyperbolic, exponent -inf
+        # with kappa = 0 the hyperbolic growth cancels the envelope exactly
+        assert cavity_p(1e300, 0.0, 1e10) == 1.0
+        np.testing.assert_array_equal(cavity_p(np.array([0.0, 1e300]), 1e10, 1e11), [1.0, 0.0])
+
     def test_hyperbolic_branch_switch_is_continuous(self):
         # one bounded expression covers every hyperbolic argument x = delta t / 4,
         # so the values on both sides of x = 30 (deep in the e^x growth of
@@ -359,6 +368,15 @@ class TestComponentCavityModels:
         assert p2(np.pi / 2 / 3528.0, 3528.0, 16292.0) == pytest.approx(0.0, abs=1e-12)
         got = p2(1e-4, 3528.0, 16292.0)
         assert got == pytest.approx(np.exp(-0.8146) * np.cos(0.3528) ** 2, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_under_a_zero_envelope(self):
+        # kappa t overflows where e^(-gamma0 t / 2) is 0: the limit 0, not nan
+        assert p1(1e300, 1e10, 1e10) == 0.0
+        assert p2(1e300, 1e10, 1e10) == 0.0
+        t = np.array([0.0, 1e8, 1e10])
+        np.testing.assert_array_equal(p2(t, 1e300, 16292.0), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(p1(t, 1e300, 16292.0), [1.0, 0.0, 0.0])
 
     def test_p3_weighted_sum(self):
         assert p3(0.0, REF_CAVITY) == pytest.approx(1.0)

@@ -6,7 +6,9 @@ fits pasy and p3 in the record's own units (each golden parameter moved by
 at most 2.6e-8 of its reported standard error on the noisy records, and by
 at most 1.7e-13 relative on the clean ones, when the fits left lab units)
 with a closed-form Jacobian (moves of at most 1.7e-14 sd and 2.1e-13
-relative from the complex-step one);
+relative from the complex-step one), polished by qbuffer's own bounded
+Levenberg-Marquardt solver (moves of at most 4.0e-7 sd and 2.7e-13 relative
+from the trust-region one);
 a change that alters any of them changes the CLI artifacts and must say so.
 """
 
@@ -76,10 +78,10 @@ def fit_record(config, model: str, noise: float) -> str:
 
 
 @pytest.mark.parametrize("model, noise, digest", [
-    ("pasy", 0.0, "586fe1f4c30725b9011845e1d6bf4e3bf6f7b181febf5bf0934801cab4316c79"),
-    ("pasy", 0.02, "cd841062e190b63158ca3644b6cd1a09b77de87c884f83a3d3683d1fb73a8e1b"),
-    ("p3", 0.0, "ceba3ea84f639b1e64b53d6a9e084ed9e0d98ddbf3e81a73e1bcf0b74235bb01"),
-    ("p3", 0.02, "a0e480e34525bb0643d69818d2d577e335c2bace6b123e14279e39d3490e597d"),
+    ("pasy", 0.0, "9c9c59466f741f9b8f868ea3465e96f473a2f87e903a2829704f7babfcdaab25"),
+    ("pasy", 0.02, "2cf7fa6c01bffdc0cdad0ce8634cdcf23db485cacc614a604b6476aefd4df9d0"),
+    ("p3", 0.0, "bc9f23878c914b12d83e8e24e707d0a629f13f0b91d9624bd760e902321b0fed"),
+    ("p3", 0.02, "84ebe675e51fa8b44280364648926680e254c746e19812a372251ce76395de71"),
 ])
 def test_fit_json(config, model, noise, digest):
     fit = cli.cmd_fit(model, fit_record(config, model, noise))

@@ -1,4 +1,5 @@
-"""scipy.optimize is imported on the first solve, not at start-up."""
+"""scipy.optimize is imported on the first solve, not at start-up; the
+bounded least-squares solver is qbuffer's own."""
 
 import os
 import subprocess
@@ -77,11 +78,94 @@ def test_minimize_forwards(lazy):
     assert np.array_equal(got.x, want.x) and got.fun == want.fun and got.nit == want.nit
 
 
-def test_least_squares_forwards(lazy):
-    t = np.linspace(0.0, 1.0, 7)
-    y = 2.0 * t + 0.5 + 0.01 * np.sin(9.0 * t)
-    line = lambda x: x[0] * t + x[1] - y
-    got = lazy.least_squares(line, [1.0, 0.0])
-    want = scipy.optimize.least_squares(line, [1.0, 0.0])
-    assert np.array_equal(got.x, want.x) and got.cost == want.cost
-    assert got.nfev == want.nfev
+LINE_T = np.linspace(0.0, 1.0, 7)
+LINE_DESIGN = np.column_stack([LINE_T, np.ones_like(LINE_T), np.sin(3.0 * LINE_T)])
+
+
+def linear(y):
+    """Residual and Jacobian of min |LINE_DESIGN x - y|."""
+    return (lambda x: LINE_DESIGN @ x - y), (lambda x: LINE_DESIGN)
+
+
+def test_least_squares_linear_matches_lstsq(lazy):
+    # the optimum is interior, so the bound is inactive and lstsq is the answer
+    y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T) + 0.01 * np.cos(9.0 * LINE_T)
+    want = np.linalg.lstsq(LINE_DESIGN, y, rcond=None)[0]
+    assert np.all(want > 0.1)
+    fun, jac = linear(y)
+    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
+    assert got.status > 0
+    np.testing.assert_allclose(got.x, want, rtol=1e-12, atol=0.0)
+    assert got.cost == pytest.approx(0.5 * np.sum(fun(want) ** 2), rel=1e-12)
+    assert np.array_equal(got.jac, LINE_DESIGN)
+
+
+def test_least_squares_optimum_on_the_bound(lazy):
+    # the unconstrained optimum has a negative intercept; the bounded one sits
+    # at intercept 0 with the gradient pointing outward there (KKT)
+    y = 2.0 * LINE_T - 0.4 + np.sin(3.0 * LINE_T)
+    assert np.linalg.lstsq(LINE_DESIGN, y, rcond=None)[0][1] < 0
+    want, _ = scipy.optimize.nnls(LINE_DESIGN, y)
+    assert want[1] == 0.0 and np.all(want[[0, 2]] > 0.1)
+    fun, jac = linear(y)
+    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
+    assert got.status > 0
+    assert got.x[1] <= 1e-9
+    np.testing.assert_allclose(got.x[[0, 2]], want[[0, 2]], rtol=1e-9)
+    g = LINE_DESIGN.T @ fun(got.x)
+    assert g[1] >= 0.0
+    assert np.all(np.abs(g[[0, 2]]) <= 1e-9)
+
+
+def test_least_squares_holds_a_variable_at_the_bound(lazy):
+    # started on the bound (moved 1e-10 inside) with its step pointing out,
+    # the intercept is held there while the others solve; a step cut short
+    # at the bound instead would shrink every other step with it
+    y = 2.0 * LINE_T - 0.4 + np.sin(3.0 * LINE_T)
+    want, _ = scipy.optimize.nnls(LINE_DESIGN, y)
+    fun, jac = linear(y)
+    seen = []
+    got = lazy.least_squares(lambda x: seen.append(x[1]) or fun(x), [1.0, 0.0, 1.0], jac)
+    assert got.status > 0 and set(seen) == {1e-10}
+    np.testing.assert_allclose(got.x[[0, 2]], want[[0, 2]], rtol=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_least_squares_rejects_a_nonfinite_trial(lazy, bad):
+    # the first trial step sees a residual that is not finite: it is rejected
+    # without a warning, and the solve goes on to the same optimum
+    y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
+    fun, jac = linear(y)
+    seen = []
+
+    def flaky(x):
+        seen.append(x.copy())
+        return np.full_like(y, bad) if len(seen) == 2 else fun(x)
+
+    got = lazy.least_squares(flaky, [1.0, 1.0, 1.0], jac)
+    assert got.status > 0 and got.nfev == len(seen) > 2
+    np.testing.assert_allclose(got.x, [2.0, 0.5, 0.3], rtol=1e-12)
+    # the trial after the rejected one is a shorter step from the same point
+    assert np.linalg.norm(seen[2] - seen[0]) < np.linalg.norm(seen[1] - seen[0])
+
+
+def test_least_squares_evaluation_cap(lazy):
+    y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
+    fun, jac = linear(y)
+    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac, max_nfev=2)
+    assert (got.status, got.nfev) == (0, 2)
+
+
+def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
+    # a polish stopped by the cap is not converged, and the fit says so
+    from qbuffer import fitting
+    t = np.linspace(0.0, 1.5e-3, 50)
+    truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5)
+    data = fitting.DataSeries.from_points(t, qbuffer.dynamics.p3(t, truth))
+    assert fitting.fit_p3(data).converged
+    monkeypatch.setattr(fitting, "least_squares",
+                        lambda *args: lazy.least_squares(*args, max_nfev=3))
+    fit = fitting.fit_p3(data)
+    assert not fit.converged and fit.iterations == 3
+    assert fitting.fit_result_to_dict(fit)["converged"] is False
