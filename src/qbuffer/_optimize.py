@@ -44,9 +44,10 @@ _AT_BOUND = 1e-9   # a variable this close to it is held when its step points ou
 _STEP_BACK = 0.995
 _FTOL = 1e-15
 _XTOL = 1e-13
+_MAX_NFEV = 4000
 
 
-def least_squares(fun: Callable, x0, jac: Callable, max_nfev: int = 4000) -> LeastSquaresResult:
+def least_squares(fun: Callable, x0, jac: Callable) -> LeastSquaresResult:
     """Minimize 0.5 |fun(x)|^2 over x >= 0 by Levenberg-Marquardt.
 
     Each step solves (D J^T J D + diag(g dv) + lam I) s = -D g for the step
@@ -60,14 +61,14 @@ def least_squares(fun: Callable, x0, jac: Callable, max_nfev: int = 4000) -> Lea
     re-solved without it; a step that would cross the bound goes 0.995 of the
     way to it.  A trial whose residual is not finite is rejected.  Stops on a
     relative cost decrease <= 1e-15 or a relative step <= 1e-13; status 0
-    means ``max_nfev`` evaluations of ``fun`` were spent first.
+    means 4000 evaluations of ``fun`` were spent first.
     """
     x = np.maximum(np.asarray(x0, dtype=float), _INTERIOR)
     r = fun(x)
     cost, nfev, status = 0.5 * float(r @ r), 1, 0
     j = jac(x)
     lam, nu = None, 2.0
-    while status == 0 and nfev < max_nfev:
+    while status == 0 and nfev < _MAX_NFEV:
         g = j.T @ r
         if not g.any():
             status = 1
@@ -77,7 +78,7 @@ def least_squares(fun: Callable, x0, jac: Callable, max_nfev: int = 4000) -> Lea
         a = (j.T @ j) * np.outer(d, d) + np.diag(np.where(outward, g, 0.0))
         if lam is None:
             lam = _DAMPING * a.diagonal().max()
-        while nfev < max_nfev:
+        while nfev < _MAX_NFEV:
             step = _step(a, d, g, x, lam)
             crossing = step < 0
             reach = np.min(x[crossing] / -step[crossing], initial=np.inf)

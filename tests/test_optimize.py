@@ -150,10 +150,11 @@ def test_least_squares_rejects_a_nonfinite_trial(lazy, bad):
     assert np.linalg.norm(seen[2] - seen[0]) < np.linalg.norm(seen[1] - seen[0])
 
 
-def test_least_squares_evaluation_cap(lazy):
+def test_least_squares_evaluation_cap(lazy, monkeypatch):
     y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
     fun, jac = linear(y)
-    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac, max_nfev=2)
+    monkeypatch.setattr(lazy, "_MAX_NFEV", 2)
+    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
     assert (got.status, got.nfev) == (0, 2)
 
 
@@ -164,8 +165,7 @@ def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5)
     data = fitting.DataSeries.from_points(t, qbuffer.dynamics.p3(t, truth))
     assert fitting.fit_p3(data).converged
-    monkeypatch.setattr(fitting, "least_squares",
-                        lambda *args: lazy.least_squares(*args, max_nfev=3))
+    monkeypatch.setattr(lazy, "_MAX_NFEV", 3)
     fit = fitting.fit_p3(data)
     assert not fit.converged and fit.iterations == 3
     assert fitting.fit_result_to_dict(fit)["converged"] is False
