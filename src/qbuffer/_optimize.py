@@ -1,14 +1,15 @@
-"""qbuffer's own bounded least-squares solver, and scipy.optimize entry points
-imported on first call.
+"""qbuffer's own two-column NNLS and bounded least-squares solver, and
+scipy.optimize entry points imported on first call.
 
 Importing scipy.optimize is most of a cold command's start-up, and
-``classify`` and ``sweep`` never solve anything.  Callers keep these names as
-module globals, so tests and the benchmark's tracer can swap them.  The scipy
-entry points (``brentq``, ``minimize``, ``nnls``) are objects rather than
+``classify``, ``sweep`` and ``fit`` never need it.  Callers keep these names
+as module globals, so tests and the benchmark's tracer can swap them.  The
+two scipy entry points (``brentq``, ``minimize``) are objects rather than
 functions, so that tracer, which wraps every qbuffer function, wraps each one
-once, as the scipy entry point it stands for.  ``least_squares`` is a
-function, so the tracer wraps it twice: as ``_optimize.least_squares`` inside
-``fitting.least_squares``.
+once, as the scipy entry point it stands for.  ``nnls`` and
+``least_squares`` are functions, so the tracer wraps each twice: as
+``_optimize.nnls`` inside ``fitting.nnls``, and likewise for
+``least_squares``.
 """
 
 from typing import Callable, NamedTuple
@@ -27,7 +28,33 @@ class _OnFirstCall:
 
 brentq = _OnFirstCall("brentq")
 minimize = _OnFirstCall("minimize")
-nnls = _OnFirstCall("nnls")
+
+
+def nnls(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
+    """Weights and SSE of min ||w1 c1[i] + w2 c2[j] - y|| over w >= 0 for
+    every row pair (i, j), each returned array shaped (len(c1), len(c2)).
+
+    The KKT point in closed form (Lawson & Hanson): the unconstrained
+    solution of the 2x2 normal equations when both its weights are
+    positive, otherwise the better of the two clipped one-column solutions.
+    At that point SSE = y.y - w1 b1 - w2 b2 with b = A^T y.
+    """
+    a11 = np.einsum("in,in->i", c1, c1)[:, None]
+    a22 = np.einsum("jn,jn->j", c2, c2)
+    a12 = c1 @ c2.T
+    b1 = (c1 @ y)[:, None]
+    b2 = c2 @ y
+    det = a11 * a22 - a12 * a12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = (a22 * b1 - a12 * b2) / det
+        w2 = (a11 * b2 - a12 * b1) / det
+        u1 = np.where(a11 > 0, np.maximum(b1 / a11, 0.0), 0.0)  # c1 alone
+        u2 = np.where(a22 > 0, np.maximum(b2 / a22, 0.0), 0.0)  # c2 alone
+    interior = (det > 0) & (w1 > 0) & (w2 > 0)
+    first = u1 * b1 >= u2 * b2
+    w1 = np.where(interior, w1, np.where(first, u1, 0.0))
+    w2 = np.where(interior, w2, np.where(first, 0.0, u2))
+    return w1, w2, y @ y - w1 * b1 - w2 * b2
 
 
 class LeastSquaresResult(NamedTuple):

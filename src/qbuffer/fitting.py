@@ -13,11 +13,11 @@ threshold of the scan and the polish is relative.
 Every pasy and p3 fit starts from a deterministic scan: a crude exponential
 pre-fit pins the envelope rate, one coarse grid for both models over the two
 phase parameters, with the weights solved by closed-form two-column NNLS at each
-point (one Gram pass per rate), ranks candidate basins; the ``nnls`` solver
-finds the weights of the few kept ones, each is polished by qbuffer's own
-bounded Levenberg-Marquardt solver (``_optimize.least_squares``), and the best
-kept.  One closed-form Jacobian in real arithmetic serves both the polish and
-the covariance at the solution.
+point (``_optimize.nnls``, one Gram pass per rate), ranks candidate basins;
+each of the few kept ones starts from the weights solved there, is polished
+by qbuffer's own bounded Levenberg-Marquardt solver
+(``_optimize.least_squares``), and the best kept.  One closed-form Jacobian in
+real arithmetic serves both the polish and the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -212,70 +212,40 @@ def _grid(model: _TwoComponent, t: np.ndarray, p: np.ndarray):
             np.concatenate([[0.0], np.geomspace(c / 400.0, c, 26)]))
 
 
-def _nnls2(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
-    """Weights and SSE of min ||w1 c1[i] + w2 c2[j] - y|| over w >= 0 for
-    every row pair (i, j), each returned array shaped (len(c1), len(c2)).
-
-    The KKT point in closed form (Lawson & Hanson): the unconstrained
-    solution of the 2x2 normal equations when both its weights are
-    positive, otherwise the better of the two clipped one-column solutions.
-    At that point SSE = y.y - w1 b1 - w2 b2 with b = A^T y.
-    """
-    a11 = np.einsum("in,in->i", c1, c1)[:, None]
-    a22 = np.einsum("jn,jn->j", c2, c2)
-    a12 = c1 @ c2.T
-    b1 = (c1 @ y)[:, None]
-    b2 = c2 @ y
-    det = a11 * a22 - a12 * a12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w1 = (a22 * b1 - a12 * b2) / det
-        w2 = (a11 * b2 - a12 * b1) / det
-        u1 = np.where(a11 > 0, np.maximum(b1 / a11, 0.0), 0.0)  # c1 alone
-        u2 = np.where(a22 > 0, np.maximum(b2 / a22, 0.0), 0.0)  # c2 alone
-    interior = (det > 0) & (w1 > 0) & (w2 > 0)
-    first = u1 * b1 >= u2 * b2
-    w1 = np.where(interior, w1, np.where(first, u1, 0.0))
-    w2 = np.where(interior, w2, np.where(first, 0.0, u2))
-    return w1, w2, y @ y - w1 * b1 - w2 * b2
-
-
 def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
           sigma: np.ndarray) -> list[np.ndarray]:
     """Up to four starting points from ``_grid``.
 
     At every grid point with theta1 <= theta2 the weights are solved by
-    closed-form two-column NNLS, one Gram pass over all theta pairs per
-    rate.  Points are ranked by SSE, ties in grid order (rate, theta2,
-    theta1), and kept only if their theta2 differs by more than a relative
-    5 % from every point already kept.  The weights of a kept point are
-    recomputed by the ``nnls`` solver from that point's rows of the scan's columns.
-    Raises when no grid point fits better than P = 0.
+    closed-form two-column NNLS (``nnls``), one Gram pass over all theta
+    pairs per rate.  Points are ranked by SSE, ties in grid order (rate,
+    theta2, theta1), and kept only if their theta2 differs by more than a
+    relative 5 % from every point already kept.  A kept point starts from
+    the weights solved at it.  Raises when no grid point fits better than
+    P = 0.
     """
     s, y = model.scales, p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
         rates, theta2s, theta1s = _grid(model, t, p)
-        columns = [(model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma,
-                    model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma)
-                   for rate in rates]  # the sigma-weighted (c1, c2) of each rate
-    sse = np.empty((len(rates), len(theta2s), len(theta1s)))
-    for k, (c1, c2) in enumerate(columns):
+    w1, w2, sse = np.empty((3, len(rates), len(theta2s), len(theta1s)))
+    for k, rate in enumerate(rates):
+        with np.errstate(all="ignore"):
+            c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
+            c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
         if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
             raise FittingError(f"the {model.name} model is not finite on this record's "
                                f"scan grid; check its times and the fixed model parameters")
-        sse[k] = _nnls2(c1, c2, y)[2].T
+        w1[k], w2[k], sse[k] = (a.T for a in nnls(c1, c2, y))
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
     if not sse.ravel()[ranked[0]] < y @ y:  # every start would have both weights at 0
         raise FittingError(f"no point of the {model.name} scan grid fits times {t[0]:.17g} "
                            f"to {t[-1]:.17g} s better than P = 0")
     picked: list[np.ndarray] = []
-    for i_rate, i2, i1 in zip(*np.unravel_index(ranked, sse.shape)):
-        rate, theta2, theta1 = rates[i_rate], theta2s[i2], theta1s[i1]
+    for i in zip(*np.unravel_index(ranked, sse.shape)):
+        rate, theta2, theta1 = rates[i[0]], theta2s[i[1]], theta1s[i[2]]
         if all(abs(theta2 - other[1]) > 0.05 * other[1] for other in picked):
-            c1, c2 = columns[i_rate]
-            weights, _ = nnls(np.column_stack([c1[i1], c2[i2]]), y)
-            picked.append(np.array([theta1, theta2, rate,
-                                    max(weights[0], 1e-6), max(weights[1], 1e-6)]))
+            picked.append(np.array([theta1, theta2, rate, w1[i], w2[i]]))
             if len(picked) >= 4:
                 break
     return picked

@@ -10,13 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from qbuffer import dynamics, fitting
+from qbuffer import _optimize, dynamics, fitting
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
-from qbuffer.fitting import (DataSeries, FittingError, _jacobian, _nnls2,
-                             _p3_model, _pasy_model, _scan, fit_exponential, fit_p3,
-                             fit_pasy, fit_result_to_dict, series_from_csv,
-                             series_to_csv)
+from qbuffer.fitting import (DataSeries, FittingError, _jacobian, _p3_model,
+                             _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
+                             fit_result_to_dict, series_from_csv, series_to_csv)
 
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
@@ -160,9 +159,8 @@ def grid_nnls_scan(model, t, p, sigma):
                     weights, _ = nnls(a, p / sigma)
                     active = a[:, weights > 0]
                     fitted = active @ np.linalg.lstsq(active, p / sigma)[0]
-                    cands.append((np.sum((fitted - p / sigma) ** 2), np.array(
-                        [theta1, theta2, rate, max(weights[0], 1e-6),
-                         max(weights[1], 1e-6)])))
+                    cands.append((np.sum((fitted - p / sigma) ** 2),
+                                  np.array([theta1, theta2, rate, *weights])))
     cands.sort(key=lambda c: c[0])
     picked = []
     for _, x in cands:
@@ -199,7 +197,7 @@ class TestScan:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_closed_form_matches_scipy_nnls(self, branch, seed):
         c1, c2, y, w = kkt_problem(branch, seed)
-        w1, w2, sse = _nnls2(c1[None, :], c2[None, :], y)
+        w1, w2, sse = _optimize.nnls(c1[None, :], c2[None, :], y)
         weights, rnorm = nnls(np.column_stack([c1, c2]), y)
         np.testing.assert_allclose([w1[0, 0], w2[0, 0]], weights, rtol=1e-10, atol=0)
         np.testing.assert_allclose([w1[0, 0], w2[0, 0]], w, rtol=1e-10, atol=0)
@@ -208,7 +206,7 @@ class TestScan:
     def test_closed_form_pairs_every_row(self):
         rng = np.random.default_rng(5)
         c1, c2, y = rng.uniform(size=(3, 8)), rng.uniform(size=(4, 8)), rng.normal(size=8)
-        w1, w2, sse = _nnls2(c1, c2, y)
+        w1, w2, sse = _optimize.nnls(c1, c2, y)
         assert sse.shape == (3, 4)
         for i in range(3):
             for j in range(4):
@@ -223,25 +221,28 @@ class TestScan:
         model = make_model(data.t)
         expected = grid_nnls_scan(model, data.t, data.p, data.sigma)
         got = _scan(model, data.t, data.p, data.sigma)
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+        # the grid point of each start exactly; its weights, solved by the
+        # closed form, within that form's bound against scipy's nnls
+        assert [x[:3].tobytes() for x in got] == [x[:3].tobytes() for x in expected]
+        for x, want in zip(got, expected):
+            np.testing.assert_allclose(x[3:], want[3:], rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_scipy_nnls_only_for_kept_points(self, monkeypatch, make_model, make_data):
-        # one call per kept starting point; 6 072 calls, one per grid
-        # point, before the closed form
+        # one closed-form pass per rate, and no solve per kept start
         calls = []
         monkeypatch.setattr(fitting, "nnls",
-                            lambda *args: calls.append(args) or nnls(*args))
+                            lambda *args: calls.append(args) or _optimize.nnls(*args))
         data = make_data()
         model = make_model(data.t)
         picked = _scan(model, data.t, data.p, data.sigma)
         assert 1 <= len(picked) <= 4
-        assert len(calls) == len(picked)
+        assert len(calls) == len(fitting._grid(model, data.t, data.p)[0]) == 3
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES[:2])
     def test_each_component_evaluated_once_per_rate(self, monkeypatch, make_model, make_data):
-        # pa for c1 and, through psy, for c2; a kept start's nnls reads rows
-        # of those columns (each start evaluated both components again before)
+        # pa for c1 and, through psy, for c2; a kept start takes its weights
+        # from the scan's pass and evaluates neither again
         data = make_data()
         model = make_model(data.t)
         rates = fitting._grid(model, data.t, data.p)[0]
@@ -254,8 +255,8 @@ class TestScan:
     @pytest.mark.parametrize("fit", [fit_pasy, fit_p3], ids=lambda fit: fit.__name__)
     def test_no_start_beats_zero_rejected(self, fit, start):
         # both components vanish this far from t = 0: every start had both
-        # weights at the scan's 1e-6 floor, and the fit reported converged
-        # after one evaluation with the residual of P = 0
+        # weights at 0 (then floored just inside the bound), and the fit
+        # reported converged after one evaluation with the residual of P = 0
         i = np.arange(10)
         data = DataSeries(start + 2.0 * i, 0.9 * 0.6 ** i, np.full(10, 0.01))
         with pytest.raises(FittingError, match=f"{fit.__name__[4:]} scan grid fits times "

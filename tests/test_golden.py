@@ -8,7 +8,9 @@ at most 1.7e-13 relative on the clean ones, when the fits left lab units)
 with a closed-form Jacobian (moves of at most 1.7e-14 sd and 2.1e-13
 relative from the complex-step one), polished by qbuffer's own bounded
 Levenberg-Marquardt solver (moves of at most 4.0e-7 sd and 2.7e-13 relative
-from the trust-region one);
+from the trust-region one) from starts whose weights the scan's closed-form
+NNLS solved (moves of at most 2.6e-8 sd and 2.2e-13 relative from scipy's
+nnls at a 1e-6 floor);
 a change that alters any of them changes the CLI artifacts and must say so.
 """
 
@@ -78,10 +80,10 @@ def fit_record(config, model: str, noise: float) -> str:
 
 
 @pytest.mark.parametrize("model, noise, digest", [
-    ("pasy", 0.0, "9c9c59466f741f9b8f868ea3465e96f473a2f87e903a2829704f7babfcdaab25"),
-    ("pasy", 0.02, "2cf7fa6c01bffdc0cdad0ce8634cdcf23db485cacc614a604b6476aefd4df9d0"),
-    ("p3", 0.0, "bc9f23878c914b12d83e8e24e707d0a629f13f0b91d9624bd760e902321b0fed"),
-    ("p3", 0.02, "84ebe675e51fa8b44280364648926680e254c746e19812a372251ce76395de71"),
+    ("pasy", 0.0, "7b127bfd0cd35aabe8629117a1bee2fe586fe7f1b575b2ad878a65ce06e8a626"),
+    ("pasy", 0.02, "1ad989a6edaa620e0b9e57373233d09a17bdff08d16c3fdb609785c2819cf495"),
+    ("p3", 0.0, "f1e8b633db0645cc2ba19761cb835054d94714048ae9b4dcf20dc3c2e055892a"),
+    ("p3", 0.02, "8bbc975c3206782311d449e424e75eb94c040938df935d0a74919b2f3739daab"),
 ])
 def test_fit_json(config, model, noise, digest):
     fit = cli.cmd_fit(model, fit_record(config, model, noise))

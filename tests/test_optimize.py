@@ -1,5 +1,6 @@
-"""scipy.optimize is imported on the first solve, not at start-up; the
-bounded least-squares solver is qbuffer's own."""
+"""scipy.optimize is imported on the first brentq or minimize call, not at
+start-up; the fits' two-column NNLS and bounded least-squares solver are
+qbuffer's own, so a fit never imports it."""
 
 import os
 import subprocess
@@ -16,6 +17,8 @@ SRC = str(Path(qbuffer.__file__).resolve().parents[1])
 
 STARTUP = """
 import sys
+import numpy as np
+from qbuffer import dynamics, fitting
 from qbuffer.cli import main
 
 loaded = lambda: sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
@@ -30,6 +33,20 @@ assert main(["tomo", "--werner-p", "0.5", "--out", sys.argv[1]]) == 0
 print("tomo", loaded())
 assert main(["tomo", "--werner-p", "0.5", "--exact", "--out", sys.argv[1]]) == 0
 print("tomo --exact", loaded())
+
+def fit(model, p):
+    path = f"{sys.argv[1]}.{model}.csv"
+    with open(path, "w") as f:
+        f.write(fitting.series_to_csv(fitting.DataSeries.from_points(t, p)))
+    assert main(["fit", path, "--model", model, "--out", path + ".json"]) == 0
+    print("fit", model, loaded())
+
+t = np.linspace(0.0, 1.5e-3, 20)
+p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5))
+fit("pasy", dynamics.prob_pasy(t, dynamics.PmdModelParams.from_lab_units(
+    200.0, 0.0017, 0.047, 0.006, 0.5, 0.5), dynamics.UnitContext()))
+fit("p3", p3_curve)
+fit("exp", p3_curve)
 # a pure state: the clipped start is off the optimum, so L-BFGS-B iterates
 assert main(["tomo", "--werner-p", "1.0", "--out", sys.argv[1]]) == 0
 print("tomo P = 1", "scipy.optimize" in loaded())
@@ -37,13 +54,15 @@ print("tomo P = 1", "scipy.optimize" in loaded())
 
 
 def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
-    # and so does an interior tomo; only a tomo whose MLE iterates loads it
+    # and so do an interior tomo and a fit of every model; only a tomo whose
+    # MLE iterates loads it
     run = subprocess.run([sys.executable, "-c", STARTUP, str(tmp_path / "sweep.csv")],
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["import []", "classify []", "sweep []", "tomo []",
-                                       "tomo --exact []", "tomo P = 1 True"]
+                                       "tomo --exact []", "fit pasy []", "fit p3 []",
+                                       "fit exp []", "tomo P = 1 True"]
 
 
 def test_scipy_named_in_one_module():
@@ -56,13 +75,6 @@ def test_scipy_named_in_one_module():
 def lazy():
     from qbuffer import _optimize
     return _optimize
-
-
-def test_nnls_forwards(lazy):
-    a = np.array([[1.0, 0.5], [0.2, 1.0], [0.3, 0.7]])
-    b = np.array([1.0, -0.4, 0.9])
-    got, want = lazy.nnls(a, b), scipy.optimize.nnls(a, b)
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 def test_brentq_forwards(lazy):
