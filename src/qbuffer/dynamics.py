@@ -161,8 +161,8 @@ def params_from_dict(data: dict) -> tuple[PmdModelParams, CavityModelParams, Uni
 
 
 def _bracket(phi, sign: int):
-    """cos(phi) + sign sin(phi); broadcasts, accepts complex phi, and
-    evaluates no sine when sign is 0."""
+    """cos(phi) + sign sin(phi); broadcasts, and evaluates no sine when
+    sign is 0."""
     return np.cos(phi) + sign * np.sin(phi) if sign else np.cos(phi)
 
 

@@ -1,14 +1,17 @@
 """Weighted nonlinear least-squares fits of the decay models to (t, P) data.
 
 Both decay models have the separable form P = w1 c1(theta1, rate) +
-w2 c2(theta2, rate), linear in the weights, with the component functions
-taken from ``dynamics`` (pa/psy for pasy, p1/p2 for p3).  One code path fits
-either, in the record's own units: each rate per record duration (mu per fiber
-length at the last time), each phase parameter per radian at the last time.
-Every free parameter is then O(1) at any time scale, where SI magnitudes like
-D_p ~ 1e-17 s/sqrt(m) would wreck the solver's unit-scaled trust region and its
-step tolerances.  Every free parameter is bounded to [0, inf), and every
-threshold of the scan and the polish is relative.
+w2 c2(theta2, rate), linear in the weights.  Each component is
+env (cos phi + s sin phi)^2, phi linear in its theta and ln env in the rate
+(``dynamics``'s pa/psy for pasy, p1/p2 for p3), and one closed form of it on
+the record's times gives the fit's model values, scan columns and Jacobian.
+One code path fits either model, in the record's own units: each rate per
+record duration (mu per fiber length at the last time), each phase parameter
+per radian at the last time.  Every free parameter is then O(1) at any time
+scale, where SI magnitudes like D_p ~ 1e-17 s/sqrt(m) would wreck the
+solver's unit-scaled trust region and its step tolerances; the fitted
+parameters reach SI once, at the end.  Every free parameter is bounded to
+[0, inf), and every threshold of the scan and the polish is relative.
 
 Every pasy and p3 fit starts from a deterministic scan: a crude exponential
 pre-fit pins the envelope rate, one coarse grid for both models over the two
@@ -125,29 +128,31 @@ class _TwoComponent(NamedTuple):
     """P = w1 c1(theta1, rate) + w2 c2(theta2, rate) in the record's units.
 
     x = (theta1, theta2, rate, w1, w2) are the free parameters, named by
-    ``free`` and multiplied by ``scales`` to give SI; ``c1``/``c2`` take
-    (t, theta, rate) in SI.  ``envelope`` maps the slope of ln P per record
-    duration to the rate, and ``ceiling`` is the top of both theta grids.
-    Each component is env (cos phi + s sin phi)^2, phi linear in its theta and
-    ln env in the rate: on the record's times, ``signs`` holds each s,
-    ``phase_slopes`` each d phi / d theta and ``rate_slope`` d ln env / d rate.
+    ``free`` and multiplied by ``scales`` to give SI.  ``envelope`` maps the
+    slope of ln P per record duration to the rate, and ``ceiling`` is the top
+    of both theta grids.  Each component is env (cos phi + s sin phi)^2, phi
+    linear in its theta and ln env in the rate: on the record's times,
+    ``signs`` holds each s, ``phase_slopes`` each d phi / d theta and
+    ``rate_slope`` d ln env / d rate.
     """
 
     name: str
     free: tuple[str, ...]
     scales: np.ndarray
-    c1: Callable
-    c2: Callable
     envelope: float
     ceiling: float
     signs: np.ndarray
     phase_slopes: np.ndarray
     rate_slope: np.ndarray
 
-    def __call__(self, t, x):
-        s = self.scales
-        return (x[3] * self.c1(t, x[0] * s[0], x[2] * s[2])
-                + x[4] * self.c2(t, x[1] * s[1], x[2] * s[2]))
+    def component(self, i: int, theta, rate):
+        """c_i on the record's times, ``theta`` broadcast against them; no sine where s_i = 0."""
+        phi = theta * self.phase_slopes[i]
+        bracket = np.cos(phi) + self.signs[i] * np.sin(phi) if self.signs[i] else np.cos(phi)
+        return np.exp(rate * self.rate_slope) * bracket * bracket
+
+    def __call__(self, x):
+        return x[3] * self.component(0, x[0], x[2]) + x[4] * self.component(1, x[1], x[2])
 
 
 def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray) -> _TwoComponent:
@@ -158,11 +163,9 @@ def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray
         phases = dynamics.pmd_phase(abs(delta_omega), 1.0, lengths)
         scales = 1.0 / np.array([phases[-1], phases[-1], lengths[-1], 1.0, 1.0])
         phase_slope = math.copysign(scales[0], delta_omega) * phases
-    return _TwoComponent(
-        "pasy", PASY_FREE_PARAMS, scales,
-        lambda t, d_p, mu: dynamics.pa(t, delta_omega, d_p, mu, sign, units),
-        lambda t, d_p, mu: dynamics.psy(t, delta_omega, d_p, mu, units), -0.5, 1.2 * math.pi,
-        np.array([[sign], [0]]), np.array([phase_slope, phase_slope]), -2.0 * lengths * scales[2])
+    return _TwoComponent("pasy", PASY_FREE_PARAMS, scales, -0.5, 1.2 * math.pi,
+                         np.array([[sign], [0]]), np.array([phase_slope, phase_slope]),
+                         -2.0 * lengths * scales[2])
 
 
 def _p3_model(t: np.ndarray) -> _TwoComponent:
@@ -170,14 +173,14 @@ def _p3_model(t: np.ndarray) -> _TwoComponent:
     with np.errstate(over="ignore"):  # a ceiling that overflowed fails the scan
         scales = 1.0 / np.array([t[-1], t[-1], t[-1], 1.0, 1.0])
         ceiling = 0.5 * math.pi * t[-1] / np.median(np.diff(t))
-    return _TwoComponent("p3", P3_FREE_PARAMS, scales, dynamics.p1, dynamics.p2, -2.0, ceiling,
+    return _TwoComponent("p3", P3_FREE_PARAMS, scales, -2.0, ceiling,
                          np.array([[1], [0]]), np.outer([scales[0] / math.sqrt(2.0), scales[1]], t),
                          -0.5 * t * scales[2])
 
 
-def _jacobian(model: _TwoComponent, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d model / d x in closed form, on the times ``t`` the model was built on:
-    with B = cos phi + s sin phi and B' = s cos phi - sin phi, the columns are
+def _jacobian(model: _TwoComponent, x: np.ndarray) -> np.ndarray:
+    """d model / d x in closed form, on the record's times: with
+    B = cos phi + s sin phi and B' = s cos phi - sin phi, the columns are
     w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and c_i.
     Exact at any x: a parameter pinned at a zero bound keeps its column."""
     phi = x[:2, None] * model.phase_slopes
@@ -224,14 +227,14 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     the weights solved at it.  Raises when no grid point fits better than
     P = 0.
     """
-    s, y = model.scales, p / sigma
+    y = p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
         rates, theta2s, theta1s = _grid(model, t, p)
     w1, w2, sse = np.empty((3, len(rates), len(theta2s), len(theta1s)))
     for k, rate in enumerate(rates):
         with np.errstate(all="ignore"):
-            c1 = model.c1(t, theta1s[:, None] * s[0], rate * s[2]) / sigma
-            c2 = model.c2(t, theta2s[:, None] * s[1], rate * s[2]) / sigma
+            c1 = model.component(0, theta1s[:, None], rate) / sigma
+            c2 = model.component(1, theta2s[:, None], rate) / sigma
         if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
             raise FittingError(f"the {model.name} model is not finite on this record's "
                                f"scan grid; check its times and the fixed model parameters")
@@ -251,11 +254,11 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     return picked
 
 
-def _polish(model, t, p, sigma, x0):
+def _polish(model, p, sigma, x0):
     """One bounded Levenberg-Marquardt pass from ``x0`` over x >= 0 on the
     sigma-weighted residuals; its status is 0 when the evaluation cap stopped it."""
     def jac(x):
-        j = _jacobian(model, t, x) / sigma[:, None]
+        j = _jacobian(model, x) / sigma[:, None]
         if not np.all(np.isfinite(j)):
             raise FittingError(f"the {model.name} model's derivative is not finite at "
                                f"a polish step; check the fixed model parameters")
@@ -264,7 +267,7 @@ def _polish(model, t, p, sigma, x0):
     # numpy's warnings are off: the solver rejects a step whose residual is
     # not finite, and a non-finite derivative raises above
     with np.errstate(all="ignore"):
-        return least_squares(lambda x: (model(t, x) - p) / sigma, x0, jac)
+        return least_squares(lambda x: (model(x) - p) / sigma, x0, jac)
 
 
 def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
@@ -291,14 +294,15 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
     if not np.all(_UNIT_RESOLUTION * model.scales >= np.finfo(float).tiny):
         raise FittingError(f"the {model.name} fit's record units are too small: 1e-20 of one "
                            f"is not a normal float in SI")
-    best = min((_polish(model, t, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
+    best = min((_polish(model, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
                key=lambda r: r.cost)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        si = best.x * model.scales
         cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
-    if not np.all(np.isfinite(cov)):
+    if not np.all(np.isfinite([*si, *cov])):
         raise FittingError(f"the {model.name} fit overflows on this record")
     at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
-    return FitResult(model.name, make_params(best.x * model.scales),
+    return FitResult(model.name, make_params(si),
                      float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
                      int(best.nfev), at_bounds)
 

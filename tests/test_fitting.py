@@ -45,20 +45,20 @@ def p3_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
     return DataSeries.from_points(t, p)
 
 
-def complex_step_jacobian(model, t, x, step=1e-20) -> np.ndarray:
+def complex_step_jacobian(model, x, step=1e-20) -> np.ndarray:
     """Reference d model / d x by complex step (Squire & Trapp 1998): the model
     evaluated once on x + i step e_k for every k, exact to rounding."""
     steps = (x[:, None] + 1j * step * np.eye(len(x)))[:, :, None]  # row k steps x[k]
-    return (model(t, steps).imag / step).T
+    return (model(steps).imag / step).T
 
 
-def assert_jacobian_matches(model, t, x) -> None:
+def assert_jacobian_matches(model, x) -> None:
     """The fit's closed-form Jacobian against central differences of the model."""
     x = np.asarray(x, dtype=float)
     h = 1e-7
-    numeric = np.column_stack([(model(t, x + h * e) - model(t, x - h * e)) / (2 * h)
+    numeric = np.column_stack([(model(x + h * e) - model(x - h * e)) / (2 * h)
                                for e in np.eye(len(x))])
-    exact = _jacobian(model, t, x)
+    exact = _jacobian(model, x)
     np.testing.assert_allclose(exact, numeric, rtol=0,
                                atol=1e-7 * np.abs(exact).max())
 
@@ -147,12 +147,11 @@ def grid_nnls_scan(model, t, p, sigma):
     form does, while the solver's own norm and weights carry rounding noise
     from the clipped column."""
     rates, theta2s, theta1s = fitting._grid(model, t, p)
-    s = model.scales
     cands = []
     for rate in rates:
-        c1s = [model.c1(t, theta1 * s[0], rate * s[2]) for theta1 in theta1s]
+        c1s = [model.component(0, theta1, rate) for theta1 in theta1s]
         for theta2 in theta2s:
-            c2 = model.c2(t, theta2 * s[1], rate * s[2])
+            c2 = model.component(1, theta2, rate)
             for theta1, c1 in zip(theta1s, c1s):
                 if theta1 <= theta2:
                     a = np.column_stack([c1, c2]) / sigma[:, None]
@@ -188,6 +187,26 @@ SCAN_CASES = [
                                    params=CavityModelParams(753.0, 3528.0, 16292.0, 0.0, 1.0)),
                  id="p3-w1-zero"),
 ]
+
+
+# points x in record units at which the fit's closed form is checked
+CLOSED_FORM_X = pytest.mark.parametrize(
+    "x", [[0.1, 1.2, 0.8, 0.6, 0.4], [1.1, 5.3, 2.7, 0.5, 0.5], [0.0, 3.0, 0.4, 0.3, 0.7],
+          [2.0, 0.7, 1.5, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0, 0.0]],
+    ids=["small", "large", "theta1-zero", "w1-zero", "at-zero"])
+
+
+def pasy_reference(detuning: int, sign: int):
+    """The pasy fit model's builder, and dynamics' P and (pa, psy) at SI parameters."""
+    dw = detuning * TRUTH_PMD.delta_omega
+    return (lambda t: _pasy_model(dw, sign, UNITS, t),
+            lambda t, si: prob_pasy(t, PmdModelParams(dw, *si, sign=sign), UNITS),
+            lambda t, si: (dynamics.pa(t, dw, si[0], si[2], sign, UNITS),
+                           dynamics.psy(t, dw, si[1], si[2], UNITS)))
+
+
+P3_REFERENCE = (_p3_model, lambda t, si: p3(t, CavityModelParams(*si)),
+                lambda t, si: (dynamics.p1(t, si[0], si[2]), dynamics.p2(t, si[1], si[2])))
 
 
 class TestScan:
@@ -239,15 +258,16 @@ class TestScan:
         assert 1 <= len(picked) <= 4
         assert len(calls) == len(fitting._grid(model, data.t, data.p)[0]) == 3
 
-    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES[:2])
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_each_component_evaluated_once_per_rate(self, monkeypatch, make_model, make_data):
-        # pa for c1 and, through psy, for c2; a kept start takes its weights
-        # from the scan's pass and evaluates neither again
+        # c1 and c2 once each per rate; a kept start takes its weights from
+        # the scan's pass and evaluates neither again
         data = make_data()
         model = make_model(data.t)
         rates = fitting._grid(model, data.t, data.p)[0]
-        calls, pa = [], dynamics.pa
-        monkeypatch.setattr(dynamics, "pa", lambda *args: calls.append(args) or pa(*args))
+        calls, component = [], fitting._TwoComponent.component
+        monkeypatch.setattr(fitting._TwoComponent, "component",
+                            lambda *args: calls.append(args) or component(*args))
         assert _scan(model, data.t, data.p, data.sigma)
         assert len(calls) == 2 * len(rates)
 
@@ -268,7 +288,7 @@ class TestScan:
         data = make_data()
         model = make_model(data.t)
         x = _scan(model, data.t, data.p, data.sigma)[0]
-        jac = _jacobian(model, data.t, x)
+        jac = _jacobian(model, x)
         assert jac.shape == (len(data), 5)
         assert jac.flags.c_contiguous
 
@@ -277,18 +297,36 @@ class TestScan:
                        id=f"pasy-detuning{d:+d}-sign{s:+d}") for d in (+1, -1) for s in (+1, -1)],
         pytest.param(_p3_model, id="p3"),
     ])
-    @pytest.mark.parametrize("x", [[0.1, 1.2, 0.8, 0.6, 0.4], [1.1, 5.3, 2.7, 0.5, 0.5],
-                                   [0.0, 3.0, 0.4, 0.3, 0.7], [2.0, 0.7, 1.5, 0.0, 1.0],
-                                   [0.0, 0.0, 0.0, 1.0, 0.0]],
-                             ids=["small", "large", "theta1-zero", "w1-zero", "at-zero"])
+    @CLOSED_FORM_X
     def test_jacobian_matches_complex_step(self, make_model, x):
         # at phases of a few radians the two differ only by how each rounds the
         # phase, far inside 1e-14 of each column's largest entry
         t = np.linspace(0.0, 5e-3, 300)
         model, x = make_model(t), np.array(x)
-        reference = complex_step_jacobian(model, t, x)
-        error = np.abs(_jacobian(model, t, x) - reference)
+        reference = complex_step_jacobian(model, x)
+        error = np.abs(_jacobian(model, x) - reference)
         assert np.all(error <= 1e-14 * np.abs(reference).max(axis=0))
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("reference", [
+        *[pytest.param(pasy_reference(d, s), id=f"pasy-detuning{d:+d}-sign{s:+d}")
+          for d in (+1, -1) for s in (+1, -1)],
+        pytest.param(P3_REFERENCE, id="p3"),
+    ])
+    @CLOSED_FORM_X
+    def test_matches_dynamics_in_si(self, reference, x):
+        # the complex-step test differentiates the fit's own closed form; this
+        # ties that form, value and components, to the models in dynamics
+        make_model, total, components = reference
+        t = np.linspace(0.0, 5e-3, 300)
+        model, x = make_model(t), np.array(x)
+        si = x * model.scales
+        want = total(t, si)
+        assert np.abs(model(x) - want).max() <= 1e-14 * np.abs(want).max()
+        for i, want_i in enumerate(components(t, si)):
+            got = model.component(i, x[i], x[2])
+            assert np.abs(got - want_i).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestFitExponential:
@@ -395,7 +433,7 @@ class TestFitPasy:
                                    [0.0, 0.03, 0.01, 0.3, 0.7]])
     def test_closed_form_jacobian(self, sign, x):
         t = np.linspace(0.0, 5e-3, 300)
-        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS, t), t, x)
+        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS, t), x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -447,7 +485,7 @@ class TestFitPasy:
             (prob_pasy(data.t, init, UNITS) - data.p) / data.sigma)
         model = _pasy_model(init.delta_omega, init.sign, UNITS, data.t)
         x0 = np.array([getattr(init, name) for name in model.free]) / model.scales
-        result = fitting._polish(model, data.t, data.p, data.sigma, x0)
+        result = fitting._polish(model, data.p, data.sigma, x0)
         assert math.sqrt(2.0 * result.cost) <= init_resid + 1e-12
 
 
@@ -488,11 +526,20 @@ class TestFitP3:
         total_kappa = fit.params.kappa1 + fit.params.kappa2
         assert classify_regime(total_kappa, fit.params.gamma0).regime == "NonMarkovian"
 
+    def test_si_overflow_rejected(self):
+        # the fit converges in record units, and only its rates in SI,
+        # theta per 2e-150 s, overflow: the scan of SI rates used to stop
+        # on a grid that was not finite
+        i = np.arange(8)
+        t = np.where(i < 6, i * 5e-324, (i - 5) * 1e-150)
+        with pytest.raises(FittingError, match="^the p3 fit overflows on this record$"):
+            fit_p3(DataSeries(t, 0.9 - 0.05 * i, np.full(8, 0.01)))
+
     def test_swapped_init_lands_on_sorted_labels(self):
         data = p3_series()
         model = _p3_model(data.t)
         swapped = np.array([3528.0, 753.0, 16292.0, 0.5, 0.5]) / model.scales  # from SI
-        result = fitting._polish(model, data.t, data.p, data.sigma, swapped)
+        result = fitting._polish(model, data.p, data.sigma, swapped)
         params = CavityModelParams(*(result.x * model.scales))
         assert params.kappa1 <= params.kappa2
         assert np.all(cavity_rel_errors(params) < 0.01)
@@ -532,7 +579,7 @@ class TestFitP3:
                                    [0.0, 2.0, 10.0, 0.4, 0.6]])
     def test_closed_form_jacobian(self, x):
         t = np.linspace(0.0, 1.5e-3, 50)
-        assert_jacobian_matches(_p3_model(t), t, x)
+        assert_jacobian_matches(_p3_model(t), x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -565,7 +612,7 @@ class TestFitP3:
                             lambda *args: calls.append(args) or polish(*args))
         fit(data)
         starts = _scan(model, data.t, data.p, data.sigma)
-        assert [args[4].tobytes() for args in calls] == [x.tobytes() for x in starts]
+        assert [args[3].tobytes() for args in calls] == [x.tobytes() for x in starts]
 
     def test_lambda_width_carried(self):
         assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5

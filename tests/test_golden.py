@@ -10,7 +10,9 @@ relative from the complex-step one), polished by qbuffer's own bounded
 Levenberg-Marquardt solver (moves of at most 4.0e-7 sd and 2.7e-13 relative
 from the trust-region one) from starts whose weights the scan's closed-form
 NNLS solved (moves of at most 2.6e-8 sd and 2.2e-13 relative from scipy's
-nnls at a 1e-6 floor);
+nnls at a 1e-6 floor), and whose model values and scan columns come from the
+Jacobian's closed form in record units (moves of at most 1.4e-9 sd and
+6.0e-14 relative from the dynamics components evaluated in SI);
 a change that alters any of them changes the CLI artifacts and must say so.
 """
 
@@ -80,10 +82,10 @@ def fit_record(config, model: str, noise: float) -> str:
 
 
 @pytest.mark.parametrize("model, noise, digest", [
-    ("pasy", 0.0, "7b127bfd0cd35aabe8629117a1bee2fe586fe7f1b575b2ad878a65ce06e8a626"),
-    ("pasy", 0.02, "1ad989a6edaa620e0b9e57373233d09a17bdff08d16c3fdb609785c2819cf495"),
-    ("p3", 0.0, "f1e8b633db0645cc2ba19761cb835054d94714048ae9b4dcf20dc3c2e055892a"),
-    ("p3", 0.02, "8bbc975c3206782311d449e424e75eb94c040938df935d0a74919b2f3739daab"),
+    ("pasy", 0.0, "863c7e9407a79c293812db75ab4e29c54fd2240435c9a4c2ef8269d67d30834d"),
+    ("pasy", 0.02, "a6ac933a08357360d9d3aa9a69fda6efbbf2dd7f2a3f7fad2e9118982d44d9c3"),
+    ("p3", 0.0, "60296d2680b742ca65993163268e877ab57c3d82e412cde5ed054c84f49884ea"),
+    ("p3", 0.02, "441a808a33fe32ad19a3e5f7513eed3101119d501f57b0221c5f36b140f1e774"),
 ])
 def test_fit_json(config, model, noise, digest):
     fit = cli.cmd_fit(model, fit_record(config, model, noise))
