@@ -1,5 +1,6 @@
-"""qbuffer's own two-column NNLS and bounded least-squares solver, and
-scipy.optimize entry points imported on first call.
+"""qbuffer's own two-column NNLS and bounded least-squares solver, which
+moves a stack of starting points in lockstep, and scipy.optimize entry points
+imported on first call.
 
 Importing scipy.optimize is most of a cold command's start-up, and
 ``classify``, ``sweep`` and ``fit`` never need it.  Callers keep these names
@@ -60,7 +61,7 @@ def nnls(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
 class LeastSquaresResult(NamedTuple):
     x: np.ndarray
     cost: float         # 0.5 * |fun(x)|^2
-    jac: np.ndarray     # jac(x)
+    jac: np.ndarray     # the Jacobian at x
     nfev: int
     status: int         # 0: evaluation cap; 1: zero gradient; 2: cost test; 3: step test
 
@@ -74,8 +75,22 @@ _XTOL = 1e-13
 _MAX_NFEV = 4000
 
 
-def least_squares(fun: Callable, x0, jac: Callable) -> LeastSquaresResult:
-    """Minimize 0.5 |fun(x)|^2 over x >= 0 by Levenberg-Marquardt.
+def least_squares(fun: Callable, x0) -> LeastSquaresResult:
+    """The least-cost result of ``lockstep`` from the starts ``x0``, the first on ties."""
+    return min(lockstep(fun, x0), key=lambda result: result.cost)
+
+
+def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
+    """Minimize 0.5 |fun(x)|^2 over x >= 0 by Levenberg-Marquardt from every
+    row of ``x0`` at once; one result per start, in their order.
+
+    ``fun`` maps a stack of points, shape (k, n), to their residuals (k, m)
+    and a function ``jac(rows)`` that gives the Jacobians, (len(rows), m, n),
+    at the points that ``rows`` (a slice or a list) selects.  Each pass makes
+    one trial step of every start still running, evaluated by one ``fun``
+    call, and one ``jac`` call for the trials it accepts; a start leaves the
+    stack when it stops.  Each start keeps its own lam, nu, evaluation count
+    and status, so it takes the steps it would take alone.
 
     Each step solves (D J^T J D + diag(g dv) + lam I) s = -D g for the step
     D s, with g = J^T r and Coleman & Li's (1996) scaling D^2 = diag(v):
@@ -86,68 +101,120 @@ def least_squares(fun: Callable, x0, jac: Callable) -> LeastSquaresResult:
     decrease), times nu, with nu doubling, on a rejected one.  A variable
     within 1e-9 of the bound whose step points outward is held and the system
     re-solved without it; a step that would cross the bound goes 0.995 of the
-    way to it.  A trial whose residual is not finite is rejected.  Stops on a
-    relative cost decrease <= 1e-15 or a relative step <= 1e-13; status 0
-    means 4000 evaluations of ``fun`` were spent first.
+    way to it.  A trial whose residual is not finite is rejected, and so is
+    a step whose damped system is singular: it is nan.  Stops on a relative
+    cost decrease <= 1e-15 or a relative step <= 1e-13; status 0 means 4000
+    evaluations of ``fun`` were spent first.
     """
-    x = np.maximum(np.asarray(x0, dtype=float), _INTERIOR)
-    r = fun(x)
-    cost, nfev, status = 0.5 * float(r @ r), 1, 0
-    j = jac(x)
-    lam, nu = None, 2.0
-    while status == 0 and nfev < _MAX_NFEV:
-        g = j.T @ r
-        if not g.any():
-            status = 1
-            break
-        outward = g > 0
-        d = np.sqrt(np.where(outward, x, 1.0))
-        a = (j.T @ j) * np.outer(d, d) + np.diag(np.where(outward, g, 0.0))
-        if lam is None:
-            lam = _DAMPING * a.diagonal().max()
-        while nfev < _MAX_NFEV:
-            step = _step(a, d, g, x, lam)
-            crossing = step < 0
-            reach = np.min(x[crossing] / -step[crossing], initial=np.inf)
-            if reach <= 1.0:
-                step = _STEP_BACK * reach * step
-            x_new = x + step
-            r_new = fun(x_new)
-            nfev += 1
-            cost_new = 0.5 * float(r_new @ r_new)  # nan or inf: not a decrease below
-            decrease = cost - cost_new
-            small_step = step @ step <= _XTOL**2 * (x @ x)
+    x = np.maximum(np.array(x0, dtype=float, ndmin=2), _INTERIOR)
+    r, jac = fun(x)
+    r, j = np.array(r, dtype=float), np.array(jac(slice(None)), dtype=float)
+    n_starts, n = x.shape
+    starts, eye = list(range(n_starts)), np.eye(n)
+    cost = (0.5 * _rowdot(r, r)).tolist()
+    nfev, status, nu = [1] * n_starts, [0] * n_starts, [2.0] * n_starts
+    lam = None  # set at the first systems
+    g, d, a = np.zeros((n_starts, n)), np.zeros((n_starts, n)), np.zeros((n_starts, n, n))
+    moved = list(range(n_starts))  # rows whose system is due
+    results: list = [None] * n_starts
+    while starts:
+        stopped = [s > 0 or e >= _MAX_NFEV for s, e in zip(status, nfev)]
+        if any(stopped):  # they leave the stack
+            for row in (row for row, s in enumerate(stopped) if s):
+                results[starts[row]] = LeastSquaresResult(x[row], cost[row], j[row],
+                                                          nfev[row], status[row])
+            if all(stopped):
+                break
+            keep = [row for row, s in enumerate(stopped) if not s]
+            moved = [new for new, row in enumerate(keep) if row in moved]
+            starts, cost, nfev, status, nu = ([column[row] for row in keep]
+                                              for column in (starts, cost, nfev, status, nu))
+            x, r, j, g, d, a, lam = (v[keep] for v in (x, r, j, g, d, a, lam))
+        if moved:  # the systems at the points these rows moved to
+            rows = slice(None) if len(moved) == len(starts) else moved
+            jm = j[rows]
+            gm = (jm.transpose(0, 2, 1) @ r[rows][:, :, None])[:, :, 0]
+            outward = gm > 0
+            dm = np.sqrt(np.where(outward, x[rows], 1.0))
+            diag = np.zeros((len(gm), n, n))
+            diag[:, range(n), range(n)] = np.where(outward, gm, 0.0)
+            g[rows], d[rows] = gm, dm
+            a[rows] = (jm.transpose(0, 2, 1) @ jm) * (dm[:, :, None] * dm[:, None, :]) + diag
+            if lam is None:
+                lam = _DAMPING * a.diagonal(axis1=1, axis2=2).max(axis=1)
+            flat = [moved[i] for i in np.flatnonzero(~gm.any(axis=1)).tolist()]
+            moved = []
+            if flat:
+                for row in flat:
+                    status[row] = 1
+                continue
+        step = _step(a + lam[:, None, None] * eye, d, g, x)
+        reach = np.divide(x, -step, out=np.full_like(x, np.inf), where=step < 0).min(axis=1)
+        cut = reach <= 1.0
+        if cut.any():
+            step[cut] = (_STEP_BACK * reach[cut])[:, None] * step[cut]
+        js = (j @ step[:, :, None])[:, :, 0]
+        predicted = (-(_rowdot(g, step) + 0.5 * _rowdot(js, js))).tolist()
+        small_step = (_rowdot(step, step) <= _XTOL**2 * _rowdot(x, x)).tolist()
+        x_new = x + step
+        r_new, jac = fun(x_new)
+        cost_new = (0.5 * _rowdot(r_new, r_new)).tolist()  # nan or inf: not a decrease below
+        for row in range(len(starts)):
+            nfev[row] += 1
+            decrease = cost[row] - cost_new[row]
             if decrease > 0:
-                js = j @ step
-                predicted = -float(g @ step + 0.5 * (js @ js))
-                rho = min(decrease / predicted, 1.0) if predicted > 0 else 1.0
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-                nu = 2.0
-                if decrease <= _FTOL * cost:
-                    status = 2
-                elif small_step:
-                    status = 3
-                x, r, cost = x_new, r_new, cost_new
-                j = jac(x)
-                break
-            if small_step:
-                status = 3
-                break
-            lam *= nu
-            nu *= 2.0
-    return LeastSquaresResult(x, cost, j, nfev, status)
+                moved.append(row)
+                pred = predicted[row]
+                rho = min(decrease / pred, 1.0) if pred > 0 else 1.0
+                lam[row] *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu[row] = 2.0
+                if decrease <= _FTOL * cost[row]:
+                    status[row] = 2
+                elif small_step[row]:
+                    status[row] = 3
+                cost[row] = cost_new[row]
+            elif small_step[row]:
+                status[row] = 3
+            else:
+                lam[row] *= nu[row]
+                nu[row] *= 2.0
+        if moved:
+            rows = slice(None) if len(moved) == len(starts) else moved
+            x[rows], r[rows] = x_new[rows], r_new[rows]
+            j[rows] = jac(rows)
+    return results
 
 
-def _step(a: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray,
-          lam: float) -> np.ndarray:
-    """The damped step in x, with every outward-pointing variable at the bound held."""
-    free = np.ones(len(x), dtype=bool)
-    step = d * np.linalg.solve(a + lam * np.eye(len(x)), -d * g)
-    while True:
-        held = free & (x <= _AT_BOUND) & (step < 0)
-        if not held.any():
-            return step
-        free &= ~held
-        step = np.zeros(len(x))
-        sub = a[np.ix_(free, free)] + lam * np.eye(np.count_nonzero(free))
-        step[free] = d[free] * np.linalg.solve(sub, -d[free] * g[free])
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[k] @ v[k] for every row k, summed as the 1-d product sums it."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _step(damped: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The step in x of every start from its damped system, with each
+    outward-pointing variable at the bound held; nan where the system is singular."""
+    rhs = -d * g
+    try:
+        step = d * np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a start's system is singular
+        step = d * np.array([_solve(m, b) for m, b in zip(damped, rhs)])
+    for i in np.flatnonzero(np.any((x <= _AT_BOUND) & (step < 0), axis=1)).tolist():
+        free = np.ones(len(rhs[i]), dtype=bool)
+        while True:
+            held = free & (x[i] <= _AT_BOUND) & (step[i] < 0)
+            if not held.any():
+                break
+            free &= ~held
+            step[i] = 0.0
+            # the rows and columns of the free variables: the system without the held ones
+            sub = damped[i][np.ix_(free, free)]
+            step[i, free] = d[i, free] * _solve(sub, rhs[i, free])
+    return step
+
+
+def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """m^-1 b, or nan where m is singular."""
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        return np.full(len(b), np.nan)

@@ -17,15 +17,19 @@ Every pasy and p3 fit starts from a deterministic scan: a crude exponential
 pre-fit pins the envelope rate, one coarse grid for both models over the two
 phase parameters, with the weights solved by closed-form two-column NNLS at each
 point (``_optimize.nnls``, one Gram pass per rate), ranks candidate basins;
-each of the few kept ones starts from the weights solved there, is polished
-by qbuffer's own bounded Levenberg-Marquardt solver
-(``_optimize.least_squares``), and the best kept.  One closed-form Jacobian in
-real arithmetic serves both the polish and the covariance at the solution.
+each of the few kept ones starts from the weights solved there.  All of them
+are polished at once by qbuffer's own bounded Levenberg-Marquardt solver
+(``_optimize.least_squares``), which moves the stack of starts in lockstep,
+each on its own path, and the best is kept.  The values at a trial point and
+the closed-form Jacobian, in real arithmetic, are made from one set of pieces
+(``_TwoComponent.pieces``), and that Jacobian serves both the polish and the
+covariance at the solution.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -151,8 +155,20 @@ class _TwoComponent(NamedTuple):
         bracket = np.cos(phi) + self.signs[i] * np.sin(phi) if self.signs[i] else np.cos(phi)
         return np.exp(rate * self.rate_slope) * bracket * bracket
 
-    def __call__(self, x):
-        return x[3] * self.component(0, x[0], x[2]) + x[4] * self.component(1, x[1], x[2])
+    def pieces(self, x):
+        """cos phi, sin phi, B = cos phi + s sin phi, env and c = env B^2 of
+        both components at x of shape (..., 5), each (..., 2, n) but env
+        (..., 1, n): what the values and the Jacobian at x are made of."""
+        phi = x[..., :2, None] * self.phase_slopes
+        cos, sin = np.cos(phi), np.sin(phi)
+        bracket = cos + self.signs * sin
+        env = np.exp(x[..., 2, None, None] * self.rate_slope)
+        return cos, sin, bracket, env, env * bracket * bracket
+
+    def __call__(self, x, c=None):
+        """P at x of shape (..., 5); ``c``, when given, is ``pieces(x)``'s."""
+        c = self.pieces(x)[4] if c is None else c
+        return x[..., 3, None] * c[..., 0, :] + x[..., 4, None] * c[..., 1, :]
 
 
 def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray) -> _TwoComponent:
@@ -178,18 +194,18 @@ def _p3_model(t: np.ndarray) -> _TwoComponent:
                          -0.5 * t * scales[2])
 
 
-def _jacobian(model: _TwoComponent, x: np.ndarray) -> np.ndarray:
-    """d model / d x in closed form, on the record's times: with
+def _jacobian(model: _TwoComponent, x: np.ndarray, pieces=None) -> np.ndarray:
+    """d model / d x in closed form, on the record's times, for x of shape
+    (..., 5), from ``model.pieces(x)`` unless they are given: with
     B = cos phi + s sin phi and B' = s cos phi - sin phi, the columns are
-    w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and c_i.
-    Exact at any x: a parameter pinned at a zero bound keeps its column."""
-    phi = x[:2, None] * model.phase_slopes
-    cos, sin = np.cos(phi), np.sin(phi)
-    bracket = cos + model.signs * sin
-    env = np.exp(x[2] * model.rate_slope)
-    c = env * bracket * bracket
-    d_theta = 2.0 * x[3:, None] * env * bracket * (model.signs * cos - sin) * model.phase_slopes
-    return np.column_stack([*d_theta, (x[3:] @ c) * model.rate_slope, *c])
+    w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and
+    c_i.  Exact at any x: a parameter pinned at a zero bound keeps its column."""
+    cos, sin, bracket, env, c = model.pieces(x) if pieces is None else pieces
+    d_theta = (2.0 * x[..., 3:, None] * env * bracket * (model.signs * cos - sin)
+               * model.phase_slopes)
+    d_rate = (x[..., None, 3:] @ c)[..., 0, :] * model.rate_slope
+    return np.stack([d_theta[..., 0, :], d_theta[..., 1, :], d_rate, c[..., 0, :], c[..., 1, :]],
+                    axis=-1)
 
 
 def _unresolved(t: np.ndarray) -> FittingError:
@@ -255,19 +271,27 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
 
 
 def _polish(model, p, sigma, x0):
-    """One bounded Levenberg-Marquardt pass from ``x0`` over x >= 0 on the
-    sigma-weighted residuals; its status is 0 when the evaluation cap stopped it."""
-    def jac(x):
-        j = _jacobian(model, x) / sigma[:, None]
-        if not np.all(np.isfinite(j)):
-            raise FittingError(f"the {model.name} model's derivative is not finite at "
-                               f"a polish step; check the fixed model parameters")
-        return j
+    """Bounded Levenberg-Marquardt from every row of ``x0`` at once, in
+    lockstep, over x >= 0 on the sigma-weighted residuals; the least-cost
+    start's result, whose status is 0 when the evaluation cap stopped it.
+    The Jacobian at an accepted point is made from the pieces its values
+    were made of."""
+    def fun(x):
+        pieces = model.pieces(x)
+
+        def jac(rows):
+            j = _jacobian(model, x[rows], [piece[rows] for piece in pieces]) / sigma[:, None]
+            if not np.all(np.isfinite(j)):
+                raise FittingError(f"the {model.name} model's derivative is not finite at "
+                                   f"a polish step; check the fixed model parameters")
+            return j
+
+        return (model(x, pieces[4]) - p) / sigma, jac
 
     # numpy's warnings are off: the solver rejects a step whose residual is
     # not finite, and a non-finite derivative raises above
     with np.errstate(all="ignore"):
-        return least_squares(lambda x: (model(x) - p) / sigma, x0, jac)
+        return least_squares(fun, x0)
 
 
 def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
@@ -284,7 +308,7 @@ def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
 
 def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
-    """Scan, polish each start once and keep the least cost, in ``make_model(t)``'s units."""
+    """Scan, polish all starts in lockstep and keep the least cost, in ``make_model(t)``'s units."""
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma
@@ -294,8 +318,7 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
     if not np.all(_UNIT_RESOLUTION * model.scales >= np.finfo(float).tiny):
         raise FittingError(f"the {model.name} fit's record units are too small: 1e-20 of one "
                            f"is not a normal float in SI")
-    best = min((_polish(model, p, sigma, x0) for x0 in _scan(model, t, p, sigma)),
-               key=lambda r: r.cost)
+    best = _polish(model, p, sigma, np.array(_scan(model, t, p, sigma)))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         si = best.x * model.scales
         cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
@@ -365,13 +388,16 @@ SERIES_CSV_HEADER = "t_s,p,sigma"
 
 
 def series_from_csv(text: str) -> DataSeries:
+    """Every cell is read by ``float``, in one pass over the body, before the
+    rows are counted; the first cell it rejects raises its error."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0].strip() != SERIES_CSV_HEADER:
         raise ValueError(f"expected header {SERIES_CSV_HEADER!r}")
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
-    if any(len(r) != 3 for r in rows):
+    rows = [ln.split(",") for ln in lines[1:]]
+    values = np.fromiter(map(float, itertools.chain.from_iterable(rows)), dtype=float)
+    if any(len(row) != 3 for row in rows):
         raise ValueError("every data row must have t_s,p,sigma")
-    t, p, sigma = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    t, p, sigma = values.reshape(-1, 3).T.copy()
     return DataSeries(t, p, sigma)
 
 

@@ -13,8 +13,8 @@ from scipy.optimize import nnls
 from qbuffer import _optimize, dynamics, fitting
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
-from qbuffer.fitting import (DataSeries, FittingError, _jacobian, _p3_model,
-                             _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
+from qbuffer.fitting import (SERIES_CSV_HEADER, DataSeries, FittingError, _jacobian,
+                             _p3_model, _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
                              fit_result_to_dict, series_from_csv, series_to_csv)
 
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
@@ -48,7 +48,7 @@ def p3_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
 def complex_step_jacobian(model, x, step=1e-20) -> np.ndarray:
     """Reference d model / d x by complex step (Squire & Trapp 1998): the model
     evaluated once on x + i step e_k for every k, exact to rounding."""
-    steps = (x[:, None] + 1j * step * np.eye(len(x)))[:, :, None]  # row k steps x[k]
+    steps = x + 1j * step * np.eye(len(x))  # row k steps x[k]
     return (model(steps).imag / step).T
 
 
@@ -61,6 +61,24 @@ def assert_jacobian_matches(model, x) -> None:
     exact = _jacobian(model, x)
     np.testing.assert_allclose(exact, numeric, rtol=0,
                                atol=1e-7 * np.abs(exact).max())
+
+
+# spellings float accepts, one it accepts that is not ASCII, and some it rejects
+CSV_CELLS = ["0.5", " 1.5", "2e-3\t", "+4", "-0", "1_0", "\u0661.5", "inf", "nan",
+             "0.25", "0x1p3", "", "x", "1,5"]
+
+
+def rowwise_series_from_csv(text: str) -> DataSeries:
+    """The fit CSV read row by row, one ``float`` per cell, as it stood before
+    the body was read in one pass: the reference for its spellings and errors."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or lines[0].strip() != SERIES_CSV_HEADER:
+        raise ValueError(f"expected header {SERIES_CSV_HEADER!r}")
+    rows = [tuple(float(v) for v in ln.split(",")) for ln in lines[1:]]
+    if any(len(r) != 3 for r in rows):
+        raise ValueError("every data row must have t_s,p,sigma")
+    t, p, sigma = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    return DataSeries(t, p, sigma)
 
 
 def pmd_rel_errors(params: PmdModelParams, truth: PmdModelParams = TRUTH_PMD) -> np.ndarray:
@@ -109,6 +127,26 @@ class TestDataSeries:
     def test_csv_header_checked(self):
         with pytest.raises(ValueError):
             series_from_csv("time,p,sigma\n0,1,1\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(st.sampled_from(CSV_CELLS), min_size=2, max_size=4),
+                         max_size=5),
+           times=st.lists(st.integers(0, 9), min_size=5, max_size=5))
+    def test_csv_cells_read_as_one_float_each(self, rows, times):
+        # the same series, or the same error, as reading row by row with
+        # float: any spelling float accepts, the first bad cell's message
+        # before any row-shape error
+        body = "".join(",".join([str(t), *row[1:]]) + "\n"
+                       for t, row in zip(np.cumsum(times), rows))
+        text = SERIES_CSV_HEADER + "\n" + body
+        outcomes = []
+        for parse in (rowwise_series_from_csv, series_from_csv):
+            try:
+                data = parse(text)
+                outcomes.append((data.t.tobytes(), data.p.tobytes(), data.sigma.tobytes()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def kkt_problem(branch: str, seed: int):
@@ -291,6 +329,18 @@ class TestScan:
         jac = _jacobian(model, x)
         assert jac.shape == (len(data), 5)
         assert jac.flags.c_contiguous
+
+    @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
+    def test_values_and_jacobian_stack_row_by_row(self, make_model, make_data):
+        # the lockstep polish evaluates all starts in one call each; every
+        # row is, bit for bit, that start's evaluation alone
+        data = make_data()
+        model = make_model(data.t)
+        x = np.array(_scan(model, data.t, data.p, data.sigma))
+        assert len(x) > 1
+        for row, values, jac in zip(x, model(x), _jacobian(model, x)):
+            assert values.tobytes() == model(row).tobytes()
+            assert jac.tobytes() == _jacobian(model, row).tobytes()
 
     @pytest.mark.parametrize("make_model", [
         *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega, s, UNITS, t),
@@ -603,7 +653,8 @@ class TestFitP3:
                      id="pasy"),
     ])
     def test_one_polish_per_scan_start(self, monkeypatch, fit, make_model, make_data):
-        # the fit polishes exactly the starts the scan returns, in their order
+        # the fit polishes exactly the starts the scan returns, in their
+        # order, in one lockstep call
         data = make_data()
         model = make_model(data.t)
         calls = []
@@ -612,7 +663,8 @@ class TestFitP3:
                             lambda *args: calls.append(args) or polish(*args))
         fit(data)
         starts = _scan(model, data.t, data.p, data.sigma)
-        assert [args[3].tobytes() for args in calls] == [x.tobytes() for x in starts]
+        assert len(calls) == 1
+        assert [x.tobytes() for x in calls[0][3]] == [x.tobytes() for x in starts]
 
     def test_lambda_width_carried(self):
         assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.optimize
 
 import qbuffer
@@ -95,8 +97,13 @@ LINE_DESIGN = np.column_stack([LINE_T, np.ones_like(LINE_T), np.sin(3.0 * LINE_T
 
 
 def linear(y):
-    """Residual and Jacobian of min |LINE_DESIGN x - y|."""
-    return (lambda x: LINE_DESIGN @ x - y), (lambda x: LINE_DESIGN)
+    """min |LINE_DESIGN x - y| over a stack of points: the residuals, one
+    matrix-vector product per point so each row is the one it has alone, and
+    the design as every point's Jacobian."""
+    def fun(x):
+        return ((LINE_DESIGN @ x[:, :, None])[:, :, 0] - y,
+                lambda rows: np.stack([LINE_DESIGN] * len(x))[rows])
+    return fun
 
 
 def test_least_squares_linear_matches_lstsq(lazy):
@@ -104,11 +111,11 @@ def test_least_squares_linear_matches_lstsq(lazy):
     y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T) + 0.01 * np.cos(9.0 * LINE_T)
     want = np.linalg.lstsq(LINE_DESIGN, y, rcond=None)[0]
     assert np.all(want > 0.1)
-    fun, jac = linear(y)
-    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
+    fun = linear(y)
+    got = lazy.least_squares(fun, [[1.0, 1.0, 1.0]])
     assert got.status > 0
     np.testing.assert_allclose(got.x, want, rtol=1e-12, atol=0.0)
-    assert got.cost == pytest.approx(0.5 * np.sum(fun(want) ** 2), rel=1e-12)
+    assert got.cost == pytest.approx(0.5 * np.sum(fun(want[None])[0] ** 2), rel=1e-12)
     assert np.array_equal(got.jac, LINE_DESIGN)
 
 
@@ -119,12 +126,12 @@ def test_least_squares_optimum_on_the_bound(lazy):
     assert np.linalg.lstsq(LINE_DESIGN, y, rcond=None)[0][1] < 0
     want, _ = scipy.optimize.nnls(LINE_DESIGN, y)
     assert want[1] == 0.0 and np.all(want[[0, 2]] > 0.1)
-    fun, jac = linear(y)
-    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
+    fun = linear(y)
+    got = lazy.least_squares(fun, [[1.0, 1.0, 1.0]])
     assert got.status > 0
     assert got.x[1] <= 1e-9
     np.testing.assert_allclose(got.x[[0, 2]], want[[0, 2]], rtol=1e-9)
-    g = LINE_DESIGN.T @ fun(got.x)
+    g = LINE_DESIGN.T @ fun(got.x[None])[0][0]
     assert g[1] >= 0.0
     assert np.all(np.abs(g[[0, 2]]) <= 1e-9)
 
@@ -135,9 +142,9 @@ def test_least_squares_holds_a_variable_at_the_bound(lazy):
     # at the bound instead would shrink every other step with it
     y = 2.0 * LINE_T - 0.4 + np.sin(3.0 * LINE_T)
     want, _ = scipy.optimize.nnls(LINE_DESIGN, y)
-    fun, jac = linear(y)
+    fun = linear(y)
     seen = []
-    got = lazy.least_squares(lambda x: seen.append(x[1]) or fun(x), [1.0, 0.0, 1.0], jac)
+    got = lazy.least_squares(lambda x: seen.append(x[0, 1]) or fun(x), [[1.0, 0.0, 1.0]])
     assert got.status > 0 and set(seen) == {1e-10}
     np.testing.assert_allclose(got.x[[0, 2]], want[[0, 2]], rtol=1e-9)
 
@@ -148,14 +155,15 @@ def test_least_squares_rejects_a_nonfinite_trial(lazy, bad):
     # the first trial step sees a residual that is not finite: it is rejected
     # without a warning, and the solve goes on to the same optimum
     y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
-    fun, jac = linear(y)
+    fun = linear(y)
     seen = []
 
     def flaky(x):
-        seen.append(x.copy())
-        return np.full_like(y, bad) if len(seen) == 2 else fun(x)
+        seen.append(x[0].copy())
+        r, jac = fun(x)
+        return (np.full_like(r, bad) if len(seen) == 2 else r), jac
 
-    got = lazy.least_squares(flaky, [1.0, 1.0, 1.0], jac)
+    got = lazy.least_squares(flaky, [[1.0, 1.0, 1.0]])
     assert got.status > 0 and got.nfev == len(seen) > 2
     np.testing.assert_allclose(got.x, [2.0, 0.5, 0.3], rtol=1e-12)
     # the trial after the rejected one is a shorter step from the same point
@@ -164,9 +172,8 @@ def test_least_squares_rejects_a_nonfinite_trial(lazy, bad):
 
 def test_least_squares_evaluation_cap(lazy, monkeypatch):
     y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
-    fun, jac = linear(y)
     monkeypatch.setattr(lazy, "_MAX_NFEV", 2)
-    got = lazy.least_squares(fun, [1.0, 1.0, 1.0], jac)
+    got = lazy.least_squares(linear(y), [[1.0, 1.0, 1.0]])
     assert (got.status, got.nfev) == (0, 2)
 
 
@@ -181,3 +188,112 @@ def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     fit = fitting.fit_p3(data)
     assert not fit.converged and fit.iterations == 3
     assert fitting.fit_result_to_dict(fit)["converged"] is False
+
+
+DECAY_T = np.linspace(0.0, 1.0, 12)
+
+
+def decay(y, seen):
+    """Residuals and Jacobians of x0 exp(-x1 t) + x2 - y over a stack of
+    points.  The residual is nan where x1 > 6, so a trial that crosses there
+    is rejected; ``seen`` collects every point ``fun`` evaluates."""
+    def jac(x):
+        e = np.exp(-x[:, 1:2] * DECAY_T)
+        return np.stack([e, -x[:, :1] * DECAY_T * e, np.ones_like(e)], axis=-1)
+
+    def fun(x):
+        seen.extend(x.tolist())
+        r = x[:, :1] * np.exp(-x[:, 1:2] * DECAY_T) + x[:, 2:] - y
+        r[x[:, 1] > 6.0] = np.nan
+        return r, lambda rows: jac(x[rows])
+
+    return fun
+
+
+def decay_problem(seed):
+    """Data whose fit wants x1 past the nan region and x2 below 0, and six
+    starts in [0, 5]^3, about one coordinate in five at the bound."""
+    rng = np.random.default_rng(seed)
+    y = 2.0 * np.exp(-4.5 * DECAY_T) - 0.3 + 0.01 * rng.normal(size=DECAY_T.size)
+    x0 = rng.uniform(0.0, 5.0, size=(6, 3))
+    x0[rng.uniform(size=x0.shape) < 0.2] = 0.0
+    return y, x0
+
+
+def assert_each_start_alone(lazy, fun, x0):
+    """Each result of one lockstep call is bit for bit a one-row call's."""
+    results = lazy.lockstep(fun, x0)
+    assert len(results) == len(x0)
+    for start, got in zip(x0, results):
+        alone = lazy.least_squares(fun, start[None])
+        assert got.x.tobytes() == alone.x.tobytes() and got.cost == alone.cost
+        assert got.jac.tobytes() == alone.jac.tobytes()
+        assert (got.nfev, got.status) == (alone.nfev, alone.status)
+    return results
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lockstep_takes_each_start_alone(seed):
+    from qbuffer import _optimize
+    y, x0 = decay_problem(seed)
+    assert_each_start_alone(_optimize, decay(y, []), x0)
+
+
+def test_lockstep_covers_holds_rejections_and_uneven_stops(lazy):
+    y, x0 = decay_problem(0)
+    seen = []
+    results = assert_each_start_alone(lazy, decay(y, seen), x0)
+    trials = np.array(seen[len(x0):sum(r.nfev for r in results)])  # the lockstep call's
+    assert len({r.nfev for r in results}) > 1 and all(r.status > 0 for r in results)
+    assert np.any(trials[:, 1] > 6.0)      # rejected trials whose residual is nan
+    assert np.sum(x0[:, 2] == 0.0) == 1    # one start's x2 on the bound, where
+    assert np.any(trials[:, 2] == 1e-10)   # it is held for some trials
+
+
+def test_lockstep_takes_each_start_alone_up_to_the_cap(lazy, monkeypatch):
+    y, x0 = decay_problem(0)
+    monkeypatch.setattr(lazy, "_MAX_NFEV", 85)
+    results = assert_each_start_alone(lazy, decay(y, []), x0)
+    assert {r.status for r in results} == {0, 3} and max(r.nfev for r in results) == 85
+
+
+def test_least_squares_keeps_the_first_least_cost_start(lazy, monkeypatch):
+    results = [lazy.LeastSquaresResult(np.array([float(k)]), cost, None, 10 + k, 2)
+               for k, cost in enumerate([3.0, 1.0, 2.0, 1.0])]
+    monkeypatch.setattr(lazy, "lockstep", lambda *args: results)
+    assert lazy.least_squares(None, None) is results[1]
+
+
+def test_singular_damped_system_gives_a_nan_step(lazy):
+    # 1 + 1e-17 rounds to 1, so the first start's damped system is the
+    # all-ones matrix, singular in floating point; the second start's step
+    # is its own solve
+    a = np.stack([np.ones((3, 3)), np.diag([2.0, 3.0, 4.0])])
+    d, g, x = np.ones((2, 3)), np.array([[1.0, 2.0, 3.0], [1.0, -2.0, 3.0]]), np.ones((2, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a[0] + 1e-17 * np.eye(3), -g[0])
+    step = lazy._step(a + np.array([1e-17, 0.5])[:, None, None] * np.eye(3), d, g, x)
+    assert np.all(np.isnan(step[0]))
+    assert step[1].tobytes() == np.linalg.solve(a[1] + 0.5 * np.eye(3), -g[1]).tobytes()
+
+
+def test_singular_start_is_rejected_while_the_others_solve(lazy, monkeypatch):
+    # at x0 >= 50 this Jacobian is -1e-170 x the design: J^T J underflows to
+    # 0 and the gradient points inward, so lam = 0 and every damped system of
+    # that start is singular; each of its trials is rejected until the cap,
+    # while the other start solves as it does alone
+    y = 2.0 * LINE_T + 0.5 + 0.3 * np.sin(3.0 * LINE_T)
+    fun = linear(y)
+
+    def stiff(x):
+        return fun(x)[0], lambda rows: np.where(x[rows, :1, None] >= 50.0, -1e-170,
+                                                1.0) * LINE_DESIGN
+
+    monkeypatch.setattr(lazy, "_MAX_NFEV", 30)
+    stuck, solved = lazy.lockstep(stiff, [[100.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    assert (stuck.status, stuck.nfev) == (0, 30)
+    assert stuck.x.tolist() == [100.0, 1.0, 1.0]
+    alone = lazy.least_squares(stiff, [[1.0, 1.0, 1.0]])
+    assert solved.status > 0 and solved.x.tobytes() == alone.x.tobytes()
+    assert solved.nfev == alone.nfev
