@@ -136,17 +136,17 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
             gm = (jm.transpose(0, 2, 1) @ r[rows][:, :, None])[:, :, 0]
             outward = gm > 0
             dm = np.sqrt(np.where(outward, x[rows], 1.0))
-            diag = np.zeros((len(gm), n, n))
-            diag[:, range(n), range(n)] = np.where(outward, gm, 0.0)
+            diag = np.zeros((len(gm), n * n))
+            diag[:, ::n + 1] = np.where(outward, gm, 0.0)  # each system's diagonal
+            jtj = jm.transpose(0, 2, 1) @ jm
             g[rows], d[rows] = gm, dm
-            a[rows] = (jm.transpose(0, 2, 1) @ jm) * (dm[:, :, None] * dm[:, None, :]) + diag
+            a[rows] = jtj * (dm[:, :, None] * dm[:, None, :]) + diag.reshape(-1, n, n)
             if lam is None:
                 lam = _DAMPING * a.diagonal(axis1=1, axis2=2).max(axis=1)
-            flat = [moved[i] for i in np.flatnonzero(~gm.any(axis=1)).tolist()]
-            moved = []
-            if flat:
-                for row in flat:
-                    status[row] = 1
+            flat = ~gm.any(axis=1)
+            if flat.any():  # a zero gradient stops these starts
+                for i in np.flatnonzero(flat).tolist():
+                    status[moved[i]] = 1
                 continue
         step = _step(a + lam[:, None, None] * eye, d, g, x)
         reach = np.divide(x, -step, out=np.full_like(x, np.inf), where=step < 0).min(axis=1)
@@ -159,6 +159,7 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
         x_new = x + step
         r_new, jac = fun(x_new)
         cost_new = (0.5 * _rowdot(r_new, r_new)).tolist()  # nan or inf: not a decrease below
+        moved = []
         for row in range(len(starts)):
             nfev[row] += 1
             decrease = cost[row] - cost_new[row]
@@ -178,10 +179,11 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
             else:
                 lam[row] *= nu[row]
                 nu[row] *= 2.0
-        if moved:
-            rows = slice(None) if len(moved) == len(starts) else moved
-            x[rows], r[rows] = x_new[rows], r_new[rows]
-            j[rows] = jac(rows)
+        if len(moved) == len(starts):  # x_new is this loop's own; fun's arrays are copied
+            x, r[:], j[:] = x_new, r_new, jac(slice(None))
+        elif moved:
+            x[moved], r[moved] = x_new[moved], r_new[moved]
+            j[moved] = jac(moved)
     return results
 
 
@@ -198,7 +200,10 @@ def _step(damped: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray) -> np
         step = d * np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:  # a start's system is singular
         step = d * np.array([_solve(m, b) for m, b in zip(damped, rhs)])
-    for i in np.flatnonzero(np.any((x <= _AT_BOUND) & (step < 0), axis=1)).tolist():
+    outward = (x <= _AT_BOUND) & (step < 0)
+    if not outward.any():
+        return step
+    for i in np.flatnonzero(outward.any(axis=1)).tolist():
         free = np.ones(len(rhs[i]), dtype=bool)
         while True:
             held = free & (x[i] <= _AT_BOUND) & (step[i] < 0)

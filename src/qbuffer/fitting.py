@@ -201,11 +201,13 @@ def _jacobian(model: _TwoComponent, x: np.ndarray, pieces=None) -> np.ndarray:
     w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and
     c_i.  Exact at any x: a parameter pinned at a zero bound keeps its column."""
     cos, sin, bracket, env, c = model.pieces(x) if pieces is None else pieces
-    d_theta = (2.0 * x[..., 3:, None] * env * bracket * (model.signs * cos - sin)
-               * model.phase_slopes)
-    d_rate = (x[..., None, 3:] @ c)[..., 0, :] * model.rate_slope
-    return np.stack([d_theta[..., 0, :], d_theta[..., 1, :], d_rate, c[..., 0, :], c[..., 1, :]],
-                    axis=-1)
+    jac = np.empty(c.shape[:-2] + (c.shape[-1], 5))
+    columns = jac.swapaxes(-1, -2)
+    np.multiply(2.0 * x[..., 3:, None] * env * bracket * (model.signs * cos - sin),
+                model.phase_slopes, out=columns[..., :2, :])
+    np.multiply((x[..., None, 3:] @ c)[..., 0, :], model.rate_slope, out=columns[..., 2, :])
+    columns[..., 3:, :] = c
+    return jac
 
 
 def _unresolved(t: np.ndarray) -> FittingError:
@@ -280,7 +282,8 @@ def _polish(model, p, sigma, x0):
         pieces = model.pieces(x)
 
         def jac(rows):
-            j = _jacobian(model, x[rows], [piece[rows] for piece in pieces]) / sigma[:, None]
+            j = _jacobian(model, x[rows], [piece[rows] for piece in pieces])
+            j /= sigma[:, None]
             if not np.all(np.isfinite(j)):
                 raise FittingError(f"the {model.name} model's derivative is not finite at "
                                    f"a polish step; check the fixed model parameters")
