@@ -1,16 +1,15 @@
 """Paired CPU time of one benchmark workload's items in two source trees.
 
-    python tools/ab_time.py BASE_TREE CHANGED_TREE [--workload fit]
-        [--seeds 1,2,3,4,5,6] [--items N] [--cpu K] [--resamples 2000]
+    python tools/ab_time.py BASE_TREE CHANGED_TREE [--workload fit] [--seeds 1,2,3,4,5,6]
 
 Each tree is a checkout of this repository.  Every seed is a session: one
 fresh worker per tree imports qbuffer from that tree's ``src`` and pins
-itself to CPU K (by default the highest this process may use), so both run
-on the same processor, one at a time.  The session's first
-``workload.warmup`` items run once in each worker, untimed.  Then both are
-fed the seed's items of the benchmark's workload (``bench/qbbench/
-workloads.py`` next to this script) record by record, each record twice per
-tree: in the order BASE, CHANGED, CHANGED, BASE, and for the next record
+itself to the highest CPU this process may use, so both run on the same
+processor, one at a time.  The session's first ``workload.warmup`` items
+run once in each worker, untimed.  Then both are fed the items of a 26 s
+benchmark run of that seed (``bench/qbbench/workloads.py`` next to this
+script) record by record, each record twice per tree: in the order BASE,
+CHANGED, CHANGED, BASE, and for the next record
 CHANGED, BASE, BASE, CHANGED, so over two records each tree makes three
 calls right after the other tree and one right after its own call on the
 same record.  A tree's time for a record is the sum of its two calls, each
@@ -22,8 +21,8 @@ behind the benchmark's ``items_per_s``, overall and per item label, and the
 number of records whose outputs differ.  Two worker processes of one tree
 can differ by a percent or two in speed, which the records of one session
 share, so the 95 % interval comes from a two-level percentile bootstrap:
-sessions are resampled, then records within each.  A tree run against
-itself gives a ratio of 1 inside its interval.
+sessions are resampled, then records within each, 2000 times.  A tree run
+against itself gives a ratio of 1 inside its interval.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ from pathlib import Path
 import numpy as np
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SECONDS = 26.0     # each session runs the items of a benchmark run this long
+RESAMPLES = 2000
 
 
 def serve(workload_name: str, cpu: int) -> None:
@@ -110,12 +111,12 @@ def session(trees: tuple[Path, Path], workload, name: str, seed: int, n_items: i
     return rows, failed
 
 
-def interval(sessions: list[tuple[np.ndarray, np.ndarray]], resamples: int,
+def interval(sessions: list[tuple[np.ndarray, np.ndarray]],
              rng: np.random.Generator) -> tuple[float, float, float]:
     """sum(changed) / sum(base) over every session's records, and its 95 %
     two-level percentile bootstrap interval (sessions, then records)."""
-    ratios = np.empty(resamples)
-    for k in range(resamples):
+    ratios = np.empty(RESAMPLES)
+    for k in range(RESAMPLES):
         base = changed = 0.0
         for pick in rng.integers(0, len(sessions), size=len(sessions)):
             b, c = sessions[pick]
@@ -136,30 +137,27 @@ def main(argv: list[str]) -> int:
     parser.add_argument("changed", type=Path)
     parser.add_argument("--workload", default="fit", choices=sorted(WORKLOADS))
     parser.add_argument("--seeds", default="1,2,3,4,5,6")
-    parser.add_argument("--items", type=int, help="items per seed (default: a 26 s run's)")
-    parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)))
-    parser.add_argument("--resamples", type=int, default=2000)
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
-    n_items = args.items or workload.size(26.0)
+    n_items, cpu = workload.size(SECONDS), max(os.sched_getaffinity(0))
 
     rows, failed = [], 0
     for seed in (int(s) for s in args.seeds.split(",")):
         seed_rows, raised = session((args.base, args.changed), workload, args.workload, seed,
-                                    n_items, args.cpu)
+                                    n_items, cpu)
         rows.append(seed_rows)
         failed += raised
 
     rng = np.random.default_rng(0)
     every = [row for seed_rows in rows for row in seed_rows]
-    print(f"workload {args.workload}, seeds {args.seeds}, {n_items} items each, CPU {args.cpu}: "
+    print(f"workload {args.workload}, seeds {args.seeds}, {n_items} items each, CPU {cpu}: "
           f"{len(every)} records, {failed} raised in a tree, "
           f"outputs differ on {sum(not same for *_, same in every)}")
     for label in ["all", *sorted({label for label, *_ in every})]:
         sessions = [(np.array([r[1] for r in picked]), np.array([r[2] for r in picked]))
                     for picked in ([r for r in seed_rows if label in ("all", r[0])]
                                    for seed_rows in rows) if picked]
-        ratio, low, high = interval(sessions, args.resamples, rng)
+        ratio, low, high = interval(sessions, rng)
         base, changed = (np.concatenate([s[k] for s in sessions]) for k in (0, 1))
         print(f"{label}: {len(base)} records, "
               f"summed CPU {base.sum():.4f} -> {changed.sum():.4f} s, "
