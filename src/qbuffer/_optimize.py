@@ -1,6 +1,8 @@
 """qbuffer's own two-column NNLS and bounded least-squares solver, which
 moves a stack of starting points in lockstep, and scipy.optimize entry points
-imported on first call.
+imported on first call.  The solver's damped systems are solved as stacks,
+one batched ``np.linalg.solve`` each; a held variable's row and column become
+the identity's within its stack.
 
 Importing scipy.optimize is most of a cold command's start-up, and
 ``classify``, ``sweep`` and ``fit`` never need it.  Callers keep these names
@@ -99,12 +101,14 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
     diagonal entry and follows Nielsen's update: times max(1/3, 1 - (2 rho -
     1)^3) on an accepted step (rho: actual over Gauss-Newton predicted
     decrease), times nu, with nu doubling, on a rejected one.  A variable
-    within 1e-9 of the bound whose step points outward is held and the system
-    re-solved without it; a step that would cross the bound goes 0.995 of the
-    way to it.  A trial whose residual is not finite is rejected, and so is
-    a step whose damped system is singular: it is nan.  Stops on a relative
-    cost decrease <= 1e-15 or a relative step <= 1e-13; status 0 means 4000
-    evaluations of ``fun`` were spent first.
+    within 1e-9 of the bound whose step points outward is held: its row and
+    column of the damped system become the identity's and its right-hand side
+    0, and the starts that gained a hold solve again, together, which gives
+    the bits of the system without it.  A step that would cross the bound
+    goes 0.995 of the way to it.  A trial whose residual is not finite is
+    rejected, and so is a step whose damped system is singular: it is nan.
+    Stops on a relative cost decrease <= 1e-15 or a relative step <= 1e-13;
+    status 0 means 4000 evaluations of ``fun`` were spent first.
     """
     x = np.maximum(np.array(x0, dtype=float, ndmin=2), _INTERIOR)
     r, jac = fun(x)
@@ -193,33 +197,27 @@ def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _step(damped: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The step in x of every start from its damped system, with each
-    outward-pointing variable at the bound held; nan where the system is singular."""
+    """The step in x of every start from its damped system; nan where the
+    system is singular.  A variable at the bound whose step points outward is
+    held: its row and column become the identity's and its right-hand side 0,
+    and the starts that gained a hold solve again, until none gains one."""
     rhs = -d * g
-    try:
-        step = d * np.linalg.solve(damped, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # a start's system is singular
-        step = d * np.array([_solve(m, b) for m, b in zip(damped, rhs)])
-    outward = (x <= _AT_BOUND) & (step < 0)
-    if not outward.any():
-        return step
-    for i in np.flatnonzero(outward.any(axis=1)).tolist():
-        free = np.ones(len(rhs[i]), dtype=bool)
-        while True:
-            held = free & (x[i] <= _AT_BOUND) & (step[i] < 0)
-            if not held.any():
-                break
-            free &= ~held
-            step[i] = 0.0
-            # the rows and columns of the free variables: the system without the held ones
-            sub = damped[i][np.ix_(free, free)]
-            step[i, free] = d[i, free] * _solve(sub, rhs[i, free])
+    step = d * _solve(damped, rhs)
+    free = np.ones(x.shape, dtype=bool)
+    while (gained := free & (x <= _AT_BOUND) & (step < 0)).any():
+        rows = np.flatnonzero(gained.any(axis=1))
+        free &= ~gained
+        keep = free[rows]
+        m = np.where(keep[:, :, None] & keep[:, None, :], damped[rows], np.eye(x.shape[1]))
+        step[rows] = d[rows] * _solve(m, np.where(keep, rhs[rows], 0.0))
     return step
 
 
 def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """m^-1 b, or nan where m is singular."""
+    """m[k]^-1 b[k] for every system k of the stack; nan where m[k] is singular."""
     try:
-        return np.linalg.solve(m, b)
-    except np.linalg.LinAlgError:
-        return np.full(len(b), np.nan)
+        return np.linalg.solve(m, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular system fails the stack: solve each alone
+        if len(m) == 1:
+            return np.full_like(b, np.nan)
+        return np.concatenate([_solve(m[k:k + 1], b[k:k + 1]) for k in range(len(m))])

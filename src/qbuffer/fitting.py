@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import dynamics
-from ._optimize import least_squares, nnls
+from ._optimize import _AT_BOUND, least_squares, nnls
 from .dynamics import CavityModelParams, PmdModelParams, UnitContext
 
 
@@ -151,8 +151,7 @@ class _TwoComponent(NamedTuple):
 
     def component(self, i: int, theta, rate):
         """c_i on the record's times, ``theta`` broadcast against them; no sine where s_i = 0."""
-        phi = theta * self.phase_slopes[i]
-        bracket = np.cos(phi) + self.signs[i] * np.sin(phi) if self.signs[i] else np.cos(phi)
+        bracket = dynamics._bracket(theta * self.phase_slopes[i], self.signs[i, 0])
         return np.exp(rate * self.rate_slope) * bracket * bracket
 
     def pieces(self, x):
@@ -327,7 +326,7 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
         cov = _covariance_diag(best.jac, best.cost, model.scales, sigma)
     if not np.all(np.isfinite([*si, *cov])):
         raise FittingError(f"the {model.name} fit overflows on this record")
-    at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= 1e-9)
+    at_bounds = tuple(name for name, x in zip(model.free, best.x) if x <= _AT_BOUND)
     return FitResult(model.name, make_params(si),
                      float(math.sqrt(2.0 * best.cost)), cov, best.status > 0,
                      int(best.nfev), at_bounds)

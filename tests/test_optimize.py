@@ -2,6 +2,7 @@
 start-up; the fits' two-column NNLS and bounded least-squares solver are
 qbuffer's own, so a fit never imports it."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -297,3 +298,87 @@ def test_singular_start_is_rejected_while_the_others_solve(lazy, monkeypatch):
     alone = lazy.least_squares(stiff, [[1.0, 1.0, 1.0]])
     assert solved.status > 0 and solved.x.tobytes() == alone.x.tobytes()
     assert solved.nfev == alone.nfev
+
+
+
+def submatrix_step(damped, d, g, x):
+    """Each start's step solved alone, with each held variable's row and
+    column struck from the damped system, which is solved again while the
+    start gains holds; also each start's (hold rounds, held variables)."""
+    rhs = -d * g
+    step, holds = d * np.linalg.solve(damped, rhs[:, :, None])[:, :, 0], []
+    for i in range(len(x)):
+        free = np.ones(x.shape[1], dtype=bool)
+        for rounds in itertools.count():
+            held = free & (x[i] <= 1e-9) & (step[i] < 0)
+            if not held.any():
+                break
+            free &= ~held
+            step[i] = 0.0
+            try:
+                solved = np.linalg.solve(damped[i][np.ix_(free, free)], rhs[i, free])
+            except np.linalg.LinAlgError:
+                solved = np.nan
+            step[i, free] = d[i, free] * solved
+        holds.append((rounds, int(np.sum(~free))))
+    return step, holds
+
+
+def damped_systems(seed):
+    """1-6 starts of five variables, built as ``lockstep`` builds them from a
+    Jacobian of mixed column scales, with lam 10^+-4 times its first value;
+    0-4 variables of each start sit at the bound."""
+    rng = np.random.default_rng(seed)
+    k, n = rng.integers(1, 7), 5
+    j = rng.normal(size=(k, 8, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, n))
+    x = rng.uniform(0.1, 5.0, size=(k, n))
+    for row in x:
+        row[rng.choice(n, rng.integers(0, 5), replace=False)] = 1e-10
+    g = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, n))
+    outward = g > 0
+    d = np.sqrt(np.where(outward, x, 1.0))
+    a = (j.transpose(0, 2, 1) @ j) * (d[:, :, None] * d[:, None, :])
+    a += np.where(outward, g, 0.0)[:, :, None] * np.eye(n)
+    lam = 2e-4 * a.diagonal(axis1=1, axis2=2).max(axis=1) * 10.0 ** rng.uniform(-4.0, 4.0, k)
+    return a + lam[:, None, None] * np.eye(n), d, g, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_held_variables_step_as_the_submatrix_solve(seed):
+    from qbuffer import _optimize
+    damped, d, g, x = damped_systems(seed)
+    want, _ = submatrix_step(damped, d, g, x)
+    assert _optimize._step(damped, d, g, x).tobytes() == want.tobytes()
+
+
+def test_held_variable_systems_cover_each_hold_count_and_a_second_round(lazy):
+    holds = set()
+    for seed in range(200):
+        damped, d, g, x = damped_systems(seed)
+        want, seed_holds = submatrix_step(damped, d, g, x)
+        assert lazy._step(damped, d, g, x).tobytes() == want.tobytes()
+        holds.update(seed_holds)
+    assert {rounds for rounds, _ in holds} >= {0, 1, 2}
+    assert {held for _, held in holds} >= {0, 1, 2, 3, 4}
+
+
+def test_singular_held_system_gives_a_nan_step(lazy):
+    # the middle start holds x0, and its system without x0 has the singular
+    # block [[1, 1], [1, 1]], though its whole system is regular; the first
+    # start holds a variable too, so it solves again in the same stack, and
+    # the last holds none
+    singular = np.eye(5)
+    singular[:3, :3] = [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+    middle = (singular, np.ones(5), np.array([0.0, -1.0, -2.0, 1.0, 1.0]),
+              np.array([1e-10, 1.0, 1.0, 1.0, 1.0]))
+    damped, d, g, x = (np.insert(v[:2], 1, w, axis=0)
+                       for v, w in zip(damped_systems(7), middle))
+    assert np.linalg.solve(damped[1], -g[1])[0] < 0
+    step = lazy._step(damped, d, g, x)
+    assert np.all(np.isnan(step[1]))
+    want, holds = submatrix_step(damped, d, g, x)
+    assert holds == [(1, 1), (1, 1), (0, 0)]
+    for i in (0, 2):
+        alone = lazy._step(damped[i:i + 1], d[i:i + 1], g[i:i + 1], x[i:i + 1])
+        assert step[i].tobytes() == want[i].tobytes() == alone[0].tobytes()

@@ -14,7 +14,8 @@ compares CHANGED_TREE with BASE_TREE:
 * records whose JSON is not byte-identical, exp apart from pasy and p3;
 * the failing set of each tree: records whose check found a problem;
 * per model and parameter, the largest move on noisy records in BASE_TREE's
-  reported sd, and the largest relative move on clean records;
+  reported sd, and the largest relative move on clean records; a value that
+  did not move reads 0, also where that sd is 0;
 * the largest relative move of the noisy residual norms, and the summed
   ``iterations`` (evaluations of the winning polish) of each tree.
 """
@@ -97,12 +98,13 @@ def compare(base: list[dict], new: list[dict]) -> None:
         for name, var, old, value in zip(PARAMS[model], ra["covariance_diag"],
                                          (ra[p] for p in PARAMS[model]),
                                          (rb[p] for p in PARAMS[model])):
-            if a["noisy"]:
+            table = sd_moves if a["noisy"] else rel_moves
+            if value == old:  # also where the base's variance is 0
+                move = 0.0
+            elif a["noisy"]:
                 move = abs(value - old) / math.sqrt(var) if var > 0 else math.inf
-                table = sd_moves
             else:
                 move = abs(value - old) / abs(old) if old else abs(value)
-                table = rel_moves
             if move > table[model][name][0]:
                 table[model][name] = (move, key)
         if a["noisy"]:
