@@ -2,8 +2,8 @@
 
 Submodules:
 
-* ``states``     two-qubit states, Werner family, validation, serialization
-* ``channels``   PMD polarization map, amplitude damping
+* ``states``     two-qubit states, Werner family, validation, [re, im] pairs
+* ``channels``   PMD map and amplitude damping of the buffered arm
 * ``dynamics``   scalar decay models and the regime classifier
 * ``tomography`` 16-setting count simulation and state reconstruction
 * ``measures``   correlation measures and threshold solvers
@@ -20,8 +20,8 @@ from .fitting import DataSeries, FitResult, fit_exponential, fit_p3, fit_pasy
 from .measures import (CorrelationReport, classical_correlation, concurrence,
                        correlation_report, discord, discord_concurrence_crossover,
                        solve_level_crossing, total_correlation)
-from .states import (SingleQubitOperator, ValidationReport, apply_operator,
-                     make_bell_phi_plus, make_werner, validate)
+from .states import (ValidationReport, apply_operator, make_bell_phi_plus,
+                     make_werner, rho_to_pairs, validate)
 from .tomography import (MeasurementSetting, ReconstructionResult, SETTINGS,
                          TomographyRecord, estimate_werner_probability,
                          expected_counts, fidelity, linear_inversion, projector,

@@ -1,8 +1,9 @@
 """Decoherence channels acting on the buffered photon pair.
 
-Two mechanisms: the birefringence-induced polarization rotation (PMD) and
-amplitude damping of the buffered arm.  Scalar fiber attenuation exp(-2 mu L)
-enters only as the envelope of the PMD decay models in ``dynamics``.
+Two mechanisms act on the buffered (idler) photon, each a complex 2x2 array:
+the birefringence-induced polarization rotation (PMD) and amplitude damping.
+Scalar fiber attenuation exp(-2 mu L) enters only as the envelope of the PMD
+decay models in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import SingleQubitOperator, apply_operator, make_werner
+from .states import make_werner
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class PmdPhases:
             raise ValueError("PMD phases must be finite")
 
 
-def pmd_operator(phases: PmdPhases) -> SingleQubitOperator:
+def pmd_operator(phases: PmdPhases) -> np.ndarray:
     """Polarization map of the buffered (idler) photon.
 
     Sends H -> cos(dphi_h) H + sin(dphi_h) V and
@@ -38,22 +39,24 @@ def pmd_operator(phases: PmdPhases) -> SingleQubitOperator:
     """
     ch, sh = np.cos(phases.dphi_h), np.sin(phases.dphi_h)
     cv, sv = np.cos(phases.dphi_v), np.sin(phases.dphi_v)
-    matrix = np.array([[ch, -sv], [sh, cv]], dtype=complex)
-    return SingleQubitOperator(matrix, "idler")
+    return np.array([[ch, -sv], [sh, cv]], dtype=complex)
 
 
-def amplitude_damping_kraus(xi: float) -> tuple[SingleQubitOperator, SingleQubitOperator]:
+def _check_damping(xi: float) -> None:
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"damping probability must lie in [0, 1], got {xi}")
+
+
+def amplitude_damping_kraus(xi: float) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair of the amplitude-damping channel with decay probability xi.
 
     Gamma0 = diag(1, sqrt(1-xi)) attenuates the V amplitude; Gamma1 moves
     population V -> H with weight sqrt(xi).  The pair satisfies
     Gamma0^dag Gamma0 + Gamma1^dag Gamma1 = I.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"damping probability must lie in [0, 1], got {xi}")
-    gamma0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - xi)]], dtype=complex)
-    gamma1 = np.array([[0.0, np.sqrt(xi)], [0.0, 0.0]], dtype=complex)
-    return (SingleQubitOperator(gamma0, "idler"), SingleQubitOperator(gamma1, "idler"))
+    _check_damping(xi)
+    return (np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - xi)]], dtype=complex),
+            np.array([[0.0, np.sqrt(xi)], [0.0, 0.0]], dtype=complex))
 
 
 def damp_werner(p: float, xi: float) -> np.ndarray:
@@ -73,9 +76,14 @@ def damp_werner(p: float, xi: float) -> np.ndarray:
     p'11 = p, p'22 = p(1-2 xi), p'14 = p sqrt(1-xi) extracted downstream by
     tomography.  The feed matches the excited-H/ground-V reading of the
     buffer; Gamma1 of :func:`amplitude_damping_kraus` feeds V -> H instead.
-    """
-    rho = make_werner(p)
-    gamma0, _ = amplitude_damping_kraus(xi)  # checks xi
-    feed = SingleQubitOperator(np.array([[0.0, 0.0], [np.sqrt(xi), 0.0]]), "idler")
-    return apply_operator(rho, gamma0) + apply_operator(rho, feed)
 
+    Written on the idler index directly, each product taken in the order of
+    I (x) K rho (I (x) K)^dag, so the bytes equal the sum of
+    ``states.apply_operator`` over the two operators.
+    """
+    _check_damping(xi)
+    rho = make_werner(p)
+    d = np.sqrt([1.0, 1.0 - xi, 1.0, 1.0 - xi])
+    out = rho * d[:, None] * d
+    out[1::2, 1::2] += rho[::2, ::2] * np.sqrt(xi) * np.sqrt(xi)
+    return out

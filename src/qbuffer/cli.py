@@ -200,7 +200,7 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
         "log_likelihood": result.log_likelihood,
         "seed": config.seed,
         "exact": exact,
-        "rho_hat": json.loads(states.rho_to_json(result.rho_hat)),
+        "rho_hat": states.rho_to_pairs(result.rho_hat),
     }
     return tomography.records_to_csv(records), report
 

@@ -13,7 +13,6 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,35 +56,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return self.hermitian_ok and self.trace_ok and self.psd_ok
-
-
-@dataclass(frozen=True)
-class SingleQubitOperator:
-    """A 2x2 operator tagged with the photon arm it acts on.
-
-    Non-unitary operators are allowed; unitarity is asserted only where a
-    particular construction claims it.
-    """
-
-    matrix: np.ndarray
-    arm: str  # 'signal' or 'idler'
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"operator matrix must be 2x2, got {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("operator matrix must have finite entries")
-        if self.arm not in ("signal", "idler"):
-            raise ValueError(f"arm must be 'signal' or 'idler', got {self.arm!r}")
-        object.__setattr__(self, "matrix", m)
-
-    def embedded(self) -> np.ndarray:
-        """Return the 4x4 two-qubit embedding (op (x) I or I (x) op)."""
-        eye = np.eye(2, dtype=complex)
-        if self.arm == "signal":
-            return np.kron(self.matrix, eye)
-        return np.kron(eye, self.matrix)
 
 
 def make_bell_phi_plus() -> np.ndarray:
@@ -146,19 +116,21 @@ def require_valid(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def apply_operator(rho: np.ndarray, op: SingleQubitOperator) -> np.ndarray:
-    """Conjugate rho by a single-arm operator: K rho K^dag with K = op (x) I or I (x) op.
+def apply_operator(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Conjugate rho by a 2x2 operator on the idler: K rho K^dag with K = I (x) op.
 
     The result is not renormalized; Kraus pairs summing to a trace-preserving
     map rely on this.
     """
-    k = op.embedded()
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"operator matrix must be 2x2, got {op.shape}")
+    if not np.isfinite(op).all():
+        raise ValueError("operator matrix must have finite entries")
+    k = np.kron(np.eye(2, dtype=complex), op)
     return k @ np.asarray(rho, dtype=complex) @ k.conj().T
 
 
-def rho_to_json(rho: np.ndarray) -> str:
-    """Serialize a 4x4 matrix as row-major nested lists of [re, im] pairs."""
-    rho = np.asarray(rho, dtype=complex)
-    rows = [[[float(z.real), float(z.imag)] for z in row] for row in rho]
-    return json.dumps(rows)
-
+def rho_to_pairs(rho: np.ndarray) -> list:
+    """A 4x4 matrix as row-major nested lists of [re, im] pairs of Python floats."""
+    return np.stack((rho.real, rho.imag), -1).tolist()

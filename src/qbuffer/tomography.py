@@ -140,9 +140,9 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
 
 def expected_counts(rho: np.ndarray, n_gates: int,
                     accidental_rate: float = 0.0) -> list[TomographyRecord]:
-    """Noise-free records carrying the expected values of the count model."""
+    """Expected-value records of the count model, in-window counts clamped at n_gates."""
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
-    return [TomographyRecord(setting, mean + acc_mean, acc_mean, n_gates)
+    return [TomographyRecord(setting, float(min(mean + acc_mean, n_gates)), acc_mean, n_gates)
             for setting, mean in zip(SETTINGS, means.tolist())]
 
 

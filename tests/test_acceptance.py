@@ -119,7 +119,7 @@ def test_criterion_05_amplitude_damping_identities():
     completeness = 0.0
     for xi in grid:
         g0, g1 = amplitude_damping_kraus(xi)
-        total = g0.matrix.conj().T @ g0.matrix + g1.matrix.conj().T @ g1.matrix
+        total = g0.conj().T @ g0 + g1.conj().T @ g1
         completeness = max(completeness, float(np.abs(total - np.eye(2)).max()))
     check(5, "amplitude damping identities", [
         (f"closed-form match {worst_matrix:.2e} < 1e-12", worst_matrix < 1e-12),

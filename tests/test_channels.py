@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbuffer.channels import (PmdPhases, amplitude_damping_kraus, damp_werner,
                               pmd_operator)
 from qbuffer.dynamics import prob_pf
-from qbuffer.states import SingleQubitOperator, apply_operator, make_werner, validate
+from qbuffer.states import apply_operator, make_werner, validate
 from qbuffer.tomography import estimate_werner_probability, werner_estimators
 
 
@@ -21,33 +23,38 @@ def closed_form_damped_werner(p: float, xi: float) -> np.ndarray:
     return rho
 
 
+def kraus_sum(rho: np.ndarray, xi: float) -> np.ndarray:
+    """damp_werner's operator sum by the generic conjugation: Gamma0 and the
+    H -> V feed F = [[0, 0], [sqrt(xi), 0]], each as I (x) K on the idler."""
+    gamma0, _ = amplitude_damping_kraus(xi)
+    feed = np.array([[0, 0], [np.sqrt(xi), 0]])
+    return apply_operator(rho, gamma0) + apply_operator(rho, feed)
+
+
 class TestPmdOperator:
     def test_zero_phase_is_identity(self):
         op = pmd_operator(PmdPhases(0.0, 0.0))
-        np.testing.assert_allclose(op.matrix, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(op, np.eye(2), atol=1e-15)
 
     def test_quarter_turn_flips_polarizations(self):
         op = pmd_operator(PmdPhases(np.pi / 2, np.pi / 2))
         # H -> V and V -> -H
-        np.testing.assert_allclose(op.matrix @ [1, 0], [0, 1], atol=1e-15)
-        np.testing.assert_allclose(op.matrix @ [0, 1], [-1, 0], atol=1e-15)
+        np.testing.assert_allclose(op @ [1, 0], [0, 1], atol=1e-15)
+        np.testing.assert_allclose(op @ [0, 1], [-1, 0], atol=1e-15)
 
     def test_unitary_iff_equal_phases(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             phi = rng.uniform(-np.pi, np.pi)
-            m = pmd_operator(PmdPhases(phi, phi)).matrix
+            m = pmd_operator(PmdPhases(phi, phi))
             np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
     def test_unequal_phases_break_unitarity(self):
-        m = pmd_operator(PmdPhases(0.1, 0.3)).matrix
+        m = pmd_operator(PmdPhases(0.1, 0.3))
         deviation = np.abs(m.conj().T @ m - np.eye(2)).max()
         # off-diagonal defect is |sin(dphi_h - dphi_v)|
         assert deviation == pytest.approx(abs(np.sin(0.1 - 0.3)), abs=1e-12)
         assert deviation > 0.1
-
-    def test_acts_on_idler(self):
-        assert pmd_operator(PmdPhases(0.2, 0.1)).arm == "idler"
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -57,23 +64,23 @@ class TestPmdOperator:
 class TestAmplitudeDampingKraus:
     def test_no_damping(self):
         g0, g1 = amplitude_damping_kraus(0.0)
-        np.testing.assert_allclose(g0.matrix, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(g1.matrix, np.zeros((2, 2)), atol=1e-15)
+        np.testing.assert_allclose(g0, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(g1, np.zeros((2, 2)), atol=1e-15)
 
     def test_full_damping(self):
         g0, g1 = amplitude_damping_kraus(1.0)
-        np.testing.assert_allclose(g0.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_allclose(g0, np.diag([1.0, 0.0]), atol=1e-15)
         # V transfers entirely to H
-        np.testing.assert_allclose(g1.matrix @ [0, 1], [1, 0], atol=1e-15)
+        np.testing.assert_allclose(g1 @ [0, 1], [1, 0], atol=1e-15)
 
     def test_small_damping_entries(self):
         g0, _ = amplitude_damping_kraus(0.02)
-        assert g0.matrix[1, 1].real == pytest.approx(np.sqrt(0.98), abs=1e-12)
+        assert g0[1, 1].real == pytest.approx(np.sqrt(0.98), abs=1e-12)
 
     @pytest.mark.parametrize("xi", np.linspace(0.0, 1.0, 101))
     def test_completeness_grid(self, xi):
         g0, g1 = amplitude_damping_kraus(xi)
-        total = g0.matrix.conj().T @ g0.matrix + g1.matrix.conj().T @ g1.matrix
+        total = g0.conj().T @ g0 + g1.conj().T @ g1
         assert np.abs(total - np.eye(2)).max() < 1e-12
 
     @pytest.mark.parametrize("xi", [-0.01, 1.01])
@@ -111,10 +118,29 @@ class TestDampWerner:
         # generic conjugation machinery reproduces the closed form
         for p, xi in [(0.3, 0.1), (0.9, 0.02), (0.6, 0.7)]:
             rho = make_werner(p)
-            g0, _ = amplitude_damping_kraus(xi)
-            feed = SingleQubitOperator(np.array([[0, 0], [np.sqrt(xi), 0]]), "idler")
-            brute = apply_operator(rho, g0) + apply_operator(rho, feed)
+            brute = kraus_sum(rho, xi)
             assert np.abs(brute - closed_form_damped_werner(p, xi)).max() < 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0))
+    @example(p=0.0, xi=0.0)
+    @example(p=1.0, xi=1.0)
+    @example(p=5e-324, xi=5e-324)
+    @example(p=1 - 2 ** -53, xi=1 - 2 ** -53)
+    @example(p=1.0, xi=0.0)
+    @example(p=0.0, xi=1.0)
+    @example(p=5e-324, xi=1 - 2 ** -53)
+    @example(p=1 - 2 ** -53, xi=5e-324)
+    @example(p=0.9, xi=0.02)  # the golden tomo state
+    def test_bytes_equal_the_kraus_sum(self, p, xi):
+        # tomo's bytes rest on these bits, not on a tolerance
+        assert damp_werner(p, xi).tobytes() == kraus_sum(make_werner(p), xi).tobytes()
+
+    @pytest.mark.parametrize("xi", [np.nan, -0.01, 1.01])
+    def test_damping_range_checked(self, xi):
+        with pytest.raises(ValueError, match=r"^damping probability must lie in \[0, 1\], "
+                                             r"got [-\w.]+$"):
+            damp_werner(0.5, xi)
 
     def test_estimator_identities(self):
         # single-element extractors read back p, p(1-2xi) and p sqrt(1-xi)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qbuffer import cli
+from qbuffer import cli, states
 from qbuffer.cli import (DEFAULT_CONFIG, SWEEP_CSV_HEADER, ConfigError,
                          build_config, cmd_sweep, cmd_tomo, load_config, main)
 from qbuffer.dynamics import length_from_time, prob_pasy, p3 as p3_model
@@ -134,6 +134,20 @@ class TestTomo:
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
 
 
+    def test_rho_hat_is_the_json_round_trip(self, config, monkeypatch):
+        # the report holds the pairs the JSON text round trip gave before
+        seen = []
+        pairs = states.rho_to_pairs
+        monkeypatch.setattr(states, "rho_to_pairs", lambda rho: seen.append(rho) or pairs(rho))
+        for exact in (True, False):
+            _, report = cmd_tomo(config, werner_p=0.85, xi=0.01, exact=exact)
+            assert all(type(x) is float
+                       for row in report["rho_hat"] for pair in row for x in pair)
+            old = json.loads(json.dumps([[[float(z.real), float(z.imag)] for z in row]
+                                         for row in seen[-1]]))
+            assert cli._json_text(report) == cli._json_text({**report, "rho_hat": old})
+
+
 class TestMainDispatch:
     def test_sweep_writes_file(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -175,6 +189,19 @@ class TestMainDispatch:
                          "--out", prefix]) == 0
             texts.append((tmp_path / f"t{run}_report.json").read_bytes())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("werner_p", ["0", "0.9", "1"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tomo_accidental_rate_near_one(self, tmp_path, werner_p, exact):
+        # accidentals fill the window: the in-window count is clamped at the
+        # gate count in both the Poisson and the expected-value mode
+        cfg = tmp_path / "acc.json"
+        cfg.write_text(json.dumps({"accidental_rate": 0.9999}))
+        prefix = str(tmp_path / "tomo")
+        argv = ["tomo", "--config", str(cfg), "--werner-p", werner_p, "--out", prefix]
+        assert main(argv + ["--exact"] * exact) == 0
+        rows = csv.DictReader((tmp_path / "tomo_records.csv").read_text().splitlines())
+        assert max(float(r["coincidences"]) for r in rows) == 100_000_000
 
     def test_fit_pasy_round_trip(self, tmp_path, config):
         t = np.linspace(0.0, 1.5e-3, 50)

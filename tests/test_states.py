@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qbuffer import states
-from qbuffer.states import (SingleQubitOperator, apply_operator,
-                            make_bell_phi_plus, make_werner, rho_to_json, validate)
+from qbuffer.states import (apply_operator, make_bell_phi_plus, make_werner,
+                            rho_to_pairs, validate)
 
 
 class TestBellState:
@@ -74,38 +74,45 @@ class TestValidate:
 class TestApplyOperator:
     def test_identity_leaves_state(self):
         rho = make_werner(0.6)
-        op = SingleQubitOperator(np.eye(2), "idler")
-        np.testing.assert_allclose(apply_operator(rho, op), rho, atol=1e-15)
+        np.testing.assert_allclose(apply_operator(rho, np.eye(2)), rho, atol=1e-15)
 
     def test_quarter_turn_flips_idler(self):
         # 90 degree rotation sends |HH><HH| to |HV><HV|
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        out = apply_operator(rho, SingleQubitOperator(rot, "idler"))
+        out = apply_operator(rho, rot)
         expect = np.zeros((4, 4))
         expect[1, 1] = 1.0
-        np.testing.assert_allclose(out, expect, atol=1e-15)
-
-    def test_signal_arm_embedding(self):
-        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = 1.0  # |HH>
-        out = apply_operator(rho, SingleQubitOperator(rot, "signal"))
-        expect = np.zeros((4, 4))
-        expect[2, 2] = 1.0  # |VH>
         np.testing.assert_allclose(out, expect, atol=1e-15)
 
     def test_kraus_pair_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             xi = rng.uniform(0, 1)
-            g0 = SingleQubitOperator(np.diag([1.0, np.sqrt(1 - xi)]), "idler")
-            g1 = SingleQubitOperator(np.array([[0, np.sqrt(xi)], [0, 0]]), "idler")
+            g0 = np.diag([1.0, np.sqrt(1 - xi)])
+            g1 = np.array([[0, np.sqrt(xi)], [0, 0]])
             rho = make_werner(rng.uniform(0, 1))
             out = apply_operator(rho, g0) + apply_operator(rho, g1)
             assert np.real(out.trace()) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("op, message", [
+        (np.eye(3), r"operator matrix must be 2x2, got \(3, 3\)"),
+        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "operator matrix must have finite entries"),
+        (np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]), "operator matrix must have finite entries"),
+    ])
+    def test_rejects_malformed_operator(self, op, message):
+        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
+            apply_operator(make_werner(0.5), op)
+        assert "\n" not in str(excinfo.value)
+
+
+def old_json_rows(rho):
+    """The pair form as the report held it before: each part through float(),
+    written as JSON text and read back."""
+    return json.loads(json.dumps([[[float(z.real), float(z.imag)] for z in row]
+                                  for row in np.asarray(rho, dtype=complex)]))
 
 
 class TestSerialization:
@@ -116,8 +123,18 @@ class TestSerialization:
         rho[3, 0] -= 0.01j
         # row-major nested lists of [re, im] pairs
         again = np.array([[complex(re, im) for re, im in row]
-                          for row in json.loads(rho_to_json(rho))])
+                          for row in rho_to_pairs(rho)])
         np.testing.assert_allclose(again, rho, atol=1e-15)
+
+    def test_pairs_equal_the_json_round_trip(self):
+        parts = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.25, -1 / 3])
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            rho = rng.choice(parts, (4, 4)) + 1j * rng.choice(parts, (4, 4))
+            got = rho_to_pairs(rho)
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(got) == repr(old_json_rows(rho))
+            assert all(type(x) is float for row in got for pair in row for x in pair)
 
 
 class TestProductKets:
