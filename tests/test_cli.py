@@ -133,7 +133,6 @@ class TestTomo:
         assert csv_a == csv_b
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
 
-
     def test_rho_hat_is_the_json_round_trip(self, config, monkeypatch):
         # the report holds the pairs the JSON text round trip gave before
         seen = []
