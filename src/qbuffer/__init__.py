@@ -5,7 +5,7 @@ Submodules:
 * ``states``     two-qubit states, Werner family, validation, [re, im] pairs
 * ``channels``   PMD map and amplitude damping of the buffered arm
 * ``dynamics``   scalar decay models and the regime classifier
-* ``tomography`` 16-setting count simulation and state reconstruction
+* ``tomography`` one 16-setting count record per acquisition; reconstruction
 * ``measures``   correlation measures and threshold solvers
 * ``fitting``    nonlinear least-squares fits of the decay models
 * ``cli``        command-line entry points
@@ -23,9 +23,9 @@ from .measures import (CorrelationReport, classical_correlation, concurrence,
 from .states import (ValidationReport, apply_operator, make_bell_phi_plus,
                      make_werner, rho_to_pairs, validate)
 from .tomography import (MeasurementSetting, ReconstructionResult, SETTINGS,
-                         TomographyRecord, estimate_werner_probability,
+                         TomographyError, TomographyRecord, estimate_werner_probability,
                          expected_counts, fidelity, linear_inversion, projector,
-                         reconstruct_mle, simulate_counts, subtract_accidentals,
-                         trace_distance)
+                         reconstruct_mle, records_to_csv, simulate_counts,
+                         subtract_accidentals, trace_distance)
 
 __version__ = "0.1.0"

@@ -71,7 +71,7 @@ class RunConfig:
 def build_config(values: dict) -> RunConfig:
     """Validate a flat config dict and assemble the typed RunConfig: every
     field a finite real number (numpy scalars pass, bools do not), gates,
-    seed, n_points and sign integral, and the others within the float range."""
+    seed, n_points and sign integral (the seed nonnegative), the rest in the float range."""
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
@@ -95,6 +95,8 @@ def build_config(values: dict) -> RunConfig:
         problems.append("t_start_s: must be nonnegative")
     if merged["t_end_s"] <= merged["t_start_s"]:
         problems.append("t_end_s: must exceed t_start_s")
+    if merged["seed"] < 0:
+        problems.append("seed: must be nonnegative")
     if merged["gates"] <= 0:
         problems.append("gates: must be positive")
     elif merged["gates"] > 2**53:  # the count model holds gates in a float
@@ -183,13 +185,12 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
     """
     rho_true = channels.damp_werner(werner_p, xi)
     if exact:
-        records = tomography.expected_counts(rho_true, config.gates,
-                                             config.accidental_rate)
+        record = tomography.expected_counts(rho_true, config.gates,
+                                            config.accidental_rate)
     else:
-        records = tomography.simulate_counts(rho_true, config.gates,
-                                             config.accidental_rate, config.seed)
-    corrected = tomography.subtract_accidentals(records)
-    result = tomography.reconstruct_mle(corrected)
+        record = tomography.simulate_counts(rho_true, config.gates,
+                                            config.accidental_rate, config.seed)
+    result = tomography.reconstruct_mle(tomography.subtract_accidentals(record))
     report = {
         "P_true": werner_p,
         "xi": xi,
@@ -202,7 +203,7 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
         "exact": exact,
         "rho_hat": states.rho_to_pairs(result.rho_hat),
     }
-    return tomography.records_to_csv(records), report
+    return tomography.records_to_csv(record), report
 
 
 def cmd_fit(model_name: str, csv_text: str,

@@ -3,16 +3,17 @@
 The measurement set is the 16-setting product grid {H, V, D, R} x {H, V, D, R},
 which is informationally complete for two qubits.  Its 16 projector kets and
 16x16 design matrix are built once, at import.  Coincidence and accidental
-counts are modeled as independent Poisson draws; reconstruction offers a
-linear-inversion oracle (exact but possibly unphysical; it needs each setting
-exactly once) and a maximum-likelihood estimate constrained to physical states
-through the T^dag T parametrization.
+counts are modeled as independent Poisson draws, and an acquisition is one
+record of 16-entry arrays in ``SETTINGS`` order; reconstruction offers a
+linear-inversion oracle (exact but possibly unphysical) and a
+maximum-likelihood estimate constrained to physical states through the
+T^dag T parametrization.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,50 +60,44 @@ _PAULIS = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 # Orthonormal Hermitian basis under the Hilbert-Schmidt inner product.
-_HERM_BASIS = tuple(np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS)
+_HERM_BASIS = np.array([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
 
 _KETS = np.array([projector(s) for s in SETTINGS])  # row k projects SETTINGS[k]
-_ROW = {s: k for k, s in enumerate(SETTINGS)}
-_DESIGN = _born(_KETS, np.array(_HERM_BASIS)).T
+_DESIGN = _born(_KETS, _HERM_BASIS).T
 
 
 @dataclass(frozen=True)
 class TomographyRecord:
-    """Raw counts of one acquisition.
-
-    ``coincidences`` and ``accidentals`` are Poisson draws for simulated
-    acquisitions but may be real-valued for expected-value (noise-free)
-    records.
+    """Raw counts of one acquisition: ``coincidences`` and ``accidentals`` are
+    read-only float arrays with one entry per setting, in ``SETTINGS`` order.
+    They are Poisson draws for simulated acquisitions but may be real-valued
+    for expected-value (noise-free) records.
     """
 
-    setting: MeasurementSetting
-    coincidences: float
-    accidentals: float
+    coincidences: np.ndarray
+    accidentals: np.ndarray
     gates: int
 
     def __post_init__(self) -> None:
-        for name in ("coincidences", "accidentals", "gates"):
-            value = getattr(self, name)
-            if not -math.inf < value < math.inf:  # ints of any size pass
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("coincidences", "accidentals"):
+            value = np.array(getattr(self, name), dtype=float)  # a copy, then read-only
+            value.flags.writeable = False
+            if value.shape != (16,):
+                raise ValueError(f"{name} must hold 16 counts, one per setting, got {value.shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{float(value[~np.isfinite(value)][0])!r}")
+            object.__setattr__(self, name, value)
+        if not -math.inf < self.gates < math.inf:  # ints of any size pass
+            raise ValueError(f"gates must be finite, got {self.gates!r}")
+        if isinstance(self.gates, bool) or not isinstance(self.gates, numbers.Integral):
+            raise ValueError(f"gates must be an integer, got {self.gates!r}")
         if self.gates <= 0:
             raise ValueError("gate count must be positive")
-        if self.coincidences < 0 or self.accidentals < 0:
+        if min(self.coincidences.min(), self.accidentals.min()) < 0:
             raise ValueError("counts must be nonnegative")
-        if self.coincidences > self.gates:
+        if float(self.coincidences.max()) > self.gates:  # exact for any int
             raise ValueError("coincidences cannot exceed the gate count")
-
-
-@dataclass(frozen=True)
-class CorrectedRecord:
-    """Accidental-subtracted counts, clamped at zero."""
-
-    setting: MeasurementSetting
-    count: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.count < math.inf:
-            raise ValueError(f"count must be finite and nonnegative, got {self.count!r}")
 
 
 PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
@@ -122,7 +117,7 @@ def _mean_counts(rho: np.ndarray, n_gates: int,
 
 
 def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
-                    seed: int) -> list[TomographyRecord]:
+                    seed: int) -> TomographyRecord:
     """Draw Poisson counts for all 16 settings.
 
     True-coincidence mean per setting is n_gates * PAIR_RATE * <proj|rho|proj>;
@@ -132,24 +127,22 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     estimate per setting.  Identical seeds give identical records.
     """
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
-    draws = np.random.default_rng(seed).poisson(
-        np.column_stack([means, np.full((len(means), 2), acc_mean)]))
-    return [TomographyRecord(s, float(min(true + acc, n_gates)), float(estimate), n_gates)
-            for s, (true, acc, estimate) in zip(SETTINGS, draws.tolist())]
+    true, acc, estimate = np.random.default_rng(seed).poisson(
+        np.column_stack([means, np.full((len(means), 2), acc_mean)])).T
+    return TomographyRecord(np.minimum((true + acc).astype(float), n_gates), estimate, n_gates)
 
 
 def expected_counts(rho: np.ndarray, n_gates: int,
-                    accidental_rate: float = 0.0) -> list[TomographyRecord]:
-    """Expected-value records of the count model, in-window counts clamped at n_gates."""
+                    accidental_rate: float = 0.0) -> TomographyRecord:
+    """Expected-value record of the count model, in-window counts clamped at n_gates."""
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
-    return [TomographyRecord(setting, float(min(mean + acc_mean, n_gates)), acc_mean, n_gates)
-            for setting, mean in zip(SETTINGS, means.tolist())]
+    return TomographyRecord(np.minimum(means + acc_mean, n_gates),
+                            np.full(len(means), acc_mean), n_gates)
 
 
-def subtract_accidentals(records: list[TomographyRecord]) -> list[CorrectedRecord]:
-    """Subtract each record's accidental estimate, clamping at zero."""
-    return [CorrectedRecord(r.setting, max(0.0, r.coincidences - r.accidentals))
-            for r in records]
+def subtract_accidentals(record: TomographyRecord) -> np.ndarray:
+    """Each setting's coincidences minus its accidental estimate, clamped at zero."""
+    return np.maximum(record.coincidences - record.accidentals, 0.0)  # -0.0 clamps to +0.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +153,39 @@ class TomographyError(RuntimeError):
     pass
 
 
-_RECT_SETTINGS = tuple(MeasurementSetting(s, i) for s in "HV" for i in "HV")
+def _checked(counts: np.ndarray) -> np.ndarray:
+    """``counts`` as 16 floats in ``SETTINGS`` order, each finite and nonnegative."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (16,):
+        raise ValueError(f"counts must hold 16 entries, one per setting, got {counts.shape}")
+    good = (counts >= 0.0) & (counts < math.inf)
+    if not good.all():
+        raise ValueError(f"count must be finite and nonnegative, got {float(counts[~good][0])!r}")
+    return counts
 
 
-def design_matrix(settings: list[MeasurementSetting]) -> np.ndarray:
-    """Linear map from Hermitian-basis coefficients to setting probabilities."""
-    return _DESIGN[[_ROW[s] for s in settings]]
+def _basis_sum(coeffs: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] * _HERM_BASIS[j], added in j order as Python's ``sum`` adds."""
+    return np.add.reduce(coeffs[:, None, None] * _HERM_BASIS, axis=0, initial=0)
 
 
-def linear_inversion(records: list[CorrectedRecord]) -> np.ndarray:
+def linear_inversion(counts: np.ndarray) -> np.ndarray:
     """Solve the 16x16 linear system for the state; exact on clean data.
 
-    The result is Hermitian with unit trace but can carry negative
+    ``counts`` holds the corrected count of each setting in ``SETTINGS``
+    order.  The result is Hermitian with unit trace but can carry negative
     eigenvalues when the counts are noisy; it is returned as a raw matrix,
     not a validated state.  The 16 design rows are independent, so the system
-    is square and nonsingular exactly when each setting appears once.  The
-    rectilinear quartet (H/V on both arms) is a complete basis, so its summed
-    counts estimate the pair number that turns counts into frequencies.
+    is square and nonsingular.  The rectilinear quartet (H/V on both arms) is
+    a complete basis, so its summed counts estimate the pair number that
+    turns counts into frequencies.
     """
-    settings = [r.setting for r in records]
-    if len(settings) != 16 or len(set(settings)) != 16:
-        raise TomographyError("linear inversion needs each of the 16 settings exactly once")
-    by_setting = {r.setting: r for r in records}
-    n_pairs = sum(by_setting[s].count for s in _RECT_SETTINGS)
+    counts = _checked(counts)
+    n_pairs = sum(counts[row] for row in (0, 1, 4, 5))  # HH, HV, VH, VV
     if n_pairs <= 0:
         raise TomographyError("total rectilinear counts must be positive")
-    freqs = np.array([r.count for r in records]) / n_pairs
-    coeffs = np.linalg.solve(design_matrix(settings), freqs)
-    rho = sum(c * b for c, b in zip(coeffs, _HERM_BASIS))
+    coeffs = np.linalg.solve(_DESIGN, counts / n_pairs)
+    rho = _basis_sum(coeffs)
     return rho / np.real(rho.trace())
 
 
@@ -206,10 +204,12 @@ class ReconstructionResult:
 _SLOTS = np.concatenate([
     2 * np.ravel_multi_index(np.diag_indices(4), (4, 4)),
     (2 * np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))[:, None] + [0, 1]).ravel()])
+_FLIP = np.fliplr(np.eye(4))  # the index-reversal permutation of _lower_factor
 
 
-def _t_from_params(theta: np.ndarray) -> np.ndarray:
-    flat = np.zeros(32)
+def _t_from_params(theta: np.ndarray, flat: np.ndarray | None = None) -> np.ndarray:
+    """T of the parameters, in ``flat`` (32 floats, zero outside _SLOTS) when given."""
+    flat = np.zeros(32) if flat is None else flat
     flat[_SLOTS] = theta
     return flat.view(complex).reshape(4, 4)
 
@@ -230,24 +230,25 @@ def _lower_factor(gram: np.ndarray) -> np.ndarray:
     permutation turns that into the T^dag T form while keeping T triangular
     in the lower half.
     """
-    flip = np.fliplr(np.eye(4))
-    l = np.linalg.cholesky(flip @ gram @ flip)
-    return flip @ l.conj().T @ flip
+    l = np.linalg.cholesky(_FLIP @ gram @ _FLIP)
+    return _FLIP @ l.conj().T @ _FLIP
 
 
 _GTOL = 1e-10  # L-BFGS-B's projected-gradient tolerance, also tested before calling it
 
 
-def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
+def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
-    The state is parametrized as rho = T^dag T / tr(T^dag T) with T lower
-    triangular (16 real parameters); the overall scale of T doubles as the
-    pair-number estimate, so the Poisson rates are m_k = |T psi_k|^2 and the
-    objective is the (constant-free) Poisson log-likelihood
+    ``counts`` holds the corrected count of each setting in ``SETTINGS``
+    order.  The state is parametrized as rho = T^dag T / tr(T^dag T) with T
+    lower triangular (16 real parameters); the overall scale of T doubles as
+    the pair-number estimate, so the Poisson rates are m_k = |T psi_k|^2 and
+    the objective is the (constant-free) Poisson log-likelihood
     sum_k [n_k ln m_k - m_k].
 
-    The start is the linear inversion, clipped to a physical state.  When the
+    The start is the linear inversion, clipped to a physical state, or the
+    maximally mixed state when the rectilinear counts are all zero.  When the
     largest gradient component there is at most ``_GTOL`` (a state inside the
     physical region, whose linear inversion already is the MLE), the start is
     returned after 0 iterations with no solver call: that is the test L-BFGS-B
@@ -255,33 +256,33 @@ def reconstruct_mle(records: list[CorrectedRecord]) -> ReconstructionResult:
     return.  Otherwise L-BFGS-B runs with ``gtol=_GTOL``; convergence is
     declared when it reports success or the final gradient norm is below 1e-8.
     """
-    counts = np.array([r.count for r in records], dtype=float)
+    counts = _checked(counts)
     if counts.sum() <= 0:
         raise TomographyError("all counts are zero; nothing to reconstruct")
-    psis = _KETS[[_ROW[r.setting] for r in records]]  # (K, 4)
+    flat = np.zeros(32)  # the objective's T, rewritten at each evaluation
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        t = _t_from_params(theta)
-        u = psis @ t.T                    # row k = T psi_k
-        m = np.maximum(np.sum(np.abs(u) ** 2, axis=1), 1e-300)
-        f = float(np.sum(m - counts * np.log(m)))
+        t = _t_from_params(theta, flat)
+        u = _KETS @ t.T                   # row k = T psi_k
+        m = np.maximum((np.abs(u) ** 2).sum(axis=1), 1e-300)
+        f = float((m - counts * np.log(m)).sum())
         # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k, so
         # df/dRe T_rc = 2 Re G_rc, df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T layout
         w = 1.0 - counts / m
-        g_mat = np.einsum("k,kr,kc->rc", w, u.conj(), psis)
+        g_mat = np.einsum("k,kr,kc->rc", w, u.conj(), _KETS)
         return f, _params_from_t(2.0 * g_mat.conj())
 
     # Start from the linear-inversion estimate, clipped to a physical state
     # and rescaled so the initial rates match the data.
     try:
-        rho_lin = linear_inversion(records)
+        rho_lin = linear_inversion(counts)
         eigvals, eigvecs = np.linalg.eigh(rho_lin)
         eigvals = np.maximum(eigvals, 1e-6)
         rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
         rho0 /= np.real(rho0.trace())
     except TomographyError:
         rho0 = np.eye(4, dtype=complex) / 4.0
-    probs0 = np.maximum(np.real(np.einsum("ki,ij,kj->k", psis.conj(), rho0, psis)),
+    probs0 = np.maximum(np.real(np.einsum("ki,ij,kj->k", _KETS.conj(), rho0, _KETS)),
                         1e-12)
     scale = counts.sum() / probs0.sum()
     theta0 = _params_from_t(_lower_factor(scale * rho0))
@@ -374,12 +375,9 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 RECORDS_CSV_HEADER = "signal,idler,coincidences,accidentals,gates"
 
 
-def records_to_csv(records: list[TomographyRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(RECORDS_CSV_HEADER + "\n")
-    for r in records:
-        buf.write(f"{r.setting.signal},{r.setting.idler},"
-                  f"{format(r.coincidences, '.17g')},"
-                  f"{format(r.accidentals, '.17g')},{r.gates}\n")
-    return buf.getvalue()
-
+def records_to_csv(record: TomographyRecord) -> str:
+    """The record's 16 settings as CSV rows, in ``SETTINGS`` order."""
+    rows = (f"{s.signal},{s.idler},{format(cc, '.17g')},{format(ac, '.17g')},{record.gates}\n"
+            for s, cc, ac in zip(SETTINGS, record.coincidences.tolist(),
+                                 record.accidentals.tolist()))
+    return RECORDS_CSV_HEADER + "\n" + "".join(rows)

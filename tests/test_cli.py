@@ -189,6 +189,17 @@ class TestMainDispatch:
             texts.append((tmp_path / f"t{run}_report.json").read_bytes())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_tomo_negative_seed_errors(self, tmp_path, capsys, exact):
+        # numpy's generator used to raise its own message, naming no field, and
+        # the exact mode wrote seed -1 into its report
+        prefix = str(tmp_path / "tomo")
+        argv = ["tomo", "--werner-p", "0.9", "--seed", "-1", "--out", prefix]
+        assert main(argv + (["--exact"] if exact else [])) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed: must be nonnegative\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("werner_p", ["0", "0.9", "1"])
     @pytest.mark.parametrize("exact", [False, True])
     def test_tomo_accidental_rate_near_one(self, tmp_path, werner_p, exact):

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbuffer import tomography
 from qbuffer.channels import damp_werner
 from qbuffer.states import make_bell_phi_plus, make_werner, validate
-from qbuffer.tomography import (PAIR_RATE, SETTINGS, CorrectedRecord, MeasurementSetting,
-                                TomographyError, TomographyRecord, design_matrix,
+from qbuffer.tomography import (PAIR_RATE, SETTINGS, MeasurementSetting,
+                                TomographyError, TomographyRecord,
                                 estimate_werner_probability, expected_counts,
                                 fidelity, linear_inversion, projector,
                                 reconstruct_mle, records_to_csv, simulate_counts,
@@ -31,14 +31,28 @@ def reference_design(settings_):
                      for s in settings_])
 
 
-def adversarial_records():
+def row(signal, idler):
+    """Position of a setting in ``SETTINGS`` and in every per-setting array."""
+    return SETTINGS.index(MeasurementSetting(signal, idler))
+
+
+def adversarial_counts():
     # counts whose linear inversion has a negative eigenvalue
-    counts = {s: 0.0 for s in SETTINGS}
-    counts[MeasurementSetting("H", "H")] = 1000.0
-    counts[MeasurementSetting("V", "V")] = 1000.0
-    counts[MeasurementSetting("D", "D")] = 1500.0
-    counts[MeasurementSetting("R", "R")] = 1500.0
-    return [CorrectedRecord(s, counts[s]) for s in SETTINGS]
+    counts = np.zeros(16)
+    counts[[row("H", "H"), row("V", "V")]] = 1000.0
+    counts[[row("D", "D"), row("R", "R")]] = 1500.0
+    return counts
+
+
+def uniform_record(coincidences, accidentals, gates):
+    """A record whose 16 settings all hold the same counts."""
+    return TomographyRecord(np.full(16, coincidences), np.full(16, accidentals), gates)
+
+
+def same_record(a, b):
+    """Bit-for-bit equality of two records."""
+    return (a.coincidences.tobytes() == b.coincidences.tobytes()
+            and a.accidentals.tobytes() == b.accidentals.tobytes() and a.gates == b.gates)
 
 
 @st.composite
@@ -56,7 +70,7 @@ DAMPED_WERNER = st.builds(damp_werner, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 LBFGSB_OPTIONS = {"maxiter": 10_000, "maxfun": 40_000, "ftol": 1e-15, "gtol": 1e-10}
 
 
-def reference_mle(records):
+def reference_mle(counts):
     """``reconstruct_mle`` as it stood before its early exit: L-BFGS-B always
     runs, with the options it has always had."""
     calls = []
@@ -69,7 +83,7 @@ def reference_mle(records):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tomography, "_GTOL", -np.inf)  # the early test never passes
         patch.setattr(tomography, "minimize", solve)
-        result = reconstruct_mle(records)
+        result = reconstruct_mle(counts)
     assert len(calls) == 1, "the reference must run the solver"
     return result
 
@@ -78,18 +92,24 @@ def reference_simulate_counts(rho, n_gates, accidental_rate, seed):
     """The 48 scalar draws, three per setting, that one array draw replaced."""
     acc_mean = n_gates * accidental_rate
     rng = np.random.default_rng(seed)
-    records = []
+    coincidences, accidentals = [], []
     for setting in SETTINGS:
         mean = n_gates * PAIR_RATE * max(reference_born(projector(setting), rho), 0.0)
         true_counts = rng.poisson(mean)
         acc_in_window = rng.poisson(acc_mean)
         acc_estimate = rng.poisson(acc_mean)
         cc = min(int(true_counts + acc_in_window), n_gates)
-        records.append(TomographyRecord(setting, float(cc), float(acc_estimate), n_gates))
-    return records
+        coincidences.append(float(cc))
+        accidentals.append(float(acc_estimate))
+    return TomographyRecord(coincidences, accidentals, n_gates)
 
 
-def seeded_records(p, xi, seed):
+def reference_basis_sum(coeffs):
+    """The ordered Python ``sum`` of 16 basis products that one reduction replaced."""
+    return sum(c * b for c, b in zip(coeffs, tomography._HERM_BASIS))
+
+
+def seeded_counts(p, xi, seed):
     return subtract_accidentals(simulate_counts(damp_werner(p, xi), GATES, 1e-6, seed))
 
 
@@ -128,7 +148,7 @@ class TestSettingsAndProjectors:
                                    [0.5, -0.5j, -0.5j, -0.5], atol=1e-15)
 
     def test_informationally_complete(self):
-        a = design_matrix([r for r in SETTINGS])
+        a = tomography._DESIGN
         assert np.linalg.matrix_rank(a) == 16
         assert np.linalg.cond(a) < 1e4
 
@@ -142,9 +162,8 @@ class TestSettingsAndProjectors:
             assert np.array_equal(tomography._KETS[k], projector(setting))
 
     def test_design_matrix_equals_product_loop(self):
-        assert np.array_equal(design_matrix(list(SETTINGS)), reference_design(SETTINGS))
-        shuffled = list(reversed(SETTINGS)) + [SETTINGS[5], SETTINGS[5]]
-        assert np.array_equal(design_matrix(shuffled), reference_design(shuffled))
+        # the design table's rows are the settings in SETTINGS order
+        assert tomography._DESIGN.tobytes() == reference_design(SETTINGS).tobytes()
 
 
 class TestSimulateCounts:
@@ -152,22 +171,20 @@ class TestSimulateCounts:
         rho = make_werner(0.8)
         a = simulate_counts(rho, GATES, 1e-6, seed=42)
         b = simulate_counts(rho, GATES, 1e-6, seed=42)
-        assert a == b
+        assert same_record(a, b)
         c = simulate_counts(rho, GATES, 1e-6, seed=43)
-        assert a != c
+        assert not same_record(a, c)
 
     def test_orthogonal_setting_sees_only_accidentals(self):
         bell = np.outer(make_bell_phi_plus(), make_bell_phi_plus().conj())
-        records = simulate_counts(bell, GATES, 0.0, seed=1)
-        by_setting = {r.setting: r for r in records}
-        assert by_setting[MeasurementSetting("H", "V")].coincidences == 0
-        assert by_setting[MeasurementSetting("V", "H")].coincidences == 0
+        record = simulate_counts(bell, GATES, 0.0, seed=1)
+        assert record.coincidences[row("H", "V")] == 0
+        assert record.coincidences[row("V", "H")] == 0
 
     def test_uniform_state_rates(self):
-        records = simulate_counts(np.eye(4) / 4, GATES, 0.0, seed=5)
-        counts = np.array([r.coincidences for r in records])
+        record = simulate_counts(np.eye(4) / 4, GATES, 0.0, seed=5)
         # every setting projects with probability 1/4
-        np.testing.assert_allclose(counts, GATES * 1e-3 / 4, rtol=0.02)
+        np.testing.assert_allclose(record.coincidences, GATES * 1e-3 / 4, rtol=0.02)
 
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
@@ -178,98 +195,112 @@ class TestSimulateCounts:
            acc_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
            seed=st.integers(0, 2**64 - 1))
     def test_equals_per_setting_draw_loop(self, rho, gates, acc_rate, seed):
-        assert simulate_counts(rho, gates, acc_rate, seed) == \
-            reference_simulate_counts(rho, gates, acc_rate, seed)
+        assert same_record(simulate_counts(rho, gates, acc_rate, seed),
+                           reference_simulate_counts(rho, gates, acc_rate, seed))
 
     def test_expected_counts_noise_free(self):
-        records = expected_counts(make_werner(0.75), GATES, accidental_rate=1e-6)
-        by_setting = {r.setting: r for r in records}
-        hh = by_setting[MeasurementSetting("H", "H")]
-        assert hh.coincidences == pytest.approx(GATES * 1e-3 * (1.75 / 4) + GATES * 1e-6)
-        assert hh.accidentals == pytest.approx(GATES * 1e-6)
+        record = expected_counts(make_werner(0.75), GATES, accidental_rate=1e-6)
+        hh = row("H", "H")
+        assert record.coincidences[hh] == pytest.approx(GATES * 1e-3 * (1.75 / 4) + GATES * 1e-6)
+        assert record.accidentals[hh] == pytest.approx(GATES * 1e-6)
 
     @settings(max_examples=200, deadline=None)
     @given(rho=st.one_of(DAMPED_WERNER, random_states()),
            acc_rate=st.sampled_from((0.0, 1e-6)))
     def test_expected_counts_equal_per_setting_born_rule(self, rho, acc_rate):
         acc = GATES * acc_rate
-        for record in expected_counts(rho, GATES, acc_rate):
-            psi = projector(record.setting)
-            want = GATES * PAIR_RATE * max(reference_born(psi, rho), 0.0) + acc
-            assert record.coincidences == want
-            assert record.accidentals == acc
+        record = expected_counts(rho, GATES, acc_rate)
+        for setting, coincidences, accidentals in zip(SETTINGS, record.coincidences,
+                                                      record.accidentals):
+            want = GATES * PAIR_RATE * max(reference_born(projector(setting), rho), 0.0) + acc
+            assert coincidences == want
+            assert accidentals == acc
 
 
 class TestSubtractAccidentals:
     def test_plain_subtraction(self):
-        rec = TomographyRecord(MeasurementSetting("H", "H"), 100, 20, 10_000)
-        assert subtract_accidentals([rec])[0].count == 80
+        counts = subtract_accidentals(uniform_record(100, 20, 10_000))
+        assert counts.shape == (16,) and np.all(counts == 80)
 
     def test_clamped_at_zero(self):
-        rec = TomographyRecord(MeasurementSetting("H", "H"), 5, 9, 10_000)
-        assert subtract_accidentals([rec])[0].count == 0
+        assert np.all(subtract_accidentals(uniform_record(5, 9, 10_000)) == 0)
+        # -0.0 - 0.0 clamps to +0.0, as Python's max(0.0, x) did per setting
+        assert not np.signbit(subtract_accidentals(uniform_record(-0.0, 0.0, 10))).any()
 
     def test_no_accidentals_unchanged(self):
-        recs = expected_counts(make_werner(0.5), GATES)
-        corrected = subtract_accidentals(recs)
-        for r, c in zip(recs, corrected):
-            assert c.count == pytest.approx(r.coincidences)
+        record = expected_counts(make_werner(0.5), GATES)
+        assert subtract_accidentals(record).tobytes() == record.coincidences.tobytes()
 
 
 class TestLinearInversion:
     def test_recovers_werner(self):
-        corrected = subtract_accidentals(expected_counts(make_werner(0.8), GATES))
-        rho = linear_inversion(corrected)
+        counts = subtract_accidentals(expected_counts(make_werner(0.8), GATES))
+        rho = linear_inversion(counts)
         assert np.abs(rho - make_werner(0.8)).max() < 1e-10
 
     def test_recovers_bell(self):
         bell = np.outer(make_bell_phi_plus(), make_bell_phi_plus().conj())
-        corrected = subtract_accidentals(expected_counts(bell, GATES))
-        rho = linear_inversion(corrected)
+        counts = subtract_accidentals(expected_counts(bell, GATES))
+        rho = linear_inversion(counts)
         assert np.abs(rho - bell).max() < 1e-10
 
     def test_uniform_counts_give_maximally_mixed(self):
-        corrected = [CorrectedRecord(s, 1000.0) for s in SETTINGS]
-        rho = linear_inversion(corrected)
+        rho = linear_inversion(np.full(16, 1000.0))
         assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
 
     def test_duplicate_setting_rejected(self):
-        # 17 records: a complete set plus one repeat, so the system is not square
-        corrected = [CorrectedRecord(s, 100.0) for s in SETTINGS + SETTINGS[3:4]]
-        with pytest.raises(TomographyError, match="exactly once"):
-            linear_inversion(corrected)
-        # the MLE falls back to the maximally mixed start instead
-        assert validate(reconstruct_mle(corrected).rho_hat).passed
+        # 17 counts, a complete set plus one repeat: each position is a setting,
+        # so there is no place for the repeat
+        for solve in (linear_inversion, reconstruct_mle):
+            with pytest.raises(ValueError, match=r"^counts must hold 16 entries, one per setting"):
+                solve(np.append(np.full(16, 100.0), 100.0))
 
     def test_degenerate_settings_rejected(self):
-        rect = [s for s in SETTINGS if s.signal in "HV" and s.idler in "HV"]
-        corrected = [CorrectedRecord(s, 100.0) for s in rect * 4]
-        with pytest.raises(TomographyError):
-            linear_inversion(corrected)
+        # 16 counts, but as a 4x4 grid and not one per setting in SETTINGS order
+        for solve in (linear_inversion, reconstruct_mle):
+            with pytest.raises(ValueError, match=r"got \(4, 4\)$"):
+                solve(np.full((4, 4), 100.0))
 
     def test_missing_rectilinear_quartet_rejected(self):
-        # the H/V quartet provides the pair-number normalization
-        partial = [CorrectedRecord(s, 100.0) for s in SETTINGS
-                   if s != MeasurementSetting("H", "H")]
-        with pytest.raises(TomographyError, match="exactly once"):
-            linear_inversion(partial)
+        # the H/V quartet provides the pair-number normalization; 15 counts
+        # are a wrong shape
+        counts = np.full(16, 100.0)
+        counts[[row("H", "H"), row("H", "V"), row("V", "H"), row("V", "V")]] = 0.0
+        with pytest.raises(TomographyError, match="rectilinear counts must be positive"):
+            linear_inversion(counts)
+        with pytest.raises(ValueError, match=r"got \(15,\)$"):
+            linear_inversion(counts[1:])
+
+    @settings(max_examples=500, deadline=None)
+    @given(coeffs=st.lists(st.one_of(FINITE, st.sampled_from((0.0, -0.0, 1e300, -1e-300))),
+                           min_size=16, max_size=16))
+    @example(coeffs=[-0.0] * 16)
+    @example(coeffs=[0.0] * 16)
+    @example(coeffs=[0.25, -0.0, 0.0, -0.0] * 4)
+    @example(coeffs=[1e300, -1e300, 1e-300, -0.0] * 4)
+    def test_basis_sum_equals_ordered_sum(self, coeffs):
+        coeffs = np.array(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = tomography._basis_sum(coeffs), reference_basis_sum(coeffs)
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(records=st.one_of(
+    @given(counts=st.one_of(
         st.builds(lambda rho, seed: subtract_accidentals(simulate_counts(rho, GATES, 1e-6, seed)),
                   random_states(), st.integers(0, 2**32 - 1)),
-        st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(lambda counts: [
-            CorrectedRecord(s, max(c, 1.0) if s.signal in "HV" and s.idler in "HV" else c)
-            for s, c in zip(SETTINGS, counts)])))
-    def test_exactly_hermitian(self, records):
+        st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(lambda counts: np.array([
+            max(c, 1.0) if s.signal in "HV" and s.idler in "HV" else c
+            for s, c in zip(SETTINGS, counts)]))))
+    def test_exactly_hermitian(self, counts):
         # real coefficients times the exactly Hermitian basis sum to an exactly
         # Hermitian matrix, with no symmetrizing step
-        rho = linear_inversion(records)
+        rho = linear_inversion(counts)
         assert np.array_equal(rho, rho.conj().T)
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
-        rho = linear_inversion(adversarial_records())
+        rho = linear_inversion(adversarial_counts())
         assert np.linalg.eigvalsh(rho)[0] < -1e-3
         assert np.real(rho.trace()) == pytest.approx(1.0, abs=1e-12)
 
@@ -278,41 +309,56 @@ class TestReconstructMle:
     def test_noiseless_bell_fidelity(self):
         bell_vec = make_bell_phi_plus()
         bell = np.outer(bell_vec, bell_vec.conj())
-        corrected = subtract_accidentals(expected_counts(bell, GATES))
-        result = reconstruct_mle(corrected)
+        result = reconstruct_mle(subtract_accidentals(expected_counts(bell, GATES)))
         assert result.converged
         assert np.real(bell_vec.conj() @ result.rho_hat @ bell_vec) >= 0.9999
 
     def test_noiseless_werner_round_trip(self):
-        corrected = subtract_accidentals(expected_counts(make_werner(0.75), GATES))
-        result = reconstruct_mle(corrected)
+        counts = subtract_accidentals(expected_counts(make_werner(0.75), GATES))
+        result = reconstruct_mle(counts)
         assert estimate_werner_probability(result.rho_hat) == pytest.approx(0.75,
                                                                             abs=1e-4)
-        oracle = linear_inversion(corrected)
+        oracle = linear_inversion(counts)
         assert trace_distance(result.rho_hat, oracle) < 1e-6
 
     def test_output_always_physical(self):
-        result = reconstruct_mle(adversarial_records())
+        result = reconstruct_mle(adversarial_counts())
         assert validate(result.rho_hat).passed
 
     def test_poisson_noise_fidelity(self):
         truth = make_werner(0.9)
         good = 0
         for seed in range(20):
-            records = simulate_counts(truth, GATES, 0.0, seed=seed)
-            result = reconstruct_mle(subtract_accidentals(records))
+            record = simulate_counts(truth, GATES, 0.0, seed=seed)
+            result = reconstruct_mle(subtract_accidentals(record))
             assert result.converged
             if fidelity(truth, result.rho_hat) >= 0.995:
                 good += 1
         assert good >= 18
 
     def test_all_zero_counts_rejected(self):
-        corrected = [CorrectedRecord(s, 0.0) for s in SETTINGS]
         with pytest.raises(TomographyError):
-            reconstruct_mle(corrected)
+            reconstruct_mle(np.zeros(16))
 
-    @pytest.mark.parametrize("records", [
-        pytest.param(seeded_records(p, xi, seed), id=f"P{p}-xi{xi}-seed{seed}")
+    def test_zero_rectilinear_counts_start_maximally_mixed(self, monkeypatch):
+        # no linear inversion without the H/V quartet: the MLE starts from I/4
+        # and the solver moves it
+        seen = {}
+
+        def spy(fun, x0, **kwargs):
+            seen["x0"] = x0
+            return scipy.optimize.minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", spy)
+        counts = np.full(16, 100.0)
+        counts[[row("H", "H"), row("H", "V"), row("V", "H"), row("V", "V")]] = 0.0
+        result = reconstruct_mle(counts)
+        start = tomography._rho_from_t(tomography._t_from_params(seen["x0"]))
+        assert np.abs(start - np.eye(4) / 4).max() < 1e-12
+        assert validate(result.rho_hat).passed
+
+    @pytest.mark.parametrize("counts", [
+        pytest.param(seeded_counts(p, xi, seed), id=f"P{p}-xi{xi}-seed{seed}")
         for p, xi, seed in [(0.3, 0.1, 5), (0.5, 0.0, 12345), (0.9, 0.02, 12345),
                             (0.95, 0.0, 7), (1.0, 0.0, 3), (0.99, 0.02, 4)]
     ] + [
@@ -320,10 +366,10 @@ class TestReconstructMle:
                                                           1e-6)), id="exact-P0.8"),
         pytest.param(subtract_accidentals(expected_counts(damp_werner(1.0, 0.0), GATES)),
                      id="exact-P1.0"),
-        pytest.param(adversarial_records(), id="adversarial"),
+        pytest.param(adversarial_counts(), id="adversarial"),
     ])
-    def test_equals_solver_that_always_runs(self, records):
-        got, want = reconstruct_mle(records), reference_mle(records)
+    def test_equals_solver_that_always_runs(self, counts):
+        got, want = reconstruct_mle(counts), reference_mle(counts)
         assert got.rho_hat.tobytes() == want.rho_hat.tobytes()
         assert got.log_likelihood.hex() == want.log_likelihood.hex()
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
@@ -336,14 +382,15 @@ class TestReconstructMle:
             raise Called
 
         monkeypatch.setattr(tomography, "minimize", refuse)
-        result = reconstruct_mle(seeded_records(0.5, 0.0, 12345))  # interior
+        result = reconstruct_mle(seeded_counts(0.5, 0.0, 12345))  # interior
         assert (result.iterations, result.converged) == (0, True)
         with pytest.raises(Called):  # the known 195-iteration boundary record
-            reconstruct_mle(seeded_records(0.99, 0.0, 12345))
+            reconstruct_mle(seeded_counts(0.99, 0.0, 12345))
 
     def test_objective_not_reevaluated_after_the_solver(self, monkeypatch):
         # one evaluation at the start, the solver's nfev, and one unpacking of
-        # its result into rho_hat: each evaluation unpacks T once
+        # its result into rho_hat: each evaluation unpacks T once, into the
+        # buffer the spy forwards
         unpacked, seen, t_from_params = [], {}, tomography._t_from_params
 
         def spy(fun, x0, **kwargs):
@@ -351,9 +398,9 @@ class TestReconstructMle:
             return seen["result"]
 
         monkeypatch.setattr(tomography, "_t_from_params",
-                            lambda theta: unpacked.append(1) or t_from_params(theta))
+                            lambda *args: unpacked.append(1) or t_from_params(*args))
         monkeypatch.setattr(tomography, "minimize", spy)
-        reconstruct_mle(seeded_records(0.99, 0.0, 12345))
+        reconstruct_mle(seeded_counts(0.99, 0.0, 12345))
         assert len(unpacked) == seen["result"].nfev + 2
 
     def test_gradient_matches_central_differences(self, monkeypatch):
@@ -366,7 +413,7 @@ class TestReconstructMle:
             return scipy.optimize.minimize(fun, x0, **kwargs)
 
         monkeypatch.setattr(tomography, "minimize", spy)
-        reconstruct_mle(adversarial_records())  # unphysical start: a large gradient
+        reconstruct_mle(adversarial_counts())  # unphysical start: a large gradient
         fun, x0 = seen["fun"], seen["x0"]
         rng = np.random.default_rng(7)
         spread = 0.3 * np.abs(x0).max()
@@ -459,24 +506,25 @@ class TestStateFunctionals:
 
 class TestRecordsCsv:
     def test_round_trip(self):
-        records = simulate_counts(make_werner(0.8), GATES, 1e-6, seed=9)
-        text = records_to_csv(records)
+        record = simulate_counts(make_werner(0.8), GATES, 1e-6, seed=9)
+        text = records_to_csv(record)
         assert text.splitlines()[0] == "signal,idler,coincidences,accidentals,gates"
-        again = [TomographyRecord(MeasurementSetting(signal, idler), float(cc),
-                                  float(ac), int(gates))
-                 for signal, idler, cc, ac, gates in
-                 (line.split(",") for line in text.splitlines()[1:])]
-        assert again == records
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [MeasurementSetting(signal, idler) for signal, idler, *_ in rows] == list(SETTINGS)
+        again = TomographyRecord([float(cc) for _, _, cc, _, _ in rows],
+                                 [float(ac) for _, _, _, ac, _ in rows],
+                                 *{int(gates) for *_, gates in rows})
+        assert same_record(again, record)
 
 
 class TestRecordValidation:
     def test_counts_cannot_exceed_gates(self):
-        with pytest.raises(ValueError):
-            TomographyRecord(MeasurementSetting("H", "H"), 11, 0, 10)
+        with pytest.raises(ValueError, match="^coincidences cannot exceed the gate count"):
+            uniform_record(11, 0, 10)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            TomographyRecord(MeasurementSetting("H", "H"), -1, 0, 10)
+        with pytest.raises(ValueError, match="^counts must be nonnegative"):
+            uniform_record(-1, 0, 10)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["coincidences", "accidentals", "gates"])
@@ -484,11 +532,55 @@ class TestRecordValidation:
         # nan < 0 and nan > gates are both False, so NaN used to pass
         fields = {"coincidences": 5, "accidentals": 1, "gates": 10, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
-            TomographyRecord(MeasurementSetting("H", "H"), **fields)
+            uniform_record(**fields)
+
+    @pytest.mark.parametrize("position", [0, 15])
+    @pytest.mark.parametrize("field, value, message", [
+        ("coincidences", np.nan, "coincidences must be finite, got nan"),
+        ("accidentals", -np.inf, "accidentals must be finite, got -inf"),
+        ("coincidences", -1.0, "counts must be nonnegative"),
+        ("accidentals", -1.0, "counts must be nonnegative"),
+        ("coincidences", 11.0, "coincidences cannot exceed the gate count"),
+    ])
+    def test_bad_entry_in_first_or_last_setting(self, position, field, value, message):
+        # every entry is checked, with the message a one-setting record gave
+        fields = {"coincidences": np.full(16, 5.0), "accidentals": np.full(16, 1.0)}
+        fields[field][position] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TomographyRecord(**fields, gates=10)
+
+    @pytest.mark.parametrize("length", [15, 17])
+    @pytest.mark.parametrize("field", ["coincidences", "accidentals"])
+    def test_one_entry_per_setting(self, field, length):
+        fields = {"coincidences": np.full(16, 5.0), "accidentals": np.full(16, 1.0),
+                  field: np.full(length, 1.0)}
+        with pytest.raises(ValueError, match=f"^{field} must hold 16 counts, one per setting"):
+            TomographyRecord(**fields, gates=10)
+
+    def test_arrays_are_read_only_copies(self):
+        # a frozen record keeps the counts it checked
+        counts = np.full(16, 5.0)
+        record = TomographyRecord(counts, counts, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            record.coincidences[0] = np.nan
+        counts[0] = 6.0  # the caller's array stays writable and is not shared
+        assert record.coincidences[0] == record.accidentals[0] == 5.0
+
+    @pytest.mark.parametrize("gates", [10.5, 10.0, True, np.float64(10)])
+    def test_gates_must_be_an_integer(self, gates):
+        # the CSV's gates column is an integer: 10.5 or True would be written as is
+        with pytest.raises(ValueError, match="^gates must be an integer, got"):
+            uniform_record(1, 0, gates)
+        assert uniform_record(1, 0, np.int64(10)).gates == 10
 
     @pytest.mark.parametrize("count", [np.nan, np.inf, -np.inf, -1.0])
     def test_corrected_count_must_be_finite_and_nonnegative(self, count):
         # a NaN count used to give an all-NaN linear inversion and an
-        # eigenvalue failure inside the MLE
-        with pytest.raises(ValueError, match="^count must be finite and nonnegative"):
-            CorrectedRecord(MeasurementSetting("H", "H"), count)
+        # eigenvalue failure inside the MLE; the first and the last setting
+        # are checked alike
+        for solve in (linear_inversion, reconstruct_mle):
+            for position in (0, 15):
+                counts = np.full(16, 100.0)
+                counts[position] = count
+                with pytest.raises(ValueError, match="^count must be finite and nonnegative"):
+                    solve(counts)
