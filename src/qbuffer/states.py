@@ -42,20 +42,10 @@ class ValidationReport:
     min_eigenvalue: float
 
     @property
-    def hermitian_ok(self) -> bool:
-        return self.hermiticity_residual <= HERMITICITY_TOL
-
-    @property
-    def trace_ok(self) -> bool:
-        return self.trace_residual <= TRACE_TOL
-
-    @property
-    def psd_ok(self) -> bool:
-        return self.min_eigenvalue >= MIN_EIGENVALUE
-
-    @property
     def passed(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.psd_ok
+        return (self.hermiticity_residual <= HERMITICITY_TOL
+                and self.trace_residual <= TRACE_TOL
+                and self.min_eigenvalue >= MIN_EIGENVALUE)
 
 
 def make_bell_phi_plus() -> np.ndarray:

@@ -198,6 +198,20 @@ class TestModelIdentities:
         assert prob_pf(PmdPhases(dh, dv), mu, length) == pytest.approx(expect, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
+    @given(dh=PHASES, dv=PHASES, mu=LOSSES, length=LENGTHS)
+    def test_da_projection_pins_the_idler_arm(self, dh, dv, mu, length):
+        # <DD| of the symmetric Phi+ is the same for either arm; <DA| is not:
+        # 2 exp(-2 mu L) <DA| (I x M) Phi+ Phi+^dag (I x M)^dag |DA>
+        #   = (1/4) exp(-2 mu L) [cos dh - sin dh - sin dv - cos dv]^2,
+        # which the signal-arm map (M x I) misses by up to 0.9
+        bell = make_bell_phi_plus()
+        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(PmdPhases(dh, dv)))
+        da = product_ket("D", "A")
+        got = 2.0 * np.exp(-2.0 * mu * length) * np.real(da.conj() @ rho @ da)
+        bracket = np.cos(dh) - np.sin(dh) - np.sin(dv) - np.cos(dv)
+        assert got == pytest.approx(0.25 * np.exp(-2.0 * mu * length) * bracket**2, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
     @given(t=TIMES, d_p=st.floats(0.0, 0.1), mu=LOSSES, sign=SIGNS)
     def test_pmd_components_are_prob_pf(self, t, d_p, mu, sign):
         # pa takes opposite phases (s phi, -s phi), psy equal ones (phi, phi)

@@ -59,13 +59,17 @@ class TestValidate:
         psi = make_bell_phi_plus()
         rho = np.outer(psi, psi.conj()) - 1e-3 * np.eye(4)
         report = validate(rho)
-        assert not report.psd_ok
         assert report.min_eigenvalue == pytest.approx(-1e-3, abs=1e-12)
+        assert report.min_eigenvalue < states.MIN_EIGENVALUE
+        assert not report.passed
 
     def test_reports_hermiticity(self):
         rho = make_werner(0.5).copy()
         rho[0, 1] = 1e-6
-        assert not validate(rho).hermitian_ok
+        report = validate(rho)
+        assert report.hermiticity_residual == pytest.approx(1e-6, abs=1e-15)
+        assert report.hermiticity_residual > states.HERMITICITY_TOL
+        assert not report.passed
 
     def test_passes_physical_state(self):
         assert validate(make_werner(0.7)).passed

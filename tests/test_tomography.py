@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qbuffer import tomography
+from qbuffer import states, tomography
 from qbuffer.channels import damp_werner
 from qbuffer.states import make_bell_phi_plus, make_werner, validate
 from qbuffer.tomography import (PAIR_RATE, SETTINGS, MeasurementSetting,
@@ -132,6 +132,9 @@ def reference_params_from_t(t):
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a T parameter before scaling: 0, or a magnitude in [1e-3, 1] of either sign
+T_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+RANK_ONE = [0.0, 0.0, 0.0, 0.5] + [0.0] * 6 + [0.3, -0.2, 0.1, 0.7, -0.4, 0.25]  # row 3 only
 
 
 class TestSettingsAndProjectors:
@@ -403,6 +406,20 @@ class TestReconstructMle:
         reconstruct_mle(seeded_counts(0.99, 0.0, 12345))
         assert len(unpacked) == seen["result"].nfev + 2
 
+    @pytest.mark.parametrize("p, iterations", [(0.5, 0), (0.99, 195)],
+                             ids=["interior", "boundary"])
+    def test_rho_hat_is_not_validated_again(self, monkeypatch, p, iterations):
+        # T^dag T over its trace is a state by construction (TestRhoFromT)
+        counts = seeded_counts(p, 0.0, 12345)
+
+        def refuse(rho):
+            raise AssertionError("reconstruct_mle checked a density matrix")
+
+        monkeypatch.setattr(states, "validate", refuse)
+        monkeypatch.setattr(states, "require_valid", refuse)
+        monkeypatch.setattr(tomography, "require_valid", refuse)
+        assert reconstruct_mle(counts).iterations == iterations
+
     def test_gradient_matches_central_differences(self, monkeypatch):
         # a swapped (re, im) pair would still converge, so check the gradient
         # itself: capture the objective L-BFGS-B is handed
@@ -444,6 +461,24 @@ class TestTLayout:
         want = reference_params_from_t(t)
         assert np.array_equal(tomography._params_from_t(t), want)
         assert np.array_equal(tomography._params_from_t(np.asfortranarray(t)), want)
+
+
+class TestRhoFromT:
+    @settings(max_examples=500, deadline=None)
+    @given(entries=st.lists(T_ENTRY, min_size=16, max_size=16),
+           scale=st.integers(-100, 100))
+    @example(entries=[1.0] + [0.0] * 15, scale=0)  # one nonzero diagonal entry
+    @example(entries=[0.0] * 15 + [1.0], scale=-100)  # one strictly-lower entry
+    @example(entries=RANK_ONE, scale=0)
+    @example(entries=RANK_ONE, scale=100)
+    @example(entries=RANK_ONE, scale=-100)
+    def test_any_nonzero_t_gives_a_state(self, entries, scale):
+        # why reconstruct_mle returns rho_hat unchecked: every finite nonzero T
+        # passes the density-matrix contract, at any scale and any rank
+        theta = np.array(entries) * 10.0 ** scale
+        assume(theta.any())
+        rho = tomography._rho_from_t(tomography._t_from_params(theta))
+        assert validate(rho).passed
 
 
 class TestWernerExtraction:
@@ -527,7 +562,7 @@ class TestRecordValidation:
             uniform_record(-1, 0, 10)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["coincidences", "accidentals", "gates"])
+    @pytest.mark.parametrize("field", ["coincidences", "accidentals"])
     def test_nonfinite_rejected(self, field, value):
         # nan < 0 and nan > gates are both False, so NaN used to pass
         fields = {"coincidences": 5, "accidentals": 1, "gates": 10, field: value}
@@ -566,9 +601,11 @@ class TestRecordValidation:
         counts[0] = 6.0  # the caller's array stays writable and is not shared
         assert record.coincidences[0] == record.accidentals[0] == 5.0
 
-    @pytest.mark.parametrize("gates", [10.5, 10.0, True, np.float64(10)])
+    @pytest.mark.parametrize("gates", [10.5, 10.0, True, np.float64(10),
+                                       np.nan, np.inf, -np.inf, "10", None])
     def test_gates_must_be_an_integer(self, gates):
-        # the CSV's gates column is an integer: 10.5 or True would be written as is
+        # the CSV's gates column is an integer: 10.5 or True would be written
+        # as is; the one integer test also rejects nan, +-inf, text and None
         with pytest.raises(ValueError, match="^gates must be an integer, got"):
             uniform_record(1, 0, gates)
         assert uniform_record(1, 0, np.int64(10)).gates == 10
