@@ -253,8 +253,8 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     return.  Otherwise L-BFGS-B runs with ``gtol=_GTOL``; convergence is
     declared when it reports success or the final gradient norm is below 1e-8.
 
-    ``rho_hat``, T^dag T over its trace, is a state for any nonzero T and is not
-    checked again: no result scores above the start, far below T = 0's 690.8 sum(n).
+    ``rho_hat`` = T^dag T / tr is a state for any nonzero T, so it is not checked
+    again: no result's objective exceeds the start's, far below 690.8 sum(n) at T = 0.
     """
     counts = _checked(counts)
     if counts.sum() <= 0:
