@@ -101,8 +101,8 @@ class PmdModelParams:
 class CavityModelParams:
     """Parameters of the linear-phase decay model (SI units).
 
-    ``lambda_width`` is the reservoir spectral width; it enters only the
-    spectral-density diagnostic, not the decay curves.
+    ``lambda_width`` is the reservoir spectral width; it enters no curve and
+    is carried from the config to the p3 fit's report.
     """
 
     kappa1: float              # 1/s
@@ -370,16 +370,6 @@ def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
     if diff > 0:
         return RegimeResult(REGIME_NON_MARKOVIAN, delta, False)
     return RegimeResult(REGIME_MARKOVIAN, delta, True)
-
-
-def lorentzian_spectral_density(omega: float, omega0: float, gamma0: float,
-                                lambda_width: float) -> float:
-    """Effective reservoir spectral density
-    gamma0 Lambda^2 / ((omega0 - omega)^2 + Lambda^2)."""
-    if lambda_width <= 0:
-        raise ValueError("spectral width must be positive")
-    detune = omega0 - omega
-    return float(gamma0 * lambda_width**2 / (detune**2 + lambda_width**2))
 
 
 def markovian_exponential(t, p0: float, rate: float):

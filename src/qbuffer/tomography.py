@@ -7,7 +7,8 @@ counts are modeled as independent Poisson draws, and an acquisition is one
 record of 16-entry arrays in ``SETTINGS`` order; reconstruction offers a
 linear-inversion oracle (exact but possibly unphysical) and a
 maximum-likelihood estimate constrained to physical states through the
-T^dag T parametrization.
+T^dag T parametrization, which is the linear inversion itself whenever that
+is a state.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class TomographyRecord:
             raise ValueError("gate count must be positive")
         if min(self.coincidences.min(), self.accidentals.min()) < 0:
             raise ValueError("counts must be nonnegative")
-        if float(self.coincidences.max()) > self.gates:  # exact for any int
-            raise ValueError("coincidences cannot exceed the gate count")
+        for name in ("coincidences", "accidentals"):
+            if float(getattr(self, name).max()) > self.gates:  # exact for any int
+                raise ValueError(f"{name} cannot exceed the gate count")
 
 
 PAIR_RATE = 1e-3  # expected true pairs per gate at unit projection
@@ -122,12 +124,14 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     accidentals contribute an independent Poisson term to the coincidence
     window and are estimated separately from a delayed-gate draw of the same
     mean.  All 48 counts come from one draw, in the order true, in-window,
-    estimate per setting.  Identical seeds give identical records.
+    estimate per setting; the in-window count and the estimate are each
+    clamped at n_gates.  Identical seeds give identical records.
     """
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
     true, acc, estimate = np.random.default_rng(seed).poisson(
         np.column_stack([means, np.full((len(means), 2), acc_mean)])).T
-    return TomographyRecord(np.minimum((true + acc).astype(float), n_gates), estimate, n_gates)
+    return TomographyRecord(np.minimum((true + acc).astype(float), n_gates),
+                            np.minimum(estimate, n_gates), n_gates)
 
 
 def expected_counts(rho: np.ndarray, n_gates: int,
@@ -231,9 +235,6 @@ def _lower_factor(gram: np.ndarray) -> np.ndarray:
     return l.conj().T[::-1, ::-1]
 
 
-_GTOL = 1e-10  # L-BFGS-B's projected-gradient tolerance, also tested before calling it
-
-
 def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
@@ -244,17 +245,18 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     the objective is the (constant-free) Poisson log-likelihood
     sum_k [n_k ln m_k - m_k].
 
-    The start is the linear inversion, clipped to a physical state, or the
-    maximally mixed state when the rectilinear counts are all zero.  When the
-    largest gradient component there is at most ``_GTOL`` (a state inside the
-    physical region, whose linear inversion already is the MLE), the start is
-    returned after 0 iterations with no solver call: that is the test L-BFGS-B
-    applies before its first iteration, so the result is the one it would
-    return.  Otherwise L-BFGS-B runs with ``gtol=_GTOL``; convergence is
-    declared when it reports success or the final gradient norm is below 1e-8.
+    The 16 settings meet 16 parameters, so the linear inversion fits every
+    count (m_k = n_k), which maximizes each term: when it is positive
+    semidefinite it is the MLE, returned after 0 iterations with the
+    log-likelihood sum_k [n_k ln n_k - n_k] and no solver call.  Otherwise
+    L-BFGS-B starts from the linear inversion, clipped to a physical state, or
+    from the maximally mixed state when the rectilinear counts are all zero;
+    convergence is declared when it reports success or the final gradient
+    norm is below 1e-8.
 
-    ``rho_hat`` = T^dag T / tr is a state for any nonzero T, so it is not checked
-    again: no result's objective exceeds the start's, far below 690.8 sum(n) at T = 0.
+    ``rho_hat`` is not checked again: a PSD linear inversion has unit trace,
+    and T^dag T / tr is a state for any nonzero T, while no solver result's
+    objective exceeds the start's, far below 690.8 sum(n) at T = 0.
     """
     counts = _checked(counts)
     if counts.sum() <= 0:
@@ -272,11 +274,15 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
         g_mat = np.einsum("k,kr,kc->rc", w, u.conj(), _KETS)
         return f, _params_from_t(2.0 * g_mat.conj())
 
-    # Start from the linear-inversion estimate, clipped to a physical state
-    # and rescaled so the initial rates match the data.
+    # The linear inversion is the MLE when it is a state; otherwise start from
+    # it clipped to a physical state and rescaled so the initial rates match
+    # the data.
     try:
         rho_lin = linear_inversion(counts)
         eigvals, eigvecs = np.linalg.eigh(rho_lin)
+        if eigvals[0] >= 0:
+            m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
+            return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
         eigvals = np.maximum(eigvals, 1e-6)
         rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
         rho0 /= np.real(rho0.trace())
@@ -286,23 +292,14 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
                         1e-12)
     scale = counts.sum() / probs0.sum()
     theta0 = _params_from_t(_lower_factor(scale * rho0))
-
-    f, grad = objective(theta0)
-    if np.max(np.abs(grad)) <= _GTOL:
-        # L-BFGS-B's own test before its first iteration (the projected
-        # gradient is the gradient: no bounds); it would return theta0 as is
-        theta, iterations, converged = theta0, 0, True
-    else:
-        result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                          options={"maxiter": 10_000, "maxfun": 40_000,
-                                   "ftol": 1e-15, "gtol": _GTOL})
-        f, grad = result.fun, result.jac  # the solver's own values at result.x
-        theta, iterations = result.x, int(result.nit)
-        converged = bool(result.success) or float(np.linalg.norm(grad)) < 1e-8
-    rho_hat = _rho_from_t(_t_from_params(theta))
+    result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                      options={"maxiter": 10_000, "maxfun": 40_000,
+                               "ftol": 1e-15, "gtol": 1e-10})
+    converged = bool(result.success) or float(np.linalg.norm(result.jac)) < 1e-8
+    rho_hat = _rho_from_t(_t_from_params(result.x))
     # the objective is minus the log-likelihood, term by term, so negating
     # its sum reproduces sum_k [n_k ln m_k - m_k] exactly
-    return ReconstructionResult(rho_hat, -f, iterations, converged)
+    return ReconstructionResult(rho_hat, -result.fun, int(result.nit), converged)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ from qbuffer import dynamics
 from qbuffer.states import apply_operator, make_bell_phi_plus, product_ket
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               asym_series_residual, cavity_p, classify_regime,
-                              length_from_time, lorentzian_spectral_density,
-                              markovian_exponential, p1, p2, p3, pa, pmd_phase,
-                              prob_asym, prob_pasy, prob_pf, psy)
+                              length_from_time, markovian_exponential, p1, p2,
+                              p3, pa, pmd_phase, prob_asym, prob_pasy, prob_pf,
+                              psy)
 
 REF_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 REF_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
@@ -473,23 +473,6 @@ class TestClassifyRegime:
             classify_regime(kappa, gamma0)
         with pytest.raises(ValueError, match="finite"):
             cavity_p(1e-3, kappa, gamma0)
-
-
-class TestLorentzian:
-    def test_peak(self):
-        assert lorentzian_spectral_density(5.0, 5.0, 700.0, 2.0) == pytest.approx(700.0)
-
-    def test_half_width(self):
-        assert lorentzian_spectral_density(3.0, 5.0, 700.0, 2.0) == pytest.approx(350.0)
-
-    def test_memoryless_limit(self):
-        detune = 1.0
-        got = lorentzian_spectral_density(5.0 + detune, 5.0, 700.0, 1e6 * detune)
-        assert got == pytest.approx(700.0, rel=1e-12)
-
-    def test_width_positive(self):
-        with pytest.raises(ValueError):
-            lorentzian_spectral_density(1.0, 1.0, 1.0, 0.0)
 
 
 class TestMarkovianExponential:

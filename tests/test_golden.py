@@ -12,7 +12,11 @@ from the trust-region one) from starts whose weights the scan's closed-form
 NNLS solved (moves of at most 2.6e-8 sd and 2.2e-13 relative from scipy's
 nnls at a 1e-6 floor), and whose model values and scan columns come from the
 Jacobian's closed form in record units (moves of at most 1.4e-9 sd and
-6.0e-14 relative from the dynamics components evaluated in SI);
+6.0e-14 relative from the dynamics components evaluated in SI), and the tomo
+report digests from the MLE that returns a PSD linear inversion as is (rho_hat
+entries moved by at most 1.9e-16 on the noisy record and 4.4e-16 on the exact
+one, where P_hat moved by 3.3e-16 and the fidelity by 4.4e-16; the
+log-likelihoods and the records did not move);
 a change that alters any of them changes the CLI artifacts and must say so.
 """
 
@@ -47,9 +51,9 @@ def test_threshold(config, model, t_star):
 
 @pytest.mark.parametrize("exact, records, report", [
     (False, "9605d979ed32befc9d0c4887aa93a8b34e3885eef8907d76aa953741779468b1",
-     "51252565802d732a6a82b64685d687a4d18014ec7034d2c812073ebca9d88289"),
+     "1e4d83d87e7593f4c6a506491bc4131dc8e7354ef78ca2afa7051a7d99777306"),
     (True, "27a4694ebf836b4163722760778474a21876405b2a2ecce1af8d96a6f3a04e5a",
-     "171d12d0e122fce7e947a1ab382bc00c97353df01fe369e0d460686f5e9d5b14"),
+     "ce6e80bc1067238effcb3f6b11f2bd91e48c8da72e7656434301c0a80c52af44"),
 ])
 def test_tomo(config, exact, records, report):
     records_csv, report_dict = cli.cmd_tomo(config, 0.9, 0.02, exact=exact)
