@@ -245,14 +245,14 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     the objective is the (constant-free) Poisson log-likelihood
     sum_k [n_k ln m_k - m_k].
 
-    The 16 settings meet 16 parameters, so the linear inversion fits every
-    count (m_k = n_k), which maximizes each term: when it is positive
-    semidefinite it is the MLE, returned after 0 iterations with the
-    log-likelihood sum_k [n_k ln n_k - n_k] and no solver call.  Otherwise
-    L-BFGS-B starts from the linear inversion, clipped to a physical state, or
-    from the maximally mixed state when the rectilinear counts are all zero;
-    convergence is declared when it reports success or the final gradient
-    norm is below 1e-8.
+    16 settings and 16 parameters make the model saturated: the linear
+    inversion fits every count (m_k = n_k), which maximizes each term, so
+    when it is positive semidefinite it is the MLE, returned after 0
+    iterations with the log-likelihood sum_k [n_k ln n_k - n_k] and no solver
+    call.  Otherwise L-BFGS-B starts from the linear inversion, clipped to a
+    physical state, or from the maximally mixed state when the rectilinear
+    counts are all zero; convergence is declared when it reports success or
+    the final gradient norm is below 1e-8.
 
     ``rho_hat`` is not checked again: a PSD linear inversion has unit trace,
     and T^dag T / tr is a state for any nonzero T, while no solver result's
