@@ -22,9 +22,9 @@ from .measures import (CorrelationReport, classical_correlation, concurrence,
                        solve_level_crossing, total_correlation)
 from .states import (ValidationReport, apply_operator, make_bell_phi_plus,
                      make_werner, rho_to_pairs, validate)
-from .tomography import (MeasurementSetting, ReconstructionResult, SETTINGS,
-                         TomographyError, TomographyRecord, estimate_werner_probability,
-                         expected_counts, fidelity, linear_inversion, projector,
+from .tomography import (ReconstructionResult, SETTINGS, TomographyError,
+                         TomographyRecord, estimate_werner_probability,
+                         expected_counts, fidelity, linear_inversion,
                          reconstruct_mle, records_to_csv, simulate_counts,
                          subtract_accidentals, trace_distance)
 

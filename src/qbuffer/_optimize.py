@@ -88,11 +88,12 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
 
     ``fun`` maps a stack of points, shape (k, n), to their residuals (k, m)
     and a function ``jac(rows)`` that gives the Jacobians, (len(rows), m, n),
-    at the points that ``rows`` (a slice or a list) selects.  Each pass makes
-    one trial step of every start still running, evaluated by one ``fun``
-    call, and one ``jac`` call for the trials it accepts; a start leaves the
-    stack when it stops.  Each start keeps its own lam, nu, evaluation count
-    and status, so it takes the steps it would take alone.
+    at the points that ``rows`` (a slice or a list) selects.  Each pass
+    builds the damped system of every start still running from its x, r and
+    J, and makes one trial step of each, evaluated by one ``fun`` call, and
+    one ``jac`` call for the trials it accepts; a start leaves the stack when
+    it stops.  Each start keeps its own lam, nu, evaluation count and status,
+    so it takes the steps it would take alone.
 
     Each step solves (D J^T J D + diag(g dv) + lam I) s = -D g for the step
     D s, with g = J^T r and Coleman & Li's (1996) scaling D^2 = diag(v):
@@ -107,8 +108,8 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
     the bits of the system without it.  A step that would cross the bound
     goes 0.995 of the way to it.  A trial whose residual is not finite is
     rejected, and so is a step whose damped system is singular: it is nan.
-    Stops on a relative cost decrease <= 1e-15 or a relative step <= 1e-13;
-    status 0 means 4000 evaluations of ``fun`` were spent first.
+    Stops on a zero gradient, a relative cost decrease <= 1e-15 or a relative
+    step <= 1e-13; status 0 means 4000 evaluations of ``fun`` were spent first.
     """
     x = np.maximum(np.array(x0, dtype=float, ndmin=2), _INTERIOR)
     r, jac = fun(x)
@@ -118,8 +119,6 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
     cost = (0.5 * _rowdot(r, r)).tolist()
     nfev, status, nu = [1] * n_starts, [0] * n_starts, [2.0] * n_starts
     lam = None  # set at the first systems
-    g, d, a = np.zeros((n_starts, n)), np.zeros((n_starts, n)), np.zeros((n_starts, n, n))
-    moved = list(range(n_starts))  # rows whose system is due
     results: list = [None] * n_starts
     while starts:
         stopped = [s > 0 or e >= _MAX_NFEV for s, e in zip(status, nfev)]
@@ -130,28 +129,24 @@ def lockstep(fun: Callable, x0) -> list[LeastSquaresResult]:
             if all(stopped):
                 break
             keep = [row for row, s in enumerate(stopped) if not s]
-            moved = [new for new, row in enumerate(keep) if row in moved]
             starts, cost, nfev, status, nu = ([column[row] for row in keep]
                                               for column in (starts, cost, nfev, status, nu))
-            x, r, j, g, d, a, lam = (v[keep] for v in (x, r, j, g, d, a, lam))
-        if moved:  # the systems at the points these rows moved to
-            rows = slice(None) if len(moved) == len(starts) else moved
-            jm = j[rows]
-            gm = (jm.transpose(0, 2, 1) @ r[rows][:, :, None])[:, :, 0]
-            outward = gm > 0
-            dm = np.sqrt(np.where(outward, x[rows], 1.0))
-            diag = np.zeros((len(gm), n * n))
-            diag[:, ::n + 1] = np.where(outward, gm, 0.0)  # each system's diagonal
-            jtj = jm.transpose(0, 2, 1) @ jm
-            g[rows], d[rows] = gm, dm
-            a[rows] = jtj * (dm[:, :, None] * dm[:, None, :]) + diag.reshape(-1, n, n)
-            if lam is None:
-                lam = _DAMPING * a.diagonal(axis1=1, axis2=2).max(axis=1)
-            flat = ~gm.any(axis=1)
-            if flat.any():  # a zero gradient stops these starts
-                for i in np.flatnonzero(flat).tolist():
-                    status[moved[i]] = 1
-                continue
+            x, r, j, lam = (v[keep] for v in (x, r, j, lam))
+        # the damped systems at the starts' points
+        jt = j.transpose(0, 2, 1)
+        g = (jt @ r[:, :, None])[:, :, 0]
+        outward = g > 0
+        d = np.sqrt(np.where(outward, x, 1.0))
+        diag = np.zeros((len(g), n * n))
+        diag[:, ::n + 1] = np.where(outward, g, 0.0)  # each system's diagonal
+        a = (jt @ j) * (d[:, :, None] * d[:, None, :]) + diag.reshape(-1, n, n)
+        if lam is None:
+            lam = _DAMPING * a.diagonal(axis1=1, axis2=2).max(axis=1)
+        flat = ~g.any(axis=1)
+        if flat.any():  # a zero gradient stops these starts
+            for row in np.flatnonzero(flat).tolist():
+                status[row] = 1
+            continue
         step = _step(a + lam[:, None, None] * eye, d, g, x)
         reach = np.divide(x, -step, out=np.full_like(x, np.inf), where=step < 0).min(axis=1)
         cut = reach <= 1.0

@@ -1,8 +1,9 @@
 """Command-line surface: sweep, tomo, fit, threshold, classify.
 
-Commands read a JSON config (flat schema listed in DEFAULT_CONFIG), apply
-flag overrides, and emit plot-ready CSV/JSON.  Runs are deterministic for a
-fixed config and seed: repeated invocations produce byte-identical output.
+Every command but classify reads a JSON config (flat schema listed in
+DEFAULT_CONFIG), tomo's --seed overrides its seed, and each emits plot-ready
+CSV/JSON.  Runs are deterministic for a fixed config and seed: repeated
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")
     common.add_argument("--out", metavar="PATH", help="output path")
-    common.add_argument("--seed", type=int, help="override the config seed")
 
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="evaluate both decay models over the time grid")
@@ -299,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="amplitude-damping probability on the buffered arm")
     p_tomo.add_argument("--exact", action="store_true",
                         help="use expected-value counts instead of Poisson draws")
+    p_tomo.add_argument("--seed", type=int, help="override the config seed")
 
     p_fit = sub.add_parser("fit", parents=[common], help="fit a decay model to CSV data")
     p_fit.add_argument("data", metavar="DATA_CSV", help="input CSV with header t_s,p,sigma")
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.add_argument("--level", type=float, required=True)
     p_thr.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_cls = sub.add_parser("classify", parents=[common],
-                           help="Markovian / non-Markovian regime of a rate pair")
+    p_cls = sub.add_parser("classify", help="Markovian / non-Markovian regime of a rate pair")
+    p_cls.add_argument("--out", metavar="PATH", help="output path")
     p_cls.add_argument("--kappa", type=float, required=True, help="coupling rate, 1/s")
     p_cls.add_argument("--gamma0", type=float, required=True, help="reservoir rate, 1/s")
     p_cls.add_argument("--format", choices=("json", "csv"), default="json")
@@ -321,10 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        config = load_config(args.config, overrides)
+        if args.command == "classify":  # reads no config
+            report = cmd_classify(args.kappa, args.gamma0)
+            _emit(_json_text(report) if args.format == "json" else _dict_csv(report), args.out)
+            return 0
+        seed = args.seed if args.command == "tomo" else None
+        config = load_config(args.config, None if seed is None else {"seed": seed})
         if args.command == "sweep":
             if args.out is None:
                 raise ValueError("sweep requires --out for the CSV file")
@@ -346,12 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                 return 1
         elif args.command == "threshold":
             report = cmd_threshold(config, args.model, args.level)
-            text = _json_text(report) if args.format == "json" else _dict_csv(report)
-            _emit(text, args.out)
-        elif args.command == "classify":
-            report = cmd_classify(args.kappa, args.gamma0)
-            text = _json_text(report) if args.format == "json" else _dict_csv(report)
-            _emit(text, args.out)
+            _emit(_json_text(report) if args.format == "json" else _dict_csv(report), args.out)
         return 0
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -44,11 +44,17 @@ class UnitContext:
             raise ValueError(f"refractive index must exceed 1, got {self.n_r}")
 
 
+def _nonnegative(name: str, values) -> np.ndarray:
+    """``values`` as a float array; raises ValueError naming ``name`` if any is negative."""
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return values
+
+
 def length_from_time(t, units: UnitContext = UnitContext()):
     """Fiber length L = (c / n_r) t traversed during buffer time t."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("buffer time must be nonnegative")
+    t = _nonnegative("buffer time", t)
     out = units.c / units.n_r * t
     return float(out) if out.ndim == 0 else out
 
@@ -172,9 +178,7 @@ def _bracket(phi, sign: int):
 
 def pmd_phase(delta_omega: float, d_p: float, length):
     """Differential phase delta_omega * D_p * sqrt(L) accumulated over L meters."""
-    length = np.asarray(length, dtype=float)
-    if np.any(length < 0):
-        raise ValueError("fiber length must be nonnegative")
+    length = _nonnegative("fiber length", length)
     out = delta_omega * d_p * np.sqrt(length)
     return float(out) if out.ndim == 0 else out
 
@@ -288,9 +292,7 @@ def cavity_p(t, kappa: float, gamma0: float):
     the exact sign of 4 kappa - gamma0 (see ``_regime``).
     """
     diff, delta = _regime(kappa, gamma0)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _nonnegative("time", t)
     with np.errstate(over="ignore", invalid="ignore"):  # rate x time may overflow
         x = delta * t / 4.0
         if diff < 0:
@@ -312,9 +314,7 @@ def cavity_p(t, kappa: float, gamma0: float):
 def p1(t, kappa1: float, gamma0: float):
     """Component with the counter-rotating bracket:
     exp(-gamma0 t/2) [cos(kappa1 t / sqrt2) + sin(kappa1 t / sqrt2)]^2."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _nonnegative("time", t)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa1 x time may overflow
         out = _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
     return float(out) if out.ndim == 0 else out
@@ -322,9 +322,7 @@ def p1(t, kappa1: float, gamma0: float):
 
 def p2(t, kappa2: float, gamma0: float):
     """Component with the plain harmonic: exp(-gamma0 t/2) cos^2(kappa2 t)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _nonnegative("time", t)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa2 x time may overflow
         out = _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
     return float(out) if out.ndim == 0 else out
@@ -378,8 +376,6 @@ def markovian_exponential(t, p0: float, rate: float):
         raise ValueError(f"initial probability must lie in (0, 1], got {p0}")
     if rate < 0.0:
         raise ValueError(f"decay rate must be nonnegative, got {rate}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be nonnegative")
+    t = _nonnegative("time", t)
     out = p0 * np.exp(-rate * t)
     return float(out) if out.ndim == 0 else out

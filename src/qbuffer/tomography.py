@@ -23,29 +23,8 @@ from ._optimize import minimize
 from .states import product_ket, require_valid
 
 SETTING_LABELS = ("H", "V", "D", "R")
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One analyzer configuration: a polarization label per arm."""
-
-    signal: str
-    idler: str
-
-    def __post_init__(self) -> None:
-        if self.signal not in SETTING_LABELS or self.idler not in SETTING_LABELS:
-            raise ValueError(
-                f"settings must use labels {SETTING_LABELS}, got "
-                f"({self.signal!r}, {self.idler!r})")
-
-
-SETTINGS = tuple(MeasurementSetting(s, i)
-                 for s in SETTING_LABELS for i in SETTING_LABELS)
-
-
-def projector(setting: MeasurementSetting) -> np.ndarray:
-    """Pure product state |signal> (x) |idler> the setting projects onto."""
-    return product_ket(setting.signal, setting.idler)
+# one analyzer configuration per entry: the (signal, idler) polarization labels
+SETTINGS = tuple((s, i) for s in SETTING_LABELS for i in SETTING_LABELS)
 
 
 def _born(kets: np.ndarray, op: np.ndarray) -> np.ndarray:
@@ -63,7 +42,7 @@ _PAULIS = (
 # Orthonormal Hermitian basis under the Hilbert-Schmidt inner product.
 _HERM_BASIS = np.array([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
 
-_KETS = np.array([projector(s) for s in SETTINGS])  # row k projects SETTINGS[k]
+_KETS = np.array([product_ket(*s) for s in SETTINGS])  # row k projects SETTINGS[k]
 _DESIGN = _born(_KETS, _HERM_BASIS).T
 
 
@@ -374,7 +353,7 @@ RECORDS_CSV_HEADER = "signal,idler,coincidences,accidentals,gates"
 
 def records_to_csv(record: TomographyRecord) -> str:
     """The record's 16 settings as CSV rows, in ``SETTINGS`` order."""
-    rows = (f"{s.signal},{s.idler},{format(cc, '.17g')},{format(ac, '.17g')},{record.gates}\n"
-            for s, cc, ac in zip(SETTINGS, record.coincidences.tolist(),
-                                 record.accidentals.tolist()))
+    rows = (f"{signal},{idler},{format(cc, '.17g')},{format(ac, '.17g')},{record.gates}\n"
+            for (signal, idler), cc, ac in zip(SETTINGS, record.coincidences.tolist(),
+                                               record.accidentals.tolist()))
     return RECORDS_CSV_HEADER + "\n" + "".join(rows)

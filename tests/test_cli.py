@@ -362,6 +362,21 @@ class TestMainDispatch:
             main(["fit", "x.csv", "--model", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--out", "sweep.csv", "--seed", "1"],
+        ["fit", "x.csv", "--model", "exp", "--seed", "1"],
+        ["threshold", "--model", "exp", "--level", "0.5", "--seed", "1"],
+        ["classify", "--kappa", "1", "--gamma0", "2", "--seed", "1"],
+        ["classify", "--kappa", "1", "--gamma0", "2", "--config", "cfg.json"],
+    ])
+    def test_flag_a_command_does_not_read_is_usage_error(self, tmp_path, monkeypatch, argv):
+        # only tomo reads a seed, and classify reads no config
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_threshold_exp_closed_form(self, capsys):
         code = main(["threshold", "--model", "exp", "--level",
                      str(1.0 / 3.0)])
@@ -503,7 +518,7 @@ class TestMainDispatch:
     def test_malformed_config_errors(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)
-        assert main(["classify", "--kappa", "1", "--gamma0", "2",
+        assert main(["threshold", "--model", "exp", "--level", "0.5",
                      "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -511,6 +526,6 @@ class TestMainDispatch:
         assert field in captured.err
 
     def test_bad_config_path_errors(self, capsys):
-        assert main(["classify", "--kappa", "1", "--gamma0", "2",
+        assert main(["threshold", "--model", "exp", "--level", "0.5",
                      "--config", "/nonexistent.json"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -63,15 +63,17 @@ def parses(kind: type, text: str) -> bool:
     return True
 
 
-def run(work, config: dict, argv: list[str], flags: dict[str, tuple[type, str | None]],
+def run(work, config: dict | None, argv: list[str], flags: dict[str, tuple[type, str | None]],
         unconverged: str | None = None):
-    """Run ``main`` on ``argv`` plus ``--config`` and the set ``flags``;
-    return stdout on success, None on an error, after checking the contract.
-    Exit 1 with exactly the ``unconverged`` line on stderr also returns stdout:
-    the solver's verdict, written after the output."""
-    path = work / "config.json"
-    path.write_text(json.dumps(config))
-    argv = [*argv, f"--config={path}"]
+    """Run ``main`` on ``argv`` plus ``--config`` (none when ``config`` is
+    None) and the set ``flags``; return stdout on success, None on an error,
+    after checking the contract.  Exit 1 with exactly the ``unconverged`` line
+    on stderr also returns stdout: the solver's verdict, written after the
+    output."""
+    if config is not None:
+        path = work / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, f"--config={path}"]
     argv += [f"{name}={text}" for name, (kind, text) in flags.items() if text is not None]
     out, err = io.StringIO(), io.StringIO()
     with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
@@ -111,17 +113,15 @@ def parse_report(text: str, fmt: str) -> dict:
 
 
 @FUZZ
-@given(config=OVERRIDES, n_points=st.one_of(st.integers(2, 64), VALUES),
-       seed=optional(TEXTS))
-@example(config={"t_end_s": BIG}, n_points=2, seed=None)
-@example(config={"mu_per_m": -1e-3}, n_points=2, seed=None)
-@example(config={"d_p2_s_per_sqrt_m": 1e300}, n_points=2, seed=None)
-@example(config={"t_end_s": 1e300}, n_points=2, seed=None)
-def test_sweep(work, config, n_points, seed):
+@given(config=OVERRIDES, n_points=st.one_of(st.integers(2, 64), VALUES))
+@example(config={"t_end_s": BIG}, n_points=2)
+@example(config={"mu_per_m": -1e-3}, n_points=2)
+@example(config={"d_p2_s_per_sqrt_m": 1e300}, n_points=2)
+@example(config={"t_end_s": 1e300}, n_points=2)
+def test_sweep(work, config, n_points):
     out = work / "sweep.csv"
     out.unlink(missing_ok=True)
-    stdout = run(work, {**config, "n_points": n_points},
-                 ["sweep", f"--out={out}"], {"--seed": (int, seed)})
+    stdout = run(work, {**config, "n_points": n_points}, ["sweep", f"--out={out}"], {})
     if stdout is None:
         assert not out.exists()
         return
@@ -139,13 +139,11 @@ def test_sweep(work, config, n_points, seed):
 
 @FUZZ
 @given(config=OVERRIDES, model=st.sampled_from(["pasy", "p3", "exp"]),
-       level=number_text(1e-3, 0.999), fmt=st.sampled_from(["json", "csv"]),
-       seed=optional(TEXTS))
-@example(config={"d_p2_s_per_sqrt_m": 1e300}, model="pasy", level="0.5", fmt="json",
-         seed=None)
-def test_threshold(work, config, model, level, fmt, seed):
+       level=number_text(1e-3, 0.999), fmt=st.sampled_from(["json", "csv"]))
+@example(config={"d_p2_s_per_sqrt_m": 1e300}, model="pasy", level="0.5", fmt="json")
+def test_threshold(work, config, model, level, fmt):
     stdout = run(work, config, ["threshold", f"--model={model}", f"--format={fmt}"],
-                 {"--level": (float, level), "--seed": (int, seed)})
+                 {"--level": (float, level)})
     if stdout is not None:
         report = parse_report(stdout, fmt)
         assert sorted(report) == ["L_star_m", "t_star_s"]
@@ -153,15 +151,14 @@ def test_threshold(work, config, model, level, fmt, seed):
 
 
 @FUZZ
-@given(config=OVERRIDES, kappa=number_text(0.0, 1e5), gamma0=number_text(0.0, 1e5),
-       fmt=st.sampled_from(["json", "csv"]), seed=optional(TEXTS))
-@example(config={}, kappa="1e300", gamma0="16292", fmt="json", seed=None)
-@example(config={}, kappa="1e-187", gamma0="3e-187", fmt="json", seed=None)
-@example(config={}, kappa="3e-170", gamma0="1e-169", fmt="json", seed=None)
-def test_classify(work, config, kappa, gamma0, fmt, seed):
-    stdout = run(work, config, ["classify", f"--format={fmt}"],
-                 {"--kappa": (float, kappa), "--gamma0": (float, gamma0),
-                  "--seed": (int, seed)})
+@given(kappa=number_text(0.0, 1e5), gamma0=number_text(0.0, 1e5),
+       fmt=st.sampled_from(["json", "csv"]))
+@example(kappa="1e300", gamma0="16292", fmt="json")
+@example(kappa="1e-187", gamma0="3e-187", fmt="json")
+@example(kappa="3e-170", gamma0="1e-169", fmt="json")
+def test_classify(work, kappa, gamma0, fmt):
+    stdout = run(work, None, ["classify", f"--format={fmt}"],
+                 {"--kappa": (float, kappa), "--gamma0": (float, gamma0)})
     if stdout is None:
         return
     report = parse_report(stdout, fmt)

@@ -178,6 +178,17 @@ def test_least_squares_evaluation_cap(lazy, monkeypatch):
     assert (got.status, got.nfev) == (0, 2)
 
 
+def test_zero_gradient_stops_a_start_where_it_is(lazy):
+    # y is the design's own value at [1, 1, 1], so that start's residual and
+    # gradient are exactly 0 and it stops before its first trial; the others
+    # solve on as they do alone
+    y = (LINE_DESIGN @ [[1.0], [1.0], [1.0]])[:, 0]
+    x0 = np.array([[2.0, 0.5, 0.3], [1.0, 1.0, 1.0], [0.2, 3.0, 1.5]])
+    results = assert_each_start_alone(lazy, linear(y), x0)
+    assert [(r.status, r.nfev) for r in results] == [(3, 6), (1, 1), (3, 10)]
+    assert results[1].x.tolist() == [1.0, 1.0, 1.0] and results[1].cost == 0.0
+
+
 def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     # a polish stopped by the cap is not converged, and the fit says so
     from qbuffer import fitting

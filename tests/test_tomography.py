@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from qbuffer import states, tomography
 from qbuffer.channels import damp_werner
-from qbuffer.states import make_bell_phi_plus, make_werner, validate
-from qbuffer.tomography import (PAIR_RATE, SETTINGS, MeasurementSetting,
-                                TomographyError, TomographyRecord,
-                                estimate_werner_probability, expected_counts,
-                                fidelity, linear_inversion, projector,
+from qbuffer.states import make_bell_phi_plus, make_werner, product_ket, validate
+from qbuffer.tomography import (PAIR_RATE, SETTINGS, TomographyError,
+                                TomographyRecord, estimate_werner_probability,
+                                expected_counts, fidelity, linear_inversion,
                                 reconstruct_mle, records_to_csv, simulate_counts,
                                 subtract_accidentals, trace_distance,
                                 werner_estimators)
@@ -27,13 +26,13 @@ def reference_born(psi, op):
 
 def reference_design(settings_):
     """The row-by-row, basis-by-basis product loop the design table replaced."""
-    return np.array([[reference_born(projector(s), basis) for basis in tomography._HERM_BASIS]
+    return np.array([[reference_born(product_ket(*s), basis) for basis in tomography._HERM_BASIS]
                      for s in settings_])
 
 
 def row(signal, idler):
     """Position of a setting in ``SETTINGS`` and in every per-setting array."""
-    return SETTINGS.index(MeasurementSetting(signal, idler))
+    return SETTINGS.index((signal, idler))
 
 
 def adversarial_counts():
@@ -105,7 +104,7 @@ def reference_simulate_counts(rho, n_gates, accidental_rate, seed):
     rng = np.random.default_rng(seed)
     coincidences, accidentals = [], []
     for setting in SETTINGS:
-        mean = n_gates * PAIR_RATE * max(reference_born(projector(setting), rho), 0.0)
+        mean = n_gates * PAIR_RATE * max(reference_born(product_ket(*setting), rho), 0.0)
         true_counts = rng.poisson(mean)
         acc_in_window = rng.poisson(acc_mean)
         acc_estimate = rng.poisson(acc_mean)
@@ -154,11 +153,11 @@ class TestSettingsAndProjectors:
         assert len(set(SETTINGS)) == 16
 
     def test_projector_examples(self):
-        np.testing.assert_allclose(projector(MeasurementSetting("H", "H")),
+        np.testing.assert_allclose(tomography._KETS[row("H", "H")],
                                    [1, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(projector(MeasurementSetting("D", "D")),
+        np.testing.assert_allclose(tomography._KETS[row("D", "D")],
                                    [0.5, 0.5, 0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(projector(MeasurementSetting("R", "R")),
+        np.testing.assert_allclose(tomography._KETS[row("R", "R")],
                                    [0.5, -0.5j, -0.5j, -0.5], atol=1e-15)
 
     def test_informationally_complete(self):
@@ -166,14 +165,10 @@ class TestSettingsAndProjectors:
         assert np.linalg.matrix_rank(a) == 16
         assert np.linalg.cond(a) < 1e4
 
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementSetting("H", "L")
-
     def test_ket_table_rows_are_projectors(self):
         assert tomography._KETS.shape == (16, 4)
         for k, setting in enumerate(SETTINGS):
-            assert np.array_equal(tomography._KETS[k], projector(setting))
+            assert np.array_equal(tomography._KETS[k], product_ket(*setting))
 
     def test_design_matrix_equals_product_loop(self):
         # the design table's rows are the settings in SETTINGS order
@@ -228,7 +223,7 @@ class TestSimulateCounts:
         record = expected_counts(rho, GATES, acc_rate)
         for setting, coincidences, accidentals in zip(SETTINGS, record.coincidences,
                                                       record.accidentals):
-            want = GATES * PAIR_RATE * max(reference_born(projector(setting), rho), 0.0) + acc
+            want = GATES * PAIR_RATE * max(reference_born(product_ket(*setting), rho), 0.0) + acc
             assert coincidences == want
             assert accidentals == acc
 
@@ -306,8 +301,8 @@ class TestLinearInversion:
         st.builds(lambda rho, seed: subtract_accidentals(simulate_counts(rho, GATES, 1e-6, seed)),
                   random_states(), st.integers(0, 2**32 - 1)),
         st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(lambda counts: np.array([
-            max(c, 1.0) if s.signal in "HV" and s.idler in "HV" else c
-            for s, c in zip(SETTINGS, counts)]))))
+            max(c, 1.0) if signal in "HV" and idler in "HV" else c
+            for (signal, idler), c in zip(SETTINGS, counts)]))))
     def test_exactly_hermitian(self, counts):
         # real coefficients times the exactly Hermitian basis sum to an exactly
         # Hermitian matrix, with no symmetrizing step
@@ -579,7 +574,7 @@ class TestRecordsCsv:
         text = records_to_csv(record)
         assert text.splitlines()[0] == "signal,idler,coincidences,accidentals,gates"
         rows = [line.split(",") for line in text.splitlines()[1:]]
-        assert [MeasurementSetting(signal, idler) for signal, idler, *_ in rows] == list(SETTINGS)
+        assert [(signal, idler) for signal, idler, *_ in rows] == list(SETTINGS)
         again = TomographyRecord([float(cc) for _, _, cc, _, _ in rows],
                                  [float(ac) for _, _, _, ac, _ in rows],
                                  *{int(gates) for *_, gates in rows})
