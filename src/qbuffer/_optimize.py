@@ -34,19 +34,20 @@ minimize = _OnFirstCall("minimize")
 
 
 def nnls(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):
-    """Weights and SSE of min ||w1 c1[i] + w2 c2[j] - y|| over w >= 0 for
-    every row pair (i, j), each returned array shaped (len(c1), len(c2)).
+    """Weights and SSE of min ||w1 c1[..., i, :] + w2 c2[..., j, :] - y||
+    over w >= 0 for every row pair (i, j) of every stacked problem: c1 of
+    shape (..., m, n) and c2 (..., k, n) give arrays shaped (..., m, k).
 
     The KKT point in closed form (Lawson & Hanson): the unconstrained
     solution of the 2x2 normal equations when both its weights are
     positive, otherwise the better of the two clipped one-column solutions.
     At that point SSE = y.y - w1 b1 - w2 b2 with b = A^T y.
     """
-    a11 = np.einsum("in,in->i", c1, c1)[:, None]
-    a22 = np.einsum("jn,jn->j", c2, c2)
-    a12 = c1 @ c2.T
-    b1 = (c1 @ y)[:, None]
-    b2 = c2 @ y
+    a11 = np.einsum("...in,...in->...i", c1, c1)[..., None]
+    a22 = np.einsum("...jn,...jn->...j", c2, c2)[..., None, :]
+    a12 = c1 @ c2.swapaxes(-1, -2)
+    b1 = (c1 @ y)[..., None]
+    b2 = (c2 @ y)[..., None, :]
     det = a11 * a22 - a12 * a12
     with np.errstate(divide="ignore", invalid="ignore"):
         w1 = (a22 * b1 - a12 * b2) / det

@@ -1,9 +1,9 @@
 """Command-line surface: sweep, tomo, fit, threshold, classify.
 
 Every command but classify reads a JSON config (flat schema listed in
-DEFAULT_CONFIG), tomo's --seed overrides its seed, and each emits plot-ready
-CSV/JSON.  Runs are deterministic for a fixed config and seed: repeated
-invocations produce byte-identical output.
+DEFAULT_CONFIG) and checks every field of it, read or not; tomo's --seed
+overrides its seed, and each emits plot-ready CSV/JSON.  Runs are deterministic
+for a fixed config and seed: repeated invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class RunConfig:
 def build_config(values: dict) -> RunConfig:
     """Validate a flat config dict and assemble the typed RunConfig: every
     field a finite real number (numpy scalars pass, bools do not), gates,
-    seed, n_points and sign integral (the seed nonnegative), the rest in the float range."""
+    seed, n_points and sign integral (the seed nonnegative), the rest in the
+    float range.  The config is checked whole, whichever command reads it."""
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
@@ -130,12 +131,6 @@ SWEEP_CSV_HEADER = ("t_s,L_m,P_pasy,P_p3,total_pasy,classical_pasy,discord_pasy,
                     "concurrence_pasy,total_p3,classical_p3,discord_p3,concurrence_p3")
 
 
-def _measures_row(p_model: np.ndarray) -> measures.CorrelationReport:
-    # model curves are proportionalities and may poke above 1; the
-    # information measures are defined on [0, 1]
-    return measures.correlation_report(np.minimum(p_model, 1.0))
-
-
 _SWEEP_ROW = ",".join(["%.12g"] * len(SWEEP_CSV_HEADER.split(","))) + "\n"
 _SWEEP_BLOCK = 128  # rows held as Python floats at once, to bound peak memory
 
@@ -159,12 +154,11 @@ def _sweep_table(config: RunConfig) -> np.ndarray:
     length = _finite("L_m", dynamics.length_from_time, t, config.units)
     p_pasy = _finite("P_pasy", dynamics.prob_pasy, t, config.pmd, config.units)
     p_p3 = _finite("P_p3", dynamics.p3, t, config.cavity)
-    ma = _measures_row(p_pasy)
-    mb = _measures_row(p_p3)
-    return np.column_stack((t, length,
-                            p_pasy, p_p3, ma.total, ma.classical, ma.discord,
-                            ma.concurrence, mb.total, mb.classical, mb.discord,
-                            mb.concurrence))
+    # model curves are proportionalities and may poke above 1; the
+    # information measures are defined on [0, 1]
+    m = measures.correlation_report(np.minimum([p_pasy, p_p3], 1.0))
+    by_model = np.stack((m.total, m.classical, m.discord, m.concurrence), axis=1)
+    return np.column_stack((t, length, p_pasy, p_p3, *by_model.reshape(8, -1)))
 
 
 def cmd_sweep(config: RunConfig) -> str:

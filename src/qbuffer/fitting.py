@@ -14,16 +14,16 @@ parameters reach SI once, at the end.  Every free parameter is bounded to
 [0, inf), and every threshold of the scan and the polish is relative.
 
 Every pasy and p3 fit starts from a deterministic scan: a crude exponential
-pre-fit pins the envelope rate, one coarse grid for both models over the two
-phase parameters, with the weights solved by closed-form two-column NNLS at each
-point (``_optimize.nnls``, one Gram pass per rate), ranks candidate basins;
-each of the few kept ones starts from the weights solved there.  All of them
-are polished at once by qbuffer's own bounded Levenberg-Marquardt solver
-(``_optimize.least_squares``), which moves the stack of starts in lockstep,
-each on its own path, and the best is kept.  The values at a trial point and
-the closed-form Jacobian, in real arithmetic, are made from one set of pieces
-(``_TwoComponent.pieces``), and that Jacobian serves both the polish and the
-covariance at the solution.
+pre-fit pins the envelope rate, one coarse grid for both models over three
+rates and the two phase parameters, with the weights solved by closed-form
+two-column NNLS at each point (``_optimize.nnls``, one Gram pass for the
+whole grid), ranks candidate basins; each of the few kept ones starts from
+the weights solved there.  All of them are polished at once by qbuffer's
+own bounded Levenberg-Marquardt solver (``_optimize.least_squares``), which
+moves the stack of starts in lockstep, each on its own path, and the best is
+kept.  The values at a trial point and the closed-form Jacobian, in real
+arithmetic, are made from one set of pieces (``_TwoComponent.pieces``), and
+that Jacobian serves both the polish and the covariance at the solution.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class _TwoComponent(NamedTuple):
     rate_slope: np.ndarray
 
     def component(self, i: int, theta, rate):
-        """c_i on the record's times, ``theta`` broadcast against them; no sine where s_i = 0."""
+        """c_i, ``theta`` and ``rate`` broadcast against the record's times; no sine if s_i = 0."""
         bracket = dynamics._bracket(theta * self.phase_slopes[i], self.signs[i, 0])
         return np.exp(rate * self.rate_slope) * bracket * bracket
 
@@ -226,9 +226,9 @@ def _envelope_prefit(t: np.ndarray, p: np.ndarray) -> float:
 
 
 def _grid(model: _TwoComponent, t: np.ndarray, p: np.ndarray):
-    """The scan's rates, theta2 values and theta1 values, in record units."""
+    """The scan's three rates, theta2 values and theta1 values: arrays in record units."""
     rate, c = max(model.envelope * _envelope_prefit(t, p), 0.0), model.ceiling
-    return ((0.7 * rate, rate, 1.3 * rate), np.linspace(c / 150.0, c, 90),
+    return (rate * np.array([0.7, 1.0, 1.3]), np.linspace(c / 150.0, c, 90),
             np.concatenate([[0.0], np.geomspace(c / 400.0, c, 26)]))
 
 
@@ -236,26 +236,23 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
           sigma: np.ndarray) -> list[np.ndarray]:
     """Up to four starting points from ``_grid``.
 
-    At every grid point with theta1 <= theta2 the weights are solved by
-    closed-form two-column NNLS (``nnls``), one Gram pass over all theta
-    pairs per rate.  Points are ranked by SSE, ties in grid order (rate,
-    theta2, theta1), and kept only if their theta2 differs by more than a
-    relative 5 % from every point already kept.  A kept point starts from
-    the weights solved at it.  Raises when no grid point fits better than
-    P = 0.
+    Each component is evaluated once, against the three rates, and at every
+    grid point with theta1 <= theta2 the weights are solved by closed-form
+    two-column NNLS (``nnls``), one call for the whole grid.  Points are
+    ranked by SSE, ties in grid order (rate, theta2, theta1), and kept only
+    if their theta2 differs by more than a relative 5 % from every point
+    already kept.  A kept point starts from the weights solved at it.
+    Raises when no grid point fits better than P = 0.
     """
     y = p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
         rates, theta2s, theta1s = _grid(model, t, p)
-    w1, w2, sse = np.empty((3, len(rates), len(theta2s), len(theta1s)))
-    for k, rate in enumerate(rates):
-        with np.errstate(all="ignore"):
-            c1 = model.component(0, theta1s[:, None], rate) / sigma
-            c2 = model.component(1, theta2s[:, None], rate) / sigma
-        if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
-            raise FittingError(f"the {model.name} model is not finite on this record's "
-                               f"scan grid; check its times and the fixed model parameters")
-        w1[k], w2[k], sse[k] = (a.T for a in nnls(c1, c2, y))
+        c1 = model.component(0, theta1s[:, None], rates[:, None, None]) / sigma
+        c2 = model.component(1, theta2s[:, None], rates[:, None, None]) / sigma
+    if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
+        raise FittingError(f"the {model.name} model is not finite on this record's "
+                           f"scan grid; check its times and the fixed model parameters")
+    w1, w2, sse = np.swapaxes(nnls(c1, c2, y), -1, -2)  # (rate, theta2, theta1)
     ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
     ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
     if not sse.ravel()[ranked[0]] < y @ y:  # every start would have both weights at 0

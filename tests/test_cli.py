@@ -514,6 +514,10 @@ class TestMainDispatch:
         ('{"t_end_s": 1' + "0" * 400 + "}", "t_end_s"),
         ('{"gates": 1' + "0" * 400 + "}", "gates"),
         ('{"gates": 1e300}', "gates"),
+        # fields only tomo reads: the config is checked whole
+        ('{"seed": -1}', "seed"),
+        ('{"gates": 0}', "gates"),
+        ('{"accidental_rate": 1.0}', "accidental_rate"),
     ])
     def test_malformed_config_errors(self, tmp_path, capsys, text, field):
         cfg = tmp_path / "cfg.json"

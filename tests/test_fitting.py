@@ -286,7 +286,7 @@ class TestScan:
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_scipy_nnls_only_for_kept_points(self, monkeypatch, make_model, make_data):
-        # one closed-form pass per rate, and no solve per kept start
+        # one closed-form pass for the whole grid, and no solve per kept start
         calls = []
         monkeypatch.setattr(fitting, "nnls",
                             lambda *args: calls.append(args) or _optimize.nnls(*args))
@@ -294,20 +294,20 @@ class TestScan:
         model = make_model(data.t)
         picked = _scan(model, data.t, data.p, data.sigma)
         assert 1 <= len(picked) <= 4
-        assert len(calls) == len(fitting._grid(model, data.t, data.p)[0]) == 3
+        assert len(calls) == 1
+        assert calls[0][0].shape[0] == len(fitting._grid(model, data.t, data.p)[0]) == 3
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
-    def test_each_component_evaluated_once_per_rate(self, monkeypatch, make_model, make_data):
-        # c1 and c2 once each per rate; a kept start takes its weights from
-        # the scan's pass and evaluates neither again
+    def test_each_component_evaluated_once_per_scan(self, monkeypatch, make_model, make_data):
+        # c1 and c2 once each, against all three rates; a kept start takes its
+        # weights from the scan's pass and evaluates neither again
         data = make_data()
         model = make_model(data.t)
-        rates = fitting._grid(model, data.t, data.p)[0]
         calls, component = [], fitting._TwoComponent.component
         monkeypatch.setattr(fitting._TwoComponent, "component",
                             lambda *args: calls.append(args) or component(*args))
         assert _scan(model, data.t, data.p, data.sigma)
-        assert len(calls) == 2 * len(rates)
+        assert [args[1] for args in calls] == [0, 1]
 
     @pytest.mark.parametrize("start", [1e6, 1e9, 1e12, 1e15])
     @pytest.mark.parametrize("fit", [fit_pasy, fit_p3], ids=lambda fit: fit.__name__)

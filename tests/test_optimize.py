@@ -93,6 +93,23 @@ def test_minimize_forwards(lazy):
     assert np.array_equal(got.x, want.x) and got.fun == want.fun and got.nit == want.nit
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 4))
+def test_nnls_solves_a_stack_as_each_problem_alone(seed, stack):
+    # rows scaled by up to 10^3 either way, with clipped and interior weights:
+    # each stacked problem gets the bits of a call of its own
+    from qbuffer import _optimize
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    c1, c2 = (rng.normal(size=(stack, rows, n)) * 10.0 ** rng.uniform(-3, 3, (stack, rows, 1))
+              for rows in rng.integers(1, 6, size=2))
+    y = rng.normal(size=n)
+    got = _optimize.nnls(c1, c2, y)
+    for k in range(stack):
+        alone = _optimize.nnls(c1[k], c2[k], y)
+        assert [a[k].tobytes() for a in got] == [a.tobytes() for a in alone]
+
+
 LINE_T = np.linspace(0.0, 1.0, 7)
 LINE_DESIGN = np.column_stack([LINE_T, np.ones_like(LINE_T), np.sin(3.0 * LINE_T)])
 

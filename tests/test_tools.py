@@ -56,3 +56,11 @@ def test_ab_time_of_identical_sessions_reads_one():
     sessions = [(cpu, cpu.copy()) for cpu in (rng.uniform(0.001, 0.02, size=n) for n in (40, 55))]
     ratio, low, high = ab_time.interval(sessions, np.random.default_rng(0))
     assert low <= ratio == 1.0 <= high
+
+
+def test_ab_time_gives_each_index_parity_both_orders_over_two_sessions():
+    # curves' threshold items all sit at odd indices: over a pair of sessions
+    # each tree makes their first, cold call as often as the other tree
+    for parity in (0, 1):
+        first = [ab_time.order(i, swap)[0] for swap in (False, True) for i in range(parity, 40, 2)]
+        assert first.count(0) == first.count(1) == 20

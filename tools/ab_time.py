@@ -12,7 +12,10 @@ script) record by record, each record twice per tree: in the order BASE,
 CHANGED, CHANGED, BASE, and for the next record
 CHANGED, BASE, BASE, CHANGED, so over two records each tree makes three
 calls right after the other tree and one right after its own call on the
-same record.  A tree's time for a record is the sum of its two calls, each
+same record.  Every second session (in the order given) swaps the two
+orders, so an item label that sits only at odd or only at even indices
+(curves' threshold and sweep items) also sees both; give an even number of
+seeds.  A tree's time for a record is the sum of its two calls, each
 timed by ``time.process_time`` around ``task.call()`` inside the worker, so
 input generation, checks and the pipe stay out of the time.
 
@@ -85,10 +88,17 @@ def ask(worker: subprocess.Popen, seed: int, index: int) -> dict:
     return json.loads(line)
 
 
+def order(index: int, swap: bool) -> tuple[int, ...]:
+    """The trees' four calls on record ``index``: BASE (0) first on even
+    records and CHANGED (1) first on odd ones, the other way round if ``swap``."""
+    return (0, 1, 1, 0) if (index + swap) % 2 == 0 else (1, 0, 0, 1)
+
+
 def session(trees: tuple[Path, Path], workload, name: str, seed: int, n_items: int,
-            cpu: int) -> tuple[list[tuple], int]:
+            cpu: int, swap: bool) -> tuple[list[tuple], int]:
     """One seed's records in a fresh pair of workers: (label, base cpu,
-    changed cpu, outputs equal) per record, and the number that raised."""
+    changed cpu, outputs equal) per record, and the number that raised.
+    ``swap`` swaps the two orders of ``order``."""
     workers = [start_worker(tree, name, cpu) for tree in trees]
     rows, failed = [], 0
     try:
@@ -97,7 +107,7 @@ def session(trees: tuple[Path, Path], workload, name: str, seed: int, n_items: i
                 ask(worker, seed, index)
         for index in range(n_items):
             replies: list[list[dict]] = [[], []]
-            for side in ((0, 1, 1, 0) if index % 2 == 0 else (1, 0, 0, 1)):
+            for side in order(index, swap):
                 replies[side].append(ask(workers[side], seed, index))
             if any("error" in r for side in replies for r in side):
                 failed += 1
@@ -142,9 +152,9 @@ def main(argv: list[str]) -> int:
     n_items, cpu = workload.size(SECONDS), max(os.sched_getaffinity(0))
 
     rows, failed = [], 0
-    for seed in (int(s) for s in args.seeds.split(",")):
+    for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
         seed_rows, raised = session((args.base, args.changed), workload, args.workload, seed,
-                                    n_items, cpu)
+                                    n_items, cpu, swap=k % 2 == 1)
         rows.append(seed_rows)
         failed += raised
 
