@@ -1,18 +1,19 @@
 """qbuffer's own two-column NNLS and bounded least-squares solver, which
-moves a stack of starting points in lockstep, and scipy.optimize entry points
-imported on first call.  The solver's damped systems are solved as stacks,
-one batched ``np.linalg.solve`` each; a held variable's row and column become
-the identity's within its stack.
+moves a stack of starting points in lockstep; an L-BFGS-B driver around
+scipy's compiled routine; and scipy's ``brentq``.  scipy is imported on the
+first call that needs it.  The least-squares solver's damped systems are
+solved as stacks, one batched ``np.linalg.solve`` each; a held variable's row
+and column become the identity's within its stack.
 
 Importing scipy.optimize is most of a cold command's start-up, and
 ``classify``, ``sweep`` and ``fit`` never need it.  Callers keep these names
-as module globals, so tests and the benchmark's tracer can swap them.  The
-two scipy entry points (``brentq``, ``minimize``) are objects rather than
-functions, so that tracer, which wraps every qbuffer function, wraps each one
-once, as the scipy entry point it stands for.  ``nnls`` and
-``least_squares`` are functions, so the tracer wraps each twice: as
-``_optimize.nnls`` inside ``fitting.nnls``, and likewise for
-``least_squares``.
+as module globals, so tests and the benchmark's tracer can swap them.
+``brentq`` is an object rather than a function, so that tracer, which wraps
+every qbuffer function, wraps it once, as the scipy entry point it stands
+for.  ``nnls``, ``least_squares`` and ``minimize`` are functions, so the
+tracer wraps each twice: as ``_optimize.nnls`` inside ``fitting.nnls``, and
+likewise for ``least_squares`` and for ``minimize`` inside
+``tomography.minimize``.
 """
 
 from typing import Callable, NamedTuple
@@ -30,7 +31,69 @@ class _OnFirstCall:
 
 
 brentq = _OnFirstCall("brentq")
-minimize = _OnFirstCall("minimize")
+
+
+class MinimizeResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray     # the gradient setulb last held
+    nit: int
+    nfev: int
+    success: bool       # setulb reported convergence
+
+
+_MAXCOR = 10
+_MAXLS = 20
+_FACTR = 1e-15 / np.finfo(float).eps  # a relative decrease of 1e-15 stops
+_PGTOL = 1e-10
+_MAXITER = 10_000
+_MAXFUN = 40_000
+
+
+def minimize(fun: Callable, x0) -> MinimizeResult:
+    """Minimize ``fun(x) -> (f, gradient)`` over unbounded x by L-BFGS-B
+    (Byrd, Lu, Nocedal & Zhu 1995), from ``x0``.
+
+    The loop is scipy's ``_minimize_lbfgsb`` around the same compiled
+    routine, ``scipy.optimize._lbfgsb.setulb`` (scipy's C translation of
+    Zhu et al.'s Algorithm 778), with no bounds and fixed settings: 10
+    corrections, 20 line-search steps, a relative decrease of 1e-15 and a
+    projected gradient of 1e-10.  Each iteration counts when setulb reports a
+    new x; the solve stops after 10 000 iterations, or once ``fun`` has been
+    called more than 40 000 times.  ``fun`` gets a copy of each point; when
+    setulb asks again at the point of the last call, that call's (f, g) is
+    reused, as scipy's ``ScalarFunction`` does.  So every bit of x, f, the
+    gradient and the counts is scipy's ``minimize(fun, x0, jac=True,
+    method="L-BFGS-B")`` with those options.
+    """
+    from scipy.optimize import _lbfgsb
+    x = np.array(x0, dtype=float)
+    n, m = len(x), _MAXCOR
+    seen = x.copy()
+    f_seen, g_seen = fun(x.copy())
+    nfev, nit, f = 1, 0, 0.0
+    g, bound, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    while True:
+        _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
+                       lsave, isave, dsave, _MAXLS, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not (x == seen).all():
+                seen = x.copy()
+                f_seen, g_seen = fun(x.copy())
+                nfev += 1
+            f, g[:] = f_seen, g_seen
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= _MAXITER:
+                task[:] = 5, 504
+            elif nfev > _MAXFUN:
+                task[:] = 5, 502
+        else:
+            return MinimizeResult(x, f, g, nit, nfev, bool(task[0] == 4))
 
 
 def nnls(c1: np.ndarray, c2: np.ndarray, y: np.ndarray):

@@ -152,7 +152,9 @@ class _TwoComponent(NamedTuple):
     def component(self, i: int, theta, rate):
         """c_i, ``theta`` and ``rate`` broadcast against the record's times; no sine if s_i = 0."""
         bracket = dynamics._bracket(theta * self.phase_slopes[i], self.signs[i, 0])
-        return np.exp(rate * self.rate_slope) * bracket * bracket
+        c = np.exp(rate * self.rate_slope) * bracket
+        c *= bracket  # in place: no second full-size temporary
+        return c
 
     def pieces(self, x):
         """cos phi, sin phi, B = cos phi + s sin phi, env and c = env B^2 of
@@ -247,8 +249,10 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     y = p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
         rates, theta2s, theta1s = _grid(model, t, p)
-        c1 = model.component(0, theta1s[:, None], rates[:, None, None]) / sigma
-        c2 = model.component(1, theta2s[:, None], rates[:, None, None]) / sigma
+        c1 = model.component(0, theta1s[:, None], rates[:, None, None])
+        c1 /= sigma
+        c2 = model.component(1, theta2s[:, None], rates[:, None, None])
+        c2 /= sigma
     if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
         raise FittingError(f"the {model.name} model is not finite on this record's "
                            f"scan grid; check its times and the fixed model parameters")

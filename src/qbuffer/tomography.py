@@ -228,10 +228,11 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     inversion fits every count (m_k = n_k), which maximizes each term, so
     when it is positive semidefinite it is the MLE, returned after 0
     iterations with the log-likelihood sum_k [n_k ln n_k - n_k] and no solver
-    call.  Otherwise L-BFGS-B starts from the linear inversion, clipped to a
-    physical state, or from the maximally mixed state when the rectilinear
-    counts are all zero; convergence is declared when it reports success or
-    the final gradient norm is below 1e-8.
+    call.  Otherwise ``minimize`` (``_optimize``'s unbounded L-BFGS-B)
+    starts from the linear inversion, clipped to a physical state, or from
+    the maximally mixed state when the rectilinear counts are all zero;
+    convergence is declared when it reports success or the final gradient
+    norm is below 1e-8.
 
     ``rho_hat`` is not checked again: a PSD linear inversion has unit trace,
     and T^dag T / tr is a state for any nonzero T, while no solver result's
@@ -271,9 +272,7 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
                         1e-12)
     scale = counts.sum() / probs0.sum()
     theta0 = _params_from_t(_lower_factor(scale * rho0))
-    result = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                      options={"maxiter": 10_000, "maxfun": 40_000,
-                               "ftol": 1e-15, "gtol": 1e-10})
+    result = minimize(objective, theta0)
     converged = bool(result.success) or float(np.linalg.norm(result.jac)) < 1e-8
     rho_hat = _rho_from_t(_t_from_params(result.x))
     # the objective is minus the log-likelihood, term by term, so negating

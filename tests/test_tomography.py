@@ -6,7 +6,7 @@ import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qbuffer import states, tomography
+from qbuffer import _optimize, states, tomography
 from qbuffer.channels import damp_werner
 from qbuffer.states import make_bell_phi_plus, make_werner, product_ket, validate
 from qbuffer.tomography import (PAIR_RATE, SETTINGS, TomographyError,
@@ -354,11 +354,11 @@ class TestReconstructMle:
     def test_zero_rectilinear_counts_start_maximally_mixed(self, monkeypatch):
         # no linear inversion without the H/V quartet: the MLE starts from I/4
         # and the solver moves it
-        seen = {}
+        seen, solve = {}, _optimize.minimize
 
-        def spy(fun, x0, **kwargs):
+        def spy(fun, x0):
             seen["x0"] = x0
-            return scipy.optimize.minimize(fun, x0, **kwargs)
+            return solve(fun, x0)
 
         monkeypatch.setattr(tomography, "minimize", spy)
         counts = np.full(16, 100.0)
@@ -424,9 +424,10 @@ class TestReconstructMle:
         # the solver's nfev and one unpacking of its result into rho_hat:
         # each evaluation unpacks T once, into the buffer the spy forwards
         unpacked, seen, t_from_params = [], {}, tomography._t_from_params
+        solve = _optimize.minimize
 
-        def spy(fun, x0, **kwargs):
-            seen["result"] = scipy.optimize.minimize(fun, x0, **kwargs)
+        def spy(fun, x0):
+            seen["result"] = solve(fun, x0)
             return seen["result"]
 
         monkeypatch.setattr(tomography, "_t_from_params",
@@ -434,6 +435,19 @@ class TestReconstructMle:
         monkeypatch.setattr(tomography, "minimize", spy)
         reconstruct_mle(seeded_counts(0.99, 0.0, 12345))
         assert len(unpacked) == seen["result"].nfev + 1
+
+    def test_known_boundary_failure(self, monkeypatch):
+        # bench/test_qbbench.py::test_known_failure_is_counted counts this
+        # record as a failed item: its L-BFGS-B stops unconverged
+        seen, solve = {}, _optimize.minimize
+
+        def spy(fun, x0):
+            seen["result"] = solve(fun, x0)
+            return seen["result"]
+
+        monkeypatch.setattr(tomography, "minimize", spy)
+        result = reconstruct_mle(seeded_counts(0.99, 0.0, 12345))
+        assert (result.iterations, seen["result"].nfev, result.converged) == (195, 247, False)
 
     @pytest.mark.parametrize("p, iterations", [(0.5, 0), (0.99, 195)],
                              ids=["interior", "boundary"])
@@ -452,11 +466,11 @@ class TestReconstructMle:
     def test_gradient_matches_central_differences(self, monkeypatch):
         # a swapped (re, im) pair would still converge, so check the gradient
         # itself: capture the objective L-BFGS-B is handed
-        seen = {}
+        seen, solve = {}, _optimize.minimize
 
-        def spy(fun, x0, **kwargs):
+        def spy(fun, x0):
             seen["fun"], seen["x0"] = fun, x0
-            return scipy.optimize.minimize(fun, x0, **kwargs)
+            return solve(fun, x0)
 
         monkeypatch.setattr(tomography, "minimize", spy)
         reconstruct_mle(adversarial_counts())  # unphysical start: a large gradient
