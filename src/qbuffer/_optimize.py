@@ -69,7 +69,9 @@ def minimize(fun: Callable, x0) -> MinimizeResult:
     from scipy.optimize import _lbfgsb
     x = np.array(x0, dtype=float)
     n, m = len(x), _MAXCOR
-    seen = x.copy()
+    # points compare as Python floats, as np.array_equal compares them: nan
+    # differs from itself, -0.0 equals 0.0
+    seen = x.tolist()
     f_seen, g_seen = fun(x.copy())
     nfev, nit, f = 1, 0, 0.0
     g, bound, nbd = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)
@@ -81,8 +83,9 @@ def minimize(fun: Callable, x0) -> MinimizeResult:
         _lbfgsb.setulb(m, x, bound, bound, nbd, f, g, _FACTR, _PGTOL, wa, iwa, task,
                        lsave, isave, dsave, _MAXLS, ln_task)
         if task[0] == 3:  # f and g wanted at x
-            if not (x == seen).all():
-                seen = x.copy()
+            point = x.tolist()
+            if point != seen:
+                seen = point
                 f_seen, g_seen = fun(x.copy())
                 nfev += 1
             f, g[:] = f_seen, g_seen
