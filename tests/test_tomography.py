@@ -354,11 +354,11 @@ class TestReconstructMle:
     def test_zero_rectilinear_counts_start_maximally_mixed(self, monkeypatch):
         # no linear inversion without the H/V quartet: the MLE starts from I/4
         # and the solver moves it
-        seen, solve = {}, _optimize.minimize
+        seen = {}
 
         def spy(fun, x0):
             seen["x0"] = x0
-            return solve(fun, x0)
+            return _optimize.minimize(fun, x0)
 
         monkeypatch.setattr(tomography, "minimize", spy)
         counts = np.full(16, 100.0)
@@ -424,10 +424,9 @@ class TestReconstructMle:
         # the solver's nfev and one unpacking of its result into rho_hat:
         # each evaluation unpacks T once, into the buffer the spy forwards
         unpacked, seen, t_from_params = [], {}, tomography._t_from_params
-        solve = _optimize.minimize
 
         def spy(fun, x0):
-            seen["result"] = solve(fun, x0)
+            seen["result"] = _optimize.minimize(fun, x0)
             return seen["result"]
 
         monkeypatch.setattr(tomography, "_t_from_params",
@@ -439,10 +438,10 @@ class TestReconstructMle:
     def test_known_boundary_failure(self, monkeypatch):
         # bench/test_qbbench.py::test_known_failure_is_counted counts this
         # record as a failed item: its L-BFGS-B stops unconverged
-        seen, solve = {}, _optimize.minimize
+        seen = {}
 
         def spy(fun, x0):
-            seen["result"] = solve(fun, x0)
+            seen["result"] = _optimize.minimize(fun, x0)
             return seen["result"]
 
         monkeypatch.setattr(tomography, "minimize", spy)
@@ -466,11 +465,11 @@ class TestReconstructMle:
     def test_gradient_matches_central_differences(self, monkeypatch):
         # a swapped (re, im) pair would still converge, so check the gradient
         # itself: capture the objective L-BFGS-B is handed
-        seen, solve = {}, _optimize.minimize
+        seen = {}
 
         def spy(fun, x0):
             seen["fun"], seen["x0"] = fun, x0
-            return solve(fun, x0)
+            return _optimize.minimize(fun, x0)
 
         monkeypatch.setattr(tomography, "minimize", spy)
         reconstruct_mle(adversarial_counts())  # unphysical start: a large gradient
