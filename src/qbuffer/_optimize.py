@@ -1,36 +1,83 @@
-"""qbuffer's own two-column NNLS and bounded least-squares solver, which
-moves a stack of starting points in lockstep; an L-BFGS-B driver around
-scipy's compiled routine; and scipy's ``brentq``.  scipy is imported on the
-first call that needs it.  The least-squares solver's damped systems are
-solved as stacks, one batched ``np.linalg.solve`` each; a held variable's row
-and column become the identity's within its stack.
+"""qbuffer's own solvers: Brent's zero step, step for step scipy's
+``brentq``; the two-column NNLS; and the bounded least-squares solver, which
+moves a stack of starting points in lockstep; plus an L-BFGS-B driver around
+scipy's compiled routine, imported on the first call that needs it.  The
+least-squares solver's damped systems are solved as stacks, one batched
+``np.linalg.solve`` each; a held variable's row and column become the
+identity's within its stack.
 
-Importing scipy.optimize is most of a cold command's start-up, and
-``classify``, ``sweep`` and ``fit`` never need it.  Callers keep these names
-as module globals, so tests and the benchmark's tracer can swap them.
-``brentq`` is an object rather than a function, so that tracer, which wraps
-every qbuffer function, wraps it once, as the scipy entry point it stands
-for.  ``nnls``, ``least_squares`` and ``minimize`` are functions, so the
-tracer wraps each twice: as ``_optimize.nnls`` inside ``fitting.nnls``, and
-likewise for ``least_squares`` and for ``minimize`` inside
-``tomography.minimize``.
+Importing scipy.optimize is most of a cold command's start-up, and only the
+boundary MLE needs it.  Callers keep these names as module globals, so tests
+and the benchmark's tracer can swap them.  All four are functions, so the
+tracer, which wraps every qbuffer function, wraps each twice: as
+``_optimize.brentq`` inside ``measures.brentq``, and likewise for ``nnls`` and
+``least_squares`` inside ``fitting`` and for ``minimize`` inside
+``tomography``.
 """
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 
-class _OnFirstCall:
-    def __init__(self, name: str) -> None:
-        self.__name__ = name
+def brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A zero of ``f`` in [a, b], where f(a) and f(b) differ in sign, by
+    Brent's (1973) method: inverse quadratic or secant steps, falling back to
+    bisection.
 
-    def __call__(self, *args, **kwargs):
-        import scipy.optimize
-        return getattr(scipy.optimize, self.__name__)(*args, **kwargs)
+    Step for step scipy's ``brentq`` (its C routine and the wrapper around
+    it), so every root is the same float: the search stops when the bracket
+    half-width falls below (xtol + rtol |x|) / 2 or f(x) == 0.  scipy's
+    bounds hold for the tolerances: xtol > 0 and rtol >= 4 eps.  Raises
+    ValueError when f(a) and f(b) have one sign or f returns nan, and
+    RuntimeError after ``maxiter`` steps without convergence.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
 
-
-brentq = _OnFirstCall("brentq")
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the better end at xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect, unless interpolation gives a good short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # inf or nan in C, which bisects too
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 class MinimizeResult(NamedTuple):

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import channels, dynamics, fitting, measures, states, tomography
+from . import channels, dynamics, states
 
 DEFAULT_CONFIG: dict = {
     # propagation
@@ -150,6 +150,7 @@ def _finite(name: str, model: Callable, t, *args):
 
 def _sweep_table(config: RunConfig) -> np.ndarray:
     """The sweep's 12 columns, one row per grid point."""
+    from . import measures
     t = np.linspace(config.t_start_s, config.t_end_s, config.n_points)
     length = _finite("L_m", dynamics.length_from_time, t, config.units)
     p_pasy = _finite("P_pasy", dynamics.prob_pasy, t, config.pmd, config.units)
@@ -178,6 +179,7 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
     Returns the records CSV and the reconstruction report.  ``exact``
     replaces Poisson draws with expected-value counts.
     """
+    from . import tomography
     rho_true = channels.damp_werner(werner_p, xi)
     if exact:
         record = tomography.expected_counts(rho_true, config.gates,
@@ -206,6 +208,7 @@ def cmd_fit(model_name: str, csv_text: str,
     """Fit the named model to CSV data; pasy holds the config's detuning and
     sign branch fixed and converts times with its units, p3 carries the
     config's reservoir width (default config when none is given)."""
+    from . import fitting
     data = fitting.series_from_csv(csv_text)
     config = config if config is not None else build_config({})
     if model_name == "pasy":
@@ -223,6 +226,7 @@ THRESHOLD_BRACKET_S = (0.0, 10e-3)
 
 def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
     """Locate the first time the named model crosses ``level`` in [0, 10 ms]."""
+    from . import measures
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if model_name == "pasy":
@@ -336,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write("reconstruction did not converge\n")
                 return 1
         elif args.command == "fit":
+            from . import fitting
             result = cmd_fit(args.model, Path(args.data).read_text(), config)
             _emit(fitting.fit_result_to_json(result) + "\n", args.out)
             if not result.converged:

@@ -43,6 +43,7 @@ _PAULIS = (
 _HERM_BASIS = np.array([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
 
 _KETS = np.array([product_ket(*s) for s in SETTINGS])  # row k projects SETTINGS[k]
+_KETS_CONJ = _KETS.conj()
 _DESIGN = _born(_KETS, _HERM_BASIS).T
 
 
@@ -246,13 +247,16 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
         t = _t_from_params(theta, flat)
         u = _KETS @ t.T                   # row k = T psi_k
-        m = np.maximum((np.abs(u) ** 2).sum(axis=1), 1e-300)
-        f = float((m - counts * np.log(m)).sum())
+        a = np.abs(u)
+        a *= a
+        m = np.maximum(np.add.reduce(a, axis=1), 1e-300)
+        f = float(np.add.reduce(m - counts * np.log(m)))
         # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k, so
-        # df/dRe T_rc = 2 Re G_rc, df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T layout
+        # df/dRe T_rc = 2 Re G_rc, df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T
+        # layout, which is sum_k 2 w_k u_kr conj(psi_kc)
         w = 1.0 - counts / m
-        g_mat = np.einsum("k,kr,kc->rc", w, u.conj(), _KETS)
-        return f, _params_from_t(2.0 * g_mat.conj())
+        w += w
+        return f, _params_from_t(np.einsum("k,kr,kc->rc", w, u, _KETS_CONJ))
 
     # The linear inversion is the MLE when it is a state; otherwise start from
     # it clipped to a physical state and rescaled so the initial rates match

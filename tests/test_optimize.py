@@ -1,8 +1,11 @@
-"""scipy.optimize is imported on the first brentq or minimize call, not at
-start-up; the fits' two-column NNLS and bounded least-squares solver are
-qbuffer's own, so a fit never imports it."""
+"""qbuffer's own solvers against scipy as the oracle: Brent's zero step and
+the L-BFGS-B driver give scipy's bits, and the fits' two-column NNLS and
+bounded least-squares solver are checked on problems with known answers.
+Start-up: a command imports only the qbuffer modules it runs, and only a
+tomo whose MLE iterates imports scipy.optimize."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +36,10 @@ assert main(["classify", "--kappa", "4281", "--gamma0", "16292",
 print("classify", loaded())
 assert main(["sweep", "--out", sys.argv[1]]) == 0
 print("sweep", loaded())
+for model in ("exp", "pasy", "p3"):
+    assert main(["threshold", "--model", model, "--level", "0.5",
+                 "--out", sys.argv[1] + ".threshold.json"]) == 0
+    print("threshold", model, loaded())
 # an interior state: the linear inversion already is the MLE, nothing to solve
 assert main(["tomo", "--werner-p", "0.5", "--out", sys.argv[1]]) == 0
 print("tomo", loaded())
@@ -58,16 +65,65 @@ print("tomo P = 1", "scipy.optimize" in loaded())
 """
 
 
-def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
-    # and so do an interior tomo and a fit of every model; only a tomo whose
-    # MLE iterates loads it
-    run = subprocess.run([sys.executable, "-c", STARTUP, str(tmp_path / "sweep.csv")],
-                         capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": SRC})
+def run_python(code, *args):
+    """Standard output of ``code`` in a fresh interpreter that imports qbuffer from ``SRC``."""
+    run = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": SRC})
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["import []", "classify []", "sweep []", "tomo []",
-                                       "tomo --exact []", "fit pasy []", "fit p3 []",
-                                       "fit exp []", "tomo P = 1 True"]
+    return run.stdout.splitlines()
+
+
+def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
+    # and so do threshold, an interior tomo and a fit of every model; only a
+    # tomo whose MLE iterates loads it
+    assert run_python(STARTUP, str(tmp_path / "sweep.csv")) == [
+        "import []", "classify []", "sweep []", "threshold exp []", "threshold pasy []",
+        "threshold p3 []", "tomo []", "tomo --exact []", "fit pasy []", "fit p3 []",
+        "fit exp []", "tomo P = 1 True"]
+
+
+SUBMODULES = ("states", "channels", "dynamics", "tomography", "measures", "fitting", "cli",
+              "_optimize")
+
+COMMAND = """
+import sys
+from qbuffer.cli import main
+assert main(sys.argv[1:]) == 0
+print(*sorted(m.partition(".")[2] for m in sys.modules if m.startswith("qbuffer.")))
+"""
+
+
+def fit_csv(path):
+    from qbuffer import fitting
+    t = np.linspace(0.0, 1.5e-3, 20)
+    path.write_text(fitting.series_to_csv(fitting.DataSeries.from_points(t, np.exp(-900.0 * t))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["classify", "--kappa", "4281", "--gamma0", "16292"], {"tomography", "fitting"}),
+    (["sweep", "--out", "{tmp}/sweep.csv"], {"tomography", "fitting"}),
+    (["threshold", "--model", "pasy", "--level", "0.5"], {"tomography", "fitting"}),
+    (["tomo", "--werner-p", "0.5", "--out", "{tmp}/tomo"], {"fitting", "measures"}),
+    (["fit", "{fit_csv}", "--model", "exp", "--out", "{tmp}/fit.json"],
+     {"tomography", "measures"}),
+], ids=["classify", "sweep", "threshold", "tomo", "fit"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    argv = [arg.format(tmp=tmp_path, fit_csv=fit_csv(tmp_path / "data.csv")) for arg in argv]
+    loaded = set(run_python(COMMAND, *argv)[-1].split())
+    assert {"cli", "dynamics", "channels", "states"} <= loaded <= set(SUBMODULES) - absent
+
+
+def test_import_qbuffer_loads_no_submodule_until_it_is_named():
+    # the benchmark's tracer reaches every module by getattr on the package
+    lines = run_python(f"""
+import sys, qbuffer
+print(*sorted(m for m in sys.modules if m.startswith("qbuffer")))
+for name in {SUBMODULES!r}:
+    assert getattr(qbuffer, name) is sys.modules["qbuffer." + name], name
+print(hasattr(qbuffer, "missing"), qbuffer.__version__)
+""")
+    assert lines == ["qbuffer", "False 0.1.0"]
 
 
 def test_scipy_named_in_one_module():
@@ -82,10 +138,59 @@ def lazy():
     return _optimize
 
 
-def test_brentq_forwards(lazy):
-    cubic = lambda x: x**3 - 2.0 * x - 5.0
-    assert lazy.brentq(cubic, 2.0, 3.0, xtol=1e-14) == \
-        scipy.optimize.brentq(cubic, 2.0, 3.0, xtol=1e-14)
+def root_or_error(solver, f, a, b, **options):
+    """The root's hex, or the name of the exception the solver raised."""
+    try:
+        return solver(f, a, b, **options).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+def smooth(c, s, centred, scale, a, b):
+    """(c0 + c1 x + c2 sin(s x) + c3 x^3) * scale, shifted, when ``centred``,
+    so that f(a) and f(b) are opposite in sign unless they are equal."""
+    f = lambda x: c[0] + c[1] * x + c[2] * math.sin(s * x) + c[3] * x**3
+    shift = -(f(a) + f(b)) / 2 if centred else 0.0
+    return lambda x: (f(x) + shift) * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(c=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), s=st.floats(0.1, 30.0),
+       centred=st.booleans(), scale=st.sampled_from((1.0, 1e-200)), a=st.floats(-4.0, 4.0), b=st.floats(-4.0, 4.0),
+       xtol=st.floats(-18.0, -2.0).map(lambda e: 10.0**e),
+       rtol=st.floats(0.0, 12.0).map(lambda e: 8.9e-16 * 10.0**e),
+       maxiter=st.integers(0, 100))
+@example(c=[0.0, 1.0, 0.5, 0.0], s=10.0, centred=False, scale=1.0, a=-1.0, b=1.0, xtol=1e-18,
+         rtol=8.9e-16, maxiter=200)  # measures' tolerances
+@example(c=[-5.0, -2.0, 0.0, 1.0], s=1.0, centred=False, scale=1.0, a=2.0, b=3.0, xtol=1e-14,
+         rtol=8.9e-16, maxiter=3)  # maxiter runs out
+def test_brentq_is_scipys(c, s, centred, scale, a, b, xtol, rtol, maxiter):
+    # at scale 1e-200 the inverse quadratic step's denominator underflows to
+    # 0, which bisects in both
+    f = smooth(c, s, centred, scale, a, b)
+    options = {"xtol": xtol, "rtol": rtol, "maxiter": maxiter}
+    assert root_or_error(_optimize.brentq, f, a, b, **options) == \
+        root_or_error(scipy.optimize.brentq, f, a, b, **options)
+
+
+@pytest.mark.parametrize("f, a, b, maxiter, error", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, 100, ValueError),  # one sign
+    (lambda x: math.nan, 0.0, 1.0, 100, ValueError),  # nan at a
+    (lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, 100, ValueError),
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 4, RuntimeError),  # maxiter runs out
+    (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 0, RuntimeError),
+], ids=["one-sign", "nan-at-a", "nan-inside", "maxiter", "maxiter-0"])
+def test_brentq_raises_as_scipy_does(f, a, b, maxiter, error):
+    options = {"xtol": 1e-14, "rtol": 8.9e-16, "maxiter": maxiter}
+    for solver in (_optimize.brentq, scipy.optimize.brentq):
+        with pytest.raises(error):
+            solver(f, a, b, **options)
+
+
+def test_brentq_returns_an_end_where_f_is_zero():
+    for a, b in ((0.0, 2.0), (-2.0, 0.0)):
+        assert _optimize.brentq(lambda x: x, a, b, 1e-12, 8.9e-16, 100) == 0.0 == \
+            scipy.optimize.brentq(lambda x: x, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=100)
 
 
 LBFGSB_OPTIONS = {"maxiter": 10_000, "maxfun": 40_000, "ftol": 1e-15, "gtol": 1e-10}

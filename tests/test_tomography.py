@@ -69,11 +69,9 @@ DAMPED_WERNER = st.builds(damp_werner, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 LBFGSB_OPTIONS = {"maxiter": 10_000, "maxfun": 40_000, "ftol": 1e-15, "gtol": 1e-10}
 
 
-def reference_mle(counts):
-    """``reconstruct_mle``'s solver path run on every record, PSD linear
-    inversions included: L-BFGS-B with the options it has always had, from the
-    linear inversion clipped at 1e-6 (I/4 without rectilinear counts)."""
-    counts = np.asarray(counts, dtype=float)
+def reference_objective(counts):
+    """The MLE objective in the form it had before its gradient dropped two
+    ``conj`` calls and the ``2.0 *``: (f, gradient) of the 16 T parameters."""
     kets = tomography._KETS
 
     def objective(theta):
@@ -83,6 +81,16 @@ def reference_mle(counts):
         g_mat = np.einsum("k,kr,kc->rc", 1.0 - counts / m, u.conj(), kets)
         return float((m - counts * np.log(m)).sum()), tomography._params_from_t(2.0 * g_mat.conj())
 
+    return objective
+
+
+def reference_mle(counts):
+    """``reconstruct_mle``'s solver path run on every record, PSD linear
+    inversions included: L-BFGS-B with the options it has always had, from the
+    linear inversion clipped at 1e-6 (I/4 without rectilinear counts)."""
+    counts = np.asarray(counts, dtype=float)
+    kets = tomography._KETS
+    objective = reference_objective(counts)
     try:
         eigvals, eigvecs = np.linalg.eigh(linear_inversion(counts))
         rho0 = (eigvecs * np.maximum(eigvals, 1e-6)) @ eigvecs.conj().T
@@ -482,6 +490,35 @@ class TestReconstructMle:
             numeric = np.array([(fun(theta + h * e)[0] - fun(theta - h * e)[0]) / (2 * h)
                                 for e in np.eye(16)])
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.99, 1.0), xi=st.floats(0.0, 0.05), seed=st.integers(0, 2**31 - 1),
+           theta=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+           scale=st.floats(-3.0, 3.0))
+    @example(p=0.99, xi=0.0, seed=12345, theta=[0.5] * 16, scale=0.0)
+    def test_objective_is_the_reference_form(self, p, xi, seed, theta, scale):
+        # f and the gradient keep their bits at random points of a boundary
+        # record's objective, far from the solver's path as well as on it
+        class Captured(Exception):
+            pass
+
+        def capture(fun, x0):
+            seen["fun"] = fun
+            raise Captured
+
+        counts, seen = seeded_counts(p, xi, seed), {}
+        saved, tomography.minimize = tomography.minimize, capture
+        try:
+            reconstruct_mle(counts)
+        except Captured:
+            pass
+        finally:
+            tomography.minimize = saved
+        assume("fun" in seen)  # a PSD linear inversion calls no solver
+        theta = np.array(theta) * 10.0**scale
+        (f, g), (f_ref, g_ref) = seen["fun"](theta), reference_objective(counts)(theta)
+        assert (f.hex(), g.tobytes()) == (f_ref.hex(), g_ref.tobytes())
 
 
 class TestTLayout:

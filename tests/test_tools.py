@@ -1,9 +1,11 @@
-"""The two comparison tools that every fit change is judged by:
-``tools/fit_drift.py``'s report and ``tools/ab_time.py``'s interval."""
+"""The comparison tools that changes are judged by: ``tools/fit_drift.py``'s
+report, ``tools/ab_time.py``'s interval and ``tools/cold_time.py``'s pairs."""
 
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +66,30 @@ def test_ab_time_gives_each_index_parity_both_orders_over_two_sessions():
     for parity in (0, 1):
         first = [ab_time.order(i, swap)[0] for swap in (False, True) for i in range(parity, 40, 2)]
         assert first.count(0) == first.count(1) == 20
+
+
+def test_cold_time_of_a_tree_against_itself():
+    # two pairs of cold classify commands, each compiling qbuffer afresh
+    root = TOOLS.parent
+    run = subprocess.run([sys.executable, str(TOOLS / "cold_time.py"), str(root), str(root),
+                          "--pairs", "2", "--", "classify", "--kappa", "4281", "--gamma0", "16292"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("classify --kappa 4281 --gamma0 16292: 2 pairs, CPU ")
+    for line, name in zip(lines[1:3], ("base", "changed")):
+        cpu_ms, peak_mb = map(float, re.fullmatch(
+            name + r": median CPU (\S+) ms, median peak (\S+) MB", line).groups())
+        assert cpu_ms > 0 and peak_mb > 0
+    ratio, low, high, won = re.fullmatch(
+        r"ratio (\S+) \(95 % interval (\S+)-(\S+)\), changed faster in (\d) of 2 pairs",
+        lines[3]).groups()
+    assert float(low) <= float(ratio) <= float(high) and int(won) <= 2
+
+
+def test_cold_time_reports_a_failing_command():
+    root = TOOLS.parent
+    run = subprocess.run([sys.executable, str(TOOLS / "cold_time.py"), str(root), str(root),
+                          "--pairs", "1", "--", "classify", "--kappa", "nan", "--gamma0", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0 and "failed with qbuffer from" in run.stderr
