@@ -491,7 +491,6 @@ class TestReconstructMle:
                                 for e in np.eye(16)])
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
-
     @settings(max_examples=200, deadline=None)
     @given(p=st.floats(0.99, 1.0), xi=st.floats(0.0, 0.05), seed=st.integers(0, 2**31 - 1),
            theta=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
