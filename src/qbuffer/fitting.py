@@ -28,12 +28,11 @@ that Jacobian serves both the polish and the covariance at the solution.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,14 +79,6 @@ class DataSeries:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "sigma", sigma)
-
-    @classmethod
-    def from_points(cls, t: Sequence[float], p: Sequence[float],
-                    sigma: Optional[Sequence[float]] = None) -> "DataSeries":
-        t = np.asarray(t, dtype=float)
-        if sigma is None:
-            sigma = np.ones_like(t)
-        return cls(t, np.asarray(p, dtype=float), np.asarray(sigma, dtype=float))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -166,9 +157,8 @@ class _TwoComponent(NamedTuple):
         env = np.exp(x[..., 2, None, None] * self.rate_slope)
         return cos, sin, bracket, env, env * bracket * bracket
 
-    def __call__(self, x, c=None):
-        """P at x of shape (..., 5); ``c``, when given, is ``pieces(x)``'s."""
-        c = self.pieces(x)[4] if c is None else c
+    def __call__(self, x, c):
+        """P at x of shape (..., 5) from ``c``, the last of ``pieces(x)``."""
         return x[..., 3, None] * c[..., 0, :] + x[..., 4, None] * c[..., 1, :]
 
 
@@ -195,13 +185,13 @@ def _p3_model(t: np.ndarray) -> _TwoComponent:
                          -0.5 * t * scales[2])
 
 
-def _jacobian(model: _TwoComponent, x: np.ndarray, pieces=None) -> np.ndarray:
+def _jacobian(model: _TwoComponent, x: np.ndarray, pieces) -> np.ndarray:
     """d model / d x in closed form, on the record's times, for x of shape
-    (..., 5), from ``model.pieces(x)`` unless they are given: with
+    (..., 5), from ``pieces``, which are ``model.pieces(x)``: with
     B = cos phi + s sin phi and B' = s cos phi - sin phi, the columns are
     w_i 2 env B B' d phi / d theta_i, (w1 c1 + w2 c2) d ln env / d rate and
     c_i.  Exact at any x: a parameter pinned at a zero bound keeps its column."""
-    cos, sin, bracket, env, c = model.pieces(x) if pieces is None else pieces
+    cos, sin, bracket, env, c = pieces
     jac = np.empty(c.shape[:-2] + (c.shape[-1], 5))
     columns = jac.swapaxes(-1, -2)
     np.multiply(2.0 * x[..., 3:, None] * env * bracket * (model.signs * cos - sin),
@@ -402,14 +392,6 @@ def series_from_csv(text: str) -> DataSeries:
         raise ValueError("every data row must have t_s,p,sigma")
     t, p, sigma = values.reshape(-1, 3).T.copy()
     return DataSeries(t, p, sigma)
-
-
-def series_to_csv(data: DataSeries) -> str:
-    buf = io.StringIO()
-    buf.write(SERIES_CSV_HEADER + "\n")
-    for t, p, s in zip(data.t, data.p, data.sigma):
-        buf.write(f"{format(t, '.17g')},{format(p, '.17g')},{format(s, '.17g')}\n")
-    return buf.getvalue()
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:

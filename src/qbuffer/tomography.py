@@ -43,8 +43,8 @@ _PAULIS = (
 _HERM_BASIS = np.array([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
 
 _KETS = np.array([product_ket(*s) for s in SETTINGS])  # row k projects SETTINGS[k]
-_KETS_CONJ = _KETS.conj()
 _DESIGN = _born(_KETS, _HERM_BASIS).T
+_TWO = np.array(2.0 + 0j)  # the MLE gradient's factor: the bits of 2.0, converted once
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,8 @@ _SLOTS = np.concatenate([
     (2 * np.ravel_multi_index(np.tril_indices(4, -1), (4, 4))[:, None] + [0, 1]).ravel()])
 
 
-def _t_from_params(theta: np.ndarray, flat: np.ndarray | None = None) -> np.ndarray:
-    """T of the parameters, in ``flat`` (32 floats, zero outside _SLOTS) when given."""
-    flat = np.zeros(32) if flat is None else flat
+def _t_from_params(theta: np.ndarray) -> np.ndarray:
+    flat = np.zeros(32)
     flat[_SLOTS] = theta
     return flat.view(complex).reshape(4, 4)
 
@@ -242,21 +241,24 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     counts = _checked(counts)
     if counts.sum() <= 0:
         raise TomographyError("all counts are zero; nothing to reconstruct")
-    flat = np.zeros(32)  # the objective's T, rewritten at each evaluation
+    flat = np.zeros(32)  # the objective's T, packed in place at each evaluation
+    t_transposed = flat.view(complex).reshape(4, 4).T
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        t = _t_from_params(theta, flat)
-        u = _KETS @ t.T                   # row k = T psi_k
+        flat[_SLOTS] = theta
+        u = _KETS @ t_transposed          # row k = T psi_k
         a = np.abs(u)
         a *= a
         m = np.maximum(np.add.reduce(a, axis=1), 1e-300)
         f = float(np.add.reduce(m - counts * np.log(m)))
-        # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k, so
-        # df/dRe T_rc = 2 Re G_rc, df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T
-        # layout, which is sum_k 2 w_k u_kr conj(psi_kc)
-        w = 1.0 - counts / m
-        w += w
-        return f, _params_from_t(np.einsum("k,kr,kc->rc", w, u, _KETS_CONJ))
+        # dm_k/dT_{rc} = 2 Re(conj(u_kr) psi_kc); weight w_k = 1 - n_k/m_k and
+        # G = sum_k w_k conj(u_kr) psi_kc, so df/dRe T_rc = 2 Re G_rc and
+        # df/dIm T_rc = -2 Im G_rc: 2 conj(G) in T layout.  G is conjugated
+        # after the sum, not term by term, which fixes the sign of a zero entry
+        grad = np.einsum("k,kr,kc->rc", 1.0 - counts / m, u.conj(), _KETS)
+        np.conjugate(grad, out=grad)
+        grad *= _TWO
+        return f, _params_from_t(grad)
 
     # The linear inversion is the MLE when it is a state; otherwise start from
     # it clipped to a physical state and rescaled so the initial rates match

@@ -198,8 +198,8 @@ def test_criterion_07_fit_round_trips():
 
     # noiseless round trips on the documented 50-point window
     t50 = np.linspace(0.0, 1.5e-3, 50)
-    fit_a = fit_pasy(DataSeries.from_points(t50, prob_pasy(t50, TRUTH_PMD, UNITS)))
-    fit_b = fit_p3(DataSeries.from_points(t50, p3_model(t50, TRUTH_CAVITY)))
+    fit_a = fit_pasy(DataSeries(t50, prob_pasy(t50, TRUTH_PMD, UNITS), np.ones(50)))
+    fit_b = fit_p3(DataSeries(t50, p3_model(t50, TRUTH_CAVITY), np.ones(50)))
     clean_a = float(_pmd_errors(fit_a.params).max())
     clean_b = float(_cavity_errors(fit_b.params).max())
 

@@ -12,8 +12,9 @@ from qbuffer import cli, states
 from qbuffer.cli import (DEFAULT_CONFIG, SWEEP_CSV_HEADER, ConfigError,
                          build_config, cmd_sweep, cmd_tomo, load_config, main)
 from qbuffer.dynamics import length_from_time, prob_pasy, p3 as p3_model
-from qbuffer.fitting import DataSeries, series_to_csv
 from qbuffer.measures import correlation_report
+
+from csv_writer import series_csv
 
 
 @pytest.fixture
@@ -215,9 +216,8 @@ class TestMainDispatch:
 
     def test_fit_pasy_round_trip(self, tmp_path, config):
         t = np.linspace(0.0, 1.5e-3, 50)
-        data = DataSeries.from_points(t, prob_pasy(t, config.pmd, config.units))
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(series_to_csv(data))
+        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.units)))
         out = tmp_path / "fit.json"
         code = main(["fit", str(csv_path), "--model", "pasy", "--out", str(out)])
         assert code == 0
@@ -232,8 +232,7 @@ class TestMainDispatch:
         config = build_config(values)
         t = np.linspace(0.0, 5e-3, 300)
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(series_to_csv(DataSeries.from_points(
-            t, prob_pasy(t, config.pmd, config.units))))
+        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.units)))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(values))
         out = tmp_path / "fit.json"
@@ -251,8 +250,7 @@ class TestMainDispatch:
         # the fit used to write lambda_per_s 1e6 whatever the config said
         t = np.linspace(0.0, 1.5e-3, 50)
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(series_to_csv(DataSeries.from_points(
-            t, p3_model(t, build_config({}).cavity))))
+        csv_path.write_text(series_csv(t, p3_model(t, build_config({}).cavity)))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"lambda_per_s": 5e5}))
         out = tmp_path / "fit.json"
@@ -276,8 +274,7 @@ class TestMainDispatch:
         t = np.linspace(0.0, 5e-3, 30)
         rate = 2 * 6e-6 * 2.99792458e8 / 1.468
         csv_path = tmp_path / "exp.csv"
-        csv_path.write_text(series_to_csv(DataSeries.from_points(
-            t, np.exp(-rate * t))))
+        csv_path.write_text(series_csv(t, np.exp(-rate * t)))
         out = tmp_path / "exp.json"
         assert main(["fit", str(csv_path), "--model", "exp", "--out", str(out)]) == 0
         result = json.loads(out.read_text())
@@ -286,7 +283,7 @@ class TestMainDispatch:
     def test_fit_underdetermined_errors(self, tmp_path, capsys):
         t = np.linspace(0.0, 1e-3, 3)
         csv_path = tmp_path / "tiny.csv"
-        csv_path.write_text(series_to_csv(DataSeries.from_points(t, [1.0, 0.9, 0.8])))
+        csv_path.write_text(series_csv(t, [1.0, 0.9, 0.8]))
         assert main(["fit", str(csv_path), "--model", "p3"]) == 1
         assert "error:" in capsys.readouterr().err
 

@@ -15,7 +15,9 @@ from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, prob_pasy)
 from qbuffer.fitting import (SERIES_CSV_HEADER, DataSeries, FittingError, _jacobian,
                              _p3_model, _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
-                             fit_result_to_dict, series_from_csv, series_to_csv)
+                             fit_result_to_dict, series_from_csv)
+
+from csv_writer import series_csv
 
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
@@ -31,7 +33,7 @@ def pasy_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
         rng = np.random.default_rng(seed)
         sigma = noise * np.abs(p)
         return DataSeries(t, p + rng.normal(0.0, sigma), sigma)
-    return DataSeries.from_points(t, p)
+    return DataSeries(t, p, np.ones_like(t))
 
 
 def p3_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
@@ -42,23 +44,33 @@ def p3_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
         rng = np.random.default_rng(seed)
         sigma = noise * np.abs(p)
         return DataSeries(t, p + rng.normal(0.0, sigma), sigma)
-    return DataSeries.from_points(t, p)
+    return DataSeries(t, p, np.ones_like(t))
+
+
+def model_values(model, x) -> np.ndarray:
+    """The model's P at x, made from its own pieces at x."""
+    return model(x, model.pieces(x)[4])
+
+
+def jacobian(model, x) -> np.ndarray:
+    """The closed-form Jacobian at x, made from the model's own pieces at x."""
+    return _jacobian(model, x, model.pieces(x))
 
 
 def complex_step_jacobian(model, x, step=1e-20) -> np.ndarray:
     """Reference d model / d x by complex step (Squire & Trapp 1998): the model
     evaluated once on x + i step e_k for every k, exact to rounding."""
     steps = x + 1j * step * np.eye(len(x))  # row k steps x[k]
-    return (model(steps).imag / step).T
+    return (model_values(model, steps).imag / step).T
 
 
 def assert_jacobian_matches(model, x) -> None:
     """The fit's closed-form Jacobian against central differences of the model."""
     x = np.asarray(x, dtype=float)
     h = 1e-7
-    numeric = np.column_stack([(model(x + h * e) - model(x - h * e)) / (2 * h)
-                               for e in np.eye(len(x))])
-    exact = _jacobian(model, x)
+    numeric = np.column_stack([(model_values(model, x + h * e) - model_values(model, x - h * e))
+                               / (2 * h) for e in np.eye(len(x))])
+    exact = jacobian(model, x)
     np.testing.assert_allclose(exact, numeric, rtol=0,
                                atol=1e-7 * np.abs(exact).max())
 
@@ -99,7 +111,7 @@ def cavity_rel_errors(params: CavityModelParams) -> np.ndarray:
 class TestDataSeries:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
-            DataSeries.from_points([0.0, 0.0, 1.0], [1.0, 0.9, 0.8])
+            DataSeries([0.0, 0.0, 1.0], [1.0, 0.9, 0.8], [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("t, p, sigma, message", [
         ([0.0, 1.0], [1.0, np.nan], [1.0, 1.0], "must be finite"),
@@ -116,11 +128,11 @@ class TestDataSeries:
             "t-underflow", "p-underflow", "sigma-underflow"])
     def test_finite_required(self, t, p, sigma, message):
         with pytest.raises(ValueError, match=message):
-            DataSeries.from_points(t, p, sigma)
+            DataSeries(t, p, sigma)
 
     def test_csv_round_trip(self):
         data = pasy_series(n=12)
-        again = series_from_csv(series_to_csv(data))
+        again = series_from_csv(series_csv(data.t, data.p, data.sigma))
         np.testing.assert_allclose(again.t, data.t, rtol=1e-12)
         np.testing.assert_allclose(again.p, data.p, rtol=1e-12)
 
@@ -326,7 +338,7 @@ class TestScan:
         data = make_data()
         model = make_model(data.t)
         x = _scan(model, data.t, data.p, data.sigma)[0]
-        jac = _jacobian(model, x)
+        jac = jacobian(model, x)
         assert jac.shape == (len(data), 5)
         assert jac.flags.c_contiguous
 
@@ -338,9 +350,9 @@ class TestScan:
         model = make_model(data.t)
         x = np.array(_scan(model, data.t, data.p, data.sigma))
         assert len(x) > 1
-        for row, values, jac in zip(x, model(x), _jacobian(model, x)):
-            assert values.tobytes() == model(row).tobytes()
-            assert jac.tobytes() == _jacobian(model, row).tobytes()
+        for row, p, jac in zip(x, model_values(model, x), jacobian(model, x)):
+            assert p.tobytes() == model_values(model, row).tobytes()
+            assert jac.tobytes() == jacobian(model, row).tobytes()
 
     @pytest.mark.parametrize("make_model", [
         *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega, s, UNITS, t),
@@ -354,7 +366,7 @@ class TestScan:
         t = np.linspace(0.0, 5e-3, 300)
         model, x = make_model(t), np.array(x)
         reference = complex_step_jacobian(model, x)
-        error = np.abs(_jacobian(model, x) - reference)
+        error = np.abs(jacobian(model, x) - reference)
         assert np.all(error <= 1e-14 * np.abs(reference).max(axis=0))
 
 
@@ -373,7 +385,7 @@ class TestClosedForm:
         model, x = make_model(t), np.array(x)
         si = x * model.scales
         want = total(t, si)
-        assert np.abs(model(x) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(model_values(model, x) - want).max() <= 1e-14 * np.abs(want).max()
         for i, want_i in enumerate(components(t, si)):
             got = model.component(i, x[i], x[2])
             assert np.abs(got - want_i).max() <= 1e-14 * np.abs(want).max()
@@ -382,7 +394,7 @@ class TestClosedForm:
 class TestFitExponential:
     def test_closed_form_round_trip(self):
         t = np.linspace(0.0, 5e-3, 40)
-        data = DataSeries.from_points(t, 0.95 * np.exp(-500.0 * t))
+        data = DataSeries(t, 0.95 * np.exp(-500.0 * t), np.ones(40))
         fit = fit_exponential(data)
         assert fit.converged
         assert fit.params.p0 == pytest.approx(0.95, abs=1e-9)
@@ -390,12 +402,12 @@ class TestFitExponential:
 
     def test_constant_data(self):
         t = np.linspace(0.0, 1.0, 10)
-        fit = fit_exponential(DataSeries.from_points(t, np.full(10, 0.8)))
+        fit = fit_exponential(DataSeries(t, np.full(10, 0.8), np.ones(10)))
         assert fit.params.rate == pytest.approx(0.0, abs=1e-12)
         assert fit.params.p0 == pytest.approx(0.8, rel=1e-12)
 
     def test_two_points_interpolate_exactly(self):
-        data = DataSeries.from_points([0.0, 1.0], [0.9, 0.3])
+        data = DataSeries([0.0, 1.0], [0.9, 0.3], [1.0, 1.0])
         fit = fit_exponential(data)
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
         assert fit.params.p0 * math.exp(-fit.params.rate) == pytest.approx(0.3,
@@ -404,7 +416,7 @@ class TestFitExponential:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(FittingError):
-            fit_exponential(DataSeries.from_points([0.0, 1.0], [1.0, 0.0]))
+            fit_exponential(DataSeries([0.0, 1.0], [1.0, 0.0], [1.0, 1.0]))
 
     def test_weighted_matches_normal_equations(self):
         # independent closed-form oracle for the sigma-weighted log fit
@@ -441,7 +453,7 @@ class TestFitExponential:
         # 1e16 + 2i are consecutive doubles: no scaling separates the columns;
         # pasy and p3 warned in their envelope pre-fit and reported converged
         i = np.arange(8)
-        data = DataSeries.from_points(1e16 + 2.0 * i, 0.9 * np.exp(-0.3 * i))
+        data = DataSeries(1e16 + 2.0 * i, 0.9 * np.exp(-0.3 * i), np.ones(8))
         with pytest.raises(FittingError, match="too close together"):
             fit(data)
 
@@ -557,7 +569,7 @@ class TestFitP3:
                         kappa2=TRUTH_CAVITY.kappa2 / scale,
                         gamma0=TRUTH_CAVITY.gamma0 / scale)
         t = np.linspace(0.0, 1.5e-3, 50) * scale
-        fit = fit_p3(DataSeries.from_points(t, p3(t, truth)))
+        fit = fit_p3(DataSeries(t, p3(t, truth), np.ones(50)))
         assert fit.converged and fit.at_bounds == ()
         errors = [getattr(fit.params, name) / getattr(truth, name) - 1.0
                   for name in fitting.P3_FREE_PARAMS]
@@ -568,7 +580,7 @@ class TestFitP3:
         i = np.arange(8)
         for end in (-1e-2, 0.0):
             with pytest.raises(FittingError, match="^time must be nonnegative$"):
-                fit_p3(DataSeries.from_points(end + 1e-4 * (i - 7), 0.9 * 0.6 ** i))
+                fit_p3(DataSeries(end + 1e-4 * (i - 7), 0.9 * 0.6 ** i, np.ones(8)))
 
     def test_recovered_rates_are_non_markovian(self):
         from qbuffer.dynamics import classify_regime
@@ -697,7 +709,7 @@ class TestFitResultJson:
 
     def test_exp_fields(self):
         t = np.linspace(0, 1e-3, 10)
-        fit = fit_exponential(DataSeries.from_points(t, np.exp(-1000 * t)))
+        fit = fit_exponential(DataSeries(t, np.exp(-1000 * t), np.ones(10)))
         out = fit_result_to_dict(fit)
         assert out["p0"] == pytest.approx(1.0)
         assert out["rate_per_s"] == pytest.approx(1000.0, rel=1e-9)

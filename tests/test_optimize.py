@@ -21,11 +21,12 @@ import qbuffer
 from qbuffer import _optimize, tomography
 from qbuffer.channels import damp_werner
 
+from csv_writer import series_csv
+
 SRC = str(Path(qbuffer.__file__).resolve().parents[1])
 
 STARTUP = """
 import sys
-import numpy as np
 from qbuffer import dynamics, fitting
 from qbuffer.cli import main
 
@@ -46,19 +47,10 @@ print("tomo", loaded())
 assert main(["tomo", "--werner-p", "0.5", "--exact", "--out", sys.argv[1]]) == 0
 print("tomo --exact", loaded())
 
-def fit(model, p):
+for model in ("pasy", "p3", "exp"):  # records the test wrote
     path = f"{sys.argv[1]}.{model}.csv"
-    with open(path, "w") as f:
-        f.write(fitting.series_to_csv(fitting.DataSeries.from_points(t, p)))
     assert main(["fit", path, "--model", model, "--out", path + ".json"]) == 0
     print("fit", model, loaded())
-
-t = np.linspace(0.0, 1.5e-3, 20)
-p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5))
-fit("pasy", dynamics.prob_pasy(t, dynamics.PmdModelParams.from_lab_units(
-    200.0, 0.0017, 0.047, 0.006, 0.5, 0.5), dynamics.UnitContext()))
-fit("p3", p3_curve)
-fit("exp", p3_curve)
 # a pure state: the clipped start is off the optimum, so L-BFGS-B iterates
 assert main(["tomo", "--werner-p", "1.0", "--out", sys.argv[1]]) == 0
 print("tomo P = 1", "scipy.optimize" in loaded())
@@ -76,7 +68,14 @@ def run_python(code, *args):
 def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
     # and so do threshold, an interior tomo and a fit of every model; only a
     # tomo whose MLE iterates loads it
-    assert run_python(STARTUP, str(tmp_path / "sweep.csv")) == [
+    dynamics, prefix = qbuffer.dynamics, str(tmp_path / "sweep.csv")
+    t = np.linspace(0.0, 1.5e-3, 20)
+    p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5))
+    pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams.from_lab_units(
+        200.0, 0.0017, 0.047, 0.006, 0.5, 0.5))
+    for model, p in (("pasy", pasy_curve), ("p3", p3_curve), ("exp", p3_curve)):
+        Path(f"{prefix}.{model}.csv").write_text(series_csv(t, p))
+    assert run_python(STARTUP, prefix) == [
         "import []", "classify []", "sweep []", "threshold exp []", "threshold pasy []",
         "threshold p3 []", "tomo []", "tomo --exact []", "fit pasy []", "fit p3 []",
         "fit exp []", "tomo P = 1 True"]
@@ -94,9 +93,8 @@ print(*sorted(m.partition(".")[2] for m in sys.modules if m.startswith("qbuffer.
 
 
 def fit_csv(path):
-    from qbuffer import fitting
     t = np.linspace(0.0, 1.5e-3, 20)
-    path.write_text(fitting.series_to_csv(fitting.DataSeries.from_points(t, np.exp(-900.0 * t))))
+    path.write_text(series_csv(t, np.exp(-900.0 * t)))
     return str(path)
 
 
@@ -371,6 +369,21 @@ def test_least_squares_evaluation_cap(lazy, monkeypatch):
     assert (got.status, got.nfev) == (0, 2)
 
 
+def test_lockstep_stops_after_4000_evaluations(lazy):
+    # every call shrinks the residual by the same fraction, wherever the
+    # point: each step is accepted, and neither the cost nor the step test
+    # fires, so the evaluation cap stops the start
+    calls = []
+
+    def shrinking(x):
+        calls.append(x)
+        return (np.full((len(x), 1), 0.999 ** len(calls)),
+                lambda rows: np.full((len(x), 1, 1), -1.0)[rows])
+
+    [result] = lazy.lockstep(shrinking, [[1.0]])
+    assert (result.status, result.nfev, len(calls)) == (0, 4000, 4000)
+
+
 def test_zero_gradient_stops_a_start_where_it_is(lazy):
     # y is the design's own value at [1, 1, 1], so that start's residual and
     # gradient are exactly 0 and it stops before its first trial; the others
@@ -387,7 +400,7 @@ def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     from qbuffer import fitting
     t = np.linspace(0.0, 1.5e-3, 50)
     truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5)
-    data = fitting.DataSeries.from_points(t, qbuffer.dynamics.p3(t, truth))
+    data = fitting.DataSeries(t, qbuffer.dynamics.p3(t, truth), np.ones(50))
     assert fitting.fit_p3(data).converged
     monkeypatch.setattr(lazy, "_MAX_NFEV", 3)
     fit = fitting.fit_p3(data)

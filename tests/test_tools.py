@@ -1,5 +1,6 @@
 """The comparison tools that changes are judged by: ``tools/fit_drift.py``'s
-report, ``tools/ab_time.py``'s interval and ``tools/cold_time.py``'s pairs."""
+report, ``tools/ab_time.py``'s interval and ``tools/cold_time.py``'s pairs;
+and ``tools/soak.py``, which runs hypothesis tests under many seeds."""
 
 import importlib.util
 import json
@@ -20,7 +21,7 @@ def tool(name):
     return module
 
 
-fit_drift, ab_time = tool("fit_drift"), tool("ab_time")
+fit_drift, ab_time, soak = tool("fit_drift"), tool("ab_time"), tool("soak")
 
 
 def fit_row(key, model, noisy, variances, failing=False):
@@ -93,3 +94,36 @@ def test_cold_time_reports_a_failing_command():
                           "--pairs", "1", "--", "classify", "--kappa", "nan", "--gamma0", "1"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode != 0 and "failed with qbuffer from" in run.stderr
+
+
+SOAKED = """
+from hypothesis import given, strategies as st
+
+
+def test_plain():
+    assert False  # no hypothesis test: a soak does not run it
+
+
+@given(st.integers(0, 10))
+def test_passes(x):
+    assert 0 <= x <= 10
+
+
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_soak_reports_each_seed_with_its_first_failure(tmp_path, monkeypatch, capsys):
+    # each seed stores its examples in a home of its own, none in this directory
+    (tmp_path / "test_soaked.py").write_text(SOAKED)
+    monkeypatch.chdir(tmp_path)
+    assert soak.main(["--seeds", "2", "test_soaked.py"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 1: failed: test_soaked.py::test_fails", "seed 2: failed: test_soaked.py::test_fails",
+        "failed on 2 of 2 seeds"]
+    assert soak.main(["--seeds", "2", "--first", "7", "test_soaked.py::test_passes"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 7: passed", "seed 8: passed", "failed on 0 of 2 seeds"]
+    assert not (tmp_path / ".hypothesis").exists()
