@@ -1,5 +1,5 @@
-"""Every function in ``src/qbuffer`` is reached by a command, or is held by a
-test of the supplementary document that names it.
+"""Every function in ``src/qbuffer`` is reached by a command, or is held by an
+acceptance criterion or a layer-identity test that this module names.
 
 A fresh interpreter imports ``qbuffer.cli`` and runs ``cli.main`` in-process
 under ``sys.setprofile`` for each command in ``commands``: the five commands,
@@ -7,9 +7,9 @@ each model of ``threshold`` and ``fit``, the three kinds of ``tomo`` record
 (a PSD linear inversion, a boundary state the MLE iterates on, and exact
 counts) and one fit that fails.  A fresh interpreter also runs what a command
 runs on first use (the package imports a submodule when it is first named).
-The functions it never calls must be exactly ``HELD``: an equation or
-reference of the paper that an acceptance criterion or a layer-identity test
-checks and no command evaluates.  A function that nothing reaches fails this
+The functions it never calls must be exactly ``HELD``: the supplementary
+document's equations, and the constructors of their inputs, that an
+acceptance criterion or a layer-identity test checks and no command evaluates.  A function that nothing reaches fails this
 test until a command reaches it, it is deleted, or it is listed with the test
 that holds it; a listed function that a command reaches fails it too.
 

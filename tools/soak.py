@@ -1,11 +1,11 @@
 """Run hypothesis tests under many seeds, each with an empty example database.
 
-    python tools/soak.py [--seeds 20] [--first 1] TEST [TEST ...]
+    python tools/soak.py [--seeds 20] TEST [TEST ...]
 
 TEST is anything pytest takes: a file, or a node id such as
 ``tests/test_tomography.py::TestReconstructMle::test_objective_is_the_reference_form``.
 Of the named tests, only those hypothesis marks as its own (``-m hypothesis``)
-run, since a seed changes nothing else.  Seed k, for k from FIRST on, runs them
+run, since a seed changes nothing else.  Seed k, for k from 1 to N, runs them
 in a new interpreter with ``--hypothesis-seed=k`` and its hypothesis home
 directory set to a new temporary directory, so it starts with no stored
 examples and stores none where a later seed or an ordinary test run would
@@ -57,10 +57,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tests", nargs="+", metavar="TEST")
     parser.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    parser.add_argument("--first", type=int, default=1, help="first seed")
     args = parser.parse_args(argv)
     failed = 0
-    for seed in range(args.first, args.first + args.seeds):
+    for seed in range(1, args.seeds + 1):
         verdict = run_seed(args.tests, seed)
         failed += verdict != "passed"
         print(f"seed {seed}: {verdict}", flush=True)
