@@ -8,6 +8,7 @@ decay models in ``dynamics``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,8 @@ def damp_werner(p: float, xi: float) -> np.ndarray:
     """
     _check_damping(xi)
     rho = make_werner(p)
-    d = np.sqrt([1.0, 1.0 - xi, 1.0, 1.0 - xi])
+    keep, feed = math.sqrt(1.0 - xi), math.sqrt(xi)
+    d = np.array([1.0, keep, 1.0, keep])
     out = rho * d[:, None] * d
-    out[1::2, 1::2] += rho[::2, ::2] * np.sqrt(xi) * np.sqrt(xi)
+    out[1::2, 1::2] += rho[::2, ::2] * feed * feed
     return out

@@ -63,6 +63,11 @@ def product_ket(signal: str, idler: str) -> np.ndarray:
     return np.kron(ks, ki)
 
 
+_BELL = make_bell_phi_plus()
+_BELL_PROJECTOR = np.outer(_BELL, _BELL.conj())
+_IDENTITY = np.eye(4, dtype=complex)
+
+
 def make_werner(p: float) -> np.ndarray:
     """Werner state: the Bell projector mixed with identity.
 
@@ -71,8 +76,7 @@ def make_werner(p: float) -> np.ndarray:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"Werner probability must lie in [0, 1], got {p}")
-    bell = make_bell_phi_plus()
-    return p * np.outer(bell, bell.conj()) + (1.0 - p) / 4.0 * np.eye(4, dtype=complex)
+    return p * _BELL_PROJECTOR + (1.0 - p) / 4.0 * _IDENTITY
 
 
 def validate(rho: np.ndarray) -> ValidationReport:
@@ -84,10 +88,11 @@ def validate(rho: np.ndarray) -> ValidationReport:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    adjoint = rho.conj().T
+    herm = float(np.abs(rho - adjoint).max())
     trace = float(abs(rho.trace() - 1.0))
     # eigvalsh needs an exactly Hermitian input; symmetrize first
-    sym = 0.5 * (rho + rho.conj().T)
+    sym = 0.5 * (rho + adjoint)
     min_eig = float(np.linalg.eigvalsh(sym)[0])
     return ValidationReport(herm, trace, min_eig)
 
@@ -123,4 +128,5 @@ def apply_operator(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 def rho_to_pairs(rho: np.ndarray) -> list:
     """A 4x4 matrix as row-major nested lists of [re, im] pairs of Python floats."""
-    return np.stack((rho.real, rho.imag), -1).tolist()
+    # a complex128 array's memory holds each entry as its (re, im) pair
+    return np.ascontiguousarray(rho, dtype=complex).view(float).reshape(4, 4, 2).tolist()

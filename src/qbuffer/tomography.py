@@ -108,10 +108,12 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
     clamped at n_gates.  Identical seeds give identical records.
     """
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
-    true, acc, estimate = np.random.default_rng(seed).poisson(
-        np.column_stack([means, np.full((len(means), 2), acc_mean)])).T
-    return TomographyRecord(np.minimum((true + acc).astype(float), n_gates),
-                            np.minimum(estimate, n_gates), n_gates)
+    lam = np.full((16, 3), acc_mean, dtype=float)  # each draw's mean, a row per setting
+    lam[:, 0] = means
+    true, acc, estimate = np.random.default_rng(seed).poisson(lam).T
+    # integer counts: the record makes its float copies
+    return TomographyRecord(np.minimum(true + acc, n_gates), np.minimum(estimate, n_gates),
+                            n_gates)
 
 
 def expected_counts(rho: np.ndarray, n_gates: int,
@@ -163,12 +165,12 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
     turns counts into frequencies.
     """
     counts = _checked(counts)
-    n_pairs = sum(counts[row] for row in (0, 1, 4, 5))  # HH, HV, VH, VV
+    n_pairs = counts[0] + counts[1] + counts[4] + counts[5]  # HH, HV, VH, VV
     if n_pairs <= 0:
         raise TomographyError("total rectilinear counts must be positive")
     coeffs = np.linalg.solve(_DESIGN, counts / n_pairs)
     rho = _basis_sum(coeffs)
-    return rho / np.real(rho.trace())
+    return rho / rho.trace().real
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,27 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     counts = _checked(counts)
     if counts.sum() <= 0:
         raise TomographyError("all counts are zero; nothing to reconstruct")
+
+    # The linear inversion is the MLE when it is a state; otherwise start from
+    # it clipped to a physical state and rescaled so the initial rates match
+    # the data.
+    try:
+        rho_lin = linear_inversion(counts)
+        eigvals, eigvecs = np.linalg.eigh(rho_lin)
+        if eigvals[0] >= 0:
+            m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
+            return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
+        eigvals = np.maximum(eigvals, 1e-6)
+        rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
+        rho0 /= np.real(rho0.trace())
+    except TomographyError:
+        rho0 = np.eye(4, dtype=complex) / 4.0
+    # each <psi_k|rho0|psi_k> is at least rho0's smallest eigenvalue, which the
+    # clip keeps positive, so the scale is finite
+    probs0 = np.real(np.einsum("ki,ij,kj->k", _KETS.conj(), rho0, _KETS))
+    scale = counts.sum() / probs0.sum()
+    theta0 = _params_from_t(_lower_factor(scale * rho0))
+
     flat = np.zeros(32)  # the objective's T, packed in place at each evaluation
     t_transposed = flat.view(complex).reshape(4, 4).T
 
@@ -260,24 +283,6 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
         grad *= _TWO
         return f, _params_from_t(grad)
 
-    # The linear inversion is the MLE when it is a state; otherwise start from
-    # it clipped to a physical state and rescaled so the initial rates match
-    # the data.
-    try:
-        rho_lin = linear_inversion(counts)
-        eigvals, eigvecs = np.linalg.eigh(rho_lin)
-        if eigvals[0] >= 0:
-            m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
-            return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
-        eigvals = np.maximum(eigvals, 1e-6)
-        rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
-        rho0 /= np.real(rho0.trace())
-    except TomographyError:
-        rho0 = np.eye(4, dtype=complex) / 4.0
-    probs0 = np.maximum(np.real(np.einsum("ki,ij,kj->k", _KETS.conj(), rho0, _KETS)),
-                        1e-12)
-    scale = counts.sum() / probs0.sum()
-    theta0 = _params_from_t(_lower_factor(scale * rho0))
     result = minimize(objective, theta0)
     converged = bool(result.success) or float(np.linalg.norm(result.jac)) < 1e-8
     rho_hat = _rho_from_t(_t_from_params(result.x))
@@ -314,15 +319,16 @@ class WernerEstimators:
 
 
 def werner_estimators(rho: np.ndarray) -> WernerEstimators:
-    rho = np.asarray(rho, dtype=complex)
+    (r00, _, _, r03), (_, r11, _, _), (_, _, r22, _), (r30, _, _, r33) = (
+        np.asarray(rho, dtype=complex).tolist())
     return WernerEstimators(
-        p1=float(4.0 * rho[0, 0].real - 1.0),
-        p2=float(4.0 * rho[3, 3].real - 1.0),
-        p3=float(2.0 * rho[0, 3].real),
-        p4=float(2.0 * rho[3, 0].real),
-        p5=float(1.0 - 4.0 * rho[1, 1].real),
-        p6=float(1.0 - 4.0 * rho[2, 2].real),
-        imag_residual=float(max(abs(rho[0, 3].imag), abs(rho[3, 0].imag))),
+        p1=4.0 * r00.real - 1.0,
+        p2=4.0 * r33.real - 1.0,
+        p3=2.0 * r03.real,
+        p4=2.0 * r30.real,
+        p5=1.0 - 4.0 * r11.real,
+        p6=1.0 - 4.0 * r22.real,
+        imag_residual=max(abs(r03.imag), abs(r30.imag)),
     )
 
 
@@ -356,9 +362,14 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 RECORDS_CSV_HEADER = "signal,idler,coincidences,accidentals,gates"
 
 
+# the whole file with a (coincidences, accidentals, gates) slot per setting
+_RECORDS_CSV = RECORDS_CSV_HEADER + "\n" + "".join(
+    f"{signal},{idler},%.17g,%.17g,%s\n" for signal, idler in SETTINGS)
+
+
 def records_to_csv(record: TomographyRecord) -> str:
     """The record's 16 settings as CSV rows, in ``SETTINGS`` order."""
-    rows = (f"{signal},{idler},{format(cc, '.17g')},{format(ac, '.17g')},{record.gates}\n"
-            for (signal, idler), cc, ac in zip(SETTINGS, record.coincidences.tolist(),
-                                               record.accidentals.tolist()))
-    return RECORDS_CSV_HEADER + "\n" + "".join(rows)
+    fields = [record.gates] * 48
+    fields[0::3] = record.coincidences.tolist()
+    fields[1::3] = record.accidentals.tolist()
+    return _RECORDS_CSV % tuple(fields)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qbuffer.channels import (PmdPhases, amplitude_damping_kraus, damp_werner,
                               pmd_operator)
 from qbuffer.dynamics import prob_pf
-from qbuffer.states import apply_operator, make_werner, validate
+from qbuffer.states import apply_operator, make_bell_phi_plus, make_werner, validate
 from qbuffer.tomography import estimate_werner_probability, werner_estimators
 
 
@@ -29,6 +29,17 @@ def kraus_sum(rho: np.ndarray, xi: float) -> np.ndarray:
     gamma0, _ = amplitude_damping_kraus(xi)
     feed = np.array([[0, 0], [np.sqrt(xi), 0]])
     return apply_operator(rho, gamma0) + apply_operator(rho, feed)
+
+
+def former_damp_werner(p: float, xi: float) -> np.ndarray:
+    """damp_werner as it was before its two square roots became scalars, on
+    make_werner's former per-call projector and identity."""
+    bell = make_bell_phi_plus()
+    rho = p * np.outer(bell, bell.conj()) + (1.0 - p) / 4.0 * np.eye(4, dtype=complex)
+    d = np.sqrt([1.0, 1.0 - xi, 1.0, 1.0 - xi])
+    out = rho * d[:, None] * d
+    out[1::2, 1::2] += rho[::2, ::2] * np.sqrt(xi) * np.sqrt(xi)
+    return out
 
 
 class TestPmdOperator:
@@ -135,6 +146,16 @@ class TestDampWerner:
     def test_bytes_equal_the_kraus_sum(self, p, xi):
         # tomo's bytes rest on these bits, not on a tolerance
         assert damp_werner(p, xi).tobytes() == kraus_sum(make_werner(p), xi).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64)),
+           xi=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64),
+                        st.sampled_from((0, 1))))
+    @example(p=5e-324, xi=5e-324)
+    @example(p=1 - 2 ** -53, xi=1 - 2 ** -53)
+    @example(p=0.9, xi=0.02)  # the golden tomo state
+    def test_bytes_equal_the_former_form(self, p, xi):
+        assert damp_werner(p, xi).tobytes() == former_damp_werner(p, xi).tobytes()
 
     @pytest.mark.parametrize("xi", [np.nan, -0.01, 1.01])
     def test_damping_range_checked(self, xi):

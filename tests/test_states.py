@@ -1,13 +1,46 @@
 """Unit tests for the two-qubit state layer."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbuffer import states
 from qbuffer.states import (apply_operator, make_bell_phi_plus, make_werner,
                             rho_to_pairs, validate)
+
+
+def matrices(entries):
+    return st.lists(entries, min_size=32, max_size=32).map(
+        lambda x: (np.array(x[:16]) + 1j * np.array(x[16:])).reshape(4, 4))
+
+
+MATRIX = matrices(st.floats(allow_nan=False, allow_infinity=False))
+# entries whose Gram matrices stay finite, as an eigensolver needs
+BOUNDED = matrices(st.floats(-1e150, 1e150))
+
+
+def bits(x):
+    """The IEEE bytes of a float: tells -0.0 from 0.0."""
+    return struct.pack("<d", x)
+
+
+def former_make_werner(p):
+    """make_werner as it was before the projector and identity were built at import."""
+    bell = make_bell_phi_plus()
+    return p * np.outer(bell, bell.conj()) + (1.0 - p) / 4.0 * np.eye(4, dtype=complex)
+
+
+def former_validate(rho):
+    """validate's three residuals as they were before the adjoint was formed once."""
+    rho = np.asarray(rho, dtype=complex)
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    trace = float(abs(rho.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    return herm, trace, min_eig
 
 
 class TestBellState:
@@ -45,6 +78,16 @@ class TestWerner:
         with pytest.raises(ValueError):
             make_werner(p)
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0).map(np.float64),
+                       st.sampled_from((0, 1, True))))
+    @example(p=5e-324)
+    @example(p=1 - 2 ** -53)
+    def test_bytes_equal_the_former_form(self, p):
+        got, want = make_werner(p), former_make_werner(p)
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
+
 
 class TestValidate:
     def test_reports_trace_deficit(self):
@@ -73,6 +116,17 @@ class TestValidate:
 
     def test_passes_physical_state(self):
         assert validate(make_werner(0.7)).passed
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.one_of(BOUNDED, BOUNDED.map(lambda a: a @ a.conj().T),
+                         st.floats(0.0, 1.0).map(make_werner)))
+    @example(rho=np.zeros((4, 4)))
+    @example(rho=np.eye(4, dtype=int))
+    @example(rho=make_werner(0.5).T)  # not C-contiguous
+    def test_residuals_equal_the_former_form(self, rho):
+        report, want = validate(rho), former_validate(rho)
+        got = (report.hermiticity_residual, report.trace_residual, report.min_eigenvalue)
+        assert [bits(x) for x in got] == [bits(x) for x in want]
 
 
 class TestApplyOperator:
@@ -141,6 +195,14 @@ class TestSerialization:
             # repr tells -0.0 from 0.0, which == does not
             assert repr(got) == repr(old_json_rows(rho))
             assert all(type(x) is float for row in got for pair in row for x in pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.one_of(MATRIX, MATRIX.map(lambda a: a.T), MATRIX.map(lambda a: a.real)))
+    def test_pairs_equal_the_stacked_parts(self, rho):
+        # the form before the pairs were read from the complex array's memory;
+        # a transposed view and a real matrix take the same path
+        want = np.stack((rho.real, rho.imag), -1).astype(float).tolist()
+        assert repr(rho_to_pairs(rho)) == repr(want)
 
 
 class TestProductKets:

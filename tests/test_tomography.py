@@ -122,6 +122,54 @@ def reference_simulate_counts(rho, n_gates, accidental_rate, seed):
     return TomographyRecord(coincidences, accidentals, n_gates)
 
 
+def former_simulate_counts(rho, n_gates, accidental_rate, seed):
+    """simulate_counts as it was before it filled the mean table in place and
+    left the float copy to the record: column_stack and full, then astype."""
+    means, acc_mean = tomography._mean_counts(rho, n_gates, accidental_rate)
+    true, acc, estimate = np.random.default_rng(seed).poisson(
+        np.column_stack([means, np.full((len(means), 2), acc_mean)])).T
+    return TomographyRecord(np.minimum((true + acc).astype(float), n_gates),
+                            np.minimum(estimate, n_gates), n_gates)
+
+
+def former_records_to_csv(record):
+    """records_to_csv as it was before the 16-row template: an f-string per row."""
+    rows = (f"{signal},{idler},{format(cc, '.17g')},{format(ac, '.17g')},{record.gates}\n"
+            for (signal, idler), cc, ac in zip(SETTINGS, record.coincidences.tolist(),
+                                               record.accidentals.tolist()))
+    return "signal,idler,coincidences,accidentals,gates\n" + "".join(rows)
+
+
+def former_linear_inversion(counts):
+    """linear_inversion's arithmetic as it was before the rectilinear counts were
+    added directly: Python's ``sum`` over a generator, and ``np.real`` of the trace."""
+    counts = np.asarray(counts, dtype=float)
+    n_pairs = sum(counts[row] for row in (0, 1, 4, 5))
+    rho = tomography._basis_sum(np.linalg.solve(tomography._DESIGN, counts / n_pairs))
+    return rho / np.real(rho.trace())
+
+
+def former_werner_estimators(rho):
+    """werner_estimators as it was before it read the entries from one list."""
+    rho = np.asarray(rho, dtype=complex)
+    return tomography.WernerEstimators(
+        p1=float(4.0 * rho[0, 0].real - 1.0), p2=float(4.0 * rho[3, 3].real - 1.0),
+        p3=float(2.0 * rho[0, 3].real), p4=float(2.0 * rho[3, 0].real),
+        p5=float(1.0 - 4.0 * rho[1, 1].real), p6=float(1.0 - 4.0 * rho[2, 2].real),
+        imag_residual=float(max(abs(rho[0, 3].imag), abs(rho[3, 0].imag))))
+
+
+@st.composite
+def records(draw):
+    """Records with integer or fractional counts up to ``gates`` (at most 2**53,
+    an int or an np.int64), the extremes among them."""
+    gates = draw(st.one_of(st.integers(1, 2**53), st.integers(1, 2**53).map(np.int64)))
+    count = st.one_of(st.integers(0, int(gates)).map(float), st.floats(0.0, float(gates)),
+                      st.sampled_from((0.0, 5e-324, 0.1, 1 / 3, float(gates))))
+    fields = [draw(st.lists(count, min_size=16, max_size=16)) for _ in range(2)]
+    return TomographyRecord(*fields, gates)
+
+
 def reference_basis_sum(coeffs):
     """The ordered Python ``sum`` of 16 basis products that one reduction replaced."""
     return sum(c * b for c, b in zip(coeffs, tomography._HERM_BASIS))
@@ -216,6 +264,17 @@ class TestSimulateCounts:
     def test_equals_per_setting_draw_loop(self, rho, gates, acc_rate, seed):
         assert same_record(simulate_counts(rho, gates, acc_rate, seed),
                            reference_simulate_counts(rho, gates, acc_rate, seed))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rho=st.one_of(DAMPED_WERNER, random_states()), gates=st.integers(1, 2**53),
+           acc_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           seed=st.integers(0, 2**64 - 1))
+    @example(rho=np.eye(4) / 4, gates=10, acc_rate=0.9999, seed=1)
+    @example(rho=np.eye(4) / 4, gates=2**53, acc_rate=0.5, seed=1)
+    @example(rho=np.eye(4) / 4, gates=10**8, acc_rate=0, seed=1)  # an integer mean table
+    def test_equals_the_former_form(self, rho, gates, acc_rate, seed):
+        assert same_record(simulate_counts(rho, gates, acc_rate, seed),
+                           former_simulate_counts(rho, gates, acc_rate, seed))
 
     def test_expected_counts_noise_free(self):
         record = expected_counts(make_werner(0.75), GATES, accidental_rate=1e-6)
@@ -316,6 +375,20 @@ class TestLinearInversion:
         # Hermitian matrix, with no symmetrizing step
         rho = linear_inversion(counts)
         assert np.array_equal(rho, rho.conj().T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=st.one_of(
+        st.builds(lambda rho, seed: subtract_accidentals(simulate_counts(rho, GATES, 1e-6, seed)),
+                  st.one_of(DAMPED_WERNER, random_states()), st.integers(0, 2**32 - 1)),
+        st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(np.array)))
+    @example(counts=np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 1.0] + [0.5] * 10))
+    @example(counts=np.array([0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0]))
+    def test_equals_the_former_form(self, counts):
+        # a tiny rectilinear sum overflows the frequencies: both forms alike
+        assume(counts[[0, 1, 4, 5]].sum() > 0)
+        with np.errstate(all="ignore"):
+            got, want = linear_inversion(counts), former_linear_inversion(counts)
+        assert got.tobytes() == want.tobytes()
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
@@ -597,6 +670,19 @@ class TestWernerExtraction:
             vals = [estimate_werner_probability(damp_werner(p, xi)) for xi in xis]
             assert np.all(np.diff(vals) < 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(FINITE, min_size=32, max_size=32))
+    @example(entries=[-0.0] * 32)
+    def test_equals_the_former_form(self, entries):
+        rho = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
+        with np.errstate(over="ignore"):
+            got, want = werner_estimators(rho), former_werner_estimators(rho)
+        fields = ("p1", "p2", "p3", "p4", "p5", "p6", "imag_residual")
+        assert all(type(getattr(got, name)) is float for name in fields)
+        assert ([getattr(got, name).hex() for name in fields]
+                == [getattr(want, name).hex() for name in fields])
+        assert got.mean.hex() == want.mean.hex()
+
     def test_imaginary_residual_reported(self):
         rho = make_werner(0.6).astype(complex)
         rho[0, 3] += 1e-3j
@@ -643,6 +729,14 @@ class TestRecordsCsv:
                                  [float(ac) for _, _, _, ac, _ in rows],
                                  *{int(gates) for *_, gates in rows})
         assert same_record(again, record)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(record=records())
+    @example(record=TomographyRecord([2.0**53] * 16, [2.0**53 - 1] * 16, 2**53))
+    @example(record=TomographyRecord([5e-324] * 16, [0.1] * 16, np.int64(1)))
+    def test_text_equals_the_former_writer(self, record):
+        assert records_to_csv(record) == former_records_to_csv(record)
 
 
 class TestRecordValidation:

@@ -1,6 +1,7 @@
 """The comparison tools that changes are judged by: ``tools/fit_drift.py``'s
-report, ``tools/ab_time.py``'s interval and ``tools/cold_time.py``'s pairs;
-and ``tools/soak.py``, which runs hypothesis tests under many seeds."""
+report, ``tools/ab_time.py``'s interval, ``tools/cold_time.py``'s pairs and
+``tools/stage_time.py``'s stage table; and ``tools/soak.py``, which runs
+hypothesis tests under many seeds."""
 
 import importlib.util
 import json
@@ -94,6 +95,38 @@ def test_cold_time_reports_a_failing_command():
                           "--pairs", "1", "--", "classify", "--kappa", "nan", "--gamma0", "1"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode != 0 and "failed with qbuffer from" in run.stderr
+
+
+def test_stage_time_of_a_tree_against_itself():
+    # four items, one of them exact, two rounds
+    root = TOOLS.parent
+    run = subprocess.run([sys.executable, str(TOOLS / "stage_time.py"), str(root), str(root),
+                          "--items", "4", "--rounds", "2"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert re.fullmatch(r"workload tomo-interior, 4 items, 2 rounds, CPU \d+: "
+                        r"cmd_tomo outputs differ on 0", lines[0])
+    assert lines[1].split() == ["stage", "(median", "us", "per", "call)", "base", "changed",
+                                "ratio"]
+    stages = [line.split() for line in lines[2:]]
+    assert [row[0] for row in stages] == [
+        "damp_werner", "simulate_counts", "expected_counts", "subtract_accidentals",
+        "reconstruct_mle", "estimate_werner_probability", "fidelity", "rho_to_pairs",
+        "records_to_csv", "cmd_tomo"]
+    assert all(float(base) > 0 and float(changed) > 0 for _, base, changed, _ in stages)
+
+
+def test_stage_time_of_one_tree_on_the_boundary():
+    # the boundary workload has no exact items, so no expected_counts row
+    run = subprocess.run([sys.executable, str(TOOLS / "stage_time.py"), str(TOOLS.parent),
+                          "--workload", "tomo-boundary", "--items", "2", "--rounds", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert re.fullmatch(r"workload tomo-boundary, 2 items, 1 rounds, CPU \d+", lines[0])
+    assert lines[1].split()[-1] == "tree"
+    assert "expected_counts" not in run.stdout and lines[-1].startswith("cmd_tomo ")
 
 
 SOAKED = """
