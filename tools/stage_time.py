@@ -62,13 +62,13 @@ def serve(workload_name: str, n_items: int, cpu: int) -> None:
                for rho, (_, _, seed, exact) in zip(rhos, items)]
     counts = [tomography.subtract_accidentals(record) for record in records]
     hats = [tomography.reconstruct_mle(c).rho_hat for c in counts]
-    poisson = [(rho, gates, rate, seed) for rho, (_, _, seed, exact) in zip(rhos, items)
-               if not exact]
-    exact = [(rho, gates, rate) for rho, (*_, is_exact) in zip(rhos, items) if is_exact]
     stages = [
         ("damp_werner", channels.damp_werner, [(p, xi) for p, xi, _, _ in items]),
-        ("simulate_counts", tomography.simulate_counts, poisson),
-        ("expected_counts", tomography.expected_counts, exact),
+        ("simulate_counts", tomography.simulate_counts,
+         [(rho, gates, rate, seed) for rho, (_, _, seed, exact) in zip(rhos, items)
+          if not exact]),
+        ("expected_counts", tomography.expected_counts,
+         [(rho, gates, rate) for rho, (*_, exact) in zip(rhos, items) if exact]),
         ("subtract_accidentals", tomography.subtract_accidentals, [(r,) for r in records]),
         ("reconstruct_mle", tomography.reconstruct_mle, [(c,) for c in counts]),
         ("estimate_werner_probability", tomography.estimate_werner_probability,
@@ -77,7 +77,7 @@ def serve(workload_name: str, n_items: int, cpu: int) -> None:
         ("rho_to_pairs", states.rho_to_pairs, [(h,) for h in hats]),
         ("records_to_csv", tomography.records_to_csv, [(r,) for r in records]),
         ("cmd_tomo", cli.cmd_tomo,
-         [(config, p, xi, is_exact) for config, (p, xi, _, is_exact) in zip(configs, items)]),
+         [(config, p, xi, exact) for config, (p, xi, _, exact) in zip(configs, items)]),
     ]
     stages = [stage for stage in stages if stage[2]]
 
