@@ -21,6 +21,8 @@ import numpy as np
 
 from . import channels, dynamics, states
 
+# the one default of every model input: the other modules take each as an
+# argument, and build_config({}) gives them as typed objects
 DEFAULT_CONFIG: dict = {
     # propagation
     "n_r": 1.468,
@@ -120,7 +122,7 @@ def build_config(values: dict) -> RunConfig:
                      n_points=int(merged["n_points"]))
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+def load_config(path: str | None, overrides: dict | None) -> RunConfig:
     values = json.loads(Path(path).read_text()) if path is not None else {}
     if overrides and isinstance(values, dict):
         values = {**values, **overrides}
@@ -173,7 +175,7 @@ def cmd_sweep(config: RunConfig) -> str:
 
 
 def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
-             exact: bool = False) -> tuple[str, dict]:
+             exact: bool) -> tuple[str, dict]:
     """Simulate the full tomography pipeline on a damped Werner state.
 
     Returns the records CSV and the reconstruction report.  ``exact``

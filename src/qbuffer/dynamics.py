@@ -10,8 +10,9 @@ Two model families are implemented:
   envelope exp(-gamma0 t / 2).  Each is the square of ``_bracket``.
 
 Everything is stored in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m));
-constructors accept the usual lab units (GHz, ps/sqrt(km), 1/km, 1/ms) and
-convert exactly once.  All model functions broadcast over numpy arrays.
+``PmdModelParams.from_lab_units`` accepts the usual lab units (GHz,
+ps/sqrt(km), 1/km) and converts exactly once.  All model functions broadcast
+over numpy arrays.
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ SPEED_OF_LIGHT = 2.99792458e8  # m/s
 # unit conversion constants
 PS_PER_SQRT_KM = 1e-12 / math.sqrt(1000.0)  # -> s/sqrt(m)
 PER_KM = 1e-3                               # -> 1/m
-PER_MS = 1e3                                # -> 1/s
 
 
 @dataclass(frozen=True)
 class UnitContext:
     """Propagation constants tying buffer time to fiber length."""
 
-    n_r: float = 1.468  # group index of standard single-mode fiber
+    n_r: float  # group index of the fiber
     c: ClassVar[float] = SPEED_OF_LIGHT  # a constant, not a setting
 
     def __post_init__(self) -> None:
@@ -52,7 +52,7 @@ def _nonnegative(name: str, values) -> np.ndarray:
     return values
 
 
-def length_from_time(t, units: UnitContext = UnitContext()):
+def length_from_time(t, units: UnitContext):
     """Fiber length L = (c / n_r) t traversed during buffer time t."""
     t = _nonnegative("buffer time", t)
     out = units.c / units.n_r * t
@@ -75,7 +75,7 @@ class PmdModelParams:
     mu: float                  # 1/m
     a1: float
     a2: float
-    sign: int = +1
+    sign: int
 
     def __post_init__(self) -> None:
         for name in ("delta_omega", "d_p1", "d_p2", "mu", "a1", "a2"):
@@ -116,7 +116,7 @@ class CavityModelParams:
     gamma0: float              # 1/s
     w1: float
     w2: float
-    lambda_width: float = 1e6  # 1/s
+    lambda_width: float        # 1/s
 
     def __post_init__(self) -> None:
         for name in ("kappa1", "kappa2", "gamma0", "w1", "w2", "lambda_width"):
@@ -125,14 +125,6 @@ class CavityModelParams:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if self.w1 + self.w2 <= 0:
             raise ValueError("weights must have a positive sum")
-
-    @classmethod
-    def from_lab_units(cls, kappa1_per_ms: float, kappa2_per_ms: float,
-                       gamma0_per_ms: float, w1: float, w2: float,
-                       lambda_per_ms: float = 1e3) -> "CavityModelParams":
-        return cls(kappa1=kappa1_per_ms * PER_MS, kappa2=kappa2_per_ms * PER_MS,
-                   gamma0=gamma0_per_ms * PER_MS, w1=w1, w2=w2,
-                   lambda_width=lambda_per_ms * PER_MS)
 
 
 # JSON field names shared with the CLI config format.
@@ -198,8 +190,7 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     return float(0.25 * np.exp(-2.0 * mu * length) * bracket**2)
 
 
-def pa(t, delta_omega: float, d_p: float, mu: float, sign: int,
-       units: UnitContext = UnitContext()):
+def pa(t, delta_omega: float, d_p: float, mu: float, sign: int, units: UnitContext):
     """Counter-rotating component exp(-2 mu L) [cos(dphi) + sign sin(dphi)]^2,
     dphi = delta_omega d_p sqrt(L) (unweighted)."""
     length = length_from_time(t, units)
@@ -208,21 +199,20 @@ def pa(t, delta_omega: float, d_p: float, mu: float, sign: int,
     return float(out) if np.ndim(out) == 0 else out
 
 
-def psy(t, delta_omega: float, d_p: float, mu: float,
-        units: UnitContext = UnitContext()):
+def psy(t, delta_omega: float, d_p: float, mu: float, units: UnitContext):
     """Co-rotating component exp(-2 mu L) cos^2(dphi), dphi = delta_omega d_p
     sqrt(L) (unweighted): :func:`pa` without the sine term."""
     return pa(t, delta_omega, d_p, mu, 0, units)
 
 
-def prob_pasy(t, params: PmdModelParams, units: UnitContext = UnitContext()):
+def prob_pasy(t, params: PmdModelParams, units: UnitContext):
     """Weighted two-component PMD model a1 * pa(d_p1, sign) + a2 * psy(d_p2)."""
     out = (params.a1 * pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, units)
            + params.a2 * psy(t, params.delta_omega, params.d_p2, params.mu, units))
     return float(out) if np.ndim(out) == 0 else out
 
 
-def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int = +1) -> float:
+def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int) -> float:
     """Expanded seven-term pair probability for unequal phases, s = sign
     selecting the rotation branch:
 

@@ -323,8 +323,7 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
                      int(best.nfev), at_bounds)
 
 
-def fit_pasy(data: DataSeries, units: UnitContext = UnitContext(),
-             delta_omega: float = 2.0 * math.pi * 200e9, sign: int = +1) -> FitResult:
+def fit_pasy(data: DataSeries, units: UnitContext, delta_omega: float, sign: int) -> FitResult:
     """Fit the sqrt(L)-phase model; free parameters (d_p1, d_p2, mu, a1, a2).
 
     The detuning ``delta_omega`` (rad/s) and the ``sign`` branch are held
@@ -334,7 +333,7 @@ def fit_pasy(data: DataSeries, units: UnitContext = UnitContext(),
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
-def fit_p3(data: DataSeries, lambda_width: float = 1e6) -> FitResult:
+def fit_p3(data: DataSeries, lambda_width: float) -> FitResult:
     """Fit the linear-phase model; free parameters (kappa1, kappa2, gamma0, w1, w2).
 
     The reservoir width ``lambda_width`` (1/s) does not enter the curve and

@@ -117,7 +117,7 @@ def simulate_counts(rho: np.ndarray, n_gates: int, accidental_rate: float,
 
 
 def expected_counts(rho: np.ndarray, n_gates: int,
-                    accidental_rate: float = 0.0) -> TomographyRecord:
+                    accidental_rate: float) -> TomographyRecord:
     """Expected-value record of the count model, in-window counts clamped at n_gates."""
     means, acc_mean = _mean_counts(rho, n_gates, accidental_rate)
     return TomographyRecord(np.minimum(means + acc_mean, n_gates),
@@ -137,17 +137,6 @@ class TomographyError(RuntimeError):
     pass
 
 
-def _checked(counts: np.ndarray) -> np.ndarray:
-    """``counts`` as 16 floats in ``SETTINGS`` order, each finite and nonnegative."""
-    counts = np.asarray(counts, dtype=float)
-    if counts.shape != (16,):
-        raise ValueError(f"counts must hold 16 entries, one per setting, got {counts.shape}")
-    good = (counts >= 0.0) & (counts < math.inf)
-    if not good.all():
-        raise ValueError(f"count must be finite and nonnegative, got {float(counts[~good][0])!r}")
-    return counts
-
-
 def _basis_sum(coeffs: np.ndarray) -> np.ndarray:
     """sum_j coeffs[j] * _HERM_BASIS[j], added in j order as Python's ``sum`` adds."""
     return np.add.reduce(coeffs[:, None, None] * _HERM_BASIS, axis=0, initial=0)
@@ -157,14 +146,19 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
     """Solve the 16x16 linear system for the state; exact on clean data.
 
     ``counts`` holds the corrected count of each setting in ``SETTINGS``
-    order.  The result is Hermitian with unit trace but can carry negative
-    eigenvalues when the counts are noisy; it is returned as a raw matrix,
-    not a validated state.  The 16 design rows are independent, so the system
-    is square and nonsingular.  The rectilinear quartet (H/V on both arms) is
-    a complete basis, so its summed counts estimate the pair number that
-    turns counts into frequencies.
+    order, each finite and nonnegative.  The result is Hermitian with unit
+    trace but can carry negative eigenvalues when the counts are noisy; it is
+    returned as a raw matrix, not a validated state.  The 16 design rows are
+    independent, so the system is square and nonsingular.  The rectilinear
+    quartet (H/V on both arms) is a complete basis, so its summed counts
+    estimate the pair number that turns counts into frequencies.
     """
-    counts = _checked(counts)
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (16,):
+        raise ValueError(f"counts must hold 16 entries, one per setting, got {counts.shape}")
+    good = (counts >= 0.0) & (counts < math.inf)
+    if not good.all():
+        raise ValueError(f"count must be finite and nonnegative, got {float(counts[~good][0])!r}")
     n_pairs = counts[0] + counts[1] + counts[4] + counts[5]  # HH, HV, VH, VV
     if n_pairs <= 0:
         raise TomographyError("total rectilinear counts must be positive")
@@ -220,11 +214,11 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
     ``counts`` holds the corrected count of each setting in ``SETTINGS``
-    order.  The state is parametrized as rho = T^dag T / tr(T^dag T) with T
-    lower triangular (16 real parameters); the overall scale of T doubles as
-    the pair-number estimate, so the Poisson rates are m_k = |T psi_k|^2 and
-    the objective is the (constant-free) Poisson log-likelihood
-    sum_k [n_k ln m_k - m_k].
+    order; ``linear_inversion`` checks them.  The state is
+    parametrized as rho = T^dag T / tr(T^dag T) with T lower triangular (16
+    real parameters); the overall scale of T doubles as the pair-number
+    estimate, so the Poisson rates are m_k = |T psi_k|^2 and the objective is
+    the (constant-free) Poisson log-likelihood sum_k [n_k ln m_k - m_k].
 
     16 settings and 16 parameters make the model saturated: the linear
     inversion fits every count (m_k = n_k), which maximizes each term, so
@@ -240,10 +234,7 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     and T^dag T / tr is a state for any nonzero T, while no solver result's
     objective exceeds the start's, far below 690.8 sum(n) at T = 0.
     """
-    counts = _checked(counts)
-    if counts.sum() <= 0:
-        raise TomographyError("all counts are zero; nothing to reconstruct")
-
+    counts = np.asarray(counts, dtype=float)
     # The linear inversion is the MLE when it is a state; otherwise start from
     # it clipped to a physical state and rescaled so the initial rates match
     # the data.
@@ -256,7 +247,9 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
         eigvals = np.maximum(eigvals, 1e-6)
         rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
         rho0 /= np.real(rho0.trace())
-    except TomographyError:
+    except TomographyError:  # no rectilinear counts
+        if counts.sum() <= 0:
+            raise TomographyError("all counts are zero; nothing to reconstruct") from None
         rho0 = np.eye(4, dtype=complex) / 4.0
     # each <psi_k|rho0|psi_k> is at least rho0's smallest eigenvalue, which the
     # clip keeps positive, so the scale is finite

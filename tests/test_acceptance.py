@@ -28,7 +28,7 @@ import pytest
 
 from qbuffer import cli
 from qbuffer.channels import PmdPhases, amplitude_damping_kraus, damp_werner
-from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
+from qbuffer.dynamics import (CavityModelParams, PmdModelParams,
                               cavity_p, classify_regime, length_from_time,
                               markovian_exponential, prob_asym, prob_pasy,
                               asym_series_residual)
@@ -42,7 +42,11 @@ from qbuffer.tomography import (estimate_werner_probability, expected_counts,
                                 simulate_counts, subtract_accidentals,
                                 trace_distance)
 
-UNITS = UnitContext()
+DEFAULTS = cli.build_config({})
+UNITS = DEFAULTS.units
+# the default config's fixed fit inputs: pasy's units, detuning and sign, p3's width
+PASY_FIXED = (UNITS, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
+LAMBDA = DEFAULTS.cavity.lambda_width
 GATES = 100_000_000
 
 
@@ -130,7 +134,7 @@ def test_criterion_05_amplitude_damping_identities():
 
 
 def test_criterion_06_tomography_round_trip():
-    corrected = subtract_accidentals(expected_counts(make_werner(0.75), GATES))
+    corrected = subtract_accidentals(expected_counts(make_werner(0.75), GATES, 0.0))
     mle = reconstruct_mle(corrected)
     p_hat = estimate_werner_probability(mle.rho_hat)
     dist = trace_distance(mle.rho_hat, linear_inversion(corrected))
@@ -152,7 +156,7 @@ def test_criterion_06_tomography_round_trip():
 
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5)
+                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
 
 
 def _pmd_errors(params: PmdModelParams) -> np.ndarray:
@@ -198,8 +202,9 @@ def test_criterion_07_fit_round_trips():
 
     # noiseless round trips on the documented 50-point window
     t50 = np.linspace(0.0, 1.5e-3, 50)
-    fit_a = fit_pasy(DataSeries(t50, prob_pasy(t50, TRUTH_PMD, UNITS), np.ones(50)))
-    fit_b = fit_p3(DataSeries(t50, p3_model(t50, TRUTH_CAVITY), np.ones(50)))
+    fit_a = fit_pasy(DataSeries(t50, prob_pasy(t50, TRUTH_PMD, UNITS), np.ones(50)),
+                     *PASY_FIXED)
+    fit_b = fit_p3(DataSeries(t50, p3_model(t50, TRUTH_CAVITY), np.ones(50)), LAMBDA)
     clean_a = float(_pmd_errors(fit_a.params).max())
     clean_b = float(_cavity_errors(fit_b.params).max())
 
@@ -219,7 +224,7 @@ def test_criterion_07_fit_round_trips():
         for seed in range(20):
             rng = np.random.default_rng(seed)
             noisy = y_pasy + rng.normal(0.0, sigma)
-            fits.append(fit_pasy(DataSeries(t_pasy, noisy, sigma)))
+            fits.append(fit_pasy(DataSeries(t_pasy, noisy, sigma), *PASY_FIXED))
         return fits
 
     fits_a = pasy_fits(0.02)
@@ -240,7 +245,7 @@ def test_criterion_07_fit_round_trips():
         rng = np.random.default_rng(seed)
         sigma = 0.02 * np.abs(y_p3)
         noisy = y_p3 + rng.normal(0.0, sigma)
-        fit = fit_p3(DataSeries(t50, noisy, sigma))
+        fit = fit_p3(DataSeries(t50, noisy, sigma), LAMBDA)
         errs_b.append(_cavity_errors(fit.params))
     mean_b = np.mean(errs_b, axis=0)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbuffer.channels import PmdPhases, pmd_operator
-from qbuffer import dynamics
+from qbuffer import cli, dynamics
 from qbuffer.states import apply_operator, make_bell_phi_plus, product_ket
 from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               asym_series_residual, cavity_p, classify_regime,
@@ -18,9 +18,11 @@ from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
                               p3, pa, pmd_phase, prob_asym, prob_pasy, prob_pf,
                               psy)
 
+DEFAULTS = cli.build_config({})
+UNITS, LAMBDA = DEFAULTS.units, DEFAULTS.cavity.lambda_width
 REF_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 REF_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5)
+                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
 
 PHASES = st.floats(-2 * math.pi, 2 * math.pi)
 LOSSES = st.floats(0.0, 1e-5)        # 1/m
@@ -31,7 +33,7 @@ SIGNS = st.sampled_from((+1, -1))
 
 class TestUnits:
     def test_zero_time(self):
-        assert length_from_time(0.0) == 0.0
+        assert length_from_time(0.0, UNITS) == 0.0
 
     def test_buffer_time_to_length(self):
         # 0.9 ms at n_r = 1.468 is just under 184 km
@@ -42,11 +44,11 @@ class TestUnits:
     def test_inverse(self):
         t = 25_000.0 * 1.468 / 2.99792458e8
         assert t == pytest.approx(1.2242e-4, abs=1e-8)
-        assert length_from_time(t) == pytest.approx(25_000.0, rel=1e-12)
+        assert length_from_time(t, UNITS) == pytest.approx(25_000.0, rel=1e-12)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            length_from_time(-1.0)
+            length_from_time(-1.0, UNITS)
         with pytest.raises(ValueError):
             UnitContext(n_r=0.9)
 
@@ -91,24 +93,24 @@ WO, DP1, DP2, MU = REF_PMD.delta_omega, REF_PMD.d_p1, REF_PMD.d_p2, REF_PMD.mu
 
 class TestComponentModels:
     def test_both_start_at_one(self):
-        assert pa(0.0, WO, DP1, MU, +1) == pytest.approx(1.0)
-        assert psy(0.0, WO, DP2, MU) == pytest.approx(1.0)
+        assert pa(0.0, WO, DP1, MU, +1, UNITS) == pytest.approx(1.0)
+        assert psy(0.0, WO, DP2, MU, UNITS) == pytest.approx(1.0)
 
     def test_counter_component_quarter_phase(self):
         # phase pi/4 gives bracket sqrt(2) squared = 2 on the + branch, 0 on -
-        units = UnitContext()
+        units = UNITS
         t = (np.pi / 4) ** 2 * units.n_r / units.c
-        assert pa(t, 1.0, 1.0, 0.0, +1) == pytest.approx(2.0, rel=1e-12)
-        assert pa(t, 1.0, 1.0, 0.0, -1) == pytest.approx(0.0, abs=1e-12)
+        assert pa(t, 1.0, 1.0, 0.0, +1, units) == pytest.approx(2.0, rel=1e-12)
+        assert pa(t, 1.0, 1.0, 0.0, -1, units) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_zero_at_quarter_period(self):
-        units = UnitContext()
+        units = UNITS
         t = (np.pi / 2) ** 2 * units.n_r / units.c
-        assert psy(t, 1.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert psy(t, 1.0, 1.0, 0.0, units) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_attenuated_value(self):
         # independent arithmetic chain: exp(-2.28) * cos^2(phase at 190 km)
-        units = UnitContext()
+        units = UNITS
         t = 190e3 * units.n_r / units.c
         phi = pmd_phase(WO, DP2, 190e3)
         expect = np.exp(-2.28) * np.cos(phi) ** 2
@@ -116,17 +118,17 @@ class TestComponentModels:
 
     def test_weighted_sum(self):
         t = 0.3e-3
-        got = prob_pasy(t, REF_PMD)
-        assert got == pytest.approx(0.5 * pa(t, WO, DP1, MU, +1)
-                                    + 0.5 * psy(t, WO, DP2, MU), rel=1e-14)
-        assert prob_pasy(0.0, REF_PMD) == pytest.approx(REF_PMD.a1 + REF_PMD.a2)
+        got = prob_pasy(t, REF_PMD, UNITS)
+        assert got == pytest.approx(0.5 * pa(t, WO, DP1, MU, +1, UNITS)
+                                    + 0.5 * psy(t, WO, DP2, MU, UNITS), rel=1e-14)
+        assert prob_pasy(0.0, REF_PMD, UNITS) == pytest.approx(REF_PMD.a1 + REF_PMD.a2)
 
     def test_nonnegative_and_bounded(self):
         t = np.linspace(0.0, 2e-3, 400)
-        length = length_from_time(t)
+        length = length_from_time(t, UNITS)
         att = np.exp(-2 * MU * length)
-        counter = pa(t, WO, DP1, MU, +1)
-        co = psy(t, WO, DP2, MU)
+        counter = pa(t, WO, DP1, MU, +1, UNITS)
+        co = psy(t, WO, DP2, MU, UNITS)
         assert np.all(counter >= 0) and np.all(co >= 0)
         assert np.all(counter <= 2 * att + 1e-15)
         assert np.all(co <= att + 1e-15)
@@ -134,11 +136,11 @@ class TestComponentModels:
 
 class TestAsymmetricExpansion:
     def test_zero_phases_give_four(self):
-        assert prob_asym(PmdPhases(0.0, 0.0), 0.0, 0.0) == pytest.approx(4.0)
+        assert prob_asym(PmdPhases(0.0, 0.0), 0.0, 0.0, +1) == pytest.approx(4.0)
 
     def test_equal_phases_reduce(self):
         for phi in np.linspace(-1.2, 1.2, 13):
-            got = prob_asym(PmdPhases(phi, phi), 1e-5, 1e4)
+            got = prob_asym(PmdPhases(phi, phi), 1e-5, 1e4, +1)
             expect = 4 * np.cos(phi) ** 2 * np.exp(-2 * 1e-5 * 1e4)
             assert got == pytest.approx(expect, abs=1e-12)
 
@@ -216,11 +218,11 @@ class TestModelIdentities:
     def test_pmd_components_are_prob_pf(self, t, d_p, mu, sign):
         # pa takes opposite phases (s phi, -s phi), psy equal ones (phi, phi)
         d_p *= dynamics.PS_PER_SQRT_KM
-        length = length_from_time(t)
+        length = length_from_time(t, UNITS)
         phi = pmd_phase(WO, d_p, length)
-        assert pa(t, WO, d_p, mu, sign) == pytest.approx(
+        assert pa(t, WO, d_p, mu, sign, UNITS) == pytest.approx(
             prob_pf(PmdPhases(sign * phi, -sign * phi), mu, length), abs=1e-12)
-        assert psy(t, WO, d_p, mu) == pytest.approx(
+        assert psy(t, WO, d_p, mu, UNITS) == pytest.approx(
             prob_pf(PmdPhases(phi, phi), mu, length), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
@@ -395,7 +397,7 @@ class TestComponentCavityModels:
     def test_p3_weighted_sum(self):
         assert p3(0.0, REF_CAVITY) == pytest.approx(1.0)
         lone = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.7, w2=0.0)
+                                 w1=0.7, w2=0.0, lambda_width=LAMBDA)
         t = 2e-4
         assert p3(t, lone) == pytest.approx(0.7 * p1(t, 753.0, 16292.0), rel=1e-14)
 
@@ -484,7 +486,7 @@ class TestMarkovianExponential:
 
     def test_one_third_crossing_length(self):
         # rate 2 mu c / n_r with mu = 0.006/km crosses 1/3 at ln3/(2 mu)
-        units = UnitContext()
+        units = UNITS
         mu = 6e-6
         rate = 2 * mu * units.c / units.n_r
         t_star = math.log(3.0) / rate
@@ -516,13 +518,11 @@ class TestParamsSerialization:
         assert REF_PMD.delta_omega == pytest.approx(2 * np.pi * 200e9)
         assert REF_PMD.d_p2 == pytest.approx(0.047e-12 / math.sqrt(1000.0))
         assert REF_PMD.mu == pytest.approx(6e-6)
-        lab = CavityModelParams.from_lab_units(0.753, 3.528, 16.292, 0.5, 0.5)
-        assert lab.kappa1 == pytest.approx(753.0)
-        assert lab.gamma0 == pytest.approx(16292.0)
 
     def test_invariant_checks(self):
         with pytest.raises(ValueError):
             PmdModelParams(delta_omega=1.0, d_p1=1.0, d_p2=1.0, mu=0.0,
-                           a1=0.0, a2=0.0)
+                           a1=0.0, a2=0.0, sign=+1)
         with pytest.raises(ValueError):
-            CavityModelParams(kappa1=-1.0, kappa2=1.0, gamma0=1.0, w1=1.0, w2=0.0)
+            CavityModelParams(kappa1=-1.0, kappa2=1.0, gamma0=1.0, w1=1.0, w2=0.0,
+                              lambda_width=LAMBDA)

@@ -10,19 +10,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from qbuffer import _optimize, dynamics, fitting
-from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
-                              p3, prob_pasy)
+from qbuffer import _optimize, cli, dynamics, fitting
+from qbuffer.dynamics import CavityModelParams, PmdModelParams, p3, prob_pasy
 from qbuffer.fitting import (SERIES_CSV_HEADER, DataSeries, FittingError, _jacobian,
                              _p3_model, _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
                              fit_result_to_dict, series_from_csv)
 
 from csv_writer import series_csv
 
+DEFAULTS = cli.build_config({})
+UNITS = DEFAULTS.units
+# the default config's fixed fit inputs: pasy's units, detuning and sign, p3's width
+PASY_FIXED = (UNITS, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
+LAMBDA = DEFAULTS.cavity.lambda_width
 TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5)
-UNITS = UnitContext()
+                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
 
 
 def pasy_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
@@ -234,7 +237,8 @@ SCAN_CASES = [
     # tie exactly, and only grid order decides which theta1 is kept
     pytest.param(_p3_model,
                  lambda: p3_series(noise=0.02, seed=2,
-                                   params=CavityModelParams(753.0, 3528.0, 16292.0, 0.0, 1.0)),
+                                   params=CavityModelParams(753.0, 3528.0, 16292.0, 0.0, 1.0,
+                                                            LAMBDA)),
                  id="p3-w1-zero"),
 ]
 
@@ -255,7 +259,7 @@ def pasy_reference(detuning: int, sign: int):
                            dynamics.psy(t, dw, si[1], si[2], UNITS)))
 
 
-P3_REFERENCE = (_p3_model, lambda t, si: p3(t, CavityModelParams(*si)),
+P3_REFERENCE = (_p3_model, lambda t, si: p3(t, CavityModelParams(*si, LAMBDA)),
                 lambda t, si: (dynamics.p1(t, si[0], si[2]), dynamics.p2(t, si[1], si[2])))
 
 
@@ -322,14 +326,16 @@ class TestScan:
         assert [args[1] for args in calls] == [0, 1]
 
     @pytest.mark.parametrize("start", [1e6, 1e9, 1e12, 1e15])
-    @pytest.mark.parametrize("fit", [fit_pasy, fit_p3], ids=lambda fit: fit.__name__)
-    def test_no_start_beats_zero_rejected(self, fit, start):
+    @pytest.mark.parametrize("name, fit", [
+        pytest.param("pasy", lambda data: fit_pasy(data, *PASY_FIXED), id="fit_pasy"),
+        pytest.param("p3", lambda data: fit_p3(data, LAMBDA), id="fit_p3")])
+    def test_no_start_beats_zero_rejected(self, name, fit, start):
         # both components vanish this far from t = 0: every start had both
         # weights at 0 (then floored just inside the bound), and the fit
         # reported converged after one evaluation with the residual of P = 0
         i = np.arange(10)
         data = DataSeries(start + 2.0 * i, 0.9 * 0.6 ** i, np.full(10, 0.01))
-        with pytest.raises(FittingError, match=f"{fit.__name__[4:]} scan grid fits times "
+        with pytest.raises(FittingError, match=f"{name} scan grid fits times "
                                                f"{start:.17g} to {start + 18:.17g} s"):
             fit(data)
 
@@ -447,8 +453,10 @@ class TestFitExponential:
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
         assert fit.params.rate == pytest.approx(0.3 / spacing, rel=1e-12)
 
-    @pytest.mark.parametrize("fit", [fit_pasy, fit_p3, fit_exponential],
-                             ids=lambda fit: fit.__name__)
+    @pytest.mark.parametrize("fit", [
+        pytest.param(lambda data: fit_pasy(data, *PASY_FIXED), id="fit_pasy"),
+        pytest.param(lambda data: fit_p3(data, LAMBDA), id="fit_p3"),
+        pytest.param(fit_exponential, id="fit_exponential")])
     def test_times_too_close_for_their_size_rejected(self, fit):
         # 1e16 + 2i are consecutive doubles: no scaling separates the columns;
         # pasy and p3 warned in their envelope pre-fit and reported converged
@@ -460,32 +468,32 @@ class TestFitExponential:
 
 class TestFitPasy:
     def test_noiseless_round_trip(self):
-        fit = fit_pasy(pasy_series())
+        fit = fit_pasy(pasy_series(), *PASY_FIXED)
         assert fit.converged
         assert np.all(pmd_rel_errors(fit.params) < 0.01)
         assert fit.residual_norm < 1e-8
 
     def test_round_trip_regenerates_data(self):
         data = pasy_series()
-        fit = fit_pasy(data)
+        fit = fit_pasy(data, *PASY_FIXED)
         regenerated = prob_pasy(data.t, fit.params, UNITS)
         assert np.linalg.norm(regenerated - data.p) < 1e-8
 
     def test_canonical_ordering(self):
-        fit = fit_pasy(pasy_series())
+        fit = fit_pasy(pasy_series(), *PASY_FIXED)
         assert fit.params.d_p1 <= fit.params.d_p2
 
     def test_degenerate_component_pinned_at_bound(self):
         degenerate = PmdModelParams.from_lab_units(200.0, 0.0, 0.047, 0.006,
                                                    0.5, 0.5)
-        fit = fit_pasy(pasy_series(params=degenerate))
+        fit = fit_pasy(pasy_series(params=degenerate), *PASY_FIXED)
         assert fit.params.d_p1 / degenerate.d_p2 < 1e-3
         assert "d_p1" in fit.at_bounds
 
     def test_variance_positive_for_parameter_at_bound(self):
         # d_p1 ends on its zero bound for this 2%-noise record; a Jacobian
         # step relative to |d_p1| would report zero variance there
-        fit = fit_pasy(pasy_series(n=300, t_end=5e-3, noise=0.02, seed=1))
+        fit = fit_pasy(pasy_series(n=300, t_end=5e-3, noise=0.02, seed=1), *PASY_FIXED)
         assert "d_p1" in fit.at_bounds
         assert np.isfinite(fit.covariance_diag[0])
         assert fit.covariance_diag[0] > 0
@@ -499,10 +507,10 @@ class TestFitPasy:
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
-            fit_pasy(pasy_series(n=5))
+            fit_pasy(pasy_series(n=5), *PASY_FIXED)
 
     def test_results_finite(self):
-        fit = fit_pasy(pasy_series(noise=0.02, seed=3))
+        fit = fit_pasy(pasy_series(noise=0.02, seed=3), *PASY_FIXED)
         values = [fit.params.d_p1, fit.params.d_p2, fit.params.mu,
                   fit.params.a1, fit.params.a2, fit.residual_norm,
                   *fit.covariance_diag]
@@ -513,7 +521,8 @@ class TestFitPasy:
         # ceiling from the signed detuning hit its 1e-30 rad floor here and
         # reported converged with d_p2 at 5e31 times the truth
         params = replace(TRUTH_PMD, delta_omega=-TRUTH_PMD.delta_omega)
-        fit = fit_pasy(pasy_series(n=300, params=params), delta_omega=params.delta_omega)
+        fit = fit_pasy(pasy_series(n=300, params=params), UNITS, params.delta_omega,
+                       DEFAULTS.pmd.sign)
         assert fit.converged
         assert np.all(pmd_rel_errors(fit.params) < 1e-8)
 
@@ -525,7 +534,7 @@ class TestFitPasy:
         scale = 10.0 ** k
         truth = replace(TRUTH_PMD, d_p1=TRUTH_PMD.d_p1 / math.sqrt(scale),
                         d_p2=TRUTH_PMD.d_p2 / math.sqrt(scale), mu=TRUTH_PMD.mu / scale)
-        fit = fit_pasy(pasy_series(t_end=1.5e-3 * scale, params=truth))
+        fit = fit_pasy(pasy_series(t_end=1.5e-3 * scale, params=truth), *PASY_FIXED)
         assert fit.converged and fit.at_bounds == ()
         assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
 
@@ -535,7 +544,7 @@ class TestFitPasy:
         # reported converged with an error of 0.91 at 1e-100 and 587 at 1e10
         truth = replace(TRUTH_PMD, delta_omega=TRUTH_PMD.delta_omega * c,
                         d_p1=TRUTH_PMD.d_p1 / c, d_p2=TRUTH_PMD.d_p2 / c)
-        fit = fit_pasy(pasy_series(params=truth), delta_omega=truth.delta_omega)
+        fit = fit_pasy(pasy_series(params=truth), UNITS, truth.delta_omega, DEFAULTS.pmd.sign)
         assert fit.converged and fit.at_bounds == ()
         assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
 
@@ -553,7 +562,7 @@ class TestFitPasy:
 
 class TestFitP3:
     def test_noiseless_round_trip(self):
-        fit = fit_p3(p3_series())
+        fit = fit_p3(p3_series(), LAMBDA)
         assert fit.converged
         assert np.all(cavity_rel_errors(fit.params) < 0.01)
         assert fit.residual_norm < 1e-8
@@ -569,7 +578,7 @@ class TestFitP3:
                         kappa2=TRUTH_CAVITY.kappa2 / scale,
                         gamma0=TRUTH_CAVITY.gamma0 / scale)
         t = np.linspace(0.0, 1.5e-3, 50) * scale
-        fit = fit_p3(DataSeries(t, p3(t, truth), np.ones(50)))
+        fit = fit_p3(DataSeries(t, p3(t, truth), np.ones(50)), LAMBDA)
         assert fit.converged and fit.at_bounds == ()
         errors = [getattr(fit.params, name) / getattr(truth, name) - 1.0
                   for name in fitting.P3_FREE_PARAMS]
@@ -580,11 +589,11 @@ class TestFitP3:
         i = np.arange(8)
         for end in (-1e-2, 0.0):
             with pytest.raises(FittingError, match="^time must be nonnegative$"):
-                fit_p3(DataSeries(end + 1e-4 * (i - 7), 0.9 * 0.6 ** i, np.ones(8)))
+                fit_p3(DataSeries(end + 1e-4 * (i - 7), 0.9 * 0.6 ** i, np.ones(8)), LAMBDA)
 
     def test_recovered_rates_are_non_markovian(self):
         from qbuffer.dynamics import classify_regime
-        fit = fit_p3(p3_series())
+        fit = fit_p3(p3_series(), LAMBDA)
         total_kappa = fit.params.kappa1 + fit.params.kappa2
         assert classify_regime(total_kappa, fit.params.gamma0).regime == "NonMarkovian"
 
@@ -595,21 +604,21 @@ class TestFitP3:
         i = np.arange(8)
         t = np.where(i < 6, i * 5e-324, (i - 5) * 1e-150)
         with pytest.raises(FittingError, match="^the p3 fit overflows on this record$"):
-            fit_p3(DataSeries(t, 0.9 - 0.05 * i, np.full(8, 0.01)))
+            fit_p3(DataSeries(t, 0.9 - 0.05 * i, np.full(8, 0.01)), LAMBDA)
 
     def test_swapped_init_lands_on_sorted_labels(self):
         data = p3_series()
         model = _p3_model(data.t)
         swapped = np.array([3528.0, 753.0, 16292.0, 0.5, 0.5]) / model.scales  # from SI
         result = fitting._polish(model, data.p, data.sigma, swapped)
-        params = CavityModelParams(*(result.x * model.scales))
+        params = CavityModelParams(*(result.x * model.scales), LAMBDA)
         assert params.kappa1 <= params.kappa2
         assert np.all(cavity_rel_errors(params) < 0.01)
 
     def test_noisy_recovery(self):
         errs = []
         for seed in range(5):
-            fit = fit_p3(p3_series(noise=0.02, seed=seed))
+            fit = fit_p3(p3_series(noise=0.02, seed=seed), LAMBDA)
             errs.append(cavity_rel_errors(fit.params))
         assert np.all(np.mean(errs, axis=0) < 0.10)
 
@@ -618,7 +627,7 @@ class TestFitP3:
         chis = []
         for seed in range(5):
             data = p3_series(n=50, noise=0.02, seed=seed)
-            fit = fit_p3(data)
+            fit = fit_p3(data, LAMBDA)
             chis.append(fit.residual_norm ** 2 / (len(data) - 5))
         assert 0.5 < np.mean(chis) < 1.5
 
@@ -628,11 +637,11 @@ class TestFitP3:
         # bound and a reduced chi-square of 3.4
         rng = np.random.default_rng([1, 0, 41])
         truth = CavityModelParams(*[v * rng.uniform(0.8, 1.2)
-                                    for v in (753.0, 3528.0, 16292.0, 0.5, 0.5)])
+                                    for v in (753.0, 3528.0, 16292.0, 0.5, 0.5)], LAMBDA)
         t = np.linspace(0.0, 1.5e-3, 50)
         y = p3(t, truth)
         sigma = 0.02 * np.abs(y)
-        fit = fit_p3(DataSeries(t, y + rng.normal(0.0, sigma), sigma))
+        fit = fit_p3(DataSeries(t, y + rng.normal(0.0, sigma), sigma), LAMBDA)
         dof = len(t) - 5
         assert abs(fit.residual_norm ** 2 / dof - 1.0) <= 6.0 * math.sqrt(2.0 / dof)
         assert "kappa1" not in fit.at_bounds
@@ -645,23 +654,25 @@ class TestFitP3:
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
-            fit_p3(p3_series(n=3))
+            fit_p3(p3_series(n=3), LAMBDA)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_unidentified_rate_variance_nonnegative(self, seed):
         # w1 = 0 leaves kappa1 unidentified; pinv(J^T J) used to put
         # -1.3e-28 (seed 0) and -1.1e-31 (seed 3) on its diagonal
-        fit = fit_p3(p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0)))
+        fit = fit_p3(p3_series(noise=0.02, seed=seed, params=replace(TRUTH_CAVITY, w1=0.0)),
+                     LAMBDA)
         assert min(fit.covariance_diag) >= 0.0
 
     @pytest.mark.parametrize("fit, make_model, make_data", [
         # these p3 records' best polish has kappa1 > kappa2, which used to buy
         # a second, label-swapped polish that never won
-        *[pytest.param(fit_p3, _p3_model,
+        *[pytest.param(lambda data: fit_p3(data, LAMBDA), _p3_model,
                        lambda seed=seed: p3_series(noise=0.02, seed=seed,
                                                    params=replace(TRUTH_CAVITY, w1=0.0)),
                        id=str(seed)) for seed in (0, 3)],
-        pytest.param(fit_pasy, pasy_model, lambda: pasy_series(noise=0.02, seed=21),
+        pytest.param(lambda data: fit_pasy(data, *PASY_FIXED), pasy_model,
+                     lambda: pasy_series(noise=0.02, seed=21),
                      id="pasy"),
     ])
     def test_one_polish_per_scan_start(self, monkeypatch, fit, make_model, make_data):
@@ -680,7 +691,8 @@ class TestFitP3:
 
     def test_lambda_width_carried(self):
         assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5
-        assert fit_p3(p3_series()).params.lambda_width == 1e6
+        data = p3_series()  # the command's default config carries 1e6
+        assert cli.cmd_fit("p3", series_csv(data.t, data.p)).params.lambda_width == 1e6
 
 
 class TestModelComparison:
@@ -690,16 +702,16 @@ class TestModelComparison:
         # self-consistency on clean data: the generating model reaches a
         # machine-zero residual, the other cannot represent sqrt(t) phases
         data = pasy_series()
-        assert fit_pasy(data).residual_norm < fit_p3(data).residual_norm
+        assert fit_pasy(data, *PASY_FIXED).residual_norm < fit_p3(data, LAMBDA).residual_norm
 
     def test_p3_data_prefers_p3(self):
         data = p3_series()
-        assert fit_p3(data).residual_norm < fit_pasy(data).residual_norm
+        assert fit_p3(data, LAMBDA).residual_norm < fit_pasy(data, *PASY_FIXED).residual_norm
 
 
 class TestFitResultJson:
     def test_pasy_fields(self):
-        fit = fit_pasy(pasy_series())
+        fit = fit_pasy(pasy_series(), *PASY_FIXED)
         out = fit_result_to_dict(fit)
         for key in ("d_p1_s_per_sqrt_m", "d_p2_s_per_sqrt_m", "mu_per_m",
                     "a1", "a2", "delta_omega_rad_s", "sign",

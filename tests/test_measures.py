@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbuffer.dynamics import UnitContext, length_from_time
+from qbuffer.cli import build_config
+from qbuffer.dynamics import length_from_time
 from qbuffer.measures import (classical_correlation, concurrence,
                               correlation_report, discord,
                               discord_concurrence_crossover,
@@ -128,7 +129,7 @@ class TestCrossover:
 
 class TestLevelCrossing:
     def test_exponential_against_closed_form(self):
-        units = UnitContext()
+        units = build_config({}).units
         mu = 6e-6
         rate = 2 * mu * units.c / units.n_r
         model = lambda t: np.exp(-rate * t)

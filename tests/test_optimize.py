@@ -69,10 +69,11 @@ def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
     # and so do threshold, an interior tomo and a fit of every model; only a
     # tomo whose MLE iterates loads it
     dynamics, prefix = qbuffer.dynamics, str(tmp_path / "sweep.csv")
-    t = np.linspace(0.0, 1.5e-3, 20)
-    p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5))
+    t, config = np.linspace(0.0, 1.5e-3, 20), qbuffer.cli.build_config({})
+    p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5,
+                                                          config.cavity.lambda_width))
     pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams.from_lab_units(
-        200.0, 0.0017, 0.047, 0.006, 0.5, 0.5))
+        200.0, 0.0017, 0.047, 0.006, 0.5, 0.5), config.units)
     for model, p in (("pasy", pasy_curve), ("p3", p3_curve), ("exp", p3_curve)):
         Path(f"{prefix}.{model}.csv").write_text(series_csv(t, p))
     assert run_python(STARTUP, prefix) == [
@@ -384,6 +385,19 @@ def test_lockstep_stops_after_4000_evaluations(lazy):
     assert (result.status, result.nfev, len(calls)) == (0, 4000, 4000)
 
 
+def test_nielsen_rho_is_clipped_at_one(lazy):
+    # r = 1 - x with a Jacobian stated as -1e-110: the predicted decrease is
+    # tiny, so an accepted step's rho passes 1e102 and (2 rho - 1)**3 would
+    # overflow a Python float; clipped at 1, lam shrinks by a third per step
+    # and the start walks to the root
+    def fun(x):
+        return 1.0 - x, lambda rows: np.full((len(x), 1, 1), -1e-110)[rows]
+
+    [result] = lazy.lockstep(fun, [[0.5]])
+    assert (result.status, result.nfev) == (3, 90)
+    assert abs(result.x[0] - 1.0) <= 1e-14
+
+
 def test_zero_gradient_stops_a_start_where_it_is(lazy):
     # y is the design's own value at [1, 1, 1], so that start's residual and
     # gradient are exactly 0 and it stops before its first trial; the others
@@ -399,11 +413,12 @@ def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     # a polish stopped by the cap is not converged, and the fit says so
     from qbuffer import fitting
     t = np.linspace(0.0, 1.5e-3, 50)
-    truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5)
+    lambda_width = qbuffer.cli.build_config({}).cavity.lambda_width
+    truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5, lambda_width)
     data = fitting.DataSeries(t, qbuffer.dynamics.p3(t, truth), np.ones(50))
-    assert fitting.fit_p3(data).converged
+    assert fitting.fit_p3(data, lambda_width).converged
     monkeypatch.setattr(lazy, "_MAX_NFEV", 3)
-    fit = fitting.fit_p3(data)
+    fit = fitting.fit_p3(data, lambda_width)
     assert not fit.converged and fit.iterations == 3
     assert fitting.fit_result_to_dict(fit)["converged"] is False
 

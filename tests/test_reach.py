@@ -17,6 +17,11 @@ Functions are every ``def`` and ``lambda`` in the package's source, keyed by
 module and qualified name (``dynamics.PmdModelParams.from_lab_units``); the
 names are built from the code objects, as Python 3.10 gives no
 ``co_qualname``.
+
+A default that only tests leave unset is code kept for tests, too: every
+parameter default and dataclass-field default in the package, read from its
+source with ``ast``, must be exactly ``ALLOWED_DEFAULTS``, each naming the
+caller outside the tests that leaves it unset.
 """
 
 import ast
@@ -54,8 +59,6 @@ HELD = {
     "channels.amplitude_damping_kraus": criterion("05_amplitude_damping_identities"),
     "tomography.trace_distance": criterion("06_tomography_round_trip"),
     "dynamics.PmdModelParams.from_lab_units": criterion("07_fit_round_trips"),
-    "dynamics.CavityModelParams.from_lab_units":
-        "tests/test_dynamics.py::TestParamsSerialization::test_lab_unit_constructors",
     "measures.discord": criterion("03_separability_point"),
     "measures.discord_concurrence_crossover": criterion("02_discord_concurrence_crossover"),
     "measures.discord_concurrence_crossover.<locals>.<lambda>":
@@ -63,6 +66,17 @@ HELD = {
     "dynamics.prob_pf": PMD_MAP,
     "channels.pmd_operator": PMD_MAP,
     "states.apply_operator": PMD_MAP,
+}
+
+# each parameter default and dataclass-field default in the package, and the
+# caller outside the tests that leaves it unset; the model inputs (n_r, the
+# detuning, sign, lambda, the accidental rate) have one default each, in
+# cli.DEFAULT_CONFIG, and reach the package through cli.build_config
+ALLOWED_DEFAULTS = {
+    "cli.cmd_fit.config": "bench/qbbench/workloads.py: the fit items call cmd_fit(model, text)",
+    "cli.main.argv": "the qbuffer console script calls main()",
+    "fitting.FitResult.at_bounds": "fitting.fit_exponential",
+    "dynamics.PmdModelParams.from_lab_units.sign": criterion("07_fit_round_trips"),
 }
 
 TRACE = """
@@ -164,3 +178,33 @@ def test_each_held_function_names_a_test_that_exists():
                           if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                           and node.name == name), None)
         assert isinstance(scope, ast.FunctionDef) and scope.name.startswith("test_"), holder
+
+
+def defaults(tree, prefix):
+    """``module.qualname.name`` of each parameter default and dataclass-field
+    default under ``tree``; a field annotated ``ClassVar`` is a constant."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield f"{prefix}{node.name}.{stmt.target.id}"
+            yield from defaults(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args, name = node.args, getattr(node, "name", "<lambda>")
+            positional = args.posonlyargs + args.args
+            for arg in positional[len(positional) - len(args.defaults):]:
+                yield f"{prefix}{name}.{arg.arg}"
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}{name}.{arg.arg}"
+            yield from defaults(node, f"{prefix}{name}.<locals>.")
+        else:
+            yield from defaults(node, prefix)
+
+
+def test_every_default_names_a_caller_that_leaves_it_unset():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in defaults(ast.parse(path.read_text()),
+                                  ("qbuffer" if path.stem == "__init__" else path.stem) + ".")]
+    assert sorted(found) == sorted(ALLOWED_DEFAULTS)

@@ -298,19 +298,19 @@ class TestSubtractAccidentals:
         assert not np.signbit(subtract_accidentals(uniform_record(-0.0, 0.0, 10))).any()
 
     def test_no_accidentals_unchanged(self):
-        record = expected_counts(make_werner(0.5), GATES)
+        record = expected_counts(make_werner(0.5), GATES, 0.0)
         assert subtract_accidentals(record).tobytes() == record.coincidences.tobytes()
 
 
 class TestLinearInversion:
     def test_recovers_werner(self):
-        counts = subtract_accidentals(expected_counts(make_werner(0.8), GATES))
+        counts = subtract_accidentals(expected_counts(make_werner(0.8), GATES, 0.0))
         rho = linear_inversion(counts)
         assert np.abs(rho - make_werner(0.8)).max() < 1e-10
 
     def test_recovers_bell(self):
         bell = np.outer(make_bell_phi_plus(), make_bell_phi_plus().conj())
-        counts = subtract_accidentals(expected_counts(bell, GATES))
+        counts = subtract_accidentals(expected_counts(bell, GATES, 0.0))
         rho = linear_inversion(counts)
         assert np.abs(rho - bell).max() < 1e-10
 
@@ -393,12 +393,12 @@ class TestReconstructMle:
     def test_noiseless_bell_fidelity(self):
         bell_vec = make_bell_phi_plus()
         bell = np.outer(bell_vec, bell_vec.conj())
-        result = reconstruct_mle(subtract_accidentals(expected_counts(bell, GATES)))
+        result = reconstruct_mle(subtract_accidentals(expected_counts(bell, GATES, 0.0)))
         assert result.converged
         assert np.real(bell_vec.conj() @ result.rho_hat @ bell_vec) >= 0.9999
 
     def test_noiseless_werner_round_trip(self):
-        counts = subtract_accidentals(expected_counts(make_werner(0.75), GATES))
+        counts = subtract_accidentals(expected_counts(make_werner(0.75), GATES, 0.0))
         result = reconstruct_mle(counts)
         assert estimate_werner_probability(result.rho_hat) == pytest.approx(0.75,
                                                                             abs=1e-4)
@@ -419,6 +419,14 @@ class TestReconstructMle:
             if fidelity(truth, result.rho_hat) >= 0.995:
                 good += 1
         assert good >= 18
+
+    def test_counts_as_a_list(self):
+        # a boundary record: the solver's path reads the counts as well as
+        # linear_inversion, which checks them
+        counts = seeded_counts(0.99, 0.0, 12345)
+        got, want = reconstruct_mle(counts.tolist()), reconstruct_mle(counts)
+        assert got.rho_hat.tobytes() == want.rho_hat.tobytes()
+        assert (got.iterations, got.log_likelihood) == (want.iterations, want.log_likelihood)
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(TomographyError):
@@ -448,7 +456,7 @@ class TestReconstructMle:
     ] + [
         pytest.param(subtract_accidentals(expected_counts(damp_werner(0.8, 0.05), GATES,
                                                           1e-6)), id="exact-P0.8"),
-        pytest.param(subtract_accidentals(expected_counts(damp_werner(1.0, 0.0), GATES)),
+        pytest.param(subtract_accidentals(expected_counts(damp_werner(1.0, 0.0), GATES, 0.0)),
                      id="exact-P1.0"),
         pytest.param(adversarial_counts(), id="adversarial"),
     ])
