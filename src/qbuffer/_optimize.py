@@ -2,9 +2,9 @@
 ``brentq``; the two-column NNLS; and the bounded least-squares solver, which
 moves a stack of starting points in lockstep; plus an L-BFGS-B driver around
 scipy's compiled routine, imported on the first call that needs it.  The
-least-squares solver's damped systems are solved as stacks, one batched
-``np.linalg.solve`` each; a held variable's row and column become the
-identity's within its stack.
+least-squares solver's damped systems are solved as stacks, one call each
+of the LAPACK gufunc that ``np.linalg.solve`` calls; a held variable's row
+and column become the identity's within its stack.
 
 Importing scipy.optimize is most of a cold command's start-up, and only the
 boundary MLE needs it.  Callers keep these names as module globals, so tests
@@ -19,6 +19,7 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 def brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
@@ -323,10 +324,10 @@ def _step(damped: np.ndarray, d: np.ndarray, g: np.ndarray, x: np.ndarray) -> np
 
 
 def _solve(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """m[k]^-1 b[k] for every system k of the stack; nan where m[k] is singular."""
-    try:
-        return np.linalg.solve(m, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # a singular system fails the stack: solve each alone
-        if len(m) == 1:
-            return np.full_like(b, np.nan)
-        return np.concatenate([_solve(m[k:k + 1], b[k:k + 1]) for k in range(len(m))])
+    """m[k]^-1 b[k] for every system k of the stack; nan where m[k] is singular.
+
+    The gufunc solves each system alone, with np.linalg.solve's LAPACK call,
+    and fills a singular one's row with nan, raising only the invalid flag
+    that np.linalg.solve turns into LinAlgError."""
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.solve1(m, b, signature="dd->d")

@@ -231,10 +231,12 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
     Each component is evaluated once, against the three rates, and at every
     grid point with theta1 <= theta2 the weights are solved by closed-form
     two-column NNLS (``nnls``), one call for the whole grid.  Points are
-    ranked by SSE, ties in grid order (rate, theta2, theta1), and kept only
-    if their theta2 differs by more than a relative 5 % from every point
-    already kept.  A kept point starts from the weights solved at it.
-    Raises when no grid point fits better than P = 0.
+    ranked by SSE, nan last and ties in grid order (rate, theta2, theta1),
+    and kept only if their theta2 differs by more than a relative 5 % from
+    every point already kept.  A point whose theta2 came earlier in that
+    walk is never kept, so only each theta2's first point, its own best, is
+    walked.  A kept point starts from the weights solved at it.  Raises when
+    no grid point fits better than P = 0.
     """
     y = p / sigma
     with np.errstate(all="ignore"):  # a value that overflowed is reported below
@@ -247,8 +249,18 @@ def _scan(model: _TwoComponent, t: np.ndarray, p: np.ndarray,
         raise FittingError(f"the {model.name} model is not finite on this record's "
                            f"scan grid; check its times and the fixed model parameters")
     w1, w2, sse = np.swapaxes(nnls(c1, c2, y), -1, -2)  # (rate, theta2, theta1)
-    ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
-    ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
+    # each theta2's points, (rate, theta1) in grid order, nan where theta1 >
+    # theta2; theta1 = 0 comes first and is never masked
+    rows = np.arange(len(theta2s))
+    by_theta2 = np.where(theta1s <= theta2s[:, None], sse, np.nan).swapaxes(0, 1)
+    by_theta2 = by_theta2.reshape(len(rows), -1)
+    filled = np.where(np.isnan(by_theta2), np.inf, by_theta2)
+    best = filled.argmin(axis=1)
+    for k in np.flatnonzero(filled[rows, best] == np.inf).tolist():
+        best[k] = np.argsort(by_theta2[k], kind="stable")[0]  # no finite point: nan last
+    rate_i, theta1_i = np.divmod(best, len(theta1s))
+    flat = np.ravel_multi_index((rate_i, rows, theta1_i), sse.shape)
+    ranked = flat[np.lexsort((flat, by_theta2[rows, best]))]
     if not sse.ravel()[ranked[0]] < y @ y:  # every start would have both weights at 0
         raise FittingError(f"no point of the {model.name} scan grid fits times {t[0]:.17g} "
                            f"to {t[-1]:.17g} s better than P = 0")

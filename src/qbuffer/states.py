@@ -13,9 +13,11 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -82,18 +84,23 @@ def make_werner(p: float) -> np.ndarray:
 def validate(rho: np.ndarray) -> ValidationReport:
     """Report how far a matrix deviates from being a physical two-qubit state.
 
-    Never raises: reconstruction noise routinely produces slightly unphysical
-    matrices, and callers need the residuals to decide.
+    Raises only on a shape other than 4x4: reconstruction noise routinely
+    produces slightly unphysical matrices, and callers need the residuals to
+    decide.  A matrix with an entry that is not finite fails with nan
+    residuals, before any arithmetic.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
+    if not np.isfinite(rho).all():
+        return ValidationReport(math.nan, math.nan, math.nan)
     adjoint = rho.conj().T
     herm = float(np.abs(rho - adjoint).max())
     trace = float(abs(rho.trace() - 1.0))
-    # eigvalsh needs an exactly Hermitian input; symmetrize first
+    # the eigenvalues need an exactly Hermitian input; symmetrize first.  The
+    # gufunc is np.linalg.eigvalsh's LAPACK call without the wrapper's checks
     sym = 0.5 * (rho + adjoint)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(_umath_linalg.eigvalsh_lo(sym, signature="D->d")[0])
     return ValidationReport(herm, trace, min_eig)
 
 

@@ -9,6 +9,14 @@ linear-inversion oracle (exact but possibly unphysical) and a
 maximum-likelihood estimate constrained to physical states through the
 T^dag T parametrization, which is the linear inversion itself whenever that
 is a state.
+
+The 16x16 solve and the Hermitian eigendecompositions call the gufuncs
+that ``np.linalg.solve``, ``eigh`` and ``eigvalsh`` call
+(``numpy.linalg._umath_linalg``): the same LAPACK routines and bits, without
+the wrapper's per-call checks and error state, which cost as much as the
+LAPACK work on 4x4 and 16-entry arrays.  Each gets finite entries: the
+counts are checked, and so are ``fidelity``'s and ``trace_distance``'s
+arguments.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._optimize import minimize
 from .states import product_ket, require_valid
@@ -162,7 +171,7 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
     n_pairs = counts[0] + counts[1] + counts[4] + counts[5]  # HH, HV, VH, VV
     if n_pairs <= 0:
         raise TomographyError("total rectilinear counts must be positive")
-    coeffs = np.linalg.solve(_DESIGN, counts / n_pairs)
+    coeffs = _umath_linalg.solve1(_DESIGN, counts / n_pairs, signature="dd->d")
     rho = _basis_sum(coeffs)
     return rho / rho.trace().real
 
@@ -240,7 +249,7 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     # the data.
     try:
         rho_lin = linear_inversion(counts)
-        eigvals, eigvecs = np.linalg.eigh(rho_lin)
+        eigvals, eigvecs = _umath_linalg.eigh_lo(rho_lin, signature="D->dD")
         if eigvals[0] >= 0:
             m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
             return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
@@ -330,22 +339,30 @@ def estimate_werner_probability(rho: np.ndarray) -> float:
     return werner_estimators(rho).mean
 
 
+def _finite(name: str, matrix) -> np.ndarray:
+    """``matrix`` as a complex array; raises ValueError naming it when an entry is not finite."""
+    matrix = np.asarray(matrix, dtype=complex)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} must have finite entries")
+    return matrix
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped at 1: the
     roots of a near-pure state's near-zero eigenvalues carry O(sqrt(eps)) errors."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    rho, sigma = _finite("rho", rho), _finite("sigma", sigma)
+    vals, vecs = _umath_linalg.eigh_lo(0.5 * (rho + rho.conj().T), signature="D->dD")
     sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
-    inner_vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    inner_vals = _umath_linalg.eigvalsh_lo(0.5 * (inner + inner.conj().T), signature="D->d")
     return min(float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))) ** 2), 1.0)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+    diff = _finite("rho", rho) - _finite("sigma", sigma)
+    half = 0.5 * (diff + diff.conj().T)
+    return float(0.5 * np.sum(np.abs(_umath_linalg.eigvalsh_lo(half, signature="D->d"))))
 
 
 # ---------------------------------------------------------------------------

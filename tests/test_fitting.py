@@ -223,6 +223,46 @@ def grid_nnls_scan(model, t, p, sigma):
     return picked
 
 
+def former_scan(model, t, p, sigma):
+    """``_scan`` as it stood before it walked one point per theta2: every grid
+    point with theta1 <= theta2, ranked by a stable sort of its SSE."""
+    y = p / sigma
+    rates, theta2s, theta1s = fitting._grid(model, t, p)
+    c1 = model.component(0, theta1s[:, None], rates[:, None, None]) / sigma
+    c2 = model.component(1, theta2s[:, None], rates[:, None, None]) / sigma
+    w1, w2, sse = np.swapaxes(fitting.nnls(c1, c2, y), -1, -2)  # (rate, theta2, theta1)
+    ranked = np.flatnonzero(np.broadcast_to(theta1s <= theta2s[:, None], sse.shape))
+    ranked = ranked[np.argsort(sse.ravel()[ranked], kind="stable")]
+    if not sse.ravel()[ranked[0]] < y @ y:
+        raise FittingError("no point of the scan grid fits better than P = 0")
+    picked = []
+    for i in zip(*np.unravel_index(ranked, sse.shape)):
+        rate, theta2, theta1 = rates[i[0]], theta2s[i[1]], theta1s[i[2]]
+        if all(abs(theta2 - other[1]) > 0.05 * other[1] for other in picked):
+            picked.append(np.array([theta1, theta2, rate, w1[i], w2[i]]))
+            if len(picked) >= 4:
+                break
+    return picked
+
+
+def synthetic_nnls(shape, kind, seed, yy):
+    """Weights and SSEs of ``nnls``'s (rate, theta1, theta2) shape with forced
+    ties: few distinct SSEs, infinities and nans, finite SSEs on two theta2
+    values only, or none below y.y (``yy``), where the scan raises."""
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        sse = rng.integers(0, 4, size=shape) * 0.25 * yy
+    elif kind == "nonfinite":
+        sse = rng.choice([0.0, 0.5 * yy, np.inf, -np.inf, np.nan], size=shape)
+    elif kind == "two finite theta2":
+        q = rng.uniform()
+        sse = rng.choice([np.inf, np.nan], size=shape, p=[q, 1.0 - q])
+        sse[..., rng.choice(shape[-1], 2)] = rng.integers(0, 3, size=shape[:-1] + (2,))
+    else:
+        sse = rng.choice([yy, 2.0 * yy, np.inf, np.nan], size=shape)
+    return rng.normal(size=shape), rng.normal(size=shape), sse
+
+
 def pasy_model(t):
     return _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS, t)
 
@@ -299,6 +339,29 @@ class TestScan:
         assert [x[:3].tobytes() for x in got] == [x[:3].tobytes() for x in expected]
         for x, want in zip(got, expected):
             np.testing.assert_allclose(x[3:], want[3:], rtol=1e-10, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(["ties", "nonfinite", "two finite theta2", "no fit"]),
+           seed=st.integers(0, 2**32 - 1), pasy=st.booleans())
+    def test_picks_equal_the_ranked_walk_over_every_point(self, kind, seed, pasy):
+        # each theta2's own best point stands for all of its points: the
+        # same starts, bit for bit, or the same raise, as the walk over the
+        # whole grid
+        data = pasy_series() if pasy else p3_series()
+        model = (pasy_model if pasy else _p3_model)(data.t)
+        rates, theta2s, theta1s = fitting._grid(model, data.t, data.p)
+        y = data.p / data.sigma
+        grid = synthetic_nnls((len(rates), len(theta1s), len(theta2s)), kind, seed, y @ y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fitting, "nnls", lambda *args: grid)
+            try:
+                want = former_scan(model, data.t, data.p, data.sigma)
+            except FittingError:
+                with pytest.raises(FittingError, match="better than P = 0"):
+                    _scan(model, data.t, data.p, data.sigma)
+                return
+            got = _scan(model, data.t, data.p, data.sigma)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
     @pytest.mark.parametrize("make_model, make_data", SCAN_CASES)
     def test_scipy_nnls_only_for_kept_points(self, monkeypatch, make_model, make_data):

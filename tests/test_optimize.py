@@ -1,6 +1,8 @@
 """qbuffer's own solvers against scipy as the oracle: Brent's zero step and
 the L-BFGS-B driver give scipy's bits, and the fits' two-column NNLS and
 bounded least-squares solver are checked on problems with known answers.
+numpy's private LAPACK gufuncs, which qbuffer calls in place of
+``np.linalg.eigh``, ``eigvalsh`` and ``solve``, give those functions' bits.
 Start-up: a command imports only the qbuffer modules it runs, and only a
 tomo whose MLE iterates imports scipy.optimize."""
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import scipy.optimize
+from numpy.linalg import _umath_linalg
 
 import qbuffer
 from qbuffer import _optimize, tomography
@@ -342,6 +345,26 @@ def test_least_squares_holds_a_variable_at_the_bound(lazy):
     np.testing.assert_allclose(got.x[[0, 2]], want[[0, 2]], rtol=1e-9)
 
 
+def test_a_step_across_the_bound_stops_0995_of_the_way(lazy):
+    # from here the first step would take the intercept below 0: the trial
+    # goes 0.995 of the way to the bound, and the intercept keeps 0.005 of 0.2
+    y = 2.0 * LINE_T - 0.4 + np.sin(3.0 * LINE_T)
+    fun, seen = linear(y), []
+    lazy.least_squares(lambda x: seen.append(x[0].copy()) or fun(x), [[0.8, 0.2, 0.1]])
+    assert seen[1][1] == pytest.approx(0.005 * 0.2, rel=1e-12)
+
+
+def test_a_variable_at_5e9_is_not_held(lazy):
+    # 5e-9 is above the 1e-9 at which a variable whose step points outward is
+    # held: the intercept's first trial moves toward the bound (cut 0.995 of
+    # the way there) instead of staying put, as it does from 1e-10
+    y = 2.0 * LINE_T - 0.4 + np.sin(3.0 * LINE_T)
+    fun, seen = linear(y), []
+    got = lazy.least_squares(lambda x: seen.append(x[0, 1]) or fun(x), [[1.0, 5e-9, 1.0]])
+    assert seen[0] == 5e-9 and 0.0 < seen[1] < 5e-9
+    assert got.status > 0 and got.x[1] <= 1e-9
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_least_squares_rejects_a_nonfinite_trial(lazy, bad):
@@ -614,3 +637,67 @@ def test_singular_held_system_gives_a_nan_step(lazy):
     for i in (0, 2):
         alone = lazy._step(damped[i:i + 1], d[i:i + 1], g[i:i + 1], x[i:i + 1])
         assert step[i].tobytes() == want[i].tobytes() == alone[0].tobytes()
+
+
+def lapack_input(kind, seed, exponent, n):
+    """An n x n matrix scaled by 10**exponent: complex Hermitian, PSD (full
+    rank or rank 1), or general, real or complex."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "hermitian":
+        a = a + a.conj().T
+    elif kind == "psd":
+        a = a @ a.conj().T
+    elif kind == "rank-one psd":
+        a = np.outer(a[0], a[0].conj())
+    elif kind == "real":
+        a = a.real.copy()
+    return a * 10.0 ** exponent
+
+
+LAPACK_KINDS = st.sampled_from(["hermitian", "psd", "rank-one psd", "general", "real"])
+SCALES = st.one_of(st.sampled_from([-100, 0, 100]), st.integers(-100, 100))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=LAPACK_KINDS, seed=st.integers(0, 2**32 - 1), exponent=SCALES)
+def test_eigh_gufuncs_are_numpys_eigh_and_eigvalsh(kind, seed, exponent):
+    # the lower triangle is read, so a general matrix is taken as Hermitian too
+    a = lapack_input(kind, seed, exponent, 4).astype(complex)
+    w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+    want_w, want_v = np.linalg.eigh(a)
+    assert (w.tobytes(), v.tobytes()) == (want_w.tobytes(), want_v.tobytes())
+    got = _umath_linalg.eigvalsh_lo(a, signature="D->d")
+    assert got.tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5, 16]), exponent=SCALES,
+       rhs_exponent=SCALES)
+def test_solve_gufunc_is_numpys_solve(seed, n, exponent, rhs_exponent):
+    a = lapack_input("real", seed, exponent, n)
+    b = np.random.default_rng(seed + 1).normal(size=n) * 10.0 ** rhs_exponent
+    got = _umath_linalg.solve1(a, b, signature="dd->d")
+    assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 6), exponent=SCALES)
+def test_stacked_solve_is_each_system_alone(seed, stack, exponent):
+    # about one system in three is singular, with a row repeated or zero:
+    # it alone reads nan, without a warning, and every other system is
+    # np.linalg.solve's on it alone
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    m = rng.normal(size=(stack, n, n)) * 10.0 ** exponent
+    b = rng.normal(size=(stack, n))
+    for k in np.flatnonzero(rng.uniform(size=stack) < 0.35):
+        i, j = rng.integers(0, n, size=2)
+        m[k, j] = m[k, i] if i != j else 0.0
+    got = _optimize._solve(m, b)
+    for k in range(stack):
+        try:
+            alone = np.linalg.solve(m[k], b[k])
+        except np.linalg.LinAlgError:
+            alone = np.full(n, np.nan)
+        assert got[k].tobytes() == alone.tobytes()

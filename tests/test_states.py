@@ -122,6 +122,23 @@ class TestValidate:
         got = (report.hermiticity_residual, report.trace_residual, report.min_eigenvalue)
         assert [x.hex() for x in got] == [x.hex() for x in want]  # tells -0.0 from 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_a_nonfinite_entry_fails_with_nan_residuals(self, value, part):
+        # at every position, without a warning or an eigensolver error; the
+        # check that requires a state raises its one-line error
+        for position in np.ndindex(4, 4):
+            rho = make_werner(0.5)
+            rho[position] = complex(value, 0.0) if part == "real" else complex(0.0, value)
+            report = validate(rho)
+            assert not report.passed
+            assert np.isnan([report.hermiticity_residual, report.trace_residual,
+                             report.min_eigenvalue]).all()
+            with pytest.raises(ValueError, match="^invalid density matrix: hermiticity "
+                                                 "residual nan, trace residual nan, "
+                                                 "min eigenvalue nan$"):
+                states.require_valid(rho)
+
 
 class TestApplyOperator:
     def test_identity_leaves_state(self):

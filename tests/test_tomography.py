@@ -149,6 +149,22 @@ def former_linear_inversion(counts):
     return rho / np.real(rho.trace())
 
 
+def former_fidelity(rho, sigma):
+    """fidelity as it was before it called numpy's LAPACK gufuncs: np.linalg's eigh and eigvalsh."""
+    rho, sigma = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
+    inner = sqrt_rho @ sigma @ sqrt_rho
+    inner_vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    return min(float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))) ** 2), 1.0)
+
+
+def former_trace_distance(rho, sigma):
+    """trace_distance as it was before it called numpy's LAPACK gufunc: np.linalg.eigvalsh."""
+    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
+
+
 def former_werner_estimators(rho):
     """werner_estimators as it was before it read the entries from one list."""
     rho = np.asarray(rho, dtype=complex)
@@ -716,6 +732,29 @@ class TestStateFunctionals:
         v1 = np.zeros((4, 4)); v1[0, 0] = 1.0
         v2 = np.zeros((4, 4)); v2[1, 1] = 1.0
         assert trace_distance(v1, v2) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rho=st.one_of(random_states(), DAMPED_WERNER), sigma=st.one_of(random_states(),
+                                                                         DAMPED_WERNER),
+           exponent=st.one_of(st.sampled_from([-100, 0, 100]), st.integers(-100, 100)),
+           general=st.booleans())
+    def test_functionals_equal_the_former_forms(self, rho, sigma, exponent, general):
+        # states, or any matrices, at scales 1e+-100: the same bits as
+        # np.linalg's eigh and eigvalsh give
+        if general:
+            rho = rho + 1j * np.triu(sigma)
+        rho = rho * 10.0 ** exponent
+        assert fidelity(rho, sigma).hex() == former_fidelity(rho, sigma).hex()
+        assert trace_distance(rho, sigma).hex() == former_trace_distance(rho, sigma).hex()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("functional", [fidelity, trace_distance])
+    @pytest.mark.parametrize("name", ["rho", "sigma"])
+    def test_nonfinite_argument_named(self, name, functional, value):
+        args = {"rho": make_werner(0.3), "sigma": damp_werner(0.8, 0.1)}
+        args[name][2, 1] = value
+        with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
+            functional(**args)
 
 
 class TestRecordsCsv:
