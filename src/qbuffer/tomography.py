@@ -14,9 +14,10 @@ The 16x16 solve and the Hermitian eigendecompositions call the gufuncs
 that ``np.linalg.solve``, ``eigh`` and ``eigvalsh`` call
 (``numpy.linalg._umath_linalg``): the same LAPACK routines and bits, without
 the wrapper's per-call checks and error state, which cost as much as the
-LAPACK work on 4x4 and 16-entry arrays.  Each gets finite entries: the
-counts are checked, and so are ``fidelity``'s and ``trace_distance``'s
-arguments.
+LAPACK work on 4x4 and 16-entry arrays.  Where the wrapper raised
+LinAlgError on a matrix that was not finite, ``fidelity`` and
+``trace_distance`` check their arguments, and a matrix that overflowed from
+finite inputs raises ValueError.
 """
 
 from __future__ import annotations
@@ -237,7 +238,8 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     starts from the linear inversion, clipped to a physical state, or from
     the maximally mixed state when the rectilinear counts are all zero;
     convergence is declared when it reports success or the final gradient
-    norm is below 1e-8.
+    norm is below 1e-8.  Counts that overflow when divided by their
+    rectilinear sum, which is then tiny beside them, raise ValueError.
 
     ``rho_hat`` is not checked again: a PSD linear inversion has unit trace,
     and T^dag T / tr is a state for any nonzero T, while no solver result's
@@ -253,6 +255,9 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
         if eigvals[0] >= 0:
             m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
             return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
+        if not np.isfinite(eigvals).all():  # the counts over their rectilinear sum overflowed
+            raise ValueError("the linear inversion of these counts is not finite: their "
+                             "rectilinear sum is too small for them")
         eigvals = np.maximum(eigvals, 1e-6)
         rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
         rho0 /= np.real(rho0.trace())
@@ -355,14 +360,20 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     inner_vals = _umath_linalg.eigvalsh_lo(0.5 * (inner + inner.conj().T), signature="D->d")
-    return min(float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))) ** 2), 1.0)
+    root_sum = float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))))
+    if not math.isfinite(root_sum):
+        raise ValueError("rho and sigma are too large: their products overflow")
+    return min(root_sum ** 2, 1.0)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
     diff = _finite("rho", rho) - _finite("sigma", sigma)
     half = 0.5 * (diff + diff.conj().T)
-    return float(0.5 * np.sum(np.abs(_umath_linalg.eigvalsh_lo(half, signature="D->d"))))
+    distance = float(0.5 * np.sum(np.abs(_umath_linalg.eigvalsh_lo(half, signature="D->d"))))
+    if not math.isfinite(distance):
+        raise ValueError("rho - sigma is too large: it overflows")
+    return distance
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,13 @@ class TestValidate:
                                                  "min eigenvalue nan$"):
                 states.require_valid(rho)
 
+    def test_finite_entries_that_overflow_fail_without_raising(self):
+        # the symmetrized matrix overflows, numpy's own warnings aside: the
+        # report fails where the eigensolver used to raise
+        with np.errstate(all="ignore"):
+            report = validate(np.full((4, 4), 1e308))
+        assert not report.passed and np.isnan(report.min_eigenvalue)
+
 
 class TestApplyOperator:
     def test_identity_leaves_state(self):

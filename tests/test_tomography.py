@@ -436,6 +436,19 @@ class TestReconstructMle:
                 good += 1
         assert good >= 18
 
+    @pytest.mark.parametrize("counts", [
+        [0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0],
+        [5e-324] + [0.0] * 14 + [1e10]])
+    def test_overflowing_frequencies_raise(self, counts):
+        # counts over a tiny rectilinear sum overflow, so the linear
+        # inversion is not finite; numpy's own warnings aside, that raises
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(linear_inversion(counts)).all()
+            with pytest.raises(ValueError, match="^the linear inversion of these counts is "
+                                                 "not finite: their rectilinear sum is too "
+                                                 "small for them$"):
+                reconstruct_mle(counts)
+
     def test_counts_as_a_list(self):
         # a boundary record: the solver's path reads the counts as well as
         # linear_inversion, which checks them
@@ -755,6 +768,15 @@ class TestStateFunctionals:
         args[name][2, 1] = value
         with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
             functional(**args)
+
+    @pytest.mark.parametrize("functional, rho, sigma, message", [
+        (fidelity, 1e200, 1e200, "rho and sigma are too large: their products overflow"),
+        (trace_distance, 1e308, -1e308, "rho - sigma is too large: it overflows")])
+    def test_overflow_raises(self, functional, rho, sigma, message):
+        # finite arguments whose products or difference overflow, numpy's
+        # own warnings aside: an error, not a nan
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            functional(rho * make_werner(0.5), sigma * make_werner(0.5))
 
 
 class TestRecordsCsv:
