@@ -22,32 +22,20 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 
-def brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """A zero of ``f`` in [a, b], where f(a) and f(b) differ in sign, by
-    Brent's (1973) method: inverse quadratic or secant steps, falling back to
-    bisection.
+def brentq(f: Callable, a: float, b: float, fa: float, fb: float, xtol: float, rtol: float,
+           maxiter: int) -> tuple[float, float]:
+    """A zero of ``f`` in [a, b] by Brent's (1973) method: inverse quadratic or
+    secant steps, falling back to bisection.  ``fa`` and ``fb`` are f(a) and
+    f(b), which the caller already holds: both nonzero and opposite in sign.
+    Returns the root x and f(x); f is called only at points inside (a, b).
 
     Step for step scipy's ``brentq`` (its C routine and the wrapper around
     it), so every root is the same float: the search stops when the bracket
-    half-width falls below (xtol + rtol |x|) / 2 or f(x) == 0.  scipy's
-    bounds hold for the tolerances: xtol > 0 and rtol >= 4 eps.  Raises
-    ValueError when f(a) and f(b) have one sign or f returns nan, and
-    RuntimeError after ``maxiter`` steps without convergence.
+    half-width falls below (xtol + rtol |x|) / 2 or f(x) == 0.  scipy's bounds
+    hold for the tolerances: xtol > 0 and rtol >= 4 eps.  Raises ValueError when
+    f returns nan, and RuntimeError after ``maxiter`` steps without convergence.
     """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -59,7 +47,7 @@ def brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: i
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         stry = math.nan  # bisect, unless interpolation gives a good short step
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -77,7 +65,9 @@ def brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: i
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise ValueError(f"The function value at x={xcur} is NaN; solver cannot continue.")
     raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
 
 

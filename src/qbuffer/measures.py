@@ -88,12 +88,12 @@ def solve_level_crossing(model: Callable, level: float,
     ``model`` must broadcast like the ``dynamics`` models: called once with
     a numpy array of times it returns the array of values, called with a
     float it returns a float.  The bracket is first subdivided on a uniform
-    10 000-point grid, evaluated in one call, to isolate the first sign
-    change (oscillatory models cross many times); only that interval is
-    then refined, until |model(t*) - level| < 1e-9.  Returns None when no
-    sign change exists on the grid.  Resolution limit: a dip below ``level``
-    that starts and ends between two grid points (about 1 us apart in a
-    10 ms bracket) is missed, and the next crossing, if any, is returned.
+    10 000-point grid, evaluated in one call, to isolate the first sign change
+    (oscillatory models cross many times); only that interval is then refined
+    from its two grid values, until |model(t*) - level| < 1e-9.  Returns None
+    when no sign change exists on the grid.  Resolution limit: a dip below
+    ``level`` that starts and ends between two grid points (about 1 us apart in
+    a 10 ms bracket) is missed, and the next crossing, if any, is returned.
     """
     t_lo, t_hi = bracket
     if not t_hi > t_lo:
@@ -109,12 +109,11 @@ def solve_level_crossing(model: Callable, level: float,
     i = hits[0]
     if sign[i] == 0.0:
         return float(grid[i])
-    root = brentq(lambda t: model(t) - level, grid[i], grid[i + 1],
-                  xtol=1e-18 * max(1.0, abs(grid[i + 1])), rtol=8.9e-16, maxiter=200)
-    residual = abs(model(root) - level)
-    if residual > 1e-9:
-        raise RuntimeError(f"root refinement stalled: residual {residual:.3g}")
-    return float(root)
+    root, residual = brentq(lambda t: model(t) - level, *grid[i:i + 2], *values[i:i + 2],
+                            xtol=1e-18 * max(1.0, abs(grid[i + 1])), rtol=8.9e-16, maxiter=200)
+    if abs(residual) > 1e-9:
+        raise RuntimeError(f"root refinement stalled: residual {abs(residual):.3g}")
+    return root
 
 
 def discord_concurrence_crossover() -> float:

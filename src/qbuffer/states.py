@@ -14,6 +14,7 @@ All functions are pure and never mutate their arguments.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ SINGLE_QUBIT_KETS = {"H": KET_H, "V": KET_V, "D": KET_D, "A": KET_A,
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
+_MAX_MODULUS = sys.float_info.max / 8  # larger entries could overflow a residual
 
 
 @dataclass(frozen=True)
@@ -86,13 +88,13 @@ def validate(rho: np.ndarray) -> ValidationReport:
 
     Raises only on a shape other than 4x4: reconstruction noise routinely
     produces slightly unphysical matrices, and callers need the residuals to
-    decide.  A matrix with an entry that is not finite fails with nan
-    residuals, before any arithmetic.
+    decide.  An entry that is not finite, or of modulus above an eighth of the
+    largest float, fails the matrix with nan residuals before any arithmetic.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not np.isfinite(rho).all():
+    if not np.maximum.reduce(np.abs(rho), axis=None) <= _MAX_MODULUS:  # nan fails too
         return ValidationReport(math.nan, math.nan, math.nan)
     adjoint = rho.conj().T
     herm = float(np.abs(rho - adjoint).max())

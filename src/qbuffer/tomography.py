@@ -15,15 +15,15 @@ that ``np.linalg.solve``, ``eigh`` and ``eigvalsh`` call
 (``numpy.linalg._umath_linalg``): the same LAPACK routines and bits, without
 the wrapper's per-call checks and error state, which cost as much as the
 LAPACK work on 4x4 and 16-entry arrays.  Where the wrapper raised
-LinAlgError on a matrix that was not finite, ``fidelity`` and
-``trace_distance`` check their arguments, and a matrix that overflowed from
-finite inputs raises ValueError.
+LinAlgError, ``linear_inversion``, ``fidelity`` and ``trace_distance`` raise
+ValueError first, on inputs that are not finite or whose arithmetic could overflow.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,12 @@ _HERM_BASIS = np.array([np.kron(a, b) / 2.0 for a in _PAULIS for b in _PAULIS])
 
 _KETS = np.array([product_ket(*s) for s in SETTINGS])  # row k projects SETTINGS[k]
 _DESIGN = _born(_KETS, _HERM_BASIS).T
+# below this, D^-1 f and the basis sum stay under 1/8 of the largest float; the trace is 1
+_MAX_FREQUENCY = float(sys.float_info.max / (4.0 * np.abs(_umath_linalg.solve1(
+    _DESIGN, np.eye(16), signature="dd->d")).sum()))  # row k is D^-1 e_k, by the inversion's solve
+# largest entry moduli r, s of two arguments with r and r s, or r + s, up to this keep
+# fidelity's products (at most 256 r s) and trace_distance's sums (16 (r + s)) finite
+_MAX_SIZE = sys.float_info.max / 1024
 _TWO = np.array(2.0 + 0j)  # the MLE gradient's factor: the bits of 2.0, converted once
 
 
@@ -161,17 +167,22 @@ def linear_inversion(counts: np.ndarray) -> np.ndarray:
     returned as a raw matrix, not a validated state.  The 16 design rows are
     independent, so the system is square and nonsingular.  The rectilinear
     quartet (H/V on both arms) is a complete basis, so its summed counts
-    estimate the pair number that turns counts into frequencies.
+    estimate the pair number that turns counts into frequencies; one of
+    ``_MAX_FREQUENCY`` (about 6.2e305) or more could overflow, and raises ValueError.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (16,):
         raise ValueError(f"counts must hold 16 entries, one per setting, got {counts.shape}")
-    good = (counts >= 0.0) & (counts < math.inf)
-    if not good.all():
-        raise ValueError(f"count must be finite and nonnegative, got {float(counts[~good][0])!r}")
-    n_pairs = counts[0] + counts[1] + counts[4] + counts[5]  # HH, HV, VH, VV
-    if n_pairs <= 0:
-        raise TomographyError("total rectilinear counts must be positive")
+    # HH, HV, VH, VV as Python floats: a sum or bound that overflows reads inf, without a warning
+    n_pairs = counts.item(0) + counts.item(1) + counts.item(4) + counts.item(5)
+    if not (n_pairs < math.inf and ((counts >= 0.0) & (counts < _MAX_FREQUENCY * n_pairs)).all()):
+        bad = ~((counts >= 0.0) & (counts < math.inf))
+        if bad.any():
+            raise ValueError(f"count must be finite and nonnegative, got {float(counts[bad][0])!r}")
+        if n_pairs <= 0:
+            raise TomographyError("total rectilinear counts must be positive")
+        raise ValueError("the linear inversion of these counts is not finite: their rectilinear "
+                         + ("sum is too small for them" if n_pairs < math.inf else "sum overflows"))
     coeffs = _umath_linalg.solve1(_DESIGN, counts / n_pairs, signature="dd->d")
     rho = _basis_sum(coeffs)
     return rho / rho.trace().real
@@ -238,8 +249,7 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     starts from the linear inversion, clipped to a physical state, or from
     the maximally mixed state when the rectilinear counts are all zero;
     convergence is declared when it reports success or the final gradient
-    norm is below 1e-8.  Counts that overflow when divided by their
-    rectilinear sum, which is then tiny beside them, raise ValueError.
+    norm is below 1e-8.
 
     ``rho_hat`` is not checked again: a PSD linear inversion has unit trace,
     and T^dag T / tr is a state for any nonzero T, while no solver result's
@@ -255,9 +265,6 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
         if eigvals[0] >= 0:
             m = np.maximum(counts, 1e-300)  # the objective's floor: 0 ln 0 reads 0
             return ReconstructionResult(rho_lin, -float((m - counts * np.log(m)).sum()), 0, True)
-        if not np.isfinite(eigvals).all():  # the counts over their rectilinear sum overflowed
-            raise ValueError("the linear inversion of these counts is not finite: their "
-                             "rectilinear sum is too small for them")
         eigvals = np.maximum(eigvals, 1e-6)
         rho0 = (eigvecs * eigvals) @ eigvecs.conj().T
         rho0 /= np.real(rho0.trace())
@@ -344,36 +351,36 @@ def estimate_werner_probability(rho: np.ndarray) -> float:
     return werner_estimators(rho).mean
 
 
-def _finite(name: str, matrix) -> np.ndarray:
-    """``matrix`` as a complex array; raises ValueError naming it when an entry is not finite."""
+def _sized(name: str, matrix) -> tuple[np.ndarray, float]:
+    """``matrix`` as a complex array and its largest entry modulus; ValueError if not finite."""
     matrix = np.asarray(matrix, dtype=complex)
-    if not np.isfinite(matrix).all():
+    size = float(np.maximum.reduce(np.abs(matrix), axis=None))
+    if not size < math.inf and not np.isfinite(matrix).all():
         raise ValueError(f"{name} must have finite entries")
-    return matrix
+    return matrix, size
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped at 1: the
     roots of a near-pure state's near-zero eigenvalues carry O(sqrt(eps)) errors."""
-    rho, sigma = _finite("rho", rho), _finite("sigma", sigma)
+    (rho, r), (sigma, s) = _sized("rho", rho), _sized("sigma", sigma)
+    if not (r <= _MAX_SIZE and r * s <= _MAX_SIZE):  # r s is nan when r = 0 and s = inf
+        raise ValueError("rho and sigma are too large: their products overflow")
     vals, vecs = _umath_linalg.eigh_lo(0.5 * (rho + rho.conj().T), signature="D->dD")
     sqrt_rho = (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.conj().T
     inner = sqrt_rho @ sigma @ sqrt_rho
     inner_vals = _umath_linalg.eigvalsh_lo(0.5 * (inner + inner.conj().T), signature="D->d")
-    root_sum = float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0))))
-    if not math.isfinite(root_sum):
-        raise ValueError("rho and sigma are too large: their products overflow")
-    return min(root_sum ** 2, 1.0)
+    return min(float(np.sum(np.sqrt(np.maximum(inner_vals, 0.0)))) ** 2, 1.0)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of the difference of two Hermitian matrices."""
-    diff = _finite("rho", rho) - _finite("sigma", sigma)
-    half = 0.5 * (diff + diff.conj().T)
-    distance = float(0.5 * np.sum(np.abs(_umath_linalg.eigvalsh_lo(half, signature="D->d"))))
-    if not math.isfinite(distance):
+    (rho, r), (sigma, s) = _sized("rho", rho), _sized("sigma", sigma)
+    if not r + s <= _MAX_SIZE:
         raise ValueError("rho - sigma is too large: it overflows")
-    return distance
+    diff = rho - sigma
+    half = 0.5 * (diff + diff.conj().T)
+    return float(0.5 * np.sum(np.abs(_umath_linalg.eigvalsh_lo(half, signature="D->d"))))
 
 
 # ---------------------------------------------------------------------------

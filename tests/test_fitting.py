@@ -340,6 +340,29 @@ class TestScan:
         for x, want in zip(got, expected):
             np.testing.assert_allclose(x[3:], want[3:], rtol=1e-10, atol=0)
 
+    def test_a_record_at_the_third_rate_starts_at_its_truth(self):
+        # p3 with theta1 and theta2 on their grids and a rate that the envelope
+        # pre-fit reads as 1/1.3 of itself: ln p = -rate tau / 2 + ln g, so the
+        # pre-fit's rate is rate - 2 slope(ln g), and rate = 2.6 slope / 0.3.
+        # The scan's third rate is the truth, and its first start fits exactly
+        t = np.linspace(0.0, 1.5e-3, 40)
+        model = _p3_model(t)
+        _, theta2s, theta1s = fitting._grid(model, t, np.exp(-t / t[-1]))
+        x = np.array([theta1s[4], theta2s[0], 0.0, 0.6, 0.4])
+        x[2] = 2.6 * fitting._envelope_prefit(t, model_values(model, x)) / 0.3
+        p = model_values(model, x)
+        start = _scan(model, t, p, np.ones_like(t))[0]
+        np.testing.assert_allclose(start, x, rtol=1e-12)
+        assert np.abs(model_values(model, start) - p).max() < 1e-14
+
+    def test_covariance_keeps_a_curvature_1e13_below_the_largest(self):
+        # J^T J = diag(1, 1e-13): the pseudo-inverse drops only curvatures
+        # below 1e-15 of the largest, so this one keeps its variance, 1e13
+        jac = np.zeros((6, 2))
+        jac[0, 0], jac[1, 1] = 1.0, 10.0 ** -6.5
+        got = fitting._covariance_diag(jac, 0.5, np.ones(2), np.full(6, 0.5))
+        np.testing.assert_allclose(got, [1.0, 1e13], rtol=1e-9)
+
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["ties", "nonfinite", "two finite theta2", "no fit"]),
            seed=st.integers(0, 2**32 - 1), pasy=st.booleans())

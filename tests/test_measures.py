@@ -171,7 +171,7 @@ class TestLevelCrossing:
 
     def test_grid_evaluated_in_one_call(self):
         # one call for the whole grid, then Brent's method (maxiter 200) on
-        # the first bracket and one residual check
+        # the first bracket, one call per step
         calls = []
 
         def model(t):
@@ -181,7 +181,30 @@ class TestLevelCrossing:
         t_star = solve_level_crossing(model, 0.2, (0.0, 2.0))
         assert t_star == pytest.approx(math.log(5.0) / 3.0, rel=1e-12)
         assert calls[0] == (10_000,)
-        assert len(calls) <= 202
+        assert len(calls) <= 201
+
+    @pytest.mark.parametrize("model, level, bracket", [
+        (lambda t: np.exp(-3.0 * t), 0.2, (0.0, 2.0)),
+        (lambda t: np.cos(2 * math.pi * t) ** 2, 0.5, (0.0, 3.0)),
+        (lambda p: discord(p) - concurrence(p), 0.0, (0.34, 0.999)),  # criterion 02
+    ], ids=["exp", "oscillatory", "crossover"])
+    def test_no_point_evaluated_twice(self, model, level, bracket):
+        # after the grid call, the refinement starts from the grid's values
+        # at the bracket ends and reads the residual from Brent's last call:
+        # each later call is at a new point, inside the bracket
+        calls = []
+
+        def spy(t):
+            calls.append(t)
+            return model(t)
+
+        t_star = solve_level_crossing(spy, level, bracket)
+        grid, *points = calls
+        assert np.shape(grid) == (10_000,) and all(np.ndim(t) == 0 for t in points)
+        points = [float(t) for t in points]
+        assert len(set(points)) == len(points)
+        assert not set(points) & set(grid.tolist())
+        assert t_star in points
 
     def test_model_must_broadcast(self):
         with pytest.raises(ValueError, match="broadcast"):

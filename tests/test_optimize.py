@@ -140,14 +140,6 @@ def lazy():
     return _optimize
 
 
-def root_or_error(solver, f, a, b, **options):
-    """The root's hex, or the name of the exception the solver raised."""
-    try:
-        return solver(f, a, b, **options).hex()
-    except (ValueError, RuntimeError) as exc:
-        return type(exc).__name__
-
-
 def smooth(c, s, centred, scale, a, b):
     """(c0 + c1 x + c2 sin(s x) + c3 x^3) * scale, shifted, when ``centred``,
     so that f(a) and f(b) are opposite in sign unless they are equal."""
@@ -167,32 +159,35 @@ def smooth(c, s, centred, scale, a, b):
 @example(c=[-5.0, -2.0, 0.0, 1.0], s=1.0, centred=False, scale=1.0, a=2.0, b=3.0, xtol=1e-14,
          rtol=8.9e-16, maxiter=3)  # maxiter runs out
 def test_brentq_is_scipys(c, s, centred, scale, a, b, xtol, rtol, maxiter):
-    # at scale 1e-200 the inverse quadratic step's denominator underflows to
-    # 0, which bisects in both
+    # on brackets whose ends are nonzero and opposite in sign, given their
+    # values: scipy's root, and f at it.  At scale 1e-200 the inverse
+    # quadratic step's denominator underflows to 0, which bisects in both
     f = smooth(c, s, centred, scale, a, b)
+    fa, fb = float(f(a)), float(f(b))
+    assume(fa != 0 and fb != 0 and (fa < 0) != (fb < 0))
     options = {"xtol": xtol, "rtol": rtol, "maxiter": maxiter}
-    assert root_or_error(_optimize.brentq, f, a, b, **options) == \
-        root_or_error(scipy.optimize.brentq, f, a, b, **options)
+    try:
+        want = scipy.optimize.brentq(f, a, b, **options)
+    except RuntimeError:  # maxiter ran out
+        with pytest.raises(RuntimeError):
+            _optimize.brentq(f, a, b, fa, fb, **options)
+        return
+    root, f_root = _optimize.brentq(f, a, b, fa, fb, **options)
+    assert root.hex() == want.hex()
+    assert f_root.hex() == float(f(root)).hex()
 
 
 @pytest.mark.parametrize("f, a, b, maxiter, error", [
-    (lambda x: x * x + 1.0, -1.0, 2.0, 100, ValueError),  # one sign
-    (lambda x: math.nan, 0.0, 1.0, 100, ValueError),  # nan at a
     (lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0, 100, ValueError),
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 4, RuntimeError),  # maxiter runs out
     (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0, 0, RuntimeError),
-], ids=["one-sign", "nan-at-a", "nan-inside", "maxiter", "maxiter-0"])
+], ids=["nan-inside", "maxiter", "maxiter-0"])
 def test_brentq_raises_as_scipy_does(f, a, b, maxiter, error):
     options = {"xtol": 1e-14, "rtol": 8.9e-16, "maxiter": maxiter}
-    for solver in (_optimize.brentq, scipy.optimize.brentq):
-        with pytest.raises(error):
-            solver(f, a, b, **options)
-
-
-def test_brentq_returns_an_end_where_f_is_zero():
-    for a, b in ((0.0, 2.0), (-2.0, 0.0)):
-        assert _optimize.brentq(lambda x: x, a, b, 1e-12, 8.9e-16, 100) == 0.0 == \
-            scipy.optimize.brentq(lambda x: x, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=100)
+    with pytest.raises(error):
+        _optimize.brentq(f, a, b, f(a), f(b), **options)
+    with pytest.raises(error):
+        scipy.optimize.brentq(f, a, b, **options)
 
 
 LBFGSB_OPTIONS = {"maxiter": 10_000, "maxfun": 40_000, "ftol": 1e-15, "gtol": 1e-10}
@@ -288,6 +283,22 @@ def test_nnls_solves_a_stack_as_each_problem_alone(seed, stack):
         assert [a[k].tobytes() for a in got] == [a.tobytes() for a in alone]
 
 
+def test_nnls_ties_go_to_the_first_column():
+    # equal columns with exact sums: det is 0, and the one-column fits tie
+    c = np.array([[1.0, 2.0, 2.0]])
+    w1, w2, sse = _optimize.nnls(c, c, np.ones(3))
+    assert (w1.item(), w2.item(), sse.item()) == (5.0 / 9.0, 0.0, 3.0 - 5.0 / 9.0 * 5.0)
+
+
+def test_nnls_weight_that_computes_to_zero_is_not_interior():
+    # y = 5 c2, and c1's weight in the 2x2 solve rounds to exactly 0 (every
+    # dot product here is one rounded product or exact, in any order): the
+    # result is c2's own fit, (0, 5) with SSE 0, not the solve's rounded w2
+    w1, w2, sse = _optimize.nnls(np.array([[0.9, 0.0]]), np.array([[3.0, 1.0]]),
+                                 np.array([15.0, 5.0]))
+    assert (w1.item(), w2.item(), sse.item()) == (0.0, 5.0, 0.0)
+
+
 LINE_T = np.linspace(0.0, 1.0, 7)
 LINE_DESIGN = np.column_stack([LINE_T, np.ones_like(LINE_T), np.sin(3.0 * LINE_T)])
 
@@ -352,6 +363,26 @@ def test_a_step_across_the_bound_stops_0995_of_the_way(lazy):
     fun, seen = linear(y), []
     lazy.least_squares(lambda x: seen.append(x[0].copy()) or fun(x), [[0.8, 0.2, 0.1]])
     assert seen[1][1] == pytest.approx(0.005 * 0.2, rel=1e-12)
+
+
+def test_a_step_that_lands_on_the_bound_stops_0995_of_the_way(lazy):
+    # a scripted fun: at the start only x0 has a gradient, which sets a tiny
+    # lam and leaves x1 at 0.25; the first trial's gradient of 1e20 on x1
+    # swamps lam and J^T J, so the second step is exactly -0.25, reach 1.
+    # It is cut like a step across the bound: x1 keeps 0.005 of 0.25
+    replies = iter([([1.0, 1e30], [[1e-100, 0.0], [0.0, 0.0]]),
+                    ([0.0, 1e20], [[1.0, 0.0], [0.0, 1.0]]),
+                    ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])])
+    seen = []
+
+    def fun(x):
+        seen.append(x[0].copy())
+        r, j = next(replies)
+        return np.array([r]), lambda rows: np.array([j])
+
+    got = lazy.lockstep(fun, [[1.0, 0.25]])
+    assert seen[1][1] == 0.25 and seen[2][1] == pytest.approx(0.005 * 0.25, rel=1e-12)
+    assert got[0].status == 1 and got[0].nfev == 3
 
 
 def test_a_variable_at_5e9_is_not_held(lazy):

@@ -1,5 +1,7 @@
 """Unit tests for count simulation and state reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -391,12 +393,32 @@ class TestLinearInversion:
         st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(np.array)))
     @example(counts=np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 1.0] + [0.5] * 10))
     @example(counts=np.array([0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0]))
+    @example(counts=np.array([0.0, 1e-290] + [0.0] * 13 + [6e15]))  # a frequency of 6e305
     def test_equals_the_former_form(self, counts):
-        # a tiny rectilinear sum overflows the frequencies: both forms alike
-        assume(counts[[0, 1, 4, 5]].sum() > 0)
-        with np.errstate(all="ignore"):
+        # frequencies below the bound give the former form's bits, which are
+        # finite; a rectilinear sum so tiny that one reaches it raises
+        n_pairs = float(counts[0] + counts[1] + counts[4] + counts[5])
+        assume(n_pairs > 0)
+        if counts.max() < tomography._MAX_FREQUENCY * n_pairs:
             got, want = linear_inversion(counts), former_linear_inversion(counts)
-        assert got.tobytes() == want.tobytes()
+            assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(ValueError, match="^the linear inversion of these counts is not "
+                                                 "finite"):
+                linear_inversion(counts)
+
+    def test_every_vertex_below_the_bound_is_finite(self):
+        # the 12 settings outside the rectilinear quartet at 0 or at the
+        # largest frequency below the bound, over a pair number of 1 held by
+        # one rectilinear count or spread over all four
+        below = np.nextafter(tomography._MAX_FREQUENCY, 0.0)
+        others = [k for k in range(16) if k not in (0, 1, 4, 5)]
+        for rectilinear in ([1.0, 0.0, 0.0, 0.0], [0.25] * 4):
+            for pattern in itertools.product((0.0, below), repeat=12):
+                counts = np.zeros(16)
+                counts[[0, 1, 4, 5]] = rectilinear
+                counts[others] = pattern
+                assert np.isfinite(linear_inversion(counts)).all(), pattern
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
@@ -438,16 +460,22 @@ class TestReconstructMle:
 
     @pytest.mark.parametrize("counts", [
         [0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0],
-        [5e-324] + [0.0] * 14 + [1e10]])
+        [5e-324] + [0.0] * 14 + [1e10],
+        [1.0] + [0.0] * 14 + [tomography._MAX_FREQUENCY]])  # a frequency at the bound
     def test_overflowing_frequencies_raise(self, counts):
-        # counts over a tiny rectilinear sum overflow, so the linear
-        # inversion is not finite; numpy's own warnings aside, that raises
-        with np.errstate(all="ignore"):
-            assert not np.isfinite(linear_inversion(counts)).all()
+        # counts over a tiny rectilinear sum could overflow the linear
+        # inversion, which raises before any arithmetic, and so does the MLE
+        for solve in (linear_inversion, reconstruct_mle):
             with pytest.raises(ValueError, match="^the linear inversion of these counts is "
                                                  "not finite: their rectilinear sum is too "
                                                  "small for them$"):
-                reconstruct_mle(counts)
+                solve(counts)
+
+    def test_an_overflowing_rectilinear_sum_raises(self):
+        for solve in (linear_inversion, reconstruct_mle):
+            with pytest.raises(ValueError, match="^the linear inversion of these counts is not "
+                                                 "finite: their rectilinear sum overflows$"):
+                solve([1e308, 1e308] + [0.0] * 14)
 
     def test_counts_as_a_list(self):
         # a boundary record: the solver's path reads the counts as well as
@@ -771,11 +799,13 @@ class TestStateFunctionals:
 
     @pytest.mark.parametrize("functional, rho, sigma, message", [
         (fidelity, 1e200, 1e200, "rho and sigma are too large: their products overflow"),
+        # a finite root sum whose square overflows a Python float
+        (fidelity, 1.35e154, 1.35e154, "rho and sigma are too large: their products overflow"),
         (trace_distance, 1e308, -1e308, "rho - sigma is too large: it overflows")])
     def test_overflow_raises(self, functional, rho, sigma, message):
-        # finite arguments whose products or difference overflow, numpy's
-        # own warnings aside: an error, not a nan
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+        # finite arguments whose products or difference would overflow: an
+        # error before any arithmetic, without a numpy warning
+        with pytest.raises(ValueError, match=f"^{message}$"):
             functional(rho * make_werner(0.5), sigma * make_werner(0.5))
 
 

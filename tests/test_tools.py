@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -68,6 +69,18 @@ def test_ab_time_gives_each_index_parity_both_orders_over_two_sessions():
     for parity in (0, 1):
         first = [ab_time.order(i, swap)[0] for swap in (False, True) for i in range(parity, 40, 2)]
         assert first.count(0) == first.count(1) == 20
+
+
+def test_ab_time_refuses_an_odd_number_of_seeds(monkeypatch, capsys):
+    # before any worker starts: curves' labels need each order once per pair
+    monkeypatch.syspath_prepend(str(ab_time.BENCH))
+    monkeypatch.setattr(ab_time, "start_worker", lambda *args: pytest.fail("a worker started"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_time.main([".", ".", "--workload", "curves", "--seeds", "11,12,13"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "python tools/ab_time.py: error: --seeds takes an even number of seeds, "
+        "a session in each order per pair; got 3")
 
 
 def test_cold_time_of_a_tree_against_itself():

@@ -14,8 +14,8 @@ CHANGED, BASE, BASE, CHANGED, so over two records each tree makes three
 calls right after the other tree and one right after its own call on the
 same record.  Every second session (in the order given) swaps the two
 orders, so an item label that sits only at odd or only at even indices
-(curves' threshold and sweep items) also sees both; give an even number of
-seeds.  A tree's time for a record is the sum of its two calls, each
+(curves' threshold and sweep items) also sees both; an odd number of seeds
+is refused.  A tree's time for a record is the sum of its two calls, each
 timed by ``time.process_time`` around ``task.call()`` inside the worker, so
 input generation, checks and the pipe stay out of the time.
 
@@ -148,11 +148,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", default="fit", choices=sorted(WORKLOADS))
     parser.add_argument("--seeds", default="1,2,3,4,5,6")
     args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) % 2:
+        parser.error(f"--seeds takes an even number of seeds, a session in each order per "
+                     f"pair; got {len(seeds)}")
     workload = WORKLOADS[args.workload]
     n_items, cpu = workload.size(SECONDS), max(os.sched_getaffinity(0))
 
     rows, failed = [], 0
-    for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
+    for k, seed in enumerate(seeds):
         seed_rows, raised = session((args.base, args.changed), workload, args.workload, seed,
                                     n_items, cpu, swap=k % 2 == 1)
         rows.append(seed_rows)
