@@ -367,11 +367,12 @@ def test_a_step_across_the_bound_stops_0995_of_the_way(lazy):
 
 def test_a_step_that_lands_on_the_bound_stops_0995_of_the_way(lazy):
     # a scripted fun: at the start only x0 has a gradient, which sets a tiny
-    # lam and leaves x1 at 0.25; the first trial's gradient of 1e20 on x1
-    # swamps lam and J^T J, so the second step is exactly -0.25, reach 1.
-    # It is cut like a step across the bound: x1 keeps 0.005 of 0.25
+    # lam and leaves x1 at 0.25; the first trial's gradient of 2^66 on x1
+    # swamps lam and J^T J, so the second step is exactly -0.25 (powers of
+    # two throughout), reach 1.  It is cut like a step across the bound: x1
+    # keeps 0.005 of 0.25
     replies = iter([([1.0, 1e30], [[1e-100, 0.0], [0.0, 0.0]]),
-                    ([0.0, 1e20], [[1.0, 0.0], [0.0, 1.0]]),
+                    ([0.0, 2.0 ** 66], [[1.0, 0.0], [0.0, 1.0]]),
                     ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])])
     seen = []
 
