@@ -8,7 +8,9 @@ Conventions used throughout the package:
   R = (H-iV)/sqrt(2), L = (H+iV)/sqrt(2);
 * pure states are complex 4-vectors, density matrices complex 4x4 arrays.
 
-All functions are pure and never mutate their arguments.
+All functions are pure and never mutate their arguments.  No function
+requires a state: ``validate`` is the tests' oracle for the states that
+``make_werner`` and ``channels.damp_werner`` build from checked parameters.
 """
 
 from __future__ import annotations
@@ -104,20 +106,6 @@ def validate(rho: np.ndarray) -> ValidationReport:
     sym = 0.5 * (rho + adjoint)
     min_eig = float(_umath_linalg.eigvalsh_lo(sym, signature="D->d")[0])
     return ValidationReport(herm, trace, min_eig)
-
-
-def require_valid(rho: np.ndarray) -> np.ndarray:
-    """Return rho as a complex array, raising if it fails validation."""
-    rho = np.asarray(rho, dtype=complex)
-    report = validate(rho)
-    if not report.passed:
-        raise ValueError(
-            "invalid density matrix: "
-            f"hermiticity residual {report.hermiticity_residual:.3g}, "
-            f"trace residual {report.trace_residual:.3g}, "
-            f"min eigenvalue {report.min_eigenvalue:.3g}"
-        )
-    return rho
 
 
 def apply_operator(rho: np.ndarray, op: np.ndarray) -> np.ndarray:

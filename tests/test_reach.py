@@ -12,6 +12,8 @@ document's equations, and the constructors of their inputs, that an
 acceptance criterion or a layer-identity test checks and no command evaluates.  A function that nothing reaches fails this
 test until a command reaches it, it is deleted, or it is listed with the test
 that holds it; a listed function that a command reaches fails it too.
+``HELD`` also holds the oracles that the tests compare the package's results
+against, each with a test that uses it.
 
 Functions are every ``def`` and ``lambda`` in the package's source, keyed by
 module and qualified name (``dynamics.PmdModelParams.from_lab_units``); the
@@ -66,6 +68,9 @@ HELD = {
     "dynamics.prob_pf": PMD_MAP,
     "channels.pmd_operator": PMD_MAP,
     "states.apply_operator": PMD_MAP,
+    "states.validate": "tests/test_tomography.py::TestReconstructMle::test_output_always_physical",
+    "states.ValidationReport.passed":
+        "tests/test_tomography.py::TestReconstructMle::test_output_always_physical",
 }
 
 # each parameter default and dataclass-field default in the package, and the

@@ -125,8 +125,7 @@ class TestValidate:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("part", ["real", "imag"])
     def test_a_nonfinite_entry_fails_with_nan_residuals(self, value, part):
-        # at every position, without a warning or an eigensolver error; the
-        # check that requires a state raises its one-line error
+        # at every position, without a warning or an eigensolver error
         for position in np.ndindex(4, 4):
             rho = make_werner(0.5)
             rho[position] = complex(value, 0.0) if part == "real" else complex(0.0, value)
@@ -134,10 +133,6 @@ class TestValidate:
             assert not report.passed
             assert np.isnan([report.hermiticity_residual, report.trace_residual,
                              report.min_eigenvalue]).all()
-            with pytest.raises(ValueError, match="^invalid density matrix: hermiticity "
-                                                 "residual nan, trace residual nan, "
-                                                 "min eigenvalue nan$"):
-                states.require_valid(rho)
 
     def test_finite_entries_that_overflow_fail_without_raising(self):
         # the symmetrized matrix would overflow: the report fails where the

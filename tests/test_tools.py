@@ -124,7 +124,7 @@ def test_stage_time_of_a_tree_against_itself():
                                 "ratio"]
     stages = [line.split() for line in lines[2:]]
     assert [row[0] for row in stages] == [
-        "damp_werner", "validate", "simulate_counts", "expected_counts",
+        "damp_werner", "simulate_counts", "expected_counts",
         "subtract_accidentals", "linear_inversion", "reconstruct_mle",
         "estimate_werner_probability", "fidelity", "rho_to_pairs", "records_to_csv", "cmd_tomo"]
     assert all(float(base) > 0 and float(changed) > 0 for _, base, changed, _ in stages)

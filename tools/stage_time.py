@@ -17,10 +17,9 @@ every stage once: ``time.process_time`` around a loop that calls the stage
 on each of its inputs, divided by the number of calls.  The stages are the
 calls ``cmd_tomo`` makes (``simulate_counts`` runs on the Poisson items and
 ``expected_counts`` on the exact ones), then ``cmd_tomo`` itself on every
-item.  Two rows time a call that another stage makes, to show its LAPACK
-work apart: ``validate`` on the true state (``simulate_counts`` and
-``expected_counts`` check it) and ``linear_inversion`` on the corrected
-counts (``reconstruct_mle`` starts from it).  The report gives each stage's median over rounds, in microseconds per
+item.  One row times a call that another stage makes, to show its LAPACK
+work apart: ``linear_inversion`` on the corrected counts
+(``reconstruct_mle`` starts from it).  The report gives each stage's median over rounds, in microseconds per
 call, one column per tree, with the ratio of the second tree to the first
 when two are given, and the number of items whose ``cmd_tomo`` output differs
 between the trees.
@@ -67,7 +66,6 @@ def serve(workload_name: str, n_items: int, cpu: int) -> None:
     hats = [tomography.reconstruct_mle(c).rho_hat for c in counts]
     stages = [
         ("damp_werner", channels.damp_werner, [(p, xi) for p, xi, _, _ in items]),
-        ("validate", states.validate, [(rho,) for rho in rhos]),
         ("simulate_counts", tomography.simulate_counts,
          [(rho, gates, rate, seed) for rho, (_, _, seed, exact) in zip(rhos, items)
           if not exact]),
