@@ -205,11 +205,14 @@ def cmd_tomo(config: RunConfig, werner_p: float, xi: float,
     return tomography.records_to_csv(record), report
 
 
+MODELS = ("pasy", "p3", "exp")  # the decay models fit and threshold take; argparse checks --model
+
+
 def cmd_fit(model_name: str, csv_text: str,
             config: RunConfig | None = None) -> fitting.FitResult:
-    """Fit the named model to CSV data; pasy holds the config's detuning and
-    sign branch fixed and converts times with its units, p3 carries the
-    config's reservoir width (default config when none is given)."""
+    """Fit the named model, one of ``MODELS``, to CSV data; pasy holds the
+    config's detuning and sign branch fixed and converts times with its units,
+    p3 carries the config's reservoir width (default config when none is given)."""
     from . import fitting
     data = fitting.series_from_csv(csv_text)
     config = config if config is not None else build_config({})
@@ -218,16 +221,15 @@ def cmd_fit(model_name: str, csv_text: str,
                                 delta_omega=config.pmd.delta_omega, sign=config.pmd.sign)
     if model_name == "p3":
         return fitting.fit_p3(data, lambda_width=config.cavity.lambda_width)
-    if model_name == "exp":
-        return fitting.fit_exponential(data)
-    raise ValueError(f"unknown model {model_name!r}; choose pasy, p3 or exp")
+    return fitting.fit_exponential(data)
 
 
 THRESHOLD_BRACKET_S = (0.0, 10e-3)
 
 
 def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
-    """Locate the first time the named model crosses ``level`` in [0, 10 ms]."""
+    """Locate the first time the named model, one of ``MODELS``, crosses
+    ``level`` in [0, 10 ms]."""
     from . import measures
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -235,11 +237,9 @@ def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
         model = lambda t: dynamics.prob_pasy(t, config.pmd, config.units)
     elif model_name == "p3":
         model = lambda t: dynamics.p3(t, config.cavity)
-    elif model_name == "exp":
+    else:
         rate = 2.0 * config.pmd.mu * config.units.c / config.units.n_r
         model = lambda t: dynamics.markovian_exponential(t, 1.0, rate)
-    else:
-        raise ValueError(f"unknown model {model_name!r}; choose pasy, p3 or exp")
     t_star = measures.solve_level_crossing(
         lambda t: _finite(f"model {model_name!r}", model, t), level, THRESHOLD_BRACKET_S)
     if t_star is None:
@@ -303,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", parents=[common], help="fit a decay model to CSV data")
     p_fit.add_argument("data", metavar="DATA_CSV", help="input CSV with header t_s,p,sigma")
-    p_fit.add_argument("--model", choices=("pasy", "p3", "exp"), required=True)
+    p_fit.add_argument("--model", choices=MODELS, required=True)
 
     p_thr = sub.add_parser("threshold", parents=[common],
                            help="first crossing time of a model below a level")
-    p_thr.add_argument("--model", choices=("pasy", "p3", "exp"), required=True)
+    p_thr.add_argument("--model", choices=MODELS, required=True)
     p_thr.add_argument("--level", type=float, required=True)
     p_thr.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -13,6 +13,10 @@ Everything is stored in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m));
 ``PmdModelParams.from_lab_units`` accepts the usual lab units (GHz,
 ps/sqrt(km), 1/km) and converts exactly once.  All model functions broadcast
 over numpy arrays.
+
+The models take times and lengths t >= 0 unchecked: ``cli.build_config``'s
+grid starts at t_start_s >= 0, ``fitting`` rejects a record with t[0] < 0,
+and the threshold's bracket is a constant.
 """
 
 from __future__ import annotations
@@ -44,17 +48,9 @@ class UnitContext:
             raise ValueError(f"refractive index must exceed 1, got {self.n_r}")
 
 
-def _nonnegative(name: str, values) -> np.ndarray:
-    """``values`` as a float array; raises ValueError naming ``name`` if any is negative."""
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return values
-
-
 def length_from_time(t, units: UnitContext):
-    """Fiber length L = (c / n_r) t traversed during buffer time t."""
-    t = _nonnegative("buffer time", t)
+    """Fiber length L = (c / n_r) t traversed during buffer time t >= 0."""
+    t = np.asarray(t, dtype=float)
     out = units.c / units.n_r * t
     return float(out) if out.ndim == 0 else out
 
@@ -66,7 +62,8 @@ class PmdModelParams:
     The two components carry free nonnegative weights a1, a2; the raw
     two-component sum at t = 0 equals a1 + a2, which plays the role of the
     modeled initial probability.  ``sign`` selects the branch of the
-    counter-rotating component.
+    counter-rotating component.  The fields come finite: ``cli.build_config``
+    checks the config's, and a fit its own, before building one.
     """
 
     delta_omega: float         # rad/s
@@ -78,9 +75,6 @@ class PmdModelParams:
     sign: int
 
     def __post_init__(self) -> None:
-        for name in ("delta_omega", "d_p1", "d_p2", "mu", "a1", "a2"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.mu < 0:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.a1 < 0 or self.a2 < 0 or self.a1 + self.a2 <= 0:
@@ -169,8 +163,8 @@ def _bracket(phi, sign: int):
 # ---------------------------------------------------------------------------
 
 def pmd_phase(delta_omega: float, d_p: float, length):
-    """Differential phase delta_omega * D_p * sqrt(L) accumulated over L meters."""
-    length = _nonnegative("fiber length", length)
+    """Differential phase delta_omega * D_p * sqrt(L) accumulated over L >= 0 meters."""
+    length = np.asarray(length, dtype=float)
     out = delta_omega * d_p * np.sqrt(length)
     return float(out) if out.ndim == 0 else out
 
@@ -282,7 +276,7 @@ def cavity_p(t, kappa: float, gamma0: float):
     the exact sign of 4 kappa - gamma0 (see ``_regime``).
     """
     diff, delta = _regime(kappa, gamma0)
-    t = _nonnegative("time", t)
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # rate x time may overflow
         x = delta * t / 4.0
         if diff < 0:
@@ -304,7 +298,7 @@ def cavity_p(t, kappa: float, gamma0: float):
 def p1(t, kappa1: float, gamma0: float):
     """Component with the counter-rotating bracket:
     exp(-gamma0 t/2) [cos(kappa1 t / sqrt2) + sin(kappa1 t / sqrt2)]^2."""
-    t = _nonnegative("time", t)
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa1 x time may overflow
         out = _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
     return float(out) if out.ndim == 0 else out
@@ -312,7 +306,7 @@ def p1(t, kappa1: float, gamma0: float):
 
 def p2(t, kappa2: float, gamma0: float):
     """Component with the plain harmonic: exp(-gamma0 t/2) cos^2(kappa2 t)."""
-    t = _nonnegative("time", t)
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa2 x time may overflow
         out = _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
     return float(out) if out.ndim == 0 else out
@@ -361,11 +355,8 @@ def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
 
 
 def markovian_exponential(t, p0: float, rate: float):
-    """Memoryless control model p0 * exp(-rate * t)."""
-    if not 0.0 < p0 <= 1.0:
-        raise ValueError(f"initial probability must lie in (0, 1], got {p0}")
-    if rate < 0.0:
-        raise ValueError(f"decay rate must be nonnegative, got {rate}")
-    t = _nonnegative("time", t)
+    """Memoryless control model p0 * exp(-rate * t), for p0 in (0, 1] and
+    rate >= 0: ``cli.cmd_threshold`` passes 1 and 2 mu c / n_r."""
+    t = np.asarray(t, dtype=float)
     out = p0 * np.exp(-rate * t)
     return float(out) if out.ndim == 0 else out

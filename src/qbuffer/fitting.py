@@ -47,7 +47,8 @@ class FittingError(RuntimeError):
 
 @dataclass(frozen=True)
 class DataSeries:
-    """Measured probability series: strictly increasing times, optional sigmas."""
+    """Measured probability series: strictly increasing times, optional sigmas,
+    three columns of equal length as ``series_from_csv`` reads them."""
 
     t: np.ndarray       # seconds
     p: np.ndarray
@@ -57,8 +58,6 @@ class DataSeries:
         t = np.asarray(self.t, dtype=float)
         p = np.asarray(self.p, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
-        if t.ndim != 1 or t.shape != p.shape or t.shape != sigma.shape:
-            raise ValueError("t, p and sigma must be 1-d arrays of equal length")
         for name, values in (("times", t), ("probabilities", p), ("uncertainties", sigma)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
@@ -108,10 +107,6 @@ class FitResult:
     converged: bool
     iterations: int
     at_bounds: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.residual_norm < 0:
-            raise ValueError("residual norm must be nonnegative")
 
 
 PASY_FREE_PARAMS = ("d_p1", "d_p2", "mu", "a1", "a2")

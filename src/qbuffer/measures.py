@@ -1,7 +1,9 @@
 """Quantum-information measures of the Werner family and threshold solvers.
 
-All measures are closed-form functions of the Werner probability P, in bits.
-The x log2 x terms use the entropy convention x log2 x -> 0 as x -> 0.
+All measures are closed-form functions of the Werner probability P in
+[0, 1], in bits, and take P as given: the sweep passes its model values
+clipped at 1, which the models keep >= 0, and the crossover a constant
+bracket.  The x log2 x terms use the entropy convention x log2 x -> 0 as x -> 0.
 Every measure broadcasts over numpy arrays of P, the way the ``dynamics``
 models broadcast over time: a scalar input gives a Python float, an array
 input an array of the same shape.
@@ -19,22 +21,14 @@ from ._optimize import brentq
 
 def _xlog2(x):
     """x * log2(x) with the continuous extension 0 at x = 0, for x >= 0: the
-    callers pass 1 - P, 1 + P and 1 + 3P after ``_check_p``."""
+    callers pass 1 - P, 1 + P and 1 + 3P for P in [0, 1]."""
     return x * np.log2(np.where(x > 0.0, x, 1.0))  # 0 * log2(1) = 0 at x = 0
-
-
-def _check_p(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    outside = ~((0.0 <= p) & (p <= 1.0))  # NaN is outside too
-    if np.any(outside):
-        raise ValueError(f"Werner probability must lie in [0, 1], got {p[outside][0]}")
-    return p
 
 
 def total_correlation(p):
     """Mutual information of the Werner state:
     (3(1-P)/4) log2(1-P) + ((1+3P)/4) log2(1+3P)."""
-    p = _check_p(p)
+    p = np.asarray(p, dtype=float)
     out = 0.75 * _xlog2(1.0 - p) + 0.25 * _xlog2(1.0 + 3.0 * p)
     return float(out) if p.ndim == 0 else out
 
@@ -42,7 +36,7 @@ def total_correlation(p):
 def classical_correlation(p):
     """Classical part of the correlation:
     ((1-P)/2) log2(1-P) + ((1+P)/2) log2(1+P)."""
-    p = _check_p(p)
+    p = np.asarray(p, dtype=float)
     out = 0.5 * _xlog2(1.0 - p) + 0.5 * _xlog2(1.0 + p)
     return float(out) if p.ndim == 0 else out
 
@@ -54,7 +48,7 @@ def discord(p):
 
 def concurrence(p):
     """Entanglement monotone max(0, (3P - 1)/2); zero at and below P = 1/3."""
-    p = _check_p(p)
+    p = np.asarray(p, dtype=float)
     out = np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
     return float(out) if p.ndim == 0 else out
 
@@ -72,7 +66,7 @@ class CorrelationReport:
 
 
 def correlation_report(p) -> CorrelationReport:
-    checked = _check_p(p)
+    checked = np.asarray(p, dtype=float)
     total = total_correlation(checked)
     classical = classical_correlation(checked)
     # discord defined by subtraction, so discord == total - classical exactly;
@@ -94,14 +88,12 @@ def solve_level_crossing(model: Callable, level: float,
     when no sign change exists on the grid.  Resolution limit: a dip below
     ``level`` that starts and ends between two grid points (about 1 us apart in
     a 10 ms bracket) is missed, and the next crossing, if any, is returned.
+    Both callers pass a constant bracket with t_lo < t_hi, and a model that
+    broadcasts: ``cli.cmd_threshold`` a ``dynamics`` model on
+    ``THRESHOLD_BRACKET_S``, the crossover the measures on (0.34, 0.999).
     """
-    t_lo, t_hi = bracket
-    if not t_hi > t_lo:
-        raise ValueError("bracket must satisfy t_hi > t_lo")
-    grid = np.linspace(t_lo, t_hi, 10_000)
-    values = np.asarray(model(grid), dtype=float) - level
-    if values.shape != grid.shape:
-        raise ValueError("model must broadcast over an array of times")
+    grid = np.linspace(*bracket, 10_000)
+    values = model(grid) - level
     sign = np.sign(values)
     hits = np.flatnonzero((sign == 0.0) | np.append(sign[:-1] * sign[1:] < 0, False))
     if not hits.size:

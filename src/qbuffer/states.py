@@ -60,13 +60,9 @@ def make_bell_phi_plus() -> np.ndarray:
 
 
 def product_ket(signal: str, idler: str) -> np.ndarray:
-    """Two-photon product state |signal> (x) |idler> from polarization labels."""
-    try:
-        ks = SINGLE_QUBIT_KETS[signal]
-        ki = SINGLE_QUBIT_KETS[idler]
-    except KeyError as exc:
-        raise ValueError(f"unknown polarization label {exc.args[0]!r}") from None
-    return np.kron(ks, ki)
+    """Two-photon product state |signal> (x) |idler> from polarization labels,
+    keys of ``SINGLE_QUBIT_KETS``: its one caller passes ``tomography.SETTINGS``."""
+    return np.kron(SINGLE_QUBIT_KETS[signal], SINGLE_QUBIT_KETS[idler])
 
 
 _BELL = make_bell_phi_plus()

@@ -692,6 +692,15 @@ class TestFitP3:
         with pytest.raises(FittingError, match="^the p3 fit overflows on this record$"):
             fit_p3(DataSeries(t, 0.9 - 0.05 * i, np.full(8, 0.01)), LAMBDA)
 
+    def test_a_derivative_that_overflows_raises(self):
+        # values of about 1e8 at a phase slope of 1e301 per record unit: the
+        # residuals are finite, their derivative in theta is not
+        data = p3_series()
+        model = _p3_model(data.t)._replace(phase_slopes=np.full((2, len(data)), 1e301))
+        with pytest.raises(FittingError, match="^the p3 model's derivative is not finite at "
+                                               "a polish step"):
+            fitting._polish(model, data.p, data.sigma, np.array([[1.0, 1.0, 0.0, 1e8, 1e8]]))
+
     def test_swapped_init_lands_on_sorted_labels(self):
         data = p3_series()
         model = _p3_model(data.t)

@@ -67,6 +67,18 @@ def test_tomo(config, exact, records, report):
     assert sha256(cli._json_text(report_dict)) == report
 
 
+def test_boundary_tomo(config):
+    # a near-pure state whose linear inversion is unphysical, so the MLE
+    # iterates; pinned from the code that still checked the inversion's
+    # counts and fidelity's arguments
+    records_csv, report_dict = cli.cmd_tomo(config, 0.995, 0.02, exact=False)
+    assert report_dict["converged"] and report_dict["iterations"] == 280
+    assert sha256(records_csv) == (
+        "a796f98acc1c40f6c773d39872b2024f0f2748cb3983f6143c9c4352427784d3")
+    assert sha256(cli._json_text(report_dict)) == (
+        "0be8eb9e93e1f288d7e607ed01bee46ba97164685abebfbc31016a4154c0ad58")
+
+
 def test_classify():
     assert cli._json_text(cli.cmd_classify(4281.0, 16292.0)) == (
         '{\n  "delta_is_imaginary": false,\n'

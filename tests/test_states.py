@@ -222,7 +222,3 @@ class TestProductKets:
         np.testing.assert_allclose(states.KET_D, [1 / np.sqrt(2), 1 / np.sqrt(2)])
         np.testing.assert_allclose(states.KET_R, [1 / np.sqrt(2), -1j / np.sqrt(2)])
         np.testing.assert_allclose(states.KET_L, [1 / np.sqrt(2), 1j / np.sqrt(2)])
-
-    def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            states.product_ket("H", "X")

@@ -314,6 +314,32 @@ class TestSimulateCounts:
             assert coincidences == min(mean + acc, gates)
             assert accidentals == acc
 
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), xi=st.floats(0.0, 1.0), gates=st.integers(1, 2**53),
+           acc_rate=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+           seed=st.integers(0, 2**64 - 1), exact=st.booleans())
+    @example(p=1.0, xi=0.0, gates=1, acc_rate=1.0 - 2.0**-53, seed=0, exact=True)
+    @example(p=1.0, xi=1.0, gates=2**53, acc_rate=0.5, seed=1, exact=False)
+    @example(p=0.0, xi=0.0, gates=4000, acc_rate=0.0, seed=1, exact=False)
+    def test_corrected_counts_meet_the_inversion_precondition(self, p, xi, gates, acc_rate,
+                                                              seed, exact):
+        # what cmd_tomo builds from inputs make_werner, damp_werner and
+        # build_config accept: counts in [0, 2**53] whose rectilinear sum is 0
+        # or at least 2**-53, so linear_inversion takes them unchecked
+        rho = damp_werner(p, xi)
+        record = (expected_counts(rho, gates, acc_rate) if exact
+                  else simulate_counts(rho, gates, acc_rate, seed))
+        counts = subtract_accidentals(record)
+        assert counts.dtype == float and counts.shape == (16,)
+        assert ((counts >= 0.0) & (counts <= 2.0**53)).all()
+        n_pairs = float(counts[0] + counts[1] + counts[4] + counts[5])
+        if n_pairs == 0.0:
+            with pytest.raises(TomographyError):
+                linear_inversion(counts)
+        else:
+            assert n_pairs >= 2.0**-53
+            assert np.isfinite(linear_inversion(counts)).all()
+
 
 class TestSubtractAccidentals:
     def test_plain_subtraction(self):
@@ -346,28 +372,12 @@ class TestLinearInversion:
         rho = linear_inversion(np.full(16, 1000.0))
         assert np.abs(rho - np.eye(4) / 4).max() < 1e-10
 
-    def test_duplicate_setting_rejected(self):
-        # 17 counts, a complete set plus one repeat: each position is a setting,
-        # so there is no place for the repeat
-        for solve in (linear_inversion, reconstruct_mle):
-            with pytest.raises(ValueError, match=r"^counts must hold 16 entries, one per setting"):
-                solve(np.append(np.full(16, 100.0), 100.0))
-
-    def test_degenerate_settings_rejected(self):
-        # 16 counts, but as a 4x4 grid and not one per setting in SETTINGS order
-        for solve in (linear_inversion, reconstruct_mle):
-            with pytest.raises(ValueError, match=r"got \(4, 4\)$"):
-                solve(np.full((4, 4), 100.0))
-
     def test_missing_rectilinear_quartet_rejected(self):
-        # the H/V quartet provides the pair-number normalization; 15 counts
-        # are a wrong shape
+        # the H/V quartet provides the pair-number normalization
         counts = np.full(16, 100.0)
         counts[[row("H", "H"), row("H", "V"), row("V", "H"), row("V", "V")]] = 0.0
         with pytest.raises(TomographyError, match="rectilinear counts must be positive"):
             linear_inversion(counts)
-        with pytest.raises(ValueError, match=r"got \(15,\)$"):
-            linear_inversion(counts[1:])
 
     @settings(max_examples=500, deadline=None)
     @given(coeffs=st.lists(st.one_of(FINITE, st.sampled_from((0.0, -0.0, 1e300, -1e-300))),
@@ -400,47 +410,28 @@ class TestLinearInversion:
     @given(counts=st.one_of(
         st.builds(lambda rho, seed: subtract_accidentals(simulate_counts(rho, GATES, 1e-6, seed)),
                   st.one_of(DAMPED_WERNER, random_states()), st.integers(0, 2**32 - 1)),
-        st.lists(st.floats(0.0, 1e290), min_size=16, max_size=16).map(np.array)))
+        st.lists(st.floats(0.0, 2.0**53), min_size=16, max_size=16).map(np.array)))
     @example(counts=np.array([-0.0, 0.0, 0.0, 0.0, 0.0, 1.0] + [0.5] * 10))
-    @example(counts=np.array([0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0]))
-    @example(counts=np.array([0.0, 1e-290] + [0.0] * 13 + [6e15]))  # a frequency of 6e305
+    @example(counts=np.array([0.0, 2.0**-53] + [0.0] * 13 + [2.0**53]))  # a frequency of 2**106
     def test_equals_the_former_form(self, counts):
-        # frequencies below the bound give the former form's bits, which are
-        # finite; a rectilinear sum so tiny that one reaches it raises
+        # counts inside linear_inversion's precondition give the former
+        # form's bits, which are finite
         n_pairs = float(counts[0] + counts[1] + counts[4] + counts[5])
-        assume(n_pairs > 0)
-        if counts.max() < tomography._MAX_FREQUENCY * n_pairs:
-            got, want = linear_inversion(counts), former_linear_inversion(counts)
-            assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
-        else:
-            with pytest.raises(ValueError, match="^the linear inversion of these counts is not "
-                                                 "finite"):
-                linear_inversion(counts)
+        assume(n_pairs >= 2.0**-53)
+        got, want = linear_inversion(counts), former_linear_inversion(counts)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
     def test_every_vertex_below_the_bound_is_finite(self):
-        # the 12 settings outside the rectilinear quartet at 0 or at the
-        # largest frequency below the bound, over a pair number of 1 held by
-        # one rectilinear count or spread over all four
-        below = np.nextafter(tomography._MAX_FREQUENCY, 0.0)
+        # the bound is linear_inversion's precondition: the 12 settings outside
+        # the rectilinear quartet at 0 or at 2**53, over the least rectilinear
+        # sum it allows, 2**-53, held by one rectilinear count or spread over all four
         others = [k for k in range(16) if k not in (0, 1, 4, 5)]
-        for rectilinear in ([1.0, 0.0, 0.0, 0.0], [0.25] * 4):
-            for pattern in itertools.product((0.0, below), repeat=12):
+        for rectilinear in ([2.0**-53, 0.0, 0.0, 0.0], [2.0**-55] * 4):
+            for pattern in itertools.product((0.0, 2.0**53), repeat=12):
                 counts = np.zeros(16)
                 counts[[0, 1, 4, 5]] = rectilinear
                 counts[others] = pattern
                 assert np.isfinite(linear_inversion(counts)).all(), pattern
-
-    @pytest.mark.parametrize("count", [np.nan, np.inf, -np.inf, -1.0])
-    def test_corrected_count_must_be_finite_and_nonnegative(self, count):
-        # a NaN count used to give an all-NaN linear inversion and an
-        # eigenvalue failure inside the MLE; the first and the last setting
-        # are checked alike
-        for solve in (linear_inversion, reconstruct_mle):
-            for position in (0, 15):
-                counts = np.full(16, 100.0)
-                counts[position] = count
-                with pytest.raises(ValueError, match="^count must be finite and nonnegative"):
-                    solve(counts)
 
     def test_can_return_unphysical_matrix(self):
         # crafted counts push an eigenvalue negative; the oracle must not hide it
@@ -480,28 +471,9 @@ class TestReconstructMle:
                 good += 1
         assert good >= 18
 
-    @pytest.mark.parametrize("counts", [
-        [0.0, 1.6759658924550185e-305] + [0.0] * 13 + [1507.0],
-        [5e-324] + [0.0] * 14 + [1e10],
-        [1.0] + [0.0] * 14 + [tomography._MAX_FREQUENCY]])  # a frequency at the bound
-    def test_overflowing_frequencies_raise(self, counts):
-        # counts over a tiny rectilinear sum could overflow the linear
-        # inversion, which raises before any arithmetic, and so does the MLE
-        for solve in (linear_inversion, reconstruct_mle):
-            with pytest.raises(ValueError, match="^the linear inversion of these counts is "
-                                                 "not finite: their rectilinear sum is too "
-                                                 "small for them$"):
-                solve(counts)
-
-    def test_an_overflowing_rectilinear_sum_raises(self):
-        for solve in (linear_inversion, reconstruct_mle):
-            with pytest.raises(ValueError, match="^the linear inversion of these counts is not "
-                                                 "finite: their rectilinear sum overflows$"):
-                solve([1e308, 1e308] + [0.0] * 14)
-
     def test_counts_as_a_list(self):
         # a boundary record: the solver's path reads the counts as well as
-        # linear_inversion, which checks them
+        # linear_inversion
         counts = seeded_counts(0.99, 0.0, 12345)
         got, want = reconstruct_mle(counts.tolist()), reconstruct_mle(counts)
         assert got.rho_hat.tobytes() == want.rho_hat.tobytes()
@@ -807,26 +779,6 @@ class TestStateFunctionals:
         rho = rho * 10.0 ** exponent
         assert fidelity(rho, sigma).hex() == former_fidelity(rho, sigma).hex()
         assert trace_distance(rho, sigma).hex() == former_trace_distance(rho, sigma).hex()
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
-    @pytest.mark.parametrize("functional", [fidelity, trace_distance])
-    @pytest.mark.parametrize("name", ["rho", "sigma"])
-    def test_nonfinite_argument_named(self, name, functional, value):
-        args = {"rho": make_werner(0.3), "sigma": damp_werner(0.8, 0.1)}
-        args[name][2, 1] = value
-        with pytest.raises(ValueError, match=f"^{name} must have finite entries$"):
-            functional(**args)
-
-    @pytest.mark.parametrize("functional, rho, sigma, message", [
-        (fidelity, 1e200, 1e200, "rho and sigma are too large: their products overflow"),
-        # a finite root sum whose square overflows a Python float
-        (fidelity, 1.35e154, 1.35e154, "rho and sigma are too large: their products overflow"),
-        (trace_distance, 1e308, -1e308, "rho - sigma is too large: it overflows")])
-    def test_overflow_raises(self, functional, rho, sigma, message):
-        # finite arguments whose products or difference would overflow: an
-        # error before any arithmetic, without a numpy warning
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            functional(rho * make_werner(0.5), sigma * make_werner(0.5))
 
 
 class TestRecordsCsv:
