@@ -4,6 +4,9 @@ Two mechanisms act on the buffered (idler) photon, each a complex 2x2 array:
 the birefringence-induced polarization rotation (PMD) and amplitude damping.
 Scalar fiber attenuation exp(-2 mu L) enters only as the envelope of the PMD
 decay models in ``dynamics``.
+
+``PmdPhases`` is a plain record and ``amplitude_damping_kraus`` takes xi
+unchecked, as no command reaches either; ``damp_werner`` checks tomo's --xi.
 """
 
 from __future__ import annotations
@@ -20,15 +23,11 @@ from .states import make_werner
 class PmdPhases:
     """Phase pulled onto each polarization component by the fiber birefringence.
 
-    Angles are in radians and unbounded (they wrap).
+    Angles are in radians, finite and unbounded (they wrap).
     """
 
     dphi_h: float
     dphi_v: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.dphi_h) and np.isfinite(self.dphi_v)):
-            raise ValueError("PMD phases must be finite")
 
 
 def pmd_operator(phases: PmdPhases) -> np.ndarray:
@@ -43,11 +42,6 @@ def pmd_operator(phases: PmdPhases) -> np.ndarray:
     return np.array([[ch, -sv], [sh, cv]], dtype=complex)
 
 
-def _check_damping(xi: float) -> None:
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"damping probability must lie in [0, 1], got {xi}")
-
-
 def amplitude_damping_kraus(xi: float) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair of the amplitude-damping channel with decay probability xi.
 
@@ -55,7 +49,6 @@ def amplitude_damping_kraus(xi: float) -> tuple[np.ndarray, np.ndarray]:
     population V -> H with weight sqrt(xi).  The pair satisfies
     Gamma0^dag Gamma0 + Gamma1^dag Gamma1 = I.
     """
-    _check_damping(xi)
     return (np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - xi)]], dtype=complex),
             np.array([[0.0, np.sqrt(xi)], [0.0, 0.0]], dtype=complex))
 
@@ -82,7 +75,8 @@ def damp_werner(p: float, xi: float) -> np.ndarray:
     I (x) K rho (I (x) K)^dag, so the bytes equal the sum of
     ``states.apply_operator`` over the two operators.
     """
-    _check_damping(xi)
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"damping probability must lie in [0, 1], got {xi}")
     rho = make_werner(p)
     keep, feed = math.sqrt(1.0 - xi), math.sqrt(xi)
     d = np.array([1.0, keep, 1.0, keep])

@@ -73,9 +73,12 @@ class RunConfig:
 
 def build_config(values: dict) -> RunConfig:
     """Validate a flat config dict and assemble the typed RunConfig: every
-    field a finite real number (numpy scalars pass, bools do not), gates,
-    seed, n_points and sign integral (the seed nonnegative), the rest in the
-    float range.  The config is checked whole, whichever command reads it."""
+    field a finite real number (numpy scalars pass, bools do not), gates, seed,
+    n_points and sign integral, the rest in the float range.  Then the rules
+    n_r > 1; mu_per_m, a1, a2 and the six cavity fields >= 0; sign +1 or -1;
+    a1 + a2 > 0; w1 + w2 > 0; n_points >= 2; 0 <= t_start_s < t_end_s;
+    seed >= 0; 0 < gates <= 2**53; accidental_rate in [0, 1): one error names
+    every rule broken.  No other module checks the config, whichever command reads it."""
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
@@ -93,6 +96,16 @@ def build_config(values: dict) -> RunConfig:
             raise ConfigError(f"{key}: must lie within the float range, got an "
                               f"integer of {len(str(abs(value)))} digits")
     problems = []
+    if merged["n_r"] <= 1:
+        problems.append("n_r: must exceed 1")
+    problems += [f"{key}: must be nonnegative" for key in ("mu_per_m", "a1", "a2", "kappa1_per_s",
+                 "kappa2_per_s", "gamma0_per_s", "w1", "w2", "lambda_per_s") if merged[key] < 0]
+    if merged["sign"] not in (1, -1):
+        problems.append("sign: must be +1 or -1")
+    if merged["a1"] + merged["a2"] <= 0:
+        problems.append("a1 + a2: must be positive")
+    if merged["w1"] + merged["w2"] <= 0:
+        problems.append("w1 + w2: must be positive")
     if merged["n_points"] < 2:
         problems.append("n_points: must be at least 2")
     if merged["t_start_s"] < 0:
@@ -109,10 +122,7 @@ def build_config(values: dict) -> RunConfig:
         problems.append("accidental_rate: must lie in [0, 1)")
     if problems:
         raise ConfigError("; ".join(problems))
-    try:
-        pmd, cavity, units = dynamics.params_from_dict(merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    pmd, cavity, units = dynamics.params_from_dict(merged)
     return RunConfig(units=units, pmd=pmd, cavity=cavity,
                      gates=int(merged["gates"]),
                      accidental_rate=float(merged["accidental_rate"]),

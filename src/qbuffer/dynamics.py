@@ -16,7 +16,9 @@ over numpy arrays.
 
 The models take times and lengths t >= 0 unchecked: ``cli.build_config``'s
 grid starts at t_start_s >= 0, ``fitting`` rejects a record with t[0] < 0,
-and the threshold's bracket is a constant.
+and the threshold's bracket is a constant.  The parameter records are plain
+and check nothing either: ``cli.build_config`` checks every config field
+before it builds them, and ``fitting._fit`` states why a fit's are in range.
 """
 
 from __future__ import annotations
@@ -40,12 +42,8 @@ PER_KM = 1e-3                               # -> 1/m
 class UnitContext:
     """Propagation constants tying buffer time to fiber length."""
 
-    n_r: float  # group index of the fiber
+    n_r: float  # group index of the fiber, > 1
     c: ClassVar[float] = SPEED_OF_LIGHT  # a constant, not a setting
-
-    def __post_init__(self) -> None:
-        if not self.n_r > 1.0:
-            raise ValueError(f"refractive index must exceed 1, got {self.n_r}")
 
 
 def length_from_time(t, units: UnitContext):
@@ -62,8 +60,7 @@ class PmdModelParams:
     The two components carry free nonnegative weights a1, a2; the raw
     two-component sum at t = 0 equals a1 + a2, which plays the role of the
     modeled initial probability.  ``sign`` selects the branch of the
-    counter-rotating component.  The fields come finite: ``cli.build_config``
-    checks the config's, and a fit its own, before building one.
+    counter-rotating component, +1 or -1.
     """
 
     delta_omega: float         # rad/s
@@ -73,14 +70,6 @@ class PmdModelParams:
     a1: float
     a2: float
     sign: int
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.a1 < 0 or self.a2 < 0 or self.a1 + self.a2 <= 0:
-            raise ValueError("weights must be nonnegative with a positive sum")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     @classmethod
     def from_lab_units(cls, freq_ghz: float, d_p1_ps_sqrt_km: float,
@@ -102,7 +91,7 @@ class CavityModelParams:
     """Parameters of the linear-phase decay model (SI units).
 
     ``lambda_width`` is the reservoir spectral width; it enters no curve and
-    is carried from the config to the p3 fit's report.
+    is carried from the config to the p3 fit's report.  Fields >= 0, w1 + w2 > 0.
     """
 
     kappa1: float              # 1/s
@@ -111,14 +100,6 @@ class CavityModelParams:
     w1: float
     w2: float
     lambda_width: float        # 1/s
-
-    def __post_init__(self) -> None:
-        for name in ("kappa1", "kappa2", "gamma0", "w1", "w2", "lambda_width"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if self.w1 + self.w2 <= 0:
-            raise ValueError("weights must have a positive sum")
 
 
 # JSON field names shared with the CLI config format.
@@ -178,8 +159,6 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     Its range is [0, 2], not [0, 1]: the bracket reaches 2 sqrt(2) at
     (dphi_h, dphi_v) = (pi/4, -pi/4), where the value is 2 at zero loss.
     """
-    if mu < 0 or length < 0:
-        raise ValueError("mu and length must be nonnegative")
     bracket = _bracket(phases.dphi_h, +1) + _bracket(phases.dphi_v, -1)
     return float(0.25 * np.exp(-2.0 * mu * length) * bracket**2)
 
@@ -208,7 +187,7 @@ def prob_pasy(t, params: PmdModelParams, units: UnitContext):
 
 def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int) -> float:
     """Expanded seven-term pair probability for unequal phases, s = sign
-    selecting the rotation branch:
+    (+1 or -1) selecting the rotation branch:
 
         exp(-2 mu L) [ 2 + 2 cos(dv) cos(dh) - 2 sin(dh) sin(dv)
                        + s (  2 cos(dh) sin(dh) - 2 cos(dh) sin(dv)
@@ -217,8 +196,6 @@ def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int) -> float:
     On both branches this equals 4 * prob_pf of the phases (s dh, s dv), the
     unnormalized square of the four-term bracket, and is evaluated as such.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     return 4.0 * prob_pf(PmdPhases(sign * phases.dphi_h, sign * phases.dphi_v), mu, length)
 
 

@@ -48,16 +48,14 @@ class FittingError(RuntimeError):
 @dataclass(frozen=True)
 class DataSeries:
     """Measured probability series: strictly increasing times, optional sigmas,
-    three columns of equal length as ``series_from_csv`` reads them."""
+    three float arrays of equal length as ``series_from_csv`` reads them."""
 
     t: np.ndarray       # seconds
     p: np.ndarray
     sigma: np.ndarray   # per-point uncertainty; 1.0 when unknown
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.t, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        t, p, sigma = self.t, self.p, self.sigma
         for name, values in (("times", t), ("probabilities", p), ("uncertainties", sigma)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
@@ -75,9 +73,6 @@ class DataSeries:
                     raise ValueError(f"{name} are too large: their sum of squares overflows")
                 if total < np.finfo(float).tiny and np.any(values != 0):
                     raise ValueError(f"{name} are too small: their sum of squares underflows")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "sigma", sigma)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -308,7 +303,12 @@ def _covariance_diag(jac: np.ndarray, cost: float, scales: np.ndarray,
 
 def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
          make_params: Callable[[np.ndarray], object]) -> FitResult:
-    """Scan, polish all starts in lockstep and keep the least cost, in ``make_model(t)``'s units."""
+    """Scan, polish all starts in lockstep and keep the least cost, in ``make_model(t)``'s units.
+
+    ``make_params`` builds its record unchecked: the polish starts from points
+    floored at 1e-10, holds a variable at or below 1e-9 whose step points
+    outward and cuts every other step 0.995 of the way to the bound, so every
+    free parameter stays > 0, and no weight sum can vanish."""
     if len(data) < 6:
         raise FittingError(f"need at least 6 points for 5 free parameters, got {len(data)}")
     t, p, sigma = data.t, data.p, data.sigma

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 All functions are pure and never mutate their arguments.  No function
 requires a state: ``validate`` is the tests' oracle for the states that
 ``make_werner`` and ``channels.damp_werner`` build from checked parameters.
+``apply_operator`` takes complex 4x4 and 2x2 arrays unchecked: no command calls it.
 """
 
 from __future__ import annotations
@@ -84,15 +85,13 @@ def make_werner(p: float) -> np.ndarray:
 def validate(rho: np.ndarray) -> ValidationReport:
     """Report how far a matrix deviates from being a physical two-qubit state.
 
-    Raises only on a shape other than 4x4: reconstruction noise routinely
-    produces slightly unphysical matrices, and callers need the residuals to
-    decide.  An entry that is not finite, or of modulus above an eighth of the
-    largest float, fails the matrix with nan residuals before any arithmetic.
+    Never raises: reconstruction noise routinely produces slightly unphysical
+    matrices, and callers need the residuals to decide.  A shape other than
+    4x4, or an entry not finite or of modulus above an eighth of the largest
+    float, fails the matrix with nan residuals before any arithmetic.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if not np.maximum.reduce(np.abs(rho), axis=None) <= _MAX_MODULUS:  # nan fails too
+    # nan fails the modulus test too
+    if rho.shape != (4, 4) or not np.maximum.reduce(np.abs(rho), axis=None) <= _MAX_MODULUS:
         return ValidationReport(math.nan, math.nan, math.nan)
     adjoint = rho.conj().T
     herm = float(np.abs(rho - adjoint).max())
@@ -108,15 +107,10 @@ def apply_operator(rho: np.ndarray, op: np.ndarray) -> np.ndarray:
     """Conjugate rho by a 2x2 operator on the idler: K rho K^dag with K = I (x) op.
 
     The result is not renormalized; Kraus pairs summing to a trace-preserving
-    map rely on this.
+    map rely on this.  ``rho`` is a 4x4 array and ``op`` a finite 2x2 one.
     """
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (2, 2):
-        raise ValueError(f"operator matrix must be 2x2, got {op.shape}")
-    if not np.isfinite(op).all():
-        raise ValueError("operator matrix must have finite entries")
     k = np.kron(np.eye(2, dtype=complex), op)
-    return k @ np.asarray(rho, dtype=complex) @ k.conj().T
+    return k @ rho @ k.conj().T
 
 
 def rho_to_pairs(rho: np.ndarray) -> list:

@@ -194,12 +194,13 @@ def _lower_factor(gram: np.ndarray) -> np.ndarray:
 def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     """Maximum-likelihood state estimate from corrected counts.
 
-    ``counts`` holds the corrected count of each setting in ``SETTINGS``
-    order, as ``linear_inversion`` takes them.  The state is
-    parametrized as rho = T^dag T / tr(T^dag T) with T lower triangular (16
-    real parameters); the overall scale of T doubles as the pair-number
-    estimate, so the Poisson rates are m_k = |T psi_k|^2 and the objective is
-    the (constant-free) Poisson log-likelihood sum_k [n_k ln m_k - m_k].
+    ``counts`` is the float array of corrected counts in ``SETTINGS`` order
+    that ``subtract_accidentals`` returns and ``linear_inversion`` takes.
+    The state is parametrized as rho = T^dag T / tr(T^dag T) with T lower
+    triangular (16 real parameters); the overall scale of T doubles as the
+    pair-number estimate, so the Poisson rates are m_k = |T psi_k|^2 and the
+    objective is the (constant-free) Poisson log-likelihood
+    sum_k [n_k ln m_k - m_k].
 
     16 settings and 16 parameters make the model saturated: the linear
     inversion fits every count (m_k = n_k), which maximizes each term, so
@@ -215,7 +216,6 @@ def reconstruct_mle(counts: np.ndarray) -> ReconstructionResult:
     and T^dag T / tr is a state for any nonzero T, while no solver result's
     objective exceeds the start's, far below 690.8 sum(n) at T = 0.
     """
-    counts = np.asarray(counts, dtype=float)
     # The linear inversion is the MLE when it is a state; otherwise start from
     # it clipped to a physical state and rescaled so the initial rates match
     # the data.
@@ -293,8 +293,7 @@ class WernerEstimators:
 
 
 def werner_estimators(rho: np.ndarray) -> WernerEstimators:
-    (r00, _, _, r03), (_, r11, _, _), (_, _, r22, _), (r30, _, _, r33) = (
-        np.asarray(rho, dtype=complex).tolist())
+    (r00, _, _, r03), (_, r11, _, _), (_, _, r22, _), (r30, _, _, r33) = rho.tolist()
     return WernerEstimators(
         p1=4.0 * r00.real - 1.0,
         p2=4.0 * r33.real - 1.0,

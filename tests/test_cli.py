@@ -430,10 +430,9 @@ class TestMainDispatch:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values, command, message", [
         # a negative loss once overflowed into a silent P_pasy of 2.4e177
-        ({"mu_per_m": -1}, ["sweep", "--out", "sweep.csv"],
-         "mu must be nonnegative, got -1.0"),
+        ({"mu_per_m": -1}, ["sweep", "--out", "sweep.csv"], "mu_per_m: must be nonnegative"),
         ({"mu_per_m": -1}, ["threshold", "--model", "pasy", "--level", "0.5"],
-         "mu must be nonnegative, got -1.0"),
+         "mu_per_m: must be nonnegative"),
         ({"d_p2_s_per_sqrt_m": 1e300}, ["sweep", "--out", "sweep.csv"],
          "P_pasy is not finite at t = 0 s: nan"),
         ({"t_end_s": 1e300}, ["sweep", "--out", "sweep.csv"], "L_m is not finite"),

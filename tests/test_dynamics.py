@@ -46,10 +46,6 @@ class TestUnits:
         assert t == pytest.approx(1.2242e-4, abs=1e-8)
         assert length_from_time(t, UNITS) == pytest.approx(25_000.0, rel=1e-12)
 
-    def test_index_not_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            UnitContext(n_r=0.9)
-
 
 class TestPmdPhase:
     def test_zero_length(self):
@@ -510,11 +506,3 @@ class TestParamsSerialization:
         assert REF_PMD.delta_omega == pytest.approx(2 * np.pi * 200e9)
         assert REF_PMD.d_p2 == pytest.approx(0.047e-12 / math.sqrt(1000.0))
         assert REF_PMD.mu == pytest.approx(6e-6)
-
-    def test_invariant_checks(self):
-        with pytest.raises(ValueError):
-            PmdModelParams(delta_omega=1.0, d_p1=1.0, d_p2=1.0, mu=0.0,
-                           a1=0.0, a2=0.0, sign=+1)
-        with pytest.raises(ValueError):
-            CavityModelParams(kappa1=-1.0, kappa2=1.0, gamma0=1.0, w1=1.0, w2=0.0,
-                              lambda_width=LAMBDA)

@@ -114,7 +114,7 @@ def cavity_rel_errors(params: CavityModelParams) -> np.ndarray:
 class TestDataSeries:
     def test_strictly_increasing_required(self):
         with pytest.raises(ValueError):
-            DataSeries([0.0, 0.0, 1.0], [1.0, 0.9, 0.8], [1.0, 1.0, 1.0])
+            DataSeries(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.9, 0.8]), np.ones(3))
 
     @pytest.mark.parametrize("t, p, sigma, message", [
         ([0.0, 1.0], [1.0, np.nan], [1.0, 1.0], "must be finite"),
@@ -131,7 +131,7 @@ class TestDataSeries:
             "t-underflow", "p-underflow", "sigma-underflow"])
     def test_finite_required(self, t, p, sigma, message):
         with pytest.raises(ValueError, match=message):
-            DataSeries(t, p, sigma)
+            DataSeries(np.array(t), np.array(p), np.array(sigma))
 
     def test_csv_round_trip(self):
         data = pasy_series(n=12)
@@ -499,7 +499,7 @@ class TestFitExponential:
         assert fit.params.p0 == pytest.approx(0.8, rel=1e-12)
 
     def test_two_points_interpolate_exactly(self):
-        data = DataSeries([0.0, 1.0], [0.9, 0.3], [1.0, 1.0])
+        data = DataSeries(np.array([0.0, 1.0]), np.array([0.9, 0.3]), np.ones(2))
         fit = fit_exponential(data)
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
         assert fit.params.p0 * math.exp(-fit.params.rate) == pytest.approx(0.3,
@@ -508,7 +508,7 @@ class TestFitExponential:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(FittingError):
-            fit_exponential(DataSeries([0.0, 1.0], [1.0, 0.0], [1.0, 1.0]))
+            fit_exponential(DataSeries(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.ones(2)))
 
     def test_weighted_matches_normal_equations(self):
         # independent closed-form oracle for the sigma-weighted log fit

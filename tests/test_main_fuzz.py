@@ -243,6 +243,12 @@ def fit_tables(draw):
     return "".join(line + "\n" for line in lines + [",".join(row) for row in rows])
 
 
+# the free parameters of each two-component fit as its report names them,
+# the last two its weights
+FREE = {"pasy": ("d_p1_s_per_sqrt_m", "d_p2_s_per_sqrt_m", "mu_per_m", "a1", "a2"),
+        "p3": ("kappa1_per_s", "kappa2_per_s", "gamma0_per_s", "w1", "w2")}
+
+
 def table_of(row) -> str:
     """A fit CSV of 8 rows, row i holding the three numbers ``row(i)``."""
     return SERIES_CSV_HEADER + "\n" + "".join(",".join(map(repr, row(i))) + "\n"
@@ -292,3 +298,6 @@ def test_fit(work, config, model, table):
         if model != "exp":  # a pasy or p3 fit beats P = 0
             series = series_from_csv(table)
             assert report["residual_norm"] < math.hypot(*(series.p / series.sigma))
+            # the records check nothing: the solver keeps them in range
+            free = [report[key] for key in FREE[model]]
+            assert min(free) >= 0.0 and free[3] + free[4] > 0.0

@@ -17,7 +17,8 @@ evaluates.  A function that nothing reaches fails this test until a command
 reaches it, it is deleted, or it is listed with the test that holds it; a
 listed function that a command reaches fails it too.  ``HELD`` also holds
 the oracles that the tests compare the package's results against, each with
-a test that uses it.
+a test that uses it.  No held function's own body raises: no command hands it
+outside data, so a check there would test only what the tests pass it.
 
 Within the functions that commands call, every line that can report a line
 event must run under some command or be in ``HELD_LINES``, with the test
@@ -66,7 +67,6 @@ PMD_MAP = "tests/test_dynamics.py::TestModelIdentities::test_prob_pf_is_dd_proje
 
 # each function no command reaches, and the test that holds it
 HELD = {
-    "channels.PmdPhases.__post_init__": criterion("10_algebraic_equivalences"),
     "dynamics.prob_asym": criterion("10_algebraic_equivalences"),
     "dynamics.asym_series_residual": criterion("10_algebraic_equivalences"),
     "dynamics.cavity_p": criterion("10_algebraic_equivalences"),
@@ -265,13 +265,15 @@ def commands(tmp_path):
          "exceed t_start_s; seed: must be nonnegative; gates: must be positive; "
          "accidental_rate: must lie in [0, 1)"),
         (cfg("gates", {"gates": 2**53 + 1}), "gates: must be at most 2**53"),
-        (cfg("index", {"n_r": 1.0}), "refractive index must exceed 1, got 1.0"),
-        (cfg("mu", {"mu_per_m": -1.0}), "mu must be nonnegative, got -1.0"),
-        (cfg("weights", {"a1": 0.0, "a2": 0.0}),
-         "weights must be nonnegative with a positive sum"),
-        (cfg("sign", {"sign": 2}), "sign must be +1 or -1, got 2"),
-        (cfg("kappa", {"kappa1_per_s": -1.0}), "kappa1 must be finite and nonnegative"),
-        (cfg("cavity_weights", {"w1": 0.0, "w2": 0.0}), "weights must have a positive sum"),
+        (cfg("index", {"n_r": 1.0}), "n_r: must exceed 1"),
+        (cfg("mu", {"mu_per_m": -1.0}), "mu_per_m: must be nonnegative"),
+        (cfg("weights", {"a1": 0.0, "a2": 0.0}), "a1 + a2: must be positive"),
+        (cfg("sign", {"sign": 2}), "sign: must be +1 or -1"),
+        (cfg("kappa", {"kappa1_per_s": -1.0}), "kappa1_per_s: must be nonnegative"),
+        (cfg("cavity_weights", {"w1": 0.0, "w2": 0.0}), "w1 + w2: must be positive"),
+        (cfg("model_problems", {"n_r": 1.0, "mu_per_m": -1, "sign": 2, "w1": 0, "w2": 0}),
+         "n_r: must exceed 1; mu_per_m: must be nonnegative; sign: must be +1 or -1; "
+         "w1 + w2: must be positive"),
     ]
     failures = [(["sweep", *argv, "--out", out], f"error: {message}\n")
                 for argv, message in fail]
@@ -413,6 +415,37 @@ def names_a_test(holder):
 def test_each_held_function_names_a_test_that_exists():
     for holder in set(HELD.values()):
         assert names_a_test(holder), holder
+
+
+def function_nodes(tree, prefix):
+    """Qualified name and ``ast`` node of each def and lambda under ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from function_nodes(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            yield name, node
+            yield from function_nodes(node, name + ".<locals>.")
+        else:
+            yield from function_nodes(node, prefix)
+
+
+def raises(node):
+    """Whether a ``raise`` sits in ``node``'s own body, outside the functions
+    and classes defined in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            return True
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)) and raises(child):
+            return True
+    return False
+
+
+def test_no_held_function_raises():
+    nodes = {name: node for path in sorted(PACKAGE.glob("*.py"))
+             for name, node in function_nodes(ast.parse(path.read_text()), (
+                 "qbuffer" if path.stem == "__init__" else path.stem) + ".")}
+    assert sorted(name for name in HELD if raises(nodes[name])) == []
 
 
 def test_each_held_line_names_a_test_and_a_reason():

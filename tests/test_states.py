@@ -140,6 +140,18 @@ class TestValidate:
         report = validate(np.full((4, 4), 1e308))
         assert not report.passed and np.isnan(report.min_eigenvalue)
 
+    @pytest.mark.parametrize("rho", [np.ones((1, 1), dtype=complex),
+                                     np.eye(2, dtype=complex) / 2,
+                                     np.zeros((0, 0), dtype=complex),
+                                     np.full(4, 0.25, dtype=complex),
+                                     np.eye(8, dtype=complex) / 8])
+    def test_a_matrix_not_4x4_fails_with_nan_residuals(self, rho):
+        # a unit-trace positive matrix of another shape is not a two-qubit state
+        report = validate(rho)
+        assert not report.passed
+        assert np.isnan([report.hermiticity_residual, report.trace_residual,
+                         report.min_eigenvalue]).all()
+
 
 class TestApplyOperator:
     def test_identity_leaves_state(self):
@@ -166,17 +178,6 @@ class TestApplyOperator:
             out = apply_operator(rho, g0) + apply_operator(rho, g1)
             assert np.real(out.trace()) == pytest.approx(1.0, abs=1e-12)
             np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
-
-    @pytest.mark.parametrize("op, message", [
-        (np.eye(3), r"operator matrix must be 2x2, got \(3, 3\)"),
-        (np.array([[1.0, 0.0], [np.nan, 1.0]]), "operator matrix must have finite entries"),
-        (np.array([[1.0, complex(0.0, np.inf)], [0.0, 1.0]]),
-         "operator matrix must have finite entries"),
-    ])
-    def test_rejects_malformed_operator(self, op, message):
-        with pytest.raises(ValueError, match=f"^{message}$") as excinfo:
-            apply_operator(make_werner(0.5), op)
-        assert "\n" not in str(excinfo.value)
 
 
 def old_json_rows(rho):

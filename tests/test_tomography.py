@@ -471,14 +471,6 @@ class TestReconstructMle:
                 good += 1
         assert good >= 18
 
-    def test_counts_as_a_list(self):
-        # a boundary record: the solver's path reads the counts as well as
-        # linear_inversion
-        counts = seeded_counts(0.99, 0.0, 12345)
-        got, want = reconstruct_mle(counts.tolist()), reconstruct_mle(counts)
-        assert got.rho_hat.tobytes() == want.rho_hat.tobytes()
-        assert (got.iterations, got.log_likelihood) == (want.iterations, want.log_likelihood)
-
     def test_all_zero_counts_rejected(self):
         with pytest.raises(TomographyError):
             reconstruct_mle(np.zeros(16))
