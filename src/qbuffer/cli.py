@@ -1,7 +1,7 @@
 """Command-line surface: sweep, tomo, fit, threshold, classify.
 
-Every command but classify reads a JSON config (flat schema listed in
-DEFAULT_CONFIG) and checks every field of it, read or not; tomo's --seed
+Every command but classify reads a JSON config (flat schema, one row per field
+in CONFIG_FIELDS) and checks every field of it, read or not; tomo's --seed
 overrides its seed, and each emits plot-ready CSV/JSON.  Runs are deterministic
 for a fixed config and seed: repeated invocations produce byte-identical output.
 """
@@ -21,37 +21,49 @@ import numpy as np
 
 from . import channels, dynamics, states
 
-# the one default of every model input: the other modules take each as an
-# argument, and build_config({}) gives them as typed objects
-DEFAULT_CONFIG: dict = {
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+
+# the config's schema: one (key, default, rule) row per field, where rule is a
+# (predicate, message) pair or None.  The default's type is the field's kind:
+# an int default makes the field integral, a float default a float.  Each
+# default is the one default of that model input: the other modules take each
+# as an argument, and build_config({}) gives them as typed objects
+CONFIG_FIELDS = (
     # propagation
-    "n_r": 1.468,
+    ("n_r", 1.468, (lambda v: v > 1, "must exceed 1")),
     # sqrt(L)-phase model; the co-rotating component carries most of the
     # weight (D_p2 >> D_p1, same asymmetry as the weights)
-    "delta_omega_rad_s": 2.0 * np.pi * 200e9,
-    "d_p1_s_per_sqrt_m": 0.0017 * dynamics.PS_PER_SQRT_KM,
-    "d_p2_s_per_sqrt_m": 0.047 * dynamics.PS_PER_SQRT_KM,
-    "mu_per_m": 6.0e-6,
-    "a1": 0.15,
-    "a2": 0.85,
-    "sign": 1,
+    ("delta_omega_rad_s", 2.0 * np.pi * 200e9, None),
+    ("d_p1_s_per_sqrt_m", 0.0017 * dynamics.PS_PER_SQRT_KM, None),
+    ("d_p2_s_per_sqrt_m", 0.047 * dynamics.PS_PER_SQRT_KM, None),
+    ("mu_per_m", 6.0e-6, _NONNEGATIVE),
+    ("a1", 0.15, _NONNEGATIVE),
+    ("a2", 0.85, _NONNEGATIVE),
+    ("sign", 1, (lambda v: v in (1, -1), "must be +1 or -1")),
     # linear-phase model; equal weights would let the envelope swamp the
     # oscillation, so the dominant-harmonic split is the default here too
-    "kappa1_per_s": 753.0,
-    "kappa2_per_s": 3528.0,
-    "gamma0_per_s": 16292.0,
-    "w1": 0.05,
-    "w2": 0.95,
-    "lambda_per_s": 1e6,
-    # tomography acquisition
-    "gates": 100_000_000,
-    "accidental_rate": 1e-6,
-    "seed": 12345,
+    ("kappa1_per_s", 753.0, _NONNEGATIVE),
+    ("kappa2_per_s", 3528.0, _NONNEGATIVE),
+    ("gamma0_per_s", 16292.0, _NONNEGATIVE),
+    ("w1", 0.05, _NONNEGATIVE),
+    ("w2", 0.95, _NONNEGATIVE),
+    ("lambda_per_s", 1e6, _NONNEGATIVE),
+    # tomography acquisition; the count model holds gates in a float
+    ("gates", 100_000_000, (lambda v: 0 < v <= 2**53, "must lie in [1, 2**53]")),
+    ("accidental_rate", 1e-6, (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")),
+    ("seed", 12345, _NONNEGATIVE),
     # sweep grid
-    "t_start_s": 0.0,
-    "t_end_s": 1.5e-3,
-    "n_points": 1501,
-}
+    ("t_start_s", 0.0, _NONNEGATIVE),
+    ("t_end_s", 1.5e-3, None),
+    ("n_points", 1501, (lambda v: v >= 2, "must be at least 2")),
+)
+# the rules that read two fields: (first, second, predicate, message)
+CONFIG_PAIRS = (
+    ("a1", "a2", lambda a1, a2: a1 + a2 > 0, "a1 + a2: must be positive"),
+    ("w1", "w2", lambda w1, w2: w1 + w2 > 0, "w1 + w2: must be positive"),
+    ("t_start_s", "t_end_s", lambda start, end: end > start, "t_end_s: must exceed t_start_s"),
+)
+DEFAULT_CONFIG: dict = {key: default for key, default, _ in CONFIG_FIELDS}
 
 
 class ConfigError(ValueError):
@@ -72,64 +84,45 @@ class RunConfig:
 
 
 def build_config(values: dict) -> RunConfig:
-    """Validate a flat config dict and assemble the typed RunConfig: every
-    field a finite real number (numpy scalars pass, bools do not), gates, seed,
-    n_points and sign integral, the rest in the float range.  Then the rules
-    n_r > 1; mu_per_m, a1, a2 and the six cavity fields >= 0; sign +1 or -1;
-    a1 + a2 > 0; w1 + w2 > 0; n_points >= 2; 0 <= t_start_s < t_end_s;
-    seed >= 0; 0 < gates <= 2**53; accidental_rate in [0, 1): one error names
-    every rule broken.  No other module checks the config, whichever command reads it."""
+    """Check a flat config dict against ``CONFIG_FIELDS`` and assemble the
+    typed RunConfig.  Each field must be a finite real number (numpy scalars
+    pass, bools do not), integral where its default is an int and within the
+    float range where it is a float.  Each field that passes meets its row's
+    rule, and each ``CONFIG_PAIRS`` rule whose two fields pass holds.  One
+    error names every problem, the fields' in table order and then the
+    pairs'.  No other module checks the config, whichever command reads it."""
     if not isinstance(values, dict):
         raise ConfigError(f"config must be a JSON object, got {type(values).__name__}")
     unknown = sorted(set(values) - set(DEFAULT_CONFIG))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    merged = {**DEFAULT_CONFIG, **values}
-    for key, value in merged.items():
+    typed, problems = {}, []
+    for key, default, rule in CONFIG_FIELDS:
+        value = values.get(key, default)
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (real and -math.inf < value < math.inf):  # ints of any size pass
-            raise ConfigError(f"{key}: must be a finite number, got {value!r}")
-        if key in ("gates", "seed", "n_points", "sign"):
-            if int(value) != value:
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
-        elif abs(value) > sys.float_info.max:
-            raise ConfigError(f"{key}: must lie within the float range, got an "
-                              f"integer of {len(str(abs(value)))} digits")
-    problems = []
-    if merged["n_r"] <= 1:
-        problems.append("n_r: must exceed 1")
-    problems += [f"{key}: must be nonnegative" for key in ("mu_per_m", "a1", "a2", "kappa1_per_s",
-                 "kappa2_per_s", "gamma0_per_s", "w1", "w2", "lambda_per_s") if merged[key] < 0]
-    if merged["sign"] not in (1, -1):
-        problems.append("sign: must be +1 or -1")
-    if merged["a1"] + merged["a2"] <= 0:
-        problems.append("a1 + a2: must be positive")
-    if merged["w1"] + merged["w2"] <= 0:
-        problems.append("w1 + w2: must be positive")
-    if merged["n_points"] < 2:
-        problems.append("n_points: must be at least 2")
-    if merged["t_start_s"] < 0:
-        problems.append("t_start_s: must be nonnegative")
-    if merged["t_end_s"] <= merged["t_start_s"]:
-        problems.append("t_end_s: must exceed t_start_s")
-    if merged["seed"] < 0:
-        problems.append("seed: must be nonnegative")
-    if merged["gates"] <= 0:
-        problems.append("gates: must be positive")
-    elif merged["gates"] > 2**53:  # the count model holds gates in a float
-        problems.append("gates: must be at most 2**53")
-    if not 0.0 <= merged["accidental_rate"] < 1.0:
-        problems.append("accidental_rate: must lie in [0, 1)")
+            problems.append(f"{key}: must be a finite number, got {value!r}")
+        elif isinstance(default, int) and int(value) != value:
+            problems.append(f"{key}: must be an integer, got {value!r}")
+        elif isinstance(default, float) and abs(value) > sys.float_info.max:
+            problems.append(f"{key}: must lie within the float range, got an "
+                            f"integer of {len(str(abs(value)))} digits")
+        else:
+            typed[key] = type(default)(value)
+            if rule is not None and not rule[0](typed[key]):
+                problems.append(f"{key}: {rule[1]}")
+    problems += [message for first, second, holds, message in CONFIG_PAIRS
+                 if first in typed and second in typed and not holds(typed[first], typed[second])]
     if problems:
         raise ConfigError("; ".join(problems))
-    pmd, cavity, units = dynamics.params_from_dict(merged)
-    return RunConfig(units=units, pmd=pmd, cavity=cavity,
-                     gates=int(merged["gates"]),
-                     accidental_rate=float(merged["accidental_rate"]),
-                     seed=int(merged["seed"]),
-                     t_start_s=float(merged["t_start_s"]),
-                     t_end_s=float(merged["t_end_s"]),
-                     n_points=int(merged["n_points"]))
+    return RunConfig(
+        units=dynamics.UnitContext(n_r=typed["n_r"]),
+        pmd=dynamics.PmdModelParams(**{attr: typed[key]
+                                       for key, attr in dynamics._PMD_FIELDS.items()}),
+        cavity=dynamics.CavityModelParams(**{attr: typed[key]
+                                             for key, attr in dynamics._CAVITY_FIELDS.items()}),
+        **{key: typed[key] for key in ("gates", "accidental_rate", "seed",
+                                       "t_start_s", "t_end_s", "n_points")})
 
 
 def load_config(path: str | None, overrides: dict | None) -> RunConfig:

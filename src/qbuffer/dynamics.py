@@ -9,10 +9,9 @@ Two model families are implemented:
   (cavity_p and the two limiting cases p1, p2, summed into p3), under the
   envelope exp(-gamma0 t / 2).  Each is the square of ``_bracket``.
 
-Everything is stored in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m));
-``PmdModelParams.from_lab_units`` accepts the usual lab units (GHz,
-ps/sqrt(km), 1/km) and converts exactly once.  All model functions broadcast
-over numpy arrays.
+Everything is in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m)), and so
+is every config field that fills the parameter records; there is no lab-unit
+constructor.  All model functions broadcast over numpy arrays.
 
 The models take times and lengths t >= 0 unchecked: ``cli.build_config``'s
 grid starts at t_start_s >= 0, ``fitting`` rejects a record with t[0] < 0,
@@ -33,9 +32,7 @@ from .channels import PmdPhases
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
-# unit conversion constants
-PS_PER_SQRT_KM = 1e-12 / math.sqrt(1000.0)  # -> s/sqrt(m)
-PER_KM = 1e-3                               # -> 1/m
+PS_PER_SQRT_KM = 1e-12 / math.sqrt(1000.0)  # ps/sqrt(km) -> s/sqrt(m)
 
 
 @dataclass(frozen=True)
@@ -71,20 +68,6 @@ class PmdModelParams:
     a2: float
     sign: int
 
-    @classmethod
-    def from_lab_units(cls, freq_ghz: float, d_p1_ps_sqrt_km: float,
-                       d_p2_ps_sqrt_km: float, mu_per_km: float,
-                       a1: float, a2: float, sign: int = +1) -> "PmdModelParams":
-        """Build from detuning frequency [GHz], PMD coefficients [ps/sqrt(km)]
-        and loss [1/km]."""
-        return cls(
-            delta_omega=2.0 * math.pi * freq_ghz * 1e9,
-            d_p1=d_p1_ps_sqrt_km * PS_PER_SQRT_KM,
-            d_p2=d_p2_ps_sqrt_km * PS_PER_SQRT_KM,
-            mu=mu_per_km * PER_KM,
-            a1=a1, a2=a2, sign=sign,
-        )
-
 
 @dataclass(frozen=True)
 class CavityModelParams:
@@ -102,7 +85,7 @@ class CavityModelParams:
     lambda_width: float        # 1/s
 
 
-# JSON field names shared with the CLI config format.
+# each record attribute's field name in the CLI config and the fit JSON
 _PMD_FIELDS = {
     "delta_omega_rad_s": "delta_omega",
     "d_p1_s_per_sqrt_m": "d_p1",
@@ -120,17 +103,6 @@ _CAVITY_FIELDS = {
     "w2": "w2",
     "lambda_per_s": "lambda_width",
 }
-
-
-def params_from_dict(data: dict) -> tuple[PmdModelParams, CavityModelParams, UnitContext]:
-    """Both parameter sets and the unit context from a flat dict keyed by the
-    config field names; raises KeyError on missing fields."""
-    units = UnitContext(n_r=float(data["n_r"]))
-    pmd = PmdModelParams(**{attr: (int(data[key]) if attr == "sign" else float(data[key]))
-                            for key, attr in _PMD_FIELDS.items()})
-    cavity = CavityModelParams(**{attr: float(data[key])
-                                  for key, attr in _CAVITY_FIELDS.items()})
-    return pmd, cavity, units
 
 
 def _bracket(phi, sign: int):

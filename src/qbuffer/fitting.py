@@ -55,19 +55,20 @@ class DataSeries:
     sigma: np.ndarray   # per-point uncertainty; 1.0 when unknown
 
     def __post_init__(self) -> None:
-        t, p, sigma = self.t, self.p, self.sigma
-        for name, values in (("times", t), ("probabilities", p), ("uncertainties", sigma)):
+        for name, values in (("times", self.t), ("probabilities", self.p),
+                             ("uncertainties", self.sigma)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must be finite")
-        if not np.all(np.diff(t) > 0):
+        if not np.all(np.diff(self.t) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(sigma <= 0):
+        if np.any(self.sigma <= 0):
             raise ValueError("uncertainties must be positive")
         with np.errstate(over="ignore"):
             # the fits square these: values whose sum of squares overflows, or
             # underflows although they are not all zero, cannot be fitted
-            for name, values in (("times", t), ("probabilities/uncertainties", p / sigma),
-                                 ("1/uncertainties", 1.0 / sigma)):
+            for name, values in (("times", self.t),
+                                 ("probabilities/uncertainties", self.p / self.sigma),
+                                 ("1/uncertainties", 1.0 / self.sigma)):
                 total = np.sum(values * values)
                 if not np.isfinite(total):
                     raise ValueError(f"{name} are too large: their sum of squares overflows")

@@ -28,7 +28,7 @@ import pytest
 
 from qbuffer import cli
 from qbuffer.channels import PmdPhases, amplitude_damping_kraus, damp_werner
-from qbuffer.dynamics import (CavityModelParams, PmdModelParams,
+from qbuffer.dynamics import (PS_PER_SQRT_KM, CavityModelParams, PmdModelParams,
                               cavity_p, classify_regime, length_from_time,
                               markovian_exponential, prob_asym, prob_pasy,
                               asym_series_residual)
@@ -154,7 +154,9 @@ def test_criterion_06_tomography_round_trip():
     ])
 
 
-TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
+TRUTH_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
+                           d_p1=0.0017 * PS_PER_SQRT_KM, d_p2=0.047 * PS_PER_SQRT_KM,
+                           mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
                                  w1=0.5, w2=0.5, lambda_width=LAMBDA)
 

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbuffer import cli, states
 from qbuffer.cli import (DEFAULT_CONFIG, SWEEP_CSV_HEADER, ConfigError,
@@ -20,6 +22,38 @@ from csv_writer import series_csv
 @pytest.fixture
 def config():
     return build_config({})
+
+
+# per config field, values that pass its type check but break its own rule;
+# a field without a rule has none
+BROKEN = {"n_r": [1.0, 0.5], "mu_per_m": [-1.0], "a1": [-1.0, -0.1], "a2": [-1.0],
+          "sign": [0, 2, -3], "kappa1_per_s": [-1.0], "kappa2_per_s": [-1e300],
+          "gamma0_per_s": [-1.0], "w1": [-1.0, -0.01], "w2": [-1.0], "lambda_per_s": [-1.0],
+          "gates": [0, -5, 2**53 + 1], "accidental_rate": [1.0, -0.5], "seed": [-1],
+          "t_start_s": [-1.0], "n_points": [1, 0]}
+
+
+def bad_values(key):
+    """(value, passes the type check) pairs for ``key``: the ones that fail it
+    (a string, None, inf, and a fraction for an integral field or an integer
+    beyond the float range for a float one), then ``BROKEN``'s."""
+    beyond = 0.5 if isinstance(DEFAULT_CONFIG[key], int) else 10 ** 400
+    return [(value, False) for value in ("x", None, math.inf, beyond)] + [
+        (value, True) for value in BROKEN.get(key, ())]
+
+
+BAD_CONFIGS = st.sets(st.sampled_from(sorted(DEFAULT_CONFIG)), min_size=1).flatmap(
+    lambda keys: st.fixed_dictionaries({key: st.sampled_from(bad_values(key)) for key in keys}))
+
+
+def problems(values):
+    """The problems ``build_config`` names for ``values``, in order; none if
+    it accepts them."""
+    try:
+        build_config(values)
+    except ConfigError as error:
+        return str(error).split("; ")
+    return []
 
 
 class TestConfig:
@@ -39,6 +73,30 @@ class TestConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             build_config({"not_a_field": 1.0})
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bad=BAD_CONFIGS)
+    @example(bad={"n_r": ("x", False), "seed": (1.5, False), "mu_per_m": (-1, True)})
+    @example(bad={"gates": (0.5, False), "a1": (-1, True)})
+    @example(bad={"a1": (-0.1, True), "t_end_s": ("x", False), "w2": (-1.0, True)})
+    def test_a_config_names_every_problem_of_its_fields(self, bad):
+        # each field's own problem, as it alone gives it, in table order; then
+        # each two-field rule whose fields both pass the type check and which
+        # those two fields alone break
+        config = {key: value for key, (value, _) in bad.items()}
+        pair_messages = [message for *_, message in cli.CONFIG_PAIRS]
+        expected = []
+        for key in DEFAULT_CONFIG:
+            if key in config:
+                own = [m for m in problems({key: config[key]}) if m not in pair_messages]
+                assert len(own) == 1, (key, own)
+                expected += own
+        for first, second, _, message in cli.CONFIG_PAIRS:
+            both = {key: config[key] for key in (first, second) if key in config}
+            typed = all(bad[key][1] for key in both)
+            if typed and message in problems(both):
+                expected.append(message)
+        assert problems(config) == expected
 
     def test_numpy_scalars_and_integral_floats_accepted(self):
         # an int too large for a float is still finite and integral

@@ -20,7 +20,10 @@ from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
 
 DEFAULTS = cli.build_config({})
 UNITS, LAMBDA = DEFAULTS.units, DEFAULTS.cavity.lambda_width
-REF_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
+REF_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
+                         d_p1=0.0017 * dynamics.PS_PER_SQRT_KM,
+                         d_p2=0.047 * dynamics.PS_PER_SQRT_KM,
+                         mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
 REF_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
                                  w1=0.5, w2=0.5, lambda_width=LAMBDA)
 
@@ -497,12 +500,5 @@ class TestParamsSerialization:
                 "kappa1_per_s": REF_CAVITY.kappa1, "kappa2_per_s": REF_CAVITY.kappa2,
                 "gamma0_per_s": REF_CAVITY.gamma0, "w1": REF_CAVITY.w1,
                 "w2": REF_CAVITY.w2, "lambda_per_s": REF_CAVITY.lambda_width}
-        pmd, cavity, units = dynamics.params_from_dict(data)
-        assert pmd == REF_PMD
-        assert cavity == REF_CAVITY
-        assert units.n_r == 1.47
-
-    def test_lab_unit_constructors(self):
-        assert REF_PMD.delta_omega == pytest.approx(2 * np.pi * 200e9)
-        assert REF_PMD.d_p2 == pytest.approx(0.047e-12 / math.sqrt(1000.0))
-        assert REF_PMD.mu == pytest.approx(6e-6)
+        config = cli.build_config(data)
+        assert (config.pmd, config.cavity, config.units.n_r) == (REF_PMD, REF_CAVITY, 1.47)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import nnls
 
 from qbuffer import _optimize, cli, dynamics, fitting
-from qbuffer.dynamics import CavityModelParams, PmdModelParams, p3, prob_pasy
+from qbuffer.dynamics import (PS_PER_SQRT_KM, CavityModelParams, PmdModelParams, p3,
+                              prob_pasy)
 from qbuffer.fitting import (SERIES_CSV_HEADER, DataSeries, FittingError, _jacobian,
                              _p3_model, _pasy_model, _scan, fit_exponential, fit_p3, fit_pasy,
                              fit_result_to_dict, series_from_csv)
@@ -23,7 +24,9 @@ UNITS = DEFAULTS.units
 # the default config's fixed fit inputs: pasy's units, detuning and sign, p3's width
 PASY_FIXED = (UNITS, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
 LAMBDA = DEFAULTS.cavity.lambda_width
-TRUTH_PMD = PmdModelParams.from_lab_units(200.0, 0.0017, 0.047, 0.006, 0.5, 0.5)
+TRUTH_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
+                           d_p1=0.0017 * PS_PER_SQRT_KM, d_p2=0.047 * PS_PER_SQRT_KM,
+                           mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
 TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
                                  w1=0.5, w2=0.5, lambda_width=LAMBDA)
 
@@ -570,8 +573,7 @@ class TestFitPasy:
         assert fit.params.d_p1 <= fit.params.d_p2
 
     def test_degenerate_component_pinned_at_bound(self):
-        degenerate = PmdModelParams.from_lab_units(200.0, 0.0, 0.047, 0.006,
-                                                   0.5, 0.5)
+        degenerate = replace(TRUTH_PMD, d_p1=0.0)
         fit = fit_pasy(pasy_series(params=degenerate), *PASY_FIXED)
         assert fit.params.d_p1 / degenerate.d_p2 < 1e-3
         assert "d_p1" in fit.at_bounds

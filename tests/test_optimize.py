@@ -75,8 +75,9 @@ def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
     t, config = np.linspace(0.0, 1.5e-3, 20), qbuffer.cli.build_config({})
     p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5,
                                                           config.cavity.lambda_width))
-    pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams.from_lab_units(
-        200.0, 0.0017, 0.047, 0.006, 0.5, 0.5), config.units)
+    pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams(
+        2.0 * math.pi * 200.0 * 1e9, 0.0017 * dynamics.PS_PER_SQRT_KM,
+        0.047 * dynamics.PS_PER_SQRT_KM, 0.006 * 1e-3, 0.5, 0.5, 1), config.units)
     for model, p in (("pasy", pasy_curve), ("p3", p3_curve), ("exp", p3_curve)):
         Path(f"{prefix}.{model}.csv").write_text(series_csv(t, p))
     assert run_python(STARTUP, prefix) == [

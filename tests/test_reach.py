@@ -27,7 +27,7 @@ fails too.  A check that re-tests what the pipeline built from checked
 inputs is neither: it is deleted, and a property test holds its producer.
 
 Functions are every ``def`` and ``lambda`` in the package's source, keyed by
-module and qualified name (``dynamics.PmdModelParams.from_lab_units``); the
+module and qualified name (``states.ValidationReport.passed``); the
 names are built from the code objects, as Python 3.10 gives no
 ``co_qualname``.  Lines are keyed by that name and their stripped source text.
 
@@ -72,7 +72,6 @@ HELD = {
     "dynamics.cavity_p": criterion("10_algebraic_equivalences"),
     "channels.amplitude_damping_kraus": criterion("05_amplitude_damping_identities"),
     "tomography.trace_distance": criterion("06_tomography_round_trip"),
-    "dynamics.PmdModelParams.from_lab_units": criterion("07_fit_round_trips"),
     "measures.discord": criterion("03_separability_point"),
     "measures.discord_concurrence_crossover": criterion("02_discord_concurrence_crossover"),
     "measures.discord_concurrence_crossover.<locals>.<lambda>":
@@ -88,12 +87,11 @@ HELD = {
 # each parameter default and dataclass-field default in the package, and the
 # caller outside the tests that leaves it unset; the model inputs (n_r, the
 # detuning, sign, lambda, the accidental rate) have one default each, in
-# cli.DEFAULT_CONFIG, and reach the package through cli.build_config
+# cli.CONFIG_FIELDS, and reach the package through cli.build_config
 ALLOWED_DEFAULTS = {
     "cli.cmd_fit.config": "bench/qbbench/workloads.py: the fit items call cmd_fit(model, text)",
     "cli.main.argv": "the qbuffer console script calls main()",
     "fitting.FitResult.at_bounds": "fitting.fit_exponential",
-    "dynamics.PmdModelParams.from_lab_units.sign": criterion("07_fit_round_trips"),
 }
 
 OPTIMIZE = "tests/test_optimize.py::"
@@ -261,10 +259,10 @@ def commands(tmp_path):
          "n_r: must lie within the float range, got an integer of 401 digits"),
         (cfg("problems", {"n_points": 1, "t_start_s": -1.0, "t_end_s": -2.0, "seed": -1,
                           "gates": 0, "accidental_rate": 1.0}),
-         "n_points: must be at least 2; t_start_s: must be nonnegative; t_end_s: must "
-         "exceed t_start_s; seed: must be nonnegative; gates: must be positive; "
-         "accidental_rate: must lie in [0, 1)"),
-        (cfg("gates", {"gates": 2**53 + 1}), "gates: must be at most 2**53"),
+         "gates: must lie in [1, 2**53]; accidental_rate: must lie in [0, 1); seed: must "
+         "be nonnegative; t_start_s: must be nonnegative; n_points: must be at least 2; "
+         "t_end_s: must exceed t_start_s"),
+        (cfg("gates", {"gates": 2**53 + 1}), "gates: must lie in [1, 2**53]"),
         (cfg("index", {"n_r": 1.0}), "n_r: must exceed 1"),
         (cfg("mu", {"mu_per_m": -1.0}), "mu_per_m: must be nonnegative"),
         (cfg("weights", {"a1": 0.0, "a2": 0.0}), "a1 + a2: must be positive"),
@@ -274,6 +272,13 @@ def commands(tmp_path):
         (cfg("model_problems", {"n_r": 1.0, "mu_per_m": -1, "sign": 2, "w1": 0, "w2": 0}),
          "n_r: must exceed 1; mu_per_m: must be nonnegative; sign: must be +1 or -1; "
          "w1 + w2: must be positive"),
+        # type errors and rules, named together
+        (cfg("mistyped", {"n_r": "x", "seed": 1.5, "mu_per_m": -1}),
+         "n_r: must be a finite number, got 'x'; mu_per_m: must be nonnegative; "
+         "seed: must be an integer, got 1.5"),
+        (cfg("fraction_and_rules", {"gates": 0.5, "a1": -1}),
+         "a1: must be nonnegative; gates: must be an integer, got 0.5; "
+         "a1 + a2: must be positive"),
     ]
     failures = [(["sweep", *argv, "--out", out], f"error: {message}\n")
                 for argv, message in fail]
