@@ -5,40 +5,31 @@ the birefringence-induced polarization rotation (PMD) and amplitude damping.
 Scalar fiber attenuation exp(-2 mu L) enters only as the envelope of the PMD
 decay models in ``dynamics``.
 
-``PmdPhases`` is a plain record and ``amplitude_damping_kraus`` takes xi
-unchecked, as no command reaches either; ``damp_werner`` checks tomo's --xi.
+``pmd_operator`` takes its two phase angles and ``amplitude_damping_kraus``
+its xi unchecked, as no command reaches either; ``damp_werner`` checks tomo's
+--xi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .states import make_werner
 
 
-@dataclass(frozen=True)
-class PmdPhases:
-    """Phase pulled onto each polarization component by the fiber birefringence.
-
-    Angles are in radians, finite and unbounded (they wrap).
-    """
-
-    dphi_h: float
-    dphi_v: float
-
-
-def pmd_operator(phases: PmdPhases) -> np.ndarray:
-    """Polarization map of the buffered (idler) photon.
+def pmd_operator(dphi_h: float, dphi_v: float) -> np.ndarray:
+    """Polarization map of the buffered (idler) photon, for the phases the
+    fiber birefringence pulls onto each polarization component (radians,
+    finite and unbounded: they wrap).
 
     Sends H -> cos(dphi_h) H + sin(dphi_h) V and
           V -> cos(dphi_v) V - sin(dphi_v) H.
     Unitary only when the two phases coincide.
     """
-    ch, sh = np.cos(phases.dphi_h), np.sin(phases.dphi_h)
-    cv, sv = np.cos(phases.dphi_v), np.sin(phases.dphi_v)
+    ch, sh = np.cos(dphi_h), np.sin(dphi_h)
+    cv, sv = np.cos(dphi_v), np.sin(dphi_v)
     return np.array([[ch, -sv], [sh, cv]], dtype=complex)
 
 

@@ -72,7 +72,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    units: dynamics.UnitContext
+    n_r: float
     pmd: dynamics.PmdModelParams
     cavity: dynamics.CavityModelParams
     gates: int
@@ -116,12 +116,11 @@ def build_config(values: dict) -> RunConfig:
     if problems:
         raise ConfigError("; ".join(problems))
     return RunConfig(
-        units=dynamics.UnitContext(n_r=typed["n_r"]),
         pmd=dynamics.PmdModelParams(**{attr: typed[key]
                                        for key, attr in dynamics._PMD_FIELDS.items()}),
         cavity=dynamics.CavityModelParams(**{attr: typed[key]
                                              for key, attr in dynamics._CAVITY_FIELDS.items()}),
-        **{key: typed[key] for key in ("gates", "accidental_rate", "seed",
+        **{key: typed[key] for key in ("n_r", "gates", "accidental_rate", "seed",
                                        "t_start_s", "t_end_s", "n_points")})
 
 
@@ -157,8 +156,8 @@ def _sweep_table(config: RunConfig) -> np.ndarray:
     """The sweep's 12 columns, one row per grid point."""
     from . import measures
     t = np.linspace(config.t_start_s, config.t_end_s, config.n_points)
-    length = _finite("L_m", dynamics.length_from_time, t, config.units)
-    p_pasy = _finite("P_pasy", dynamics.prob_pasy, t, config.pmd, config.units)
+    length = _finite("L_m", dynamics.length_from_time, t, config.n_r)
+    p_pasy = _finite("P_pasy", dynamics.prob_pasy, t, config.pmd, config.n_r)
     p_p3 = _finite("P_p3", dynamics.p3, t, config.cavity)
     # model curves are proportionalities and may poke above 1; the
     # information measures are defined on [0, 1]
@@ -214,13 +213,13 @@ MODELS = ("pasy", "p3", "exp")  # the decay models fit and threshold take; argpa
 def cmd_fit(model_name: str, csv_text: str,
             config: RunConfig | None = None) -> fitting.FitResult:
     """Fit the named model, one of ``MODELS``, to CSV data; pasy holds the
-    config's detuning and sign branch fixed and converts times with its units,
+    config's detuning and sign branch fixed and converts times with its n_r,
     p3 carries the config's reservoir width (default config when none is given)."""
     from . import fitting
     data = fitting.series_from_csv(csv_text)
     config = config if config is not None else build_config({})
     if model_name == "pasy":
-        return fitting.fit_pasy(data, units=config.units,
+        return fitting.fit_pasy(data, n_r=config.n_r,
                                 delta_omega=config.pmd.delta_omega, sign=config.pmd.sign)
     if model_name == "p3":
         return fitting.fit_p3(data, lambda_width=config.cavity.lambda_width)
@@ -237,12 +236,11 @@ def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if model_name == "pasy":
-        model = lambda t: dynamics.prob_pasy(t, config.pmd, config.units)
+        model = lambda t: dynamics.prob_pasy(t, config.pmd, config.n_r)
     elif model_name == "p3":
         model = lambda t: dynamics.p3(t, config.cavity)
     else:
-        rate = 2.0 * config.pmd.mu * config.units.c / config.units.n_r
-        model = lambda t: dynamics.markovian_exponential(t, 1.0, rate)
+        model = lambda t: dynamics.markovian_exponential(t, config.pmd.mu, config.n_r)
     t_star = measures.solve_level_crossing(
         lambda t: _finite(f"model {model_name!r}", model, t), level, THRESHOLD_BRACKET_S)
     if t_star is None:
@@ -250,7 +248,7 @@ def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
             f"model {model_name!r} never crosses level {level} in "
             f"[{THRESHOLD_BRACKET_S[0]}, {THRESHOLD_BRACKET_S[1]}] s")
     return {"t_star_s": t_star,
-            "L_star_m": dynamics.length_from_time(t_star, config.units)}
+            "L_star_m": dynamics.length_from_time(t_star, config.n_r)}
 
 
 def cmd_classify(kappa: float, gamma0: float) -> dict:

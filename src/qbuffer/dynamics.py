@@ -11,7 +11,11 @@ Two model families are implemented:
 
 Everything is in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m)), and so
 is every config field that fills the parameter records; there is no lab-unit
-constructor.  All model functions broadcast over numpy arrays.
+constructor.  Every model is a plain numpy expression of its arguments: an
+array of times gives the array of values, and a float time gives whatever
+numpy returns for it (a numpy float or a 0-d array), with the same bits as
+the array's element.  Times become fiber lengths through the group index n_r,
+passed as a float.
 
 The models take times and lengths t >= 0 unchecked: ``cli.build_config``'s
 grid starts at t_start_s >= 0, ``fitting`` rejects a record with t[0] < 0,
@@ -24,30 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
-
-from .channels import PmdPhases
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
 
 PS_PER_SQRT_KM = 1e-12 / math.sqrt(1000.0)  # ps/sqrt(km) -> s/sqrt(m)
 
 
-@dataclass(frozen=True)
-class UnitContext:
-    """Propagation constants tying buffer time to fiber length."""
-
-    n_r: float  # group index of the fiber, > 1
-    c: ClassVar[float] = SPEED_OF_LIGHT  # a constant, not a setting
-
-
-def length_from_time(t, units: UnitContext):
-    """Fiber length L = (c / n_r) t traversed during buffer time t >= 0."""
-    t = np.asarray(t, dtype=float)
-    out = units.c / units.n_r * t
-    return float(out) if out.ndim == 0 else out
+def length_from_time(t, n_r: float):
+    """Fiber length L = (c / n_r) t traversed during buffer time t >= 0, for
+    the fiber's group index n_r > 1."""
+    return SPEED_OF_LIGHT / n_r * t
 
 
 @dataclass(frozen=True)
@@ -117,12 +109,10 @@ def _bracket(phi, sign: int):
 
 def pmd_phase(delta_omega: float, d_p: float, length):
     """Differential phase delta_omega * D_p * sqrt(L) accumulated over L >= 0 meters."""
-    length = np.asarray(length, dtype=float)
-    out = delta_omega * d_p * np.sqrt(length)
-    return float(out) if out.ndim == 0 else out
+    return delta_omega * d_p * np.sqrt(length)
 
 
-def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
+def prob_pf(dphi_h, dphi_v, mu: float, length):
     """Pair probability after the polarization map, normalized to 1 at zero
     phase and zero loss:
 
@@ -131,33 +121,31 @@ def prob_pf(phases: PmdPhases, mu: float, length: float) -> float:
     Its range is [0, 2], not [0, 1]: the bracket reaches 2 sqrt(2) at
     (dphi_h, dphi_v) = (pi/4, -pi/4), where the value is 2 at zero loss.
     """
-    bracket = _bracket(phases.dphi_h, +1) + _bracket(phases.dphi_v, -1)
-    return float(0.25 * np.exp(-2.0 * mu * length) * bracket**2)
+    bracket = _bracket(dphi_h, +1) + _bracket(dphi_v, -1)
+    return 0.25 * np.exp(-2.0 * mu * length) * bracket**2
 
 
-def pa(t, delta_omega: float, d_p: float, mu: float, sign: int, units: UnitContext):
+def pa(t, delta_omega: float, d_p: float, mu: float, sign: int, n_r: float):
     """Counter-rotating component exp(-2 mu L) [cos(dphi) + sign sin(dphi)]^2,
     dphi = delta_omega d_p sqrt(L) (unweighted)."""
-    length = length_from_time(t, units)
+    length = length_from_time(t, n_r)
     phi = pmd_phase(delta_omega, d_p, length)
-    out = np.exp(-2.0 * mu * np.asarray(length)) * _bracket(phi, sign)**2
-    return float(out) if np.ndim(out) == 0 else out
+    return np.exp(-2.0 * mu * length) * _bracket(phi, sign)**2
 
 
-def psy(t, delta_omega: float, d_p: float, mu: float, units: UnitContext):
+def psy(t, delta_omega: float, d_p: float, mu: float, n_r: float):
     """Co-rotating component exp(-2 mu L) cos^2(dphi), dphi = delta_omega d_p
     sqrt(L) (unweighted): :func:`pa` without the sine term."""
-    return pa(t, delta_omega, d_p, mu, 0, units)
+    return pa(t, delta_omega, d_p, mu, 0, n_r)
 
 
-def prob_pasy(t, params: PmdModelParams, units: UnitContext):
+def prob_pasy(t, params: PmdModelParams, n_r: float):
     """Weighted two-component PMD model a1 * pa(d_p1, sign) + a2 * psy(d_p2)."""
-    out = (params.a1 * pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, units)
-           + params.a2 * psy(t, params.delta_omega, params.d_p2, params.mu, units))
-    return float(out) if np.ndim(out) == 0 else out
+    return (params.a1 * pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, n_r)
+            + params.a2 * psy(t, params.delta_omega, params.d_p2, params.mu, n_r))
 
 
-def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int) -> float:
+def prob_asym(dphi_h, dphi_v, mu: float, length, sign: int):
     """Expanded seven-term pair probability for unequal phases, s = sign
     (+1 or -1) selecting the rotation branch:
 
@@ -168,10 +156,10 @@ def prob_asym(phases: PmdPhases, mu: float, length: float, sign: int) -> float:
     On both branches this equals 4 * prob_pf of the phases (s dh, s dv), the
     unnormalized square of the four-term bracket, and is evaluated as such.
     """
-    return 4.0 * prob_pf(PmdPhases(sign * phases.dphi_h, sign * phases.dphi_v), mu, length)
+    return 4.0 * prob_pf(sign * dphi_h, sign * dphi_v, mu, length)
 
 
-def asym_series_residual(phases: PmdPhases, mu: float, length: float) -> float:
+def asym_series_residual(dphi_h, dphi_v, mu: float, length):
     """Gap between prob_asym (+ branch) and its small-angle expansion through
     the terms quadratic in the phases:
 
@@ -180,9 +168,9 @@ def asym_series_residual(phases: PmdPhases, mu: float, length: float) -> float:
     When the phases scale like sqrt(L) the leading omitted term is cubic, so
     the residual shrinks like L^(3/2).
     """
-    dh, dv = phases.dphi_h, phases.dphi_v
-    truncated = np.exp(-2.0 * mu * length) * (4.0 + 4.0 * (dh - dv) - (dh + dv)**2)
-    return float(abs(prob_asym(phases, mu, length, +1) - truncated))
+    truncated = np.exp(-2.0 * mu * length) * (
+        4.0 + 4.0 * (dphi_h - dphi_v) - (dphi_h + dphi_v)**2)
+    return abs(prob_asym(dphi_h, dphi_v, mu, length, +1) - truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +213,6 @@ def cavity_p(t, kappa: float, gamma0: float):
     the exact sign of 4 kappa - gamma0 (see ``_regime``).
     """
     diff, delta = _regime(kappa, gamma0)
-    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # rate x time may overflow
         x = delta * t / 4.0
         if diff < 0:
@@ -236,36 +223,29 @@ def cavity_p(t, kappa: float, gamma0: float):
             # where both terms overflowed: delta - gamma0 = -16 kappa^2 / (delta + gamma0)
             exponent = np.where(np.isnan(exponent),
                                 -4.0 * kappa * (4.0 * kappa / (delta + gamma0)) * t / 2.0, exponent)
-            out = np.exp(exponent) * bracket**2
-        else:
-            # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
-            bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
-            out = _enveloped(gamma0, t, bracket**2)
-    return float(out) if out.ndim == 0 else out
+            return np.exp(exponent) * bracket**2
+        # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
+        bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
+        return _enveloped(gamma0, t, bracket**2)
 
 
 def p1(t, kappa1: float, gamma0: float):
     """Component with the counter-rotating bracket:
     exp(-gamma0 t/2) [cos(kappa1 t / sqrt2) + sin(kappa1 t / sqrt2)]^2."""
-    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa1 x time may overflow
-        out = _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
-    return float(out) if out.ndim == 0 else out
+        return _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
 
 
 def p2(t, kappa2: float, gamma0: float):
     """Component with the plain harmonic: exp(-gamma0 t/2) cos^2(kappa2 t)."""
-    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # kappa2 x time may overflow
-        out = _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
-    return float(out) if out.ndim == 0 else out
+        return _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
 
 
 def p3(t, params: CavityModelParams):
     """Weighted two-component cavity model w1 * p1 + w2 * p2."""
-    out = (params.w1 * p1(t, params.kappa1, params.gamma0)
-           + params.w2 * p2(t, params.kappa2, params.gamma0))
-    return float(out) if np.ndim(out) == 0 else out
+    return (params.w1 * p1(t, params.kappa1, params.gamma0)
+            + params.w2 * p2(t, params.kappa2, params.gamma0))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +283,7 @@ def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
     return RegimeResult(REGIME_MARKOVIAN, delta, True)
 
 
-def markovian_exponential(t, p0: float, rate: float):
-    """Memoryless control model p0 * exp(-rate * t), for p0 in (0, 1] and
-    rate >= 0: ``cli.cmd_threshold`` passes 1 and 2 mu c / n_r."""
-    t = np.asarray(t, dtype=float)
-    out = p0 * np.exp(-rate * t)
-    return float(out) if out.ndim == 0 else out
+def markovian_exponential(t, mu: float, n_r: float):
+    """Memoryless control model exp(-2 mu L), L = (c / n_r) t: the PMD
+    models' fiber attenuation alone, p(0) = 1, decaying at the rate 2 mu c / n_r."""
+    return np.exp(-(2.0 * mu * SPEED_OF_LIGHT / n_r) * t)

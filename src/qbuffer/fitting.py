@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dynamics
 from ._optimize import _AT_BOUND, least_squares, nnls
-from .dynamics import CavityModelParams, PmdModelParams, UnitContext
+from .dynamics import CavityModelParams, PmdModelParams
 
 
 class FittingError(RuntimeError):
@@ -153,10 +153,10 @@ class _TwoComponent(NamedTuple):
         return x[..., 3, None] * c[..., 0, :] + x[..., 4, None] * c[..., 1, :]
 
 
-def _pasy_model(delta_omega: float, sign: int, units: UnitContext, t: np.ndarray) -> _TwoComponent:
+def _pasy_model(delta_omega: float, sign: int, n_r: float, t: np.ndarray) -> _TwoComponent:
     """mu per fiber length at the last time, d_p per radian there; pa and psy
     change only their sign branch with the sign of delta_omega."""
-    lengths = dynamics.length_from_time(t, units)
+    lengths = dynamics.length_from_time(t, n_r)
     with np.errstate(all="ignore"):  # units that are not finite fail the scan or the unit check
         phases = dynamics.pmd_phase(abs(delta_omega), 1.0, lengths)
         scales = 1.0 / np.array([phases[-1], phases[-1], lengths[-1], 1.0, 1.0])
@@ -331,13 +331,14 @@ def _fit(make_model: Callable[[np.ndarray], _TwoComponent], data: DataSeries,
                      int(best.nfev), at_bounds)
 
 
-def fit_pasy(data: DataSeries, units: UnitContext, delta_omega: float, sign: int) -> FitResult:
+def fit_pasy(data: DataSeries, n_r: float, delta_omega: float, sign: int) -> FitResult:
     """Fit the sqrt(L)-phase model; free parameters (d_p1, d_p2, mu, a1, a2).
 
-    The detuning ``delta_omega`` (rad/s) and the ``sign`` branch are held
-    fixed.  Every free parameter is bounded to [0, inf).
+    The fiber's group index ``n_r``, the detuning ``delta_omega`` (rad/s)
+    and the ``sign`` branch are held fixed.  Every free parameter is bounded
+    to [0, inf).
     """
-    return _fit(lambda t: _pasy_model(delta_omega, sign, units, t), data,
+    return _fit(lambda t: _pasy_model(delta_omega, sign, n_r, t), data,
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 

@@ -4,9 +4,9 @@ All measures are closed-form functions of the Werner probability P in
 [0, 1], in bits, and take P as given: the sweep passes its model values
 clipped at 1, which the models keep >= 0, and the crossover a constant
 bracket.  The x log2 x terms use the entropy convention x log2 x -> 0 as x -> 0.
-Every measure broadcasts over numpy arrays of P, the way the ``dynamics``
-models broadcast over time: a scalar input gives a Python float, an array
-input an array of the same shape.
+Every measure is a plain numpy expression of P, as the ``dynamics`` models
+are of time: an array gives the array of values, and a float gives whatever
+numpy returns for it, with the same bits as the array's element.
 """
 
 from __future__ import annotations
@@ -28,17 +28,13 @@ def _xlog2(x):
 def total_correlation(p):
     """Mutual information of the Werner state:
     (3(1-P)/4) log2(1-P) + ((1+3P)/4) log2(1+3P)."""
-    p = np.asarray(p, dtype=float)
-    out = 0.75 * _xlog2(1.0 - p) + 0.25 * _xlog2(1.0 + 3.0 * p)
-    return float(out) if p.ndim == 0 else out
+    return 0.75 * _xlog2(1.0 - p) + 0.25 * _xlog2(1.0 + 3.0 * p)
 
 
 def classical_correlation(p):
     """Classical part of the correlation:
     ((1-P)/2) log2(1-P) + ((1+P)/2) log2(1+P)."""
-    p = np.asarray(p, dtype=float)
-    out = 0.5 * _xlog2(1.0 - p) + 0.5 * _xlog2(1.0 + p)
-    return float(out) if p.ndim == 0 else out
+    return 0.5 * _xlog2(1.0 - p) + 0.5 * _xlog2(1.0 + p)
 
 
 def discord(p):
@@ -48,9 +44,7 @@ def discord(p):
 
 def concurrence(p):
     """Entanglement monotone max(0, (3P - 1)/2); zero at and below P = 1/3."""
-    p = np.asarray(p, dtype=float)
-    out = np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
-    return float(out) if p.ndim == 0 else out
+    return np.maximum(0.0, (3.0 * p - 1.0) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,6 @@ class CorrelationReport:
     """All four measures evaluated at one Werner probability, or at each
     element of an array of them."""
 
-    p: float | np.ndarray
     total: float | np.ndarray
     classical: float | np.ndarray
     discord: float | np.ndarray
@@ -66,13 +59,11 @@ class CorrelationReport:
 
 
 def correlation_report(p) -> CorrelationReport:
-    checked = np.asarray(p, dtype=float)
-    total = total_correlation(checked)
-    classical = classical_correlation(checked)
+    total = total_correlation(p)
+    classical = classical_correlation(p)
     # discord defined by subtraction, so discord == total - classical exactly;
     # classical + discord can still differ from total by one rounding
-    return CorrelationReport(float(checked) if checked.ndim == 0 else checked,
-                             total, classical, total - classical, concurrence(checked))
+    return CorrelationReport(total, classical, total - classical, concurrence(p))
 
 
 def solve_level_crossing(model: Callable, level: float,
@@ -80,12 +71,13 @@ def solve_level_crossing(model: Callable, level: float,
     """Earliest time in ``bracket`` where ``model`` crosses ``level``.
 
     ``model`` must broadcast like the ``dynamics`` models: called once with
-    a numpy array of times it returns the array of values, called with a
-    float it returns a float.  The bracket is first subdivided on a uniform
-    10 000-point grid, evaluated in one call, to isolate the first sign change
-    (oscillatory models cross many times); only that interval is then refined
-    from its two grid values, until |model(t*) - level| < 1e-9.  Returns None
-    when no sign change exists on the grid.  Resolution limit: a dip below
+    a numpy array of times it returns the array of values, and called with a
+    float it returns that time's element's bits, as a number or 0-d array
+    that ``brentq`` turns into a float.  The bracket is first subdivided on a
+    uniform 10 000-point grid, evaluated in one call, to isolate the first
+    sign change (oscillatory models cross many times); only that interval is
+    then refined from its two grid values, until |model(t*) - level| < 1e-9.
+    Returns None when no sign change exists on the grid.  Resolution limit: a dip below
     ``level`` that starts and ends between two grid points (about 1 us apart in
     a 10 ms bracket) is missed, and the next crossing, if any, is returned.
     Both callers pass a constant bracket with t_lo < t_hi, and a model that

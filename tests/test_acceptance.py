@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 
 from qbuffer import cli
-from qbuffer.channels import PmdPhases, amplitude_damping_kraus, damp_werner
-from qbuffer.dynamics import (PS_PER_SQRT_KM, CavityModelParams, PmdModelParams,
-                              cavity_p, classify_regime, length_from_time,
+from qbuffer.channels import amplitude_damping_kraus, damp_werner
+from qbuffer.dynamics import (PS_PER_SQRT_KM, SPEED_OF_LIGHT, CavityModelParams,
+                              PmdModelParams, cavity_p, classify_regime, length_from_time,
                               markovian_exponential, prob_asym, prob_pasy,
                               asym_series_residual)
 from qbuffer.fitting import DataSeries, fit_p3, fit_pasy
@@ -43,9 +43,9 @@ from qbuffer.tomography import (estimate_werner_probability, expected_counts,
                                 trace_distance)
 
 DEFAULTS = cli.build_config({})
-UNITS = DEFAULTS.units
-# the default config's fixed fit inputs: pasy's units, detuning and sign, p3's width
-PASY_FIXED = (UNITS, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
+N_R = DEFAULTS.n_r
+# the default config's fixed fit inputs: pasy's n_r, detuning and sign, p3's width
+PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
 LAMBDA = DEFAULTS.cavity.lambda_width
 GATES = 100_000_000
 
@@ -182,8 +182,8 @@ def _pasy_crlb(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     columns = []
     for name in ("d_p1", "d_p2", "mu", "a1", "a2"):
         value = getattr(TRUTH_PMD, name)
-        up = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 + h)}), UNITS)
-        down = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 - h)}), UNITS)
+        up = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 + h)}), N_R)
+        down = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 - h)}), N_R)
         columns.append((up - down) / (2 * h) / sigma)
     jac = np.column_stack(columns)
     return np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))
@@ -204,7 +204,7 @@ def test_criterion_07_fit_round_trips():
 
     # noiseless round trips on the documented 50-point window
     t50 = np.linspace(0.0, 1.5e-3, 50)
-    fit_a = fit_pasy(DataSeries(t50, prob_pasy(t50, TRUTH_PMD, UNITS), np.ones(50)),
+    fit_a = fit_pasy(DataSeries(t50, prob_pasy(t50, TRUTH_PMD, N_R), np.ones(50)),
                      *PASY_FIXED)
     fit_b = fit_p3(DataSeries(t50, p3_model(t50, TRUTH_CAVITY), np.ones(50)), LAMBDA)
     clean_a = float(_pmd_errors(fit_a.params).max())
@@ -218,7 +218,7 @@ def test_criterion_07_fit_round_trips():
     # fit's reported d_p1 standard deviation is held to that bound, and d_p1
     # recovery is checked at 0.05% noise, where the bound is a few percent.
     t_pasy = np.linspace(0.0, 5e-3, 300)
-    y_pasy = prob_pasy(t_pasy, TRUTH_PMD, UNITS)
+    y_pasy = prob_pasy(t_pasy, TRUTH_PMD, N_R)
 
     def pasy_fits(noise):
         sigma = noise * np.abs(y_pasy)
@@ -275,11 +275,11 @@ def test_criterion_07_fit_round_trips():
 
 def test_criterion_08_markovian_control():
     mu = 6e-6
-    rate = 2 * mu * UNITS.c / UNITS.n_r
-    model = lambda t: markovian_exponential(t, 1.0, rate)
+    rate = 2 * mu * SPEED_OF_LIGHT / N_R
+    model = lambda t: markovian_exponential(t, mu, N_R)
     t_star = solve_level_crossing(model, 1.0 / 3.0, (0.0, 10e-3))
     closed = math.log(3.0) / rate
-    length_km = length_from_time(t_star, UNITS) / 1e3
+    length_km = length_from_time(t_star, N_R) / 1e3
     check(8, "Markovian control crossing", [
         (f"L* = {length_km:.4f} km within 91.55 +/- 0.01",
          abs(length_km - 91.55) <= 0.01),
@@ -316,11 +316,11 @@ def test_criterion_10_algebraic_equivalences():
         seven = np.exp(-2.0 * mu * length) * (
             2.0 + 2.0 * cv * ch - 2.0 * sh * sv
             + 2.0 * ch * sh - 2.0 * ch * sv - 2.0 * cv * sv + 2.0 * cv * sh)
-        worst_eq = max(worst_eq, abs(prob_asym(PmdPhases(dh, dv), mu, length, +1) - seven))
+        worst_eq = max(worst_eq, abs(prob_asym(dh, dv, mu, length, +1) - seven))
 
     b_h, b_v = 0.22, 0.13
     lengths = 1.0 * 0.5 ** np.arange(0, 8)
-    resid = [asym_series_residual(PmdPhases(b_h * math.sqrt(L), b_v * math.sqrt(L)),
+    resid = [asym_series_residual(b_h * math.sqrt(L), b_v * math.sqrt(L),
                                   0.0, L) for L in lengths]
     orders = np.log2(np.array(resid[:-1]) / np.array(resid[1:]))
     order_ok = bool(np.all((orders > 1.3) & (orders < 1.7)))

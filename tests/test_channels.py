@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbuffer.channels import (PmdPhases, amplitude_damping_kraus, damp_werner,
-                              pmd_operator)
+from qbuffer.channels import amplitude_damping_kraus, damp_werner, pmd_operator
 from qbuffer.dynamics import prob_pf
 from qbuffer.states import apply_operator, make_bell_phi_plus, make_werner, validate
 from qbuffer.tomography import estimate_werner_probability, werner_estimators
@@ -44,11 +43,11 @@ def former_damp_werner(p: float, xi: float) -> np.ndarray:
 
 class TestPmdOperator:
     def test_zero_phase_is_identity(self):
-        op = pmd_operator(PmdPhases(0.0, 0.0))
+        op = pmd_operator(0.0, 0.0)
         np.testing.assert_allclose(op, np.eye(2), atol=1e-15)
 
     def test_quarter_turn_flips_polarizations(self):
-        op = pmd_operator(PmdPhases(np.pi / 2, np.pi / 2))
+        op = pmd_operator(np.pi / 2, np.pi / 2)
         # H -> V and V -> -H
         np.testing.assert_allclose(op @ [1, 0], [0, 1], atol=1e-15)
         np.testing.assert_allclose(op @ [0, 1], [-1, 0], atol=1e-15)
@@ -57,11 +56,11 @@ class TestPmdOperator:
         rng = np.random.default_rng(11)
         for _ in range(100):
             phi = rng.uniform(-np.pi, np.pi)
-            m = pmd_operator(PmdPhases(phi, phi))
+            m = pmd_operator(phi, phi)
             np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
 
     def test_unequal_phases_break_unitarity(self):
-        m = pmd_operator(PmdPhases(0.1, 0.3))
+        m = pmd_operator(0.1, 0.3)
         deviation = np.abs(m.conj().T @ m - np.eye(2)).max()
         # off-diagonal defect is |sin(dphi_h - dphi_v)|
         assert deviation == pytest.approx(abs(np.sin(0.1 - 0.3)), abs=1e-12)
@@ -175,16 +174,14 @@ class TestDampWerner:
 class TestAttenuation:
     """Two-pass fiber attenuation exp(-2 mu L): prob_pf at zero PMD phase."""
 
-    ZERO = PmdPhases(0.0, 0.0)
-
     def test_zero_length(self):
-        assert prob_pf(self.ZERO, 1.0, 0.0) == 1.0
+        assert prob_pf(0.0, 0.0, 1.0, 0.0) == 1.0
 
     def test_zero_loss(self):
-        assert prob_pf(self.ZERO, 0.0, 5e5) == 1.0
+        assert prob_pf(0.0, 0.0, 0.0, 5e5) == 1.0
 
     def test_buffer_scale_value(self):
         # exp(-2 * 6e-6 * 190e3) = exp(-2.28)
-        assert prob_pf(self.ZERO, 6.0e-6, 190_000.0) == pytest.approx(
+        assert prob_pf(0.0, 0.0, 6.0e-6, 190_000.0) == pytest.approx(
             np.exp(-2.28), rel=1e-12)
-        assert prob_pf(self.ZERO, 6.0e-6, 190_000.0) == pytest.approx(0.102284, abs=5e-7)
+        assert prob_pf(0.0, 0.0, 6.0e-6, 190_000.0) == pytest.approx(0.102284, abs=5e-7)

@@ -58,7 +58,7 @@ def problems(values):
 
 class TestConfig:
     def test_defaults_valid(self, config):
-        assert config.units.n_r == pytest.approx(1.468)
+        assert config.n_r == pytest.approx(1.468)
         assert config.cavity.kappa2 == pytest.approx(3528.0)
         assert config.n_points >= 2
 
@@ -142,7 +142,7 @@ class TestSweep:
         sample = rows[100].split(",")
         t = float(sample[0])
         assert float(sample[2]) == pytest.approx(
-            prob_pasy(t, config.pmd, config.units), rel=1e-9)
+            prob_pasy(t, config.pmd, config.n_r), rel=1e-9)
         assert float(sample[3]) == pytest.approx(p3_model(t, config.cavity), rel=1e-9)
 
     def test_byte_identical_runs(self, config):
@@ -159,11 +159,11 @@ class TestSweep:
         reference = []
         for t in np.linspace(config.t_start_s, config.t_end_s, config.n_points):
             t = float(t)
-            p_a = prob_pasy(t, config.pmd, config.units)
+            p_a = prob_pasy(t, config.pmd, config.n_r)
             p_b = p3_model(t, config.cavity)
             ma = correlation_report(min(p_a, 1.0))
             mb = correlation_report(min(p_b, 1.0))
-            reference.append([t, length_from_time(t, config.units), p_a, p_b,
+            reference.append([t, length_from_time(t, config.n_r), p_a, p_b,
                               ma.total, ma.classical, ma.discord, ma.concurrence,
                               mb.total, mb.classical, mb.discord, mb.concurrence])
         np.testing.assert_allclose(cols, reference, rtol=1e-11, atol=0.0)
@@ -204,6 +204,24 @@ class TestTomo:
             old = json.loads(json.dumps([[[float(z.real), float(z.imag)] for z in row]
                                          for row in seen[-1]]))
             assert cli._json_text(report) == cli._json_text({**report, "rho_hat": old})
+
+
+class TestReportValues:
+    """The JSON and CSV writers read the threshold and classify reports, so
+    each value is a Python float, str or bool: a model value that numpy
+    returns as a 0-d array or a numpy float never reaches them."""
+
+    @pytest.mark.parametrize("model", cli.MODELS)
+    def test_threshold_values(self, config, model):
+        report = cli.cmd_threshold(config, model, 0.5)
+        assert [type(v) for v in report.values()] == [float, float]
+
+    @pytest.mark.parametrize("kappa, gamma0", [(4281.0, 16292.0), (753.0, 16292.0),
+                                               (4073.0, 16292.0)])
+    def test_classify_values(self, kappa, gamma0):
+        report = cli.cmd_classify(kappa, gamma0)
+        assert [type(report[k]) for k in ("regime", "delta_per_s", "delta_is_imaginary")] == [
+            str, float, bool]
 
 
 class TestMainDispatch:
@@ -275,7 +293,7 @@ class TestMainDispatch:
     def test_fit_pasy_round_trip(self, tmp_path, config):
         t = np.linspace(0.0, 1.5e-3, 50)
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.units)))
+        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.n_r)))
         out = tmp_path / "fit.json"
         code = main(["fit", str(csv_path), "--model", "pasy", "--out", str(out)])
         assert code == 0
@@ -290,7 +308,7 @@ class TestMainDispatch:
         config = build_config(values)
         t = np.linspace(0.0, 5e-3, 300)
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.units)))
+        csv_path.write_text(series_csv(t, prob_pasy(t, config.pmd, config.n_r)))
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(values))
         out = tmp_path / "fit.json"

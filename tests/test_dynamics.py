@@ -9,17 +9,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbuffer.channels import PmdPhases, pmd_operator
+from qbuffer.channels import pmd_operator
 from qbuffer import cli, dynamics
 from qbuffer.states import apply_operator, make_bell_phi_plus, product_ket
-from qbuffer.dynamics import (CavityModelParams, PmdModelParams, UnitContext,
+from qbuffer.dynamics import (SPEED_OF_LIGHT, CavityModelParams, PmdModelParams,
                               asym_series_residual, cavity_p, classify_regime,
                               length_from_time, markovian_exponential, p1, p2,
                               p3, pa, pmd_phase, prob_asym, prob_pasy, prob_pf,
                               psy)
 
 DEFAULTS = cli.build_config({})
-UNITS, LAMBDA = DEFAULTS.units, DEFAULTS.cavity.lambda_width
+N_R, LAMBDA = DEFAULTS.n_r, DEFAULTS.cavity.lambda_width
 REF_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
                          d_p1=0.0017 * dynamics.PS_PER_SQRT_KM,
                          d_p2=0.047 * dynamics.PS_PER_SQRT_KM,
@@ -36,18 +36,18 @@ SIGNS = st.sampled_from((+1, -1))
 
 class TestUnits:
     def test_zero_time(self):
-        assert length_from_time(0.0, UNITS) == 0.0
+        assert length_from_time(0.0, N_R) == 0.0
 
     def test_buffer_time_to_length(self):
         # 0.9 ms at n_r = 1.468 is just under 184 km
-        length = length_from_time(0.9e-3, UnitContext(n_r=1.468))
+        length = length_from_time(0.9e-3, 1.468)
         assert length == pytest.approx(2.99792458e8 / 1.468 * 0.9e-3, rel=1e-15)
         assert length == pytest.approx(183_796.0, abs=1.0)
 
     def test_inverse(self):
         t = 25_000.0 * 1.468 / 2.99792458e8
         assert t == pytest.approx(1.2242e-4, abs=1e-8)
-        assert length_from_time(t, UNITS) == pytest.approx(25_000.0, rel=1e-12)
+        assert length_from_time(t, N_R) == pytest.approx(25_000.0, rel=1e-12)
 
 
 class TestPmdPhase:
@@ -65,23 +65,23 @@ class TestPmdPhase:
 
 class TestProbPf:
     def test_normalized_at_zero(self):
-        assert prob_pf(PmdPhases(0.0, 0.0), 0.0, 0.0) == pytest.approx(1.0)
+        assert prob_pf(0.0, 0.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_range_reaches_two(self):
-        assert prob_pf(PmdPhases(math.pi / 4, -math.pi / 4), 0.0, 0.0) == pytest.approx(
+        assert prob_pf(math.pi / 4, -math.pi / 4, 0.0, 0.0) == pytest.approx(
             2.0, abs=1e-12)
         phases = np.linspace(-math.pi, math.pi, 41)
-        values = [prob_pf(PmdPhases(h, v), 0.0, 0.0) for h in phases for v in phases]
+        values = [prob_pf(h, v, 0.0, 0.0) for h in phases for v in phases]
         assert 0.0 <= min(values) and max(values) <= 2.0 + 1e-12
 
     def test_opposite_rotation_reduces_to_counter_form(self):
         for phi in np.linspace(-1.0, 1.0, 17):
-            got = prob_pf(PmdPhases(phi, -phi), 0.0, 0.0)
+            got = prob_pf(phi, -phi, 0.0, 0.0)
             assert got == pytest.approx((np.cos(phi) + np.sin(phi)) ** 2, abs=1e-12)
 
     def test_same_rotation_reduces_to_co_form(self):
         for phi in np.linspace(-1.0, 1.0, 17):
-            got = prob_pf(PmdPhases(phi, phi), 0.0, 0.0)
+            got = prob_pf(phi, phi, 0.0, 0.0)
             assert got == pytest.approx(np.cos(phi) ** 2, abs=1e-12)
 
 
@@ -90,42 +90,39 @@ WO, DP1, DP2, MU = REF_PMD.delta_omega, REF_PMD.d_p1, REF_PMD.d_p2, REF_PMD.mu
 
 class TestComponentModels:
     def test_both_start_at_one(self):
-        assert pa(0.0, WO, DP1, MU, +1, UNITS) == pytest.approx(1.0)
-        assert psy(0.0, WO, DP2, MU, UNITS) == pytest.approx(1.0)
+        assert pa(0.0, WO, DP1, MU, +1, N_R) == pytest.approx(1.0)
+        assert psy(0.0, WO, DP2, MU, N_R) == pytest.approx(1.0)
 
     def test_counter_component_quarter_phase(self):
         # phase pi/4 gives bracket sqrt(2) squared = 2 on the + branch, 0 on -
-        units = UNITS
-        t = (np.pi / 4) ** 2 * units.n_r / units.c
-        assert pa(t, 1.0, 1.0, 0.0, +1, units) == pytest.approx(2.0, rel=1e-12)
-        assert pa(t, 1.0, 1.0, 0.0, -1, units) == pytest.approx(0.0, abs=1e-12)
+        t = (np.pi / 4) ** 2 * N_R / SPEED_OF_LIGHT
+        assert pa(t, 1.0, 1.0, 0.0, +1, N_R) == pytest.approx(2.0, rel=1e-12)
+        assert pa(t, 1.0, 1.0, 0.0, -1, N_R) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_zero_at_quarter_period(self):
-        units = UNITS
-        t = (np.pi / 2) ** 2 * units.n_r / units.c
-        assert psy(t, 1.0, 1.0, 0.0, units) == pytest.approx(0.0, abs=1e-12)
+        t = (np.pi / 2) ** 2 * N_R / SPEED_OF_LIGHT
+        assert psy(t, 1.0, 1.0, 0.0, N_R) == pytest.approx(0.0, abs=1e-12)
 
     def test_co_component_attenuated_value(self):
         # independent arithmetic chain: exp(-2.28) * cos^2(phase at 190 km)
-        units = UNITS
-        t = 190e3 * units.n_r / units.c
+        t = 190e3 * N_R / SPEED_OF_LIGHT
         phi = pmd_phase(WO, DP2, 190e3)
         expect = np.exp(-2.28) * np.cos(phi) ** 2
-        assert psy(t, WO, DP2, MU, units) == pytest.approx(expect, rel=1e-9)
+        assert psy(t, WO, DP2, MU, N_R) == pytest.approx(expect, rel=1e-9)
 
     def test_weighted_sum(self):
         t = 0.3e-3
-        got = prob_pasy(t, REF_PMD, UNITS)
-        assert got == pytest.approx(0.5 * pa(t, WO, DP1, MU, +1, UNITS)
-                                    + 0.5 * psy(t, WO, DP2, MU, UNITS), rel=1e-14)
-        assert prob_pasy(0.0, REF_PMD, UNITS) == pytest.approx(REF_PMD.a1 + REF_PMD.a2)
+        got = prob_pasy(t, REF_PMD, N_R)
+        assert got == pytest.approx(0.5 * pa(t, WO, DP1, MU, +1, N_R)
+                                    + 0.5 * psy(t, WO, DP2, MU, N_R), rel=1e-14)
+        assert prob_pasy(0.0, REF_PMD, N_R) == pytest.approx(REF_PMD.a1 + REF_PMD.a2)
 
     def test_nonnegative_and_bounded(self):
         t = np.linspace(0.0, 2e-3, 400)
-        length = length_from_time(t, UNITS)
+        length = length_from_time(t, N_R)
         att = np.exp(-2 * MU * length)
-        counter = pa(t, WO, DP1, MU, +1, UNITS)
-        co = psy(t, WO, DP2, MU, UNITS)
+        counter = pa(t, WO, DP1, MU, +1, N_R)
+        co = psy(t, WO, DP2, MU, N_R)
         assert np.all(counter >= 0) and np.all(co >= 0)
         assert np.all(counter <= 2 * att + 1e-15)
         assert np.all(co <= att + 1e-15)
@@ -133,11 +130,11 @@ class TestComponentModels:
 
 class TestAsymmetricExpansion:
     def test_zero_phases_give_four(self):
-        assert prob_asym(PmdPhases(0.0, 0.0), 0.0, 0.0, +1) == pytest.approx(4.0)
+        assert prob_asym(0.0, 0.0, 0.0, 0.0, +1) == pytest.approx(4.0)
 
     def test_equal_phases_reduce(self):
         for phi in np.linspace(-1.2, 1.2, 13):
-            got = prob_asym(PmdPhases(phi, phi), 1e-5, 1e4, +1)
+            got = prob_asym(phi, phi, 1e-5, 1e4, +1)
             expect = 4 * np.cos(phi) ** 2 * np.exp(-2 * 1e-5 * 1e4)
             assert got == pytest.approx(expect, abs=1e-12)
 
@@ -146,28 +143,28 @@ class TestAsymmetricExpansion:
         for _ in range(1000):
             dh, dv = rng.uniform(-np.pi, np.pi, 2)
             mu, length = rng.uniform(0, 1e-5), rng.uniform(0, 2e5)
-            lhs = prob_asym(PmdPhases(dh, dv), mu, length, +1)
-            rhs = 4.0 * prob_pf(PmdPhases(dh, dv), mu, length)
+            lhs = prob_asym(dh, dv, mu, length, +1)
+            rhs = 4.0 * prob_pf(dh, dv, mu, length)
             assert abs(lhs - rhs) < 1e-12
 
     def test_minus_branch_matches_negated_phases(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             dh, dv = rng.uniform(-np.pi, np.pi, 2)
-            lhs = prob_asym(PmdPhases(dh, dv), 0.0, 0.0, -1)
-            rhs = 4.0 * prob_pf(PmdPhases(-dh, -dv), 0.0, 0.0)
+            lhs = prob_asym(dh, dv, 0.0, 0.0, -1)
+            rhs = 4.0 * prob_pf(-dh, -dv, 0.0, 0.0)
             assert abs(lhs - rhs) < 1e-12
 
     def test_residual_zero_cases(self):
-        assert asym_series_residual(PmdPhases(0.0, 0.0), 0.0, 1e4) == pytest.approx(0.0)
-        assert asym_series_residual(PmdPhases(0.0, 0.0), 1e-5, 0.0) == pytest.approx(0.0)
+        assert asym_series_residual(0.0, 0.0, 0.0, 1e4) == pytest.approx(0.0)
+        assert asym_series_residual(0.0, 0.0, 1e-5, 0.0) == pytest.approx(0.0)
 
     def test_residual_order_three_halves(self):
         # phases scale as sqrt(L); halving L must shrink the residual by
         # about 2^1.5
         b_h, b_v = 0.22, 0.13  # rad at L = 1
         lengths = 1.0 * 0.5 ** np.arange(0, 8)
-        resid = [asym_series_residual(PmdPhases(b_h * np.sqrt(L), b_v * np.sqrt(L)),
+        resid = [asym_series_residual(b_h * np.sqrt(L), b_v * np.sqrt(L),
                                       0.0, L) for L in lengths]
         orders = np.log2(np.array(resid[:-1]) / np.array(resid[1:]))
         assert np.all(orders > 1.3)
@@ -191,10 +188,10 @@ class TestModelIdentities:
     def test_prob_pf_is_dd_projection_of_pmd_map(self, dh, dv, mu, length):
         # 2 exp(-2 mu L) <DD| (I x M) Phi+ Phi+^dag (I x M)^dag |DD>
         bell = make_bell_phi_plus()
-        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(PmdPhases(dh, dv)))
+        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(dh, dv))
         dd = product_ket("D", "D")
         expect = 2.0 * np.exp(-2.0 * mu * length) * np.real(dd.conj() @ rho @ dd)
-        assert prob_pf(PmdPhases(dh, dv), mu, length) == pytest.approx(expect, abs=1e-12)
+        assert prob_pf(dh, dv, mu, length) == pytest.approx(expect, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(dh=PHASES, dv=PHASES, mu=LOSSES, length=LENGTHS)
@@ -204,7 +201,7 @@ class TestModelIdentities:
         #   = (1/4) exp(-2 mu L) [cos dh - sin dh - sin dv - cos dv]^2,
         # which the signal-arm map (M x I) misses by up to 0.9
         bell = make_bell_phi_plus()
-        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(PmdPhases(dh, dv)))
+        rho = apply_operator(np.outer(bell, bell.conj()), pmd_operator(dh, dv))
         da = product_ket("D", "A")
         got = 2.0 * np.exp(-2.0 * mu * length) * np.real(da.conj() @ rho @ da)
         bracket = np.cos(dh) - np.sin(dh) - np.sin(dv) - np.cos(dv)
@@ -215,20 +212,20 @@ class TestModelIdentities:
     def test_pmd_components_are_prob_pf(self, t, d_p, mu, sign):
         # pa takes opposite phases (s phi, -s phi), psy equal ones (phi, phi)
         d_p *= dynamics.PS_PER_SQRT_KM
-        length = length_from_time(t, UNITS)
+        length = length_from_time(t, N_R)
         phi = pmd_phase(WO, d_p, length)
-        assert pa(t, WO, d_p, mu, sign, UNITS) == pytest.approx(
-            prob_pf(PmdPhases(sign * phi, -sign * phi), mu, length), abs=1e-12)
-        assert psy(t, WO, d_p, mu, UNITS) == pytest.approx(
-            prob_pf(PmdPhases(phi, phi), mu, length), abs=1e-12)
+        assert pa(t, WO, d_p, mu, sign, N_R) == pytest.approx(
+            prob_pf(sign * phi, -sign * phi, mu, length), abs=1e-12)
+        assert psy(t, WO, d_p, mu, N_R) == pytest.approx(
+            prob_pf(phi, phi, mu, length), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(dh=PHASES, dv=PHASES, mu=LOSSES, length=LENGTHS, sign=SIGNS)
     def test_prob_asym_matches_seven_term_form(self, dh, dv, mu, length, sign):
-        got = prob_asym(PmdPhases(dh, dv), mu, length, sign)
+        got = prob_asym(dh, dv, mu, length, sign)
         assert got == pytest.approx(seven_term_asym(dh, dv, mu, length, sign), abs=1e-12)
         assert got == pytest.approx(
-            4.0 * prob_pf(PmdPhases(sign * dh, sign * dv), mu, length), abs=1e-12)
+            4.0 * prob_pf(sign * dh, sign * dv, mu, length), abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(t=TIMES, kappa=st.floats(0.0, 1e5))
@@ -476,18 +473,25 @@ class TestClassifyRegime:
 
 class TestMarkovianExponential:
     def test_initial_value(self):
-        assert markovian_exponential(0.0, 0.95, 500.0) == pytest.approx(0.95)
+        for mu in (6e-6, 1.0):
+            assert markovian_exponential(0.0, mu, N_R) == 1.0
 
     def test_zero_rate_constant(self):
-        assert markovian_exponential(2.0, 0.8, 0.0) == pytest.approx(0.8)
+        assert markovian_exponential(2.0, 0.0, N_R) == 1.0
+
+    def test_is_the_pmd_envelope(self):
+        # exp(-2 mu L) at L = (c / n_r) t: the PMD models' attenuation alone
+        t = np.linspace(0.0, 2e-3, 50)
+        assert markovian_exponential(t, MU, N_R) == pytest.approx(
+            np.exp(-2.0 * MU * length_from_time(t, N_R)), rel=1e-14)
 
     def test_one_third_crossing_length(self):
         # rate 2 mu c / n_r with mu = 0.006/km crosses 1/3 at ln3/(2 mu)
-        units = UNITS
         mu = 6e-6
-        rate = 2 * mu * units.c / units.n_r
+        rate = 2 * mu * SPEED_OF_LIGHT / N_R
         t_star = math.log(3.0) / rate
-        assert length_from_time(t_star, units) / 1e3 == pytest.approx(91.5510, abs=1e-3)
+        assert markovian_exponential(t_star, mu, N_R) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert length_from_time(t_star, N_R) / 1e3 == pytest.approx(91.5510, abs=1e-3)
 
 
 class TestParamsSerialization:
@@ -501,4 +505,4 @@ class TestParamsSerialization:
                 "gamma0_per_s": REF_CAVITY.gamma0, "w1": REF_CAVITY.w1,
                 "w2": REF_CAVITY.w2, "lambda_per_s": REF_CAVITY.lambda_width}
         config = cli.build_config(data)
-        assert (config.pmd, config.cavity, config.units.n_r) == (REF_PMD, REF_CAVITY, 1.47)
+        assert (config.pmd, config.cavity, config.n_r) == (REF_PMD, REF_CAVITY, 1.47)

@@ -20,9 +20,9 @@ from qbuffer.fitting import (SERIES_CSV_HEADER, DataSeries, FittingError, _jacob
 from csv_writer import series_csv
 
 DEFAULTS = cli.build_config({})
-UNITS = DEFAULTS.units
-# the default config's fixed fit inputs: pasy's units, detuning and sign, p3's width
-PASY_FIXED = (UNITS, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
+N_R = DEFAULTS.n_r
+# the default config's fixed fit inputs: pasy's n_r, detuning and sign, p3's width
+PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
 LAMBDA = DEFAULTS.cavity.lambda_width
 TRUTH_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
                            d_p1=0.0017 * PS_PER_SQRT_KM, d_p2=0.047 * PS_PER_SQRT_KM,
@@ -34,7 +34,7 @@ TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
 def pasy_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
                 params=TRUTH_PMD) -> DataSeries:
     t = np.linspace(0.0, t_end, n)
-    p = prob_pasy(t, params, UNITS)
+    p = prob_pasy(t, params, N_R)
     if noise:
         rng = np.random.default_rng(seed)
         sigma = noise * np.abs(p)
@@ -267,7 +267,7 @@ def synthetic_nnls(shape, kind, seed, yy):
 
 
 def pasy_model(t):
-    return _pasy_model(TRUTH_PMD.delta_omega, +1, UNITS, t)
+    return _pasy_model(TRUTH_PMD.delta_omega, +1, N_R, t)
 
 
 SCAN_CASES = [
@@ -296,10 +296,10 @@ CLOSED_FORM_X = pytest.mark.parametrize(
 def pasy_reference(detuning: int, sign: int):
     """The pasy fit model's builder, and dynamics' P and (pa, psy) at SI parameters."""
     dw = detuning * TRUTH_PMD.delta_omega
-    return (lambda t: _pasy_model(dw, sign, UNITS, t),
-            lambda t, si: prob_pasy(t, PmdModelParams(dw, *si, sign=sign), UNITS),
-            lambda t, si: (dynamics.pa(t, dw, si[0], si[2], sign, UNITS),
-                           dynamics.psy(t, dw, si[1], si[2], UNITS)))
+    return (lambda t: _pasy_model(dw, sign, N_R, t),
+            lambda t, si: prob_pasy(t, PmdModelParams(dw, *si, sign=sign), N_R),
+            lambda t, si: (dynamics.pa(t, dw, si[0], si[2], sign, N_R),
+                           dynamics.psy(t, dw, si[1], si[2], N_R)))
 
 
 P3_REFERENCE = (_p3_model, lambda t, si: p3(t, CavityModelParams(*si, LAMBDA)),
@@ -450,7 +450,7 @@ class TestScan:
             assert jac.tobytes() == jacobian(model, row).tobytes()
 
     @pytest.mark.parametrize("make_model", [
-        *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega, s, UNITS, t),
+        *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega, s, N_R, t),
                        id=f"pasy-detuning{d:+d}-sign{s:+d}") for d in (+1, -1) for s in (+1, -1)],
         pytest.param(_p3_model, id="p3"),
     ])
@@ -565,7 +565,7 @@ class TestFitPasy:
     def test_round_trip_regenerates_data(self):
         data = pasy_series()
         fit = fit_pasy(data, *PASY_FIXED)
-        regenerated = prob_pasy(data.t, fit.params, UNITS)
+        regenerated = prob_pasy(data.t, fit.params, N_R)
         assert np.linalg.norm(regenerated - data.p) < 1e-8
 
     def test_canonical_ordering(self):
@@ -591,7 +591,7 @@ class TestFitPasy:
                                    [0.0, 0.03, 0.01, 0.3, 0.7]])
     def test_closed_form_jacobian(self, sign, x):
         t = np.linspace(0.0, 5e-3, 300)
-        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, UNITS, t), x)
+        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, N_R, t), x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -609,7 +609,7 @@ class TestFitPasy:
         # ceiling from the signed detuning hit its 1e-30 rad floor here and
         # reported converged with d_p2 at 5e31 times the truth
         params = replace(TRUTH_PMD, delta_omega=-TRUTH_PMD.delta_omega)
-        fit = fit_pasy(pasy_series(n=300, params=params), UNITS, params.delta_omega,
+        fit = fit_pasy(pasy_series(n=300, params=params), N_R, params.delta_omega,
                        DEFAULTS.pmd.sign)
         assert fit.converged
         assert np.all(pmd_rel_errors(fit.params) < 1e-8)
@@ -632,7 +632,7 @@ class TestFitPasy:
         # reported converged with an error of 0.91 at 1e-100 and 587 at 1e10
         truth = replace(TRUTH_PMD, delta_omega=TRUTH_PMD.delta_omega * c,
                         d_p1=TRUTH_PMD.d_p1 / c, d_p2=TRUTH_PMD.d_p2 / c)
-        fit = fit_pasy(pasy_series(params=truth), UNITS, truth.delta_omega, DEFAULTS.pmd.sign)
+        fit = fit_pasy(pasy_series(params=truth), N_R, truth.delta_omega, DEFAULTS.pmd.sign)
         assert fit.converged and fit.at_bounds == ()
         assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
 
@@ -641,8 +641,8 @@ class TestFitPasy:
         data = pasy_series(noise=0.02, seed=21)
         init = replace(TRUTH_PMD, d_p2=TRUTH_PMD.d_p2 * 1.3, a1=0.4, a2=0.6)
         init_resid = np.linalg.norm(
-            (prob_pasy(data.t, init, UNITS) - data.p) / data.sigma)
-        model = _pasy_model(init.delta_omega, init.sign, UNITS, data.t)
+            (prob_pasy(data.t, init, N_R) - data.p) / data.sigma)
+        model = _pasy_model(init.delta_omega, init.sign, N_R, data.t)
         x0 = np.array([getattr(init, name) for name in model.free]) / model.scales
         result = fitting._polish(model, data.p, data.sigma, x0)
         assert math.sqrt(2.0 * result.cost) <= init_resid + 1e-12

@@ -24,6 +24,8 @@ fit digests did not change.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ def fit_record(config, model: str, noise: float) -> str:
     1.5 ms for p3, with relative Gaussian noise of known sigma (seed 7)."""
     if model == "pasy":
         t = np.linspace(0.0, 5e-3, 300)
-        y = dynamics.prob_pasy(t, config.pmd, config.units)
+        y = dynamics.prob_pasy(t, config.pmd, config.n_r)
     else:
         t = np.linspace(0.0, 1.5e-3, 50)
         y = dynamics.p3(t, config.cavity)
@@ -111,3 +113,32 @@ def fit_record(config, model: str, noise: float) -> str:
 def test_fit_json(config, model, noise, digest):
     fit = cli.cmd_fit(model, fit_record(config, model, noise))
     assert sha256(fitting.fit_result_to_json(fit)) == digest
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+# workload -> (items, digest chain) of its first items at seed 11
+BENCH_CHAINS = {
+    "curves": (12, "a5aefd017a3f7b898d5dc0790ac91692d888c43b17a0977de7c895d228cb0ca4"),
+    "tomo-interior": (12, "d3c2cc27ba409f7043e276cc041e8f06fc6ed65f2787d5b7270f394ade6a7cf0"),
+    "tomo-boundary": (12, "d2387af5c048e44f6692f5c08759e1055d7dcb0b82a940d7abce159d09978dbb"),
+    "fit": (6, "242836d06730c051c86e3185e784b0664482944e03b6b70e30852048beed4442"),
+}
+
+
+@pytest.mark.parametrize("workload", BENCH_CHAINS)
+def test_bench_items(workload):
+    # the first benchmark items at seed 11, chained as bench/run.py chains
+    # them into outputs_sha256, so its bytes are a tier-1 fact
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    from qbbench import harness
+    from qbbench.workloads import WORKLOADS
+    n_items, chain = BENCH_CHAINS[workload]
+    digests = []
+    for i in range(n_items):
+        task = WORKLOADS[workload].item(11, i)
+        result, _, _, error = harness.call_item(task)
+        digests.append(harness.digest(harness.verdict_of(task, result, error).texts))
+    assert sha256("".join(digests)) == chain

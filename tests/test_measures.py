@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qbuffer import cli
+from qbuffer import cli, dynamics
 from qbuffer.cli import build_config
-from qbuffer.dynamics import length_from_time
+from qbuffer.dynamics import SPEED_OF_LIGHT, length_from_time
 from qbuffer.measures import (classical_correlation, concurrence,
                               correlation_report, discord,
                               discord_concurrence_crossover,
@@ -72,10 +72,24 @@ class TestGridProperties:
 
 
 class TestArrayMatchesScalar:
-    """Each measure on an array equals the list of its scalar values, bit for
-    bit; the scalar calls are the reference."""
+    """Each measure and decay model on an array equals the list of its scalar
+    values, bit for bit; the scalar calls are the reference.  The threshold's
+    root search relies on it: ``solve_level_crossing`` compares a model's grid
+    values with its scalar values at the times ``brentq`` tries."""
 
     MEASURES = (total_correlation, classical_correlation, discord, concurrence)
+    CONFIG = build_config({})
+    MODELS = {
+        "length_from_time": lambda t, c=CONFIG: length_from_time(t, c.n_r),
+        "prob_pasy": lambda t, c=CONFIG: dynamics.prob_pasy(t, c.pmd, c.n_r),
+        "p3": lambda t, c=CONFIG: dynamics.p3(t, c.cavity),
+        # non-Markovian, Markovian and boundary regimes
+        "cavity_p nonmarkovian": lambda t: dynamics.cavity_p(t, 4281.0, 16292.0),
+        "cavity_p markovian": lambda t: dynamics.cavity_p(t, 753.0, 16292.0),
+        "cavity_p boundary": lambda t: dynamics.cavity_p(t, 4073.0, 16292.0),
+        "markovian_exponential":
+            lambda t, c=CONFIG: dynamics.markovian_exponential(t, c.pmd.mu, c.n_r),
+    }
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.0, 1.0), max_size=40))
@@ -86,17 +100,13 @@ class TestArrayMatchesScalar:
             assert fn(p).tobytes() == expected.tobytes(), fn.__name__
         report = correlation_report(p)
         scalar_reports = [correlation_report(float(x)) for x in p]
-        for field in ("p", "total", "classical", "discord", "concurrence"):
+        for field in ("total", "classical", "discord", "concurrence"):
             expected = np.array([getattr(r, field) for r in scalar_reports])
             assert getattr(report, field).tobytes() == expected.tobytes(), field
-
-    @pytest.mark.parametrize("p", [0.5, np.float64(0.5), np.array(0.5)])
-    def test_scalar_input_returns_float(self, p):
-        for fn in self.MEASURES:
-            assert type(fn(p)) is float
-        report = correlation_report(p)
-        for field in ("p", "total", "classical", "discord", "concurrence"):
-            assert type(getattr(report, field)) is float
+        t = p * 10e-3  # times across the threshold's bracket
+        for name, model in self.MODELS.items():
+            expected = np.array([model(float(x)) for x in t])
+            assert model(t).tobytes() == expected.tobytes(), name
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -153,13 +163,13 @@ class TestCrossover:
 
 class TestLevelCrossing:
     def test_exponential_against_closed_form(self):
-        units = build_config({}).units
+        n_r = build_config({}).n_r
         mu = 6e-6
-        rate = 2 * mu * units.c / units.n_r
+        rate = 2 * mu * SPEED_OF_LIGHT / n_r
         model = lambda t: np.exp(-rate * t)
         t_star = solve_level_crossing(model, 1.0 / 3.0, (0.0, 10e-3))
         assert t_star == pytest.approx(math.log(3.0) / rate, rel=1e-6)
-        length_km = length_from_time(t_star, units) / 1e3
+        length_km = length_from_time(t_star, n_r) / 1e3
         assert length_km == pytest.approx(91.5510, abs=1e-2)
 
     def test_constant_model_not_found(self):

@@ -77,7 +77,7 @@ def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
                                                           config.cavity.lambda_width))
     pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams(
         2.0 * math.pi * 200.0 * 1e9, 0.0017 * dynamics.PS_PER_SQRT_KM,
-        0.047 * dynamics.PS_PER_SQRT_KM, 0.006 * 1e-3, 0.5, 0.5, 1), config.units)
+        0.047 * dynamics.PS_PER_SQRT_KM, 0.006 * 1e-3, 0.5, 0.5, 1), config.n_r)
     for model, p in (("pasy", pasy_curve), ("p3", p3_curve), ("exp", p3_curve)):
         Path(f"{prefix}.{model}.csv").write_text(series_csv(t, p))
     assert run_python(STARTUP, prefix) == [

@@ -244,7 +244,7 @@ def commands(tmp_path):
         ["classify", "--kappa", "4281", "--gamma0", "16292", "--out", out],
         ["classify", "--kappa", "1000", "--gamma0", "16292"],  # Markovian, to stdout
         ["classify", "--kappa", "4073", "--gamma0", "16292", "--format", "csv", "--out", out],
-        fit("pasy", series_csv(t, dynamics.prob_pasy(t, config.pmd, config.units)), "pasy"),
+        fit("pasy", series_csv(t, dynamics.prob_pasy(t, config.pmd, config.n_r)), "pasy"),
         fit("p3", series_csv(t, p3_curve), "p3"),
         fit("noisy", series_csv(t_50, noisy, sigma), "p3"),
         fit("exp", series_csv(t, p3_curve), "exp"),
