@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -115,13 +115,11 @@ def build_config(values: dict) -> RunConfig:
                  if first in typed and second in typed and not holds(typed[first], typed[second])]
     if problems:
         raise ConfigError("; ".join(problems))
-    return RunConfig(
-        pmd=dynamics.PmdModelParams(**{attr: typed[key]
-                                       for key, attr in dynamics._PMD_FIELDS.items()}),
-        cavity=dynamics.CavityModelParams(**{attr: typed[key]
-                                             for key, attr in dynamics._CAVITY_FIELDS.items()}),
-        **{key: typed[key] for key in ("n_r", "gates", "accidental_rate", "seed",
-                                       "t_start_s", "t_end_s", "n_points")})
+    def filled(record):  # each record's fields are named as its config fields
+        return record(**{field.name: typed[field.name] for field in fields(record)})
+    typed["pmd"] = filled(dynamics.PmdModelParams)
+    typed["cavity"] = filled(dynamics.CavityModelParams)
+    return filled(RunConfig)
 
 
 def load_config(path: str | None, overrides: dict | None) -> RunConfig:
@@ -220,9 +218,9 @@ def cmd_fit(model_name: str, csv_text: str,
     config = config if config is not None else build_config({})
     if model_name == "pasy":
         return fitting.fit_pasy(data, n_r=config.n_r,
-                                delta_omega=config.pmd.delta_omega, sign=config.pmd.sign)
+                                delta_omega=config.pmd.delta_omega_rad_s, sign=config.pmd.sign)
     if model_name == "p3":
-        return fitting.fit_p3(data, lambda_width=config.cavity.lambda_width)
+        return fitting.fit_p3(data, lambda_per_s=config.cavity.lambda_per_s)
     return fitting.fit_exponential(data)
 
 
@@ -240,7 +238,7 @@ def cmd_threshold(config: RunConfig, model_name: str, level: float) -> dict:
     elif model_name == "p3":
         model = lambda t: dynamics.p3(t, config.cavity)
     else:
-        model = lambda t: dynamics.markovian_exponential(t, config.pmd.mu, config.n_r)
+        model = lambda t: dynamics.markovian_exponential(t, config.pmd.mu_per_m, config.n_r)
     t_star = measures.solve_level_crossing(
         lambda t: _finite(f"model {model_name!r}", model, t), level, THRESHOLD_BRACKET_S)
     if t_star is None:

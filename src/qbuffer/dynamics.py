@@ -9,19 +9,23 @@ Two model families are implemented:
   (cavity_p and the two limiting cases p1, p2, summed into p3), under the
   envelope exp(-gamma0 t / 2).  Each is the square of ``_bracket``.
 
-Everything is in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m)), and so
-is every config field that fills the parameter records; there is no lab-unit
-constructor.  Every model is a plain numpy expression of its arguments: an
-array of times gives the array of values, and a float time gives whatever
-numpy returns for it (a numpy float or a 0-d array), with the same bits as
-the array's element.  Times become fiber lengths through the group index n_r,
-passed as a float.
+Everything is in SI units (seconds, meters, rad/s, 1/m, s/sqrt(m)), and
+each parameter record's field carries its config field's name, unit suffix
+included; there is no lab-unit constructor.  Every model is a plain numpy
+expression of its arguments: an array of times gives the array of values,
+and a float time gives whatever numpy returns for it (a numpy float or a
+0-d array), with the same bits as the array's element.  So every square is
+a product: on an array ``x**2`` is ``x*x``, but on a numpy float it calls
+``pow``, whose last bit can differ.  Times become fiber lengths through the
+group index n_r, passed as a float.
 
 The models take times and lengths t >= 0 unchecked: ``cli.build_config``'s
 grid starts at t_start_s >= 0, ``fitting`` rejects a record with t[0] < 0,
 and the threshold's bracket is a constant.  The parameter records are plain
 and check nothing either: ``cli.build_config`` checks every config field
 before it builds them, and ``fitting._fit`` states why a fit's are in range.
+``classify_regime`` checks its own two rates, which classify reads from the
+command line.
 """
 
 from __future__ import annotations
@@ -52,10 +56,10 @@ class PmdModelParams:
     counter-rotating component, +1 or -1.
     """
 
-    delta_omega: float         # rad/s
-    d_p1: float                # s/sqrt(m)
-    d_p2: float                # s/sqrt(m)
-    mu: float                  # 1/m
+    delta_omega_rad_s: float
+    d_p1_s_per_sqrt_m: float
+    d_p2_s_per_sqrt_m: float
+    mu_per_m: float
     a1: float
     a2: float
     sign: int
@@ -65,36 +69,16 @@ class PmdModelParams:
 class CavityModelParams:
     """Parameters of the linear-phase decay model (SI units).
 
-    ``lambda_width`` is the reservoir spectral width; it enters no curve and
+    ``lambda_per_s`` is the reservoir spectral width; it enters no curve and
     is carried from the config to the p3 fit's report.  Fields >= 0, w1 + w2 > 0.
     """
 
-    kappa1: float              # 1/s
-    kappa2: float              # 1/s
-    gamma0: float              # 1/s
+    kappa1_per_s: float
+    kappa2_per_s: float
+    gamma0_per_s: float
     w1: float
     w2: float
-    lambda_width: float        # 1/s
-
-
-# each record attribute's field name in the CLI config and the fit JSON
-_PMD_FIELDS = {
-    "delta_omega_rad_s": "delta_omega",
-    "d_p1_s_per_sqrt_m": "d_p1",
-    "d_p2_s_per_sqrt_m": "d_p2",
-    "mu_per_m": "mu",
-    "a1": "a1",
-    "a2": "a2",
-    "sign": "sign",
-}
-_CAVITY_FIELDS = {
-    "kappa1_per_s": "kappa1",
-    "kappa2_per_s": "kappa2",
-    "gamma0_per_s": "gamma0",
-    "w1": "w1",
-    "w2": "w2",
-    "lambda_per_s": "lambda_width",
-}
+    lambda_per_s: float
 
 
 def _bracket(phi, sign: int):
@@ -122,15 +106,15 @@ def prob_pf(dphi_h, dphi_v, mu: float, length):
     (dphi_h, dphi_v) = (pi/4, -pi/4), where the value is 2 at zero loss.
     """
     bracket = _bracket(dphi_h, +1) + _bracket(dphi_v, -1)
-    return 0.25 * np.exp(-2.0 * mu * length) * bracket**2
+    return 0.25 * np.exp(-2.0 * mu * length) * (bracket * bracket)
 
 
 def pa(t, delta_omega: float, d_p: float, mu: float, sign: int, n_r: float):
     """Counter-rotating component exp(-2 mu L) [cos(dphi) + sign sin(dphi)]^2,
     dphi = delta_omega d_p sqrt(L) (unweighted)."""
     length = length_from_time(t, n_r)
-    phi = pmd_phase(delta_omega, d_p, length)
-    return np.exp(-2.0 * mu * length) * _bracket(phi, sign)**2
+    bracket = _bracket(pmd_phase(delta_omega, d_p, length), sign)
+    return np.exp(-2.0 * mu * length) * (bracket * bracket)
 
 
 def psy(t, delta_omega: float, d_p: float, mu: float, n_r: float):
@@ -141,8 +125,10 @@ def psy(t, delta_omega: float, d_p: float, mu: float, n_r: float):
 
 def prob_pasy(t, params: PmdModelParams, n_r: float):
     """Weighted two-component PMD model a1 * pa(d_p1, sign) + a2 * psy(d_p2)."""
-    return (params.a1 * pa(t, params.delta_omega, params.d_p1, params.mu, params.sign, n_r)
-            + params.a2 * psy(t, params.delta_omega, params.d_p2, params.mu, n_r))
+    return (params.a1 * pa(t, params.delta_omega_rad_s, params.d_p1_s_per_sqrt_m,
+                           params.mu_per_m, params.sign, n_r)
+            + params.a2 * psy(t, params.delta_omega_rad_s, params.d_p2_s_per_sqrt_m,
+                              params.mu_per_m, n_r))
 
 
 def prob_asym(dphi_h, dphi_v, mu: float, length, sign: int):
@@ -169,7 +155,7 @@ def asym_series_residual(dphi_h, dphi_v, mu: float, length):
     the residual shrinks like L^(3/2).
     """
     truncated = np.exp(-2.0 * mu * length) * (
-        4.0 + 4.0 * (dphi_h - dphi_v) - (dphi_h + dphi_v)**2)
+        4.0 + 4.0 * (dphi_h - dphi_v) - (dphi_h + dphi_v) * (dphi_h + dphi_v))
     return abs(prob_asym(dphi_h, dphi_v, mu, length, +1) - truncated)
 
 
@@ -177,20 +163,9 @@ def asym_series_residual(dphi_h, dphi_v, mu: float, length):
 # linear-phase (cavity-style) models
 # ---------------------------------------------------------------------------
 
-_RATE_MAX = 1e150  # 1/s; rates beyond any physical buffer are an input error
-
-
-def _check_rates(kappa: float, gamma0: float) -> None:
-    if not (0.0 <= kappa <= _RATE_MAX and 0.0 <= gamma0 <= _RATE_MAX):
-        raise ValueError(f"kappa and gamma0 must be finite, nonnegative and at "
-                         f"most {_RATE_MAX:g}, "
-                         f"got {kappa} and {gamma0}")
-
-
 def _regime(kappa: float, gamma0: float) -> tuple[float, float]:
     """diff = 4 kappa - gamma0, whose sign is the regime, and delta =
     |sqrt(16 kappa^2 - gamma0^2)| from its factors, so no square underflows."""
-    _check_rates(kappa, gamma0)
     diff = 4.0 * kappa - gamma0
     return diff, math.sqrt(abs(diff)) * math.sqrt(4.0 * kappa + gamma0)
 
@@ -217,35 +192,35 @@ def cavity_p(t, kappa: float, gamma0: float):
         x = delta * t / 4.0
         if diff < 0:
             # e^-x [cosh x + (gamma0/delta) sinh x] <= 1 + gamma0/delta; the exponent
-            # left for e^2x and the envelope, (delta - gamma0) t / 2, is <= 0
+            # left for e^2x and the envelope, (delta - gamma0) t / 2, is <= 0 and
+            # written as -16 kappa^2 / (delta + gamma0) t / 2: no cancellation, no overflow
             bracket = 0.5 * (1.0 + np.exp(-2.0 * x)) - 0.5 * (gamma0 / delta) * np.expm1(-2.0 * x)
-            exponent = 2.0 * x - gamma0 * t / 2.0
-            # where both terms overflowed: delta - gamma0 = -16 kappa^2 / (delta + gamma0)
-            exponent = np.where(np.isnan(exponent),
-                                -4.0 * kappa * (4.0 * kappa / (delta + gamma0)) * t / 2.0, exponent)
-            return np.exp(exponent) * bracket**2
+            exponent = -4.0 * kappa * (4.0 * kappa / (delta + gamma0)) * t / 2.0
+            return np.exp(exponent) * (bracket * bracket)
         # (gamma0/delta) sin(delta t/4) written via sinc to stay smooth as delta -> 0
         bracket = np.cos(x) + gamma0 * (t / 4.0) * np.sinc(x / np.pi)
-        return _enveloped(gamma0, t, bracket**2)
+        return _enveloped(gamma0, t, bracket * bracket)
 
 
 def p1(t, kappa1: float, gamma0: float):
     """Component with the counter-rotating bracket:
     exp(-gamma0 t/2) [cos(kappa1 t / sqrt2) + sin(kappa1 t / sqrt2)]^2."""
     with np.errstate(over="ignore", invalid="ignore"):  # kappa1 x time may overflow
-        return _enveloped(gamma0, t, _bracket(kappa1 * t / math.sqrt(2.0), +1)**2)
+        bracket = _bracket(kappa1 * t / math.sqrt(2.0), +1)
+        return _enveloped(gamma0, t, bracket * bracket)
 
 
 def p2(t, kappa2: float, gamma0: float):
     """Component with the plain harmonic: exp(-gamma0 t/2) cos^2(kappa2 t)."""
     with np.errstate(over="ignore", invalid="ignore"):  # kappa2 x time may overflow
-        return _enveloped(gamma0, t, _bracket(kappa2 * t, 0)**2)
+        bracket = _bracket(kappa2 * t, 0)
+        return _enveloped(gamma0, t, bracket * bracket)
 
 
 def p3(t, params: CavityModelParams):
     """Weighted two-component cavity model w1 * p1 + w2 * p2."""
-    return (params.w1 * p1(t, params.kappa1, params.gamma0)
-            + params.w2 * p2(t, params.kappa2, params.gamma0))
+    return (params.w1 * p1(t, params.kappa1_per_s, params.gamma0_per_s)
+            + params.w2 * p2(t, params.kappa2_per_s, params.gamma0_per_s))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +232,7 @@ REGIME_NON_MARKOVIAN = "NonMarkovian"
 REGIME_BOUNDARY = "Boundary"
 
 _BOUNDARY_RTOL = 1e-12
+_RATE_MAX = 1e150  # 1/s; rates beyond any physical buffer are an input error
 
 
 @dataclass(frozen=True)
@@ -275,6 +251,9 @@ def classify_regime(kappa: float, gamma0: float) -> RegimeResult:
     so rescaling both rates by a power of two changes neither the regime nor
     any bit of delta beyond the same power of two.
     """
+    if not (0.0 <= kappa <= _RATE_MAX and 0.0 <= gamma0 <= _RATE_MAX):
+        raise ValueError(f"kappa and gamma0 must be finite, nonnegative and at "
+                         f"most {_RATE_MAX:g}, got {kappa} and {gamma0}")
     diff, delta = _regime(kappa, gamma0)
     if abs(diff) <= _BOUNDARY_RTOL * max(4.0 * kappa, gamma0):
         return RegimeResult(REGIME_BOUNDARY, 0.0, False)

@@ -82,7 +82,7 @@ class DataSeries:
 @dataclass(frozen=True)
 class ExponentialParams:
     p0: float
-    rate: float  # 1/s
+    rate_per_s: float
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,10 @@ class FitResult:
     (SI) units as the parameter object, in the documented free-parameter
     order, from the model Jacobian at the solution (so a parameter pinned at
     a bound still gets its unconstrained local variance, not zero);
-    ``at_bounds`` names parameters pinned at a bound.
+    ``at_bounds`` names parameters pinned at a bound, by the short names of
+    ``PASY_FREE_PARAMS`` and ``P3_FREE_PARAMS``.  ``params`` is the model's
+    record; its field names are the fit JSON's keys (and, for pasy and p3,
+    the config's).
     """
 
     model: str  # 'pasy', 'p3' or 'exp'
@@ -102,7 +105,7 @@ class FitResult:
     covariance_diag: tuple[float, ...]
     converged: bool
     iterations: int
-    at_bounds: tuple[str, ...] = ()
+    at_bounds: tuple[str, ...]
 
 
 PASY_FREE_PARAMS = ("d_p1", "d_p2", "mu", "a1", "a2")
@@ -342,13 +345,13 @@ def fit_pasy(data: DataSeries, n_r: float, delta_omega: float, sign: int) -> Fit
                 lambda si: PmdModelParams(delta_omega, *si, sign=sign))
 
 
-def fit_p3(data: DataSeries, lambda_width: float) -> FitResult:
+def fit_p3(data: DataSeries, lambda_per_s: float) -> FitResult:
     """Fit the linear-phase model; free parameters (kappa1, kappa2, gamma0, w1, w2).
 
-    The reservoir width ``lambda_width`` (1/s) does not enter the curve and
-    is carried through unchanged.  Every free parameter is bounded to [0, inf).
+    The reservoir width ``lambda_per_s`` does not enter the curve and is
+    carried through unchanged.  Every free parameter is bounded to [0, inf).
     """
-    return _fit(_p3_model, data, lambda si: CavityModelParams(*si, lambda_width=lambda_width))
+    return _fit(_p3_model, data, lambda si: CavityModelParams(*si, lambda_per_s=lambda_per_s))
 
 
 def fit_exponential(data: DataSeries) -> FitResult:
@@ -378,7 +381,7 @@ def fit_exponential(data: DataSeries) -> FitResult:
                                np.array([p0, 1.0 / t_scale]), data.sigma)
     if not np.all(np.isfinite([p0, norm, *cov])):
         raise FittingError("the exponential fit overflows on this record")
-    return FitResult("exp", ExponentialParams(p0, rate), norm, cov, True, 1)
+    return FitResult("exp", ExponentialParams(p0, rate), norm, cov, True, 1, ())
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +406,16 @@ def series_from_csv(text: str) -> DataSeries:
 
 
 def fit_result_to_dict(fit: FitResult) -> dict:
-    out: dict = {
+    """The six keys every fit has, then one per field of the model's record."""
+    return {
         "model": fit.model,
         "residual_norm": fit.residual_norm,
         "converged": fit.converged,
         "iterations": fit.iterations,
         "at_bounds": list(fit.at_bounds),
         "covariance_diag": list(fit.covariance_diag),
+        **vars(fit.params),
     }
-    fields = {"pasy": dynamics._PMD_FIELDS, "p3": dynamics._CAVITY_FIELDS}.get(fit.model)
-    if fields is not None:
-        out.update({key: getattr(fit.params, attr) for key, attr in fields.items()})
-    elif fit.model == "exp":
-        out.update({"p0": fit.params.p0, "rate_per_s": fit.params.rate})
-    return out
 
 
 def fit_result_to_json(fit: FitResult) -> str:

@@ -274,9 +274,7 @@ class WernerEstimators:
     """The six single-element probability estimators and their mean.
 
     p1/p2 come from the outer diagonal entries, p3/p4 from the corner
-    coherences (real parts), p5/p6 from the inner diagonal entries;
-    ``imag_residual`` reports the discarded imaginary magnitude of the
-    corners.
+    coherences (real parts), p5/p6 from the inner diagonal entries.
     """
 
     p1: float
@@ -285,7 +283,6 @@ class WernerEstimators:
     p4: float
     p5: float
     p6: float
-    imag_residual: float
 
     @property
     def mean(self) -> float:
@@ -301,7 +298,6 @@ def werner_estimators(rho: np.ndarray) -> WernerEstimators:
         p4=2.0 * r30.real,
         p5=1.0 - 4.0 * r11.real,
         p6=1.0 - 4.0 * r22.real,
-        imag_residual=max(abs(r03.imag), abs(r30.imag)),
     )
 
 

@@ -45,8 +45,8 @@ from qbuffer.tomography import (estimate_werner_probability, expected_counts,
 DEFAULTS = cli.build_config({})
 N_R = DEFAULTS.n_r
 # the default config's fixed fit inputs: pasy's n_r, detuning and sign, p3's width
-PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
-LAMBDA = DEFAULTS.cavity.lambda_width
+PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega_rad_s, DEFAULTS.pmd.sign)
+LAMBDA = DEFAULTS.cavity.lambda_per_s
 GATES = 100_000_000
 
 
@@ -154,18 +154,19 @@ def test_criterion_06_tomography_round_trip():
     ])
 
 
-TRUTH_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
-                           d_p1=0.0017 * PS_PER_SQRT_KM, d_p2=0.047 * PS_PER_SQRT_KM,
-                           mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
-TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
+TRUTH_PMD = PmdModelParams(delta_omega_rad_s=2.0 * math.pi * 200.0 * 1e9,
+                           d_p1_s_per_sqrt_m=0.0017 * PS_PER_SQRT_KM,
+                           d_p2_s_per_sqrt_m=0.047 * PS_PER_SQRT_KM,
+                           mu_per_m=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
+TRUTH_CAVITY = CavityModelParams(kappa1_per_s=753.0, kappa2_per_s=3528.0, gamma0_per_s=16292.0,
+                                 w1=0.5, w2=0.5, lambda_per_s=LAMBDA)
 
 
 def _pmd_errors(params: PmdModelParams) -> np.ndarray:
     return np.abs(np.array([
-        (params.d_p1 - TRUTH_PMD.d_p1) / TRUTH_PMD.d_p1,
-        (params.d_p2 - TRUTH_PMD.d_p2) / TRUTH_PMD.d_p2,
-        (params.mu - TRUTH_PMD.mu) / TRUTH_PMD.mu,
+        (params.d_p1_s_per_sqrt_m - TRUTH_PMD.d_p1_s_per_sqrt_m) / TRUTH_PMD.d_p1_s_per_sqrt_m,
+        (params.d_p2_s_per_sqrt_m - TRUTH_PMD.d_p2_s_per_sqrt_m) / TRUTH_PMD.d_p2_s_per_sqrt_m,
+        (params.mu_per_m - TRUTH_PMD.mu_per_m) / TRUTH_PMD.mu_per_m,
         (params.a1 - TRUTH_PMD.a1) / TRUTH_PMD.a1,
         (params.a2 - TRUTH_PMD.a2) / TRUTH_PMD.a2,
     ]))
@@ -180,7 +181,7 @@ def _pasy_crlb(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """
     h = 1e-5
     columns = []
-    for name in ("d_p1", "d_p2", "mu", "a1", "a2"):
+    for name in ("d_p1_s_per_sqrt_m", "d_p2_s_per_sqrt_m", "mu_per_m", "a1", "a2"):
         value = getattr(TRUTH_PMD, name)
         up = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 + h)}), N_R)
         down = prob_pasy(t, replace(TRUTH_PMD, **{name: value * (1 - h)}), N_R)
@@ -191,9 +192,9 @@ def _pasy_crlb(t: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def _cavity_errors(params: CavityModelParams) -> np.ndarray:
     return np.abs(np.array([
-        (params.kappa1 - TRUTH_CAVITY.kappa1) / TRUTH_CAVITY.kappa1,
-        (params.kappa2 - TRUTH_CAVITY.kappa2) / TRUTH_CAVITY.kappa2,
-        (params.gamma0 - TRUTH_CAVITY.gamma0) / TRUTH_CAVITY.gamma0,
+        (params.kappa1_per_s - TRUTH_CAVITY.kappa1_per_s) / TRUTH_CAVITY.kappa1_per_s,
+        (params.kappa2_per_s - TRUTH_CAVITY.kappa2_per_s) / TRUTH_CAVITY.kappa2_per_s,
+        (params.gamma0_per_s - TRUTH_CAVITY.gamma0_per_s) / TRUTH_CAVITY.gamma0_per_s,
         (params.w1 - TRUTH_CAVITY.w1) / TRUTH_CAVITY.w1,
         (params.w2 - TRUTH_CAVITY.w2) / TRUTH_CAVITY.w2,
     ]))
@@ -233,8 +234,8 @@ def test_criterion_07_fit_round_trips():
     mean_a = np.mean([_pmd_errors(fit.params) for fit in fits_a], axis=0)
     crlb_a = _pasy_crlb(t_pasy, 0.02 * np.abs(y_pasy))[0]
     sd_a = np.sqrt([fit.covariance_diag[0] for fit in fits_a])
-    sd_ratio = sd_a / (crlb_a * TRUTH_PMD.d_p1)
-    covered = sum(abs(fit.params.d_p1 - TRUTH_PMD.d_p1) <= 2.0 * sd
+    sd_ratio = sd_a / (crlb_a * TRUTH_PMD.d_p1_s_per_sqrt_m)
+    covered = sum(abs(fit.params.d_p1_s_per_sqrt_m - TRUTH_PMD.d_p1_s_per_sqrt_m) <= 2.0 * sd
                   for fit, sd in zip(fits_a, sd_a))
 
     fits_fine = pasy_fits(0.0005)

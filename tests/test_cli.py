@@ -59,7 +59,7 @@ def problems(values):
 class TestConfig:
     def test_defaults_valid(self, config):
         assert config.n_r == pytest.approx(1.468)
-        assert config.cavity.kappa2 == pytest.approx(3528.0)
+        assert config.cavity.kappa2_per_s == pytest.approx(3528.0)
         assert config.n_points >= 2
 
     def test_field_level_messages(self):
@@ -299,7 +299,7 @@ class TestMainDispatch:
         assert code == 0
         result = json.loads(out.read_text())
         assert result["converged"]
-        assert result["mu_per_m"] == pytest.approx(config.pmd.mu, rel=0.01)
+        assert result["mu_per_m"] == pytest.approx(config.pmd.mu_per_m, rel=0.01)
 
     def test_fit_pasy_uses_config_detuning(self, tmp_path):
         # the fit used to hold the detuning at 2 pi x 200 GHz whatever the
@@ -315,11 +315,11 @@ class TestMainDispatch:
         assert main(["fit", str(csv_path), "--model", "pasy", "--config",
                      str(config_path), "--out", str(out)]) == 0
         result = json.loads(out.read_text())
-        assert result["delta_omega_rad_s"] == config.pmd.delta_omega
+        assert result["delta_omega_rad_s"] == config.pmd.delta_omega_rad_s
         assert result["sign"] == config.pmd.sign
-        for key, truth in (("d_p1_s_per_sqrt_m", config.pmd.d_p1),
-                           ("d_p2_s_per_sqrt_m", config.pmd.d_p2),
-                           ("mu_per_m", config.pmd.mu), ("a1", 0.5), ("a2", 0.5)):
+        for key, truth in (("d_p1_s_per_sqrt_m", config.pmd.d_p1_s_per_sqrt_m),
+                           ("d_p2_s_per_sqrt_m", config.pmd.d_p2_s_per_sqrt_m),
+                           ("mu_per_m", config.pmd.mu_per_m), ("a1", 0.5), ("a2", 0.5)):
             assert result[key] == pytest.approx(truth, rel=1e-6), key
 
     def test_fit_p3_uses_config_lambda(self, tmp_path):

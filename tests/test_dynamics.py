@@ -1,5 +1,6 @@
 """Unit tests for the scalar decay models and regime classifier."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbuffer.channels import pmd_operator
-from qbuffer import cli, dynamics
+from qbuffer import cli, dynamics, fitting
 from qbuffer.states import apply_operator, make_bell_phi_plus, product_ket
 from qbuffer.dynamics import (SPEED_OF_LIGHT, CavityModelParams, PmdModelParams,
                               asym_series_residual, cavity_p, classify_regime,
@@ -19,13 +20,13 @@ from qbuffer.dynamics import (SPEED_OF_LIGHT, CavityModelParams, PmdModelParams,
                               psy)
 
 DEFAULTS = cli.build_config({})
-N_R, LAMBDA = DEFAULTS.n_r, DEFAULTS.cavity.lambda_width
-REF_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
-                         d_p1=0.0017 * dynamics.PS_PER_SQRT_KM,
-                         d_p2=0.047 * dynamics.PS_PER_SQRT_KM,
-                         mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
-REF_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
+N_R, LAMBDA = DEFAULTS.n_r, DEFAULTS.cavity.lambda_per_s
+REF_PMD = PmdModelParams(delta_omega_rad_s=2.0 * math.pi * 200.0 * 1e9,
+                         d_p1_s_per_sqrt_m=0.0017 * dynamics.PS_PER_SQRT_KM,
+                         d_p2_s_per_sqrt_m=0.047 * dynamics.PS_PER_SQRT_KM,
+                         mu_per_m=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
+REF_CAVITY = CavityModelParams(kappa1_per_s=753.0, kappa2_per_s=3528.0, gamma0_per_s=16292.0,
+                                 w1=0.5, w2=0.5, lambda_per_s=LAMBDA)
 
 PHASES = st.floats(-2 * math.pi, 2 * math.pi)
 LOSSES = st.floats(0.0, 1e-5)        # 1/m
@@ -85,7 +86,8 @@ class TestProbPf:
             assert got == pytest.approx(np.cos(phi) ** 2, abs=1e-12)
 
 
-WO, DP1, DP2, MU = REF_PMD.delta_omega, REF_PMD.d_p1, REF_PMD.d_p2, REF_PMD.mu
+WO, DP1, DP2, MU = (REF_PMD.delta_omega_rad_s, REF_PMD.d_p1_s_per_sqrt_m,
+                   REF_PMD.d_p2_s_per_sqrt_m, REF_PMD.mu_per_m)
 
 
 class TestComponentModels:
@@ -390,8 +392,8 @@ class TestComponentCavityModels:
 
     def test_p3_weighted_sum(self):
         assert p3(0.0, REF_CAVITY) == pytest.approx(1.0)
-        lone = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.7, w2=0.0, lambda_width=LAMBDA)
+        lone = CavityModelParams(kappa1_per_s=753.0, kappa2_per_s=3528.0, gamma0_per_s=16292.0,
+                                 w1=0.7, w2=0.0, lambda_per_s=LAMBDA)
         t = 2e-4
         assert p3(t, lone) == pytest.approx(0.7 * p1(t, 753.0, 16292.0), rel=1e-14)
 
@@ -400,7 +402,7 @@ class TestComponentCavityModels:
         # derivative of each harmonic factor times the shared envelope, and at
         # matched t the second component's contribution is the larger one
         ts = sympy.symbols("t", positive=True)
-        k1, k2 = REF_CAVITY.kappa1, REF_CAVITY.kappa2
+        k1, k2 = REF_CAVITY.kappa1_per_s, REF_CAVITY.kappa2_per_s
         h1 = REF_CAVITY.w1 * (sympy.cos(k1 * ts / sympy.sqrt(2))
                                 + sympy.sin(k1 * ts / sympy.sqrt(2))) ** 2
         h2 = REF_CAVITY.w2 * sympy.cos(k2 * ts) ** 2
@@ -467,8 +469,6 @@ class TestClassifyRegime:
     def test_nonfinite_rejected(self, kappa, gamma0):
         with pytest.raises(ValueError, match="finite"):
             classify_regime(kappa, gamma0)
-        with pytest.raises(ValueError, match="finite"):
-            cavity_p(1e-3, kappa, gamma0)
 
 
 class TestMarkovianExponential:
@@ -496,13 +496,16 @@ class TestMarkovianExponential:
 
 class TestParamsSerialization:
     def test_exact_field_names_round_trip(self):
-        # the flat field names of the JSON config and of the fit JSON
-        data = {"n_r": 1.47,
-                "delta_omega_rad_s": REF_PMD.delta_omega, "d_p1_s_per_sqrt_m": REF_PMD.d_p1,
-                "d_p2_s_per_sqrt_m": REF_PMD.d_p2, "mu_per_m": REF_PMD.mu,
-                "a1": REF_PMD.a1, "a2": REF_PMD.a2, "sign": REF_PMD.sign,
-                "kappa1_per_s": REF_CAVITY.kappa1, "kappa2_per_s": REF_CAVITY.kappa2,
-                "gamma0_per_s": REF_CAVITY.gamma0, "w1": REF_CAVITY.w1,
-                "w2": REF_CAVITY.w2, "lambda_per_s": REF_CAVITY.lambda_width}
-        config = cli.build_config(data)
-        assert (config.pmd, config.cavity, config.n_r) == (REF_PMD, REF_CAVITY, 1.47)
+        # one name per model quantity: the records' fields split the config's
+        # keys, each once, and name the fit JSON's keys past the six common ones
+        def names(record):
+            return [field.name for field in dataclasses.fields(record)]
+        run = [name for name in names(cli.RunConfig) if name not in ("pmd", "cavity")]
+        assert (sorted(names(PmdModelParams) + names(CavityModelParams) + run)
+                == sorted(key for key, _, _ in cli.CONFIG_FIELDS))
+        common = ["model", "residual_norm", "converged", "iterations", "at_bounds",
+                  "covariance_diag"]
+        for model, params in (("pasy", REF_PMD), ("p3", REF_CAVITY),
+                              ("exp", fitting.ExponentialParams(0.9, 500.0))):
+            fit = fitting.FitResult(model, params, 0.0, (), True, 1, ())
+            assert list(fitting.fit_result_to_dict(fit)) == common + names(type(params))

@@ -22,13 +22,17 @@ from csv_writer import series_csv
 DEFAULTS = cli.build_config({})
 N_R = DEFAULTS.n_r
 # the default config's fixed fit inputs: pasy's n_r, detuning and sign, p3's width
-PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega, DEFAULTS.pmd.sign)
-LAMBDA = DEFAULTS.cavity.lambda_width
-TRUTH_PMD = PmdModelParams(delta_omega=2.0 * math.pi * 200.0 * 1e9,
-                           d_p1=0.0017 * PS_PER_SQRT_KM, d_p2=0.047 * PS_PER_SQRT_KM,
-                           mu=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
-TRUTH_CAVITY = CavityModelParams(kappa1=753.0, kappa2=3528.0, gamma0=16292.0,
-                                 w1=0.5, w2=0.5, lambda_width=LAMBDA)
+PASY_FIXED = (N_R, DEFAULTS.pmd.delta_omega_rad_s, DEFAULTS.pmd.sign)
+LAMBDA = DEFAULTS.cavity.lambda_per_s
+TRUTH_PMD = PmdModelParams(delta_omega_rad_s=2.0 * math.pi * 200.0 * 1e9,
+                           d_p1_s_per_sqrt_m=0.0017 * PS_PER_SQRT_KM,
+                           d_p2_s_per_sqrt_m=0.047 * PS_PER_SQRT_KM,
+                           mu_per_m=0.006 * 1e-3, a1=0.5, a2=0.5, sign=1)
+TRUTH_CAVITY = CavityModelParams(kappa1_per_s=753.0, kappa2_per_s=3528.0, gamma0_per_s=16292.0,
+                                 w1=0.5, w2=0.5, lambda_per_s=LAMBDA)
+# the record fields each fit frees, in the order of its short at_bounds names
+PASY_FREE = ("d_p1_s_per_sqrt_m", "d_p2_s_per_sqrt_m", "mu_per_m", "a1", "a2")
+P3_FREE = ("kappa1_per_s", "kappa2_per_s", "gamma0_per_s", "w1", "w2")
 
 
 def pasy_series(n=50, t_end=1.5e-3, noise=0.0, seed=0,
@@ -101,14 +105,14 @@ def rowwise_series_from_csv(text: str) -> DataSeries:
 
 def pmd_rel_errors(params: PmdModelParams, truth: PmdModelParams = TRUTH_PMD) -> np.ndarray:
     return np.abs(np.array([getattr(params, name) / getattr(truth, name) - 1.0
-                            for name in fitting.PASY_FREE_PARAMS]))
+                            for name in PASY_FREE]))
 
 
 def cavity_rel_errors(params: CavityModelParams) -> np.ndarray:
     return np.abs(np.array([
-        (params.kappa1 - TRUTH_CAVITY.kappa1) / TRUTH_CAVITY.kappa1,
-        (params.kappa2 - TRUTH_CAVITY.kappa2) / TRUTH_CAVITY.kappa2,
-        (params.gamma0 - TRUTH_CAVITY.gamma0) / TRUTH_CAVITY.gamma0,
+        (params.kappa1_per_s - TRUTH_CAVITY.kappa1_per_s) / TRUTH_CAVITY.kappa1_per_s,
+        (params.kappa2_per_s - TRUTH_CAVITY.kappa2_per_s) / TRUTH_CAVITY.kappa2_per_s,
+        (params.gamma0_per_s - TRUTH_CAVITY.gamma0_per_s) / TRUTH_CAVITY.gamma0_per_s,
         (params.w1 - TRUTH_CAVITY.w1) / TRUTH_CAVITY.w1,
         (params.w2 - TRUTH_CAVITY.w2) / TRUTH_CAVITY.w2,
     ]))
@@ -267,7 +271,7 @@ def synthetic_nnls(shape, kind, seed, yy):
 
 
 def pasy_model(t):
-    return _pasy_model(TRUTH_PMD.delta_omega, +1, N_R, t)
+    return _pasy_model(TRUTH_PMD.delta_omega_rad_s, +1, N_R, t)
 
 
 SCAN_CASES = [
@@ -295,7 +299,7 @@ CLOSED_FORM_X = pytest.mark.parametrize(
 
 def pasy_reference(detuning: int, sign: int):
     """The pasy fit model's builder, and dynamics' P and (pa, psy) at SI parameters."""
-    dw = detuning * TRUTH_PMD.delta_omega
+    dw = detuning * TRUTH_PMD.delta_omega_rad_s
     return (lambda t: _pasy_model(dw, sign, N_R, t),
             lambda t, si: prob_pasy(t, PmdModelParams(dw, *si, sign=sign), N_R),
             lambda t, si: (dynamics.pa(t, dw, si[0], si[2], sign, N_R),
@@ -450,7 +454,7 @@ class TestScan:
             assert jac.tobytes() == jacobian(model, row).tobytes()
 
     @pytest.mark.parametrize("make_model", [
-        *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega, s, N_R, t),
+        *[pytest.param(lambda t, d=d, s=s: _pasy_model(d * TRUTH_PMD.delta_omega_rad_s, s, N_R, t),
                        id=f"pasy-detuning{d:+d}-sign{s:+d}") for d in (+1, -1) for s in (+1, -1)],
         pytest.param(_p3_model, id="p3"),
     ])
@@ -493,20 +497,19 @@ class TestFitExponential:
         fit = fit_exponential(data)
         assert fit.converged
         assert fit.params.p0 == pytest.approx(0.95, abs=1e-9)
-        assert fit.params.rate == pytest.approx(500.0, abs=1e-6)
+        assert fit.params.rate_per_s == pytest.approx(500.0, abs=1e-6)
 
     def test_constant_data(self):
         t = np.linspace(0.0, 1.0, 10)
         fit = fit_exponential(DataSeries(t, np.full(10, 0.8), np.ones(10)))
-        assert fit.params.rate == pytest.approx(0.0, abs=1e-12)
+        assert fit.params.rate_per_s == pytest.approx(0.0, abs=1e-12)
         assert fit.params.p0 == pytest.approx(0.8, rel=1e-12)
 
     def test_two_points_interpolate_exactly(self):
         data = DataSeries(np.array([0.0, 1.0]), np.array([0.9, 0.3]), np.ones(2))
         fit = fit_exponential(data)
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
-        assert fit.params.p0 * math.exp(-fit.params.rate) == pytest.approx(0.3,
-                                                                           rel=1e-12)
+        assert fit.params.p0 * math.exp(-fit.params.rate_per_s) == pytest.approx(0.3, rel=1e-12)
         assert fit.residual_norm < 1e-12
 
     def test_nonpositive_rejected(self):
@@ -528,7 +531,7 @@ class TestFitExponential:
         ln_p0 = (stt * sy - st * sty) / denom
         rate = -(sw * sty - st * sy) / denom
         assert fit.params.p0 == pytest.approx(math.exp(ln_p0), rel=1e-9)
-        assert fit.params.rate == pytest.approx(rate, rel=1e-9)
+        assert fit.params.rate_per_s == pytest.approx(rate, rel=1e-9)
 
     @pytest.mark.parametrize("first", [0, 1])
     @pytest.mark.parametrize("sigma", [1.0, 0.01])
@@ -540,7 +543,7 @@ class TestFitExponential:
         fit = fit_exponential(DataSeries(i * spacing, 0.9 * np.exp(-0.3 * i),
                                          np.full(8, sigma)))
         assert fit.params.p0 == pytest.approx(0.9, rel=1e-12)
-        assert fit.params.rate == pytest.approx(0.3 / spacing, rel=1e-12)
+        assert fit.params.rate_per_s == pytest.approx(0.3 / spacing, rel=1e-12)
 
     @pytest.mark.parametrize("fit", [
         pytest.param(lambda data: fit_pasy(data, *PASY_FIXED), id="fit_pasy"),
@@ -570,12 +573,12 @@ class TestFitPasy:
 
     def test_canonical_ordering(self):
         fit = fit_pasy(pasy_series(), *PASY_FIXED)
-        assert fit.params.d_p1 <= fit.params.d_p2
+        assert fit.params.d_p1_s_per_sqrt_m <= fit.params.d_p2_s_per_sqrt_m
 
     def test_degenerate_component_pinned_at_bound(self):
-        degenerate = replace(TRUTH_PMD, d_p1=0.0)
+        degenerate = replace(TRUTH_PMD, d_p1_s_per_sqrt_m=0.0)
         fit = fit_pasy(pasy_series(params=degenerate), *PASY_FIXED)
-        assert fit.params.d_p1 / degenerate.d_p2 < 1e-3
+        assert fit.params.d_p1_s_per_sqrt_m / degenerate.d_p2_s_per_sqrt_m < 1e-3
         assert "d_p1" in fit.at_bounds
 
     def test_variance_positive_for_parameter_at_bound(self):
@@ -591,7 +594,7 @@ class TestFitPasy:
                                    [0.0, 0.03, 0.01, 0.3, 0.7]])
     def test_closed_form_jacobian(self, sign, x):
         t = np.linspace(0.0, 5e-3, 300)
-        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega, sign, N_R, t), x)
+        assert_jacobian_matches(_pasy_model(TRUTH_PMD.delta_omega_rad_s, sign, N_R, t), x)
 
     def test_underdetermined_rejected(self):
         with pytest.raises(FittingError):
@@ -599,7 +602,7 @@ class TestFitPasy:
 
     def test_results_finite(self):
         fit = fit_pasy(pasy_series(noise=0.02, seed=3), *PASY_FIXED)
-        values = [fit.params.d_p1, fit.params.d_p2, fit.params.mu,
+        values = [fit.params.d_p1_s_per_sqrt_m, fit.params.d_p2_s_per_sqrt_m, fit.params.mu_per_m,
                   fit.params.a1, fit.params.a2, fit.residual_norm,
                   *fit.covariance_diag]
         assert np.all(np.isfinite(values))
@@ -608,8 +611,8 @@ class TestFitPasy:
         # pa(-dw, sign) = pa(dw, -sign) and psy is even in the phase; a grid
         # ceiling from the signed detuning hit its 1e-30 rad floor here and
         # reported converged with d_p2 at 5e31 times the truth
-        params = replace(TRUTH_PMD, delta_omega=-TRUTH_PMD.delta_omega)
-        fit = fit_pasy(pasy_series(n=300, params=params), N_R, params.delta_omega,
+        params = replace(TRUTH_PMD, delta_omega_rad_s=-TRUTH_PMD.delta_omega_rad_s)
+        fit = fit_pasy(pasy_series(n=300, params=params), N_R, params.delta_omega_rad_s,
                        DEFAULTS.pmd.sign)
         assert fit.converged
         assert np.all(pmd_rel_errors(fit.params) < 1e-8)
@@ -620,8 +623,10 @@ class TestFitPasy:
         # and 1/km with a 1e-9 /km floor on mu, k >= 8 reported converged
         # with errors of 1e4 and more
         scale = 10.0 ** k
-        truth = replace(TRUTH_PMD, d_p1=TRUTH_PMD.d_p1 / math.sqrt(scale),
-                        d_p2=TRUTH_PMD.d_p2 / math.sqrt(scale), mu=TRUTH_PMD.mu / scale)
+        truth = replace(TRUTH_PMD,
+                        d_p1_s_per_sqrt_m=TRUTH_PMD.d_p1_s_per_sqrt_m / math.sqrt(scale),
+                        d_p2_s_per_sqrt_m=TRUTH_PMD.d_p2_s_per_sqrt_m / math.sqrt(scale),
+                        mu_per_m=TRUTH_PMD.mu_per_m / scale)
         fit = fit_pasy(pasy_series(t_end=1.5e-3 * scale, params=truth), *PASY_FIXED)
         assert fit.converged and fit.at_bounds == ()
         assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
@@ -630,20 +635,22 @@ class TestFitPasy:
     def test_recovery_at_any_detuning(self, c):
         # the detuning x c and d_p / c give the same curve; the lab-unit fit
         # reported converged with an error of 0.91 at 1e-100 and 587 at 1e10
-        truth = replace(TRUTH_PMD, delta_omega=TRUTH_PMD.delta_omega * c,
-                        d_p1=TRUTH_PMD.d_p1 / c, d_p2=TRUTH_PMD.d_p2 / c)
-        fit = fit_pasy(pasy_series(params=truth), N_R, truth.delta_omega, DEFAULTS.pmd.sign)
+        truth = replace(TRUTH_PMD, delta_omega_rad_s=TRUTH_PMD.delta_omega_rad_s * c,
+                        d_p1_s_per_sqrt_m=TRUTH_PMD.d_p1_s_per_sqrt_m / c,
+                        d_p2_s_per_sqrt_m=TRUTH_PMD.d_p2_s_per_sqrt_m / c)
+        fit = fit_pasy(pasy_series(params=truth), N_R, truth.delta_omega_rad_s, DEFAULTS.pmd.sign)
         assert fit.converged and fit.at_bounds == ()
         assert np.all(pmd_rel_errors(fit.params, truth) < 1e-8)
 
     def test_monotone_descent_from_init(self):
         # the polished solution never scores worse than its starting point
         data = pasy_series(noise=0.02, seed=21)
-        init = replace(TRUTH_PMD, d_p2=TRUTH_PMD.d_p2 * 1.3, a1=0.4, a2=0.6)
+        init = replace(TRUTH_PMD, d_p2_s_per_sqrt_m=TRUTH_PMD.d_p2_s_per_sqrt_m * 1.3,
+                       a1=0.4, a2=0.6)
         init_resid = np.linalg.norm(
             (prob_pasy(data.t, init, N_R) - data.p) / data.sigma)
-        model = _pasy_model(init.delta_omega, init.sign, N_R, data.t)
-        x0 = np.array([getattr(init, name) for name in model.free]) / model.scales
+        model = _pasy_model(init.delta_omega_rad_s, init.sign, N_R, data.t)
+        x0 = np.array([getattr(init, name) for name in PASY_FREE]) / model.scales
         result = fitting._polish(model, data.p, data.sigma, x0)
         assert math.sqrt(2.0 * result.cost) <= init_resid + 1e-12
 
@@ -662,14 +669,14 @@ class TestFitP3:
         # fitted in 1/ms with a 1e-3 /ms floor on the envelope rate, k = 6 gave
         # converged false and k >= 8 converged true, both with errors >= 26
         scale = 10.0 ** k
-        truth = replace(TRUTH_CAVITY, kappa1=TRUTH_CAVITY.kappa1 / scale,
-                        kappa2=TRUTH_CAVITY.kappa2 / scale,
-                        gamma0=TRUTH_CAVITY.gamma0 / scale)
+        truth = replace(TRUTH_CAVITY, kappa1_per_s=TRUTH_CAVITY.kappa1_per_s / scale,
+                        kappa2_per_s=TRUTH_CAVITY.kappa2_per_s / scale,
+                        gamma0_per_s=TRUTH_CAVITY.gamma0_per_s / scale)
         t = np.linspace(0.0, 1.5e-3, 50) * scale
         fit = fit_p3(DataSeries(t, p3(t, truth), np.ones(50)), LAMBDA)
         assert fit.converged and fit.at_bounds == ()
         errors = [getattr(fit.params, name) / getattr(truth, name) - 1.0
-                  for name in fitting.P3_FREE_PARAMS]
+                  for name in P3_FREE]
         assert np.all(np.abs(errors) < 1e-5)
 
     def test_negative_times_rejected(self):
@@ -682,8 +689,8 @@ class TestFitP3:
     def test_recovered_rates_are_non_markovian(self):
         from qbuffer.dynamics import classify_regime
         fit = fit_p3(p3_series(), LAMBDA)
-        total_kappa = fit.params.kappa1 + fit.params.kappa2
-        assert classify_regime(total_kappa, fit.params.gamma0).regime == "NonMarkovian"
+        total_kappa = fit.params.kappa1_per_s + fit.params.kappa2_per_s
+        assert classify_regime(total_kappa, fit.params.gamma0_per_s).regime == "NonMarkovian"
 
     def test_si_overflow_rejected(self):
         # the fit converges in record units, and only its rates in SI,
@@ -709,7 +716,7 @@ class TestFitP3:
         swapped = np.array([3528.0, 753.0, 16292.0, 0.5, 0.5]) / model.scales  # from SI
         result = fitting._polish(model, data.p, data.sigma, swapped)
         params = CavityModelParams(*(result.x * model.scales), LAMBDA)
-        assert params.kappa1 <= params.kappa2
+        assert params.kappa1_per_s <= params.kappa2_per_s
         assert np.all(cavity_rel_errors(params) < 0.01)
 
     def test_noisy_recovery(self):
@@ -787,9 +794,9 @@ class TestFitP3:
         assert [x.tobytes() for x in calls[0][3]] == [x.tobytes() for x in starts]
 
     def test_lambda_width_carried(self):
-        assert fit_p3(p3_series(), lambda_width=5e5).params.lambda_width == 5e5
+        assert fit_p3(p3_series(), lambda_per_s=5e5).params.lambda_per_s == 5e5
         data = p3_series()  # the command's default config carries 1e6
-        assert cli.cmd_fit("p3", series_csv(data.t, data.p)).params.lambda_width == 1e6
+        assert cli.cmd_fit("p3", series_csv(data.t, data.p)).params.lambda_per_s == 1e6
 
 
 class TestModelComparison:

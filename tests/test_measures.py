@@ -88,7 +88,7 @@ class TestArrayMatchesScalar:
         "cavity_p markovian": lambda t: dynamics.cavity_p(t, 753.0, 16292.0),
         "cavity_p boundary": lambda t: dynamics.cavity_p(t, 4073.0, 16292.0),
         "markovian_exponential":
-            lambda t, c=CONFIG: dynamics.markovian_exponential(t, c.pmd.mu, c.n_r),
+            lambda t, c=CONFIG: dynamics.markovian_exponential(t, c.pmd.mu_per_m, c.n_r),
     }
 
     @settings(max_examples=60, deadline=None)

@@ -74,7 +74,7 @@ def test_start_up_classify_and_sweep_leave_scipy_unloaded(tmp_path):
     dynamics, prefix = qbuffer.dynamics, str(tmp_path / "sweep.csv")
     t, config = np.linspace(0.0, 1.5e-3, 20), qbuffer.cli.build_config({})
     p3_curve = dynamics.p3(t, dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5,
-                                                          config.cavity.lambda_width))
+                                                          config.cavity.lambda_per_s))
     pasy_curve = dynamics.prob_pasy(t, dynamics.PmdModelParams(
         2.0 * math.pi * 200.0 * 1e9, 0.0017 * dynamics.PS_PER_SQRT_KM,
         0.047 * dynamics.PS_PER_SQRT_KM, 0.006 * 1e-3, 0.5, 0.5, 1), config.n_r)
@@ -469,12 +469,12 @@ def test_evaluation_cap_reports_unconverged_fit(lazy, monkeypatch):
     # a polish stopped by the cap is not converged, and the fit says so
     from qbuffer import fitting
     t = np.linspace(0.0, 1.5e-3, 50)
-    lambda_width = qbuffer.cli.build_config({}).cavity.lambda_width
-    truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5, lambda_width)
+    lambda_per_s = qbuffer.cli.build_config({}).cavity.lambda_per_s
+    truth = qbuffer.dynamics.CavityModelParams(753.0, 3528.0, 16292.0, 0.5, 0.5, lambda_per_s)
     data = fitting.DataSeries(t, qbuffer.dynamics.p3(t, truth), np.ones(50))
-    assert fitting.fit_p3(data, lambda_width).converged
+    assert fitting.fit_p3(data, lambda_per_s).converged
     monkeypatch.setattr(lazy, "_MAX_NFEV", 3)
-    fit = fitting.fit_p3(data, lambda_width)
+    fit = fitting.fit_p3(data, lambda_per_s)
     assert not fit.converged and fit.iterations == 3
     assert fitting.fit_result_to_dict(fit)["converged"] is False
 

@@ -91,7 +91,6 @@ HELD = {
 ALLOWED_DEFAULTS = {
     "cli.cmd_fit.config": "bench/qbbench/workloads.py: the fit items call cmd_fit(model, text)",
     "cli.main.argv": "the qbuffer console script calls main()",
-    "fitting.FitResult.at_bounds": "fitting.fit_exponential",
 }
 
 OPTIMIZE = "tests/test_optimize.py::"

@@ -183,8 +183,7 @@ def former_werner_estimators(rho):
     return tomography.WernerEstimators(
         p1=float(4.0 * rho[0, 0].real - 1.0), p2=float(4.0 * rho[3, 3].real - 1.0),
         p3=float(2.0 * rho[0, 3].real), p4=float(2.0 * rho[3, 0].real),
-        p5=float(1.0 - 4.0 * rho[1, 1].real), p6=float(1.0 - 4.0 * rho[2, 2].real),
-        imag_residual=float(max(abs(rho[0, 3].imag), abs(rho[3, 0].imag))))
+        p5=float(1.0 - 4.0 * rho[1, 1].real), p6=float(1.0 - 4.0 * rho[2, 2].real))
 
 
 @st.composite
@@ -718,18 +717,11 @@ class TestWernerExtraction:
         rho = (np.array(entries[:16]) + 1j * np.array(entries[16:])).reshape(4, 4)
         with np.errstate(over="ignore"):
             got, want = werner_estimators(rho), former_werner_estimators(rho)
-        fields = ("p1", "p2", "p3", "p4", "p5", "p6", "imag_residual")
+        fields = ("p1", "p2", "p3", "p4", "p5", "p6")
         assert all(type(getattr(got, name)) is float for name in fields)
         assert ([getattr(got, name).hex() for name in fields]
                 == [getattr(want, name).hex() for name in fields])
         assert got.mean.hex() == want.mean.hex()
-
-    def test_imaginary_residual_reported(self):
-        rho = make_werner(0.6).astype(complex)
-        rho[0, 3] += 1e-3j
-        rho[3, 0] -= 1e-3j
-        est = werner_estimators(rho)
-        assert est.imag_residual == pytest.approx(1e-3, abs=1e-12)
 
 
 class TestStateFunctionals:

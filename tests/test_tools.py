@@ -71,16 +71,28 @@ def test_ab_time_gives_each_index_parity_both_orders_over_two_sessions():
         assert first.count(0) == first.count(1) == 20
 
 
-def test_ab_time_refuses_an_odd_number_of_seeds(monkeypatch, capsys):
-    # before any worker starts: curves' labels need each order once per pair
+def refuses_seeds(monkeypatch, capsys, seeds):
+    """ab_time's error line for ``--seeds seeds``, raised before any worker starts."""
     monkeypatch.syspath_prepend(str(ab_time.BENCH))
     monkeypatch.setattr(ab_time, "start_worker", lambda *args: pytest.fail("a worker started"))
     with pytest.raises(SystemExit) as exit_info:
-        ab_time.main([".", ".", "--workload", "curves", "--seeds", "11,12,13"])
+        ab_time.main([".", ".", "--workload", "curves", "--seeds", seeds])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "python tools/ab_time.py: error: --seeds takes an even number of seeds, "
-        "a session in each order per pair; got 3")
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def test_ab_time_refuses_an_odd_number_of_seeds(monkeypatch, capsys):
+    # curves' labels need each order once per pair
+    assert refuses_seeds(monkeypatch, capsys, "11,12,13,14,15") == (
+        "python tools/ab_time.py: error: --seeds takes an even number of seeds, at least "
+        "four, a session in each order per pair; got 5")
+
+
+def test_ab_time_refuses_two_seeds(monkeypatch, capsys):
+    # one pair of sessions gives per-label intervals too narrow to read
+    assert refuses_seeds(monkeypatch, capsys, "11,12") == (
+        "python tools/ab_time.py: error: --seeds takes an even number of seeds, at least "
+        "four, a session in each order per pair; got 2")
 
 
 def test_cold_time_of_a_tree_against_itself():

@@ -14,10 +14,12 @@ CHANGED, BASE, BASE, CHANGED, so over two records each tree makes three
 calls right after the other tree and one right after its own call on the
 same record.  Every second session (in the order given) swaps the two
 orders, so an item label that sits only at odd or only at even indices
-(curves' threshold and sweep items) also sees both; an odd number of seeds
-is refused.  A tree's time for a record is the sum of its two calls, each
-timed by ``time.process_time`` around ``task.call()`` inside the worker, so
-input generation, checks and the pipe stay out of the time.
+(curves' threshold and sweep items) also sees both.  The seeds must be an
+even number, at least four: per-label intervals from one pair of sessions
+have resolved moves that no other timer saw.  A tree's time for a record is
+the sum of its two calls, each timed by ``time.process_time`` around
+``task.call()`` inside the worker, so input generation, checks and the pipe
+stay out of the time.
 
 The report gives the ratio CHANGED/BASE of the summed CPU time, the measure
 behind the benchmark's ``items_per_s``, overall and per item label, and the
@@ -149,9 +151,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seeds", default="1,2,3,4,5,6")
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    if len(seeds) % 2:
-        parser.error(f"--seeds takes an even number of seeds, a session in each order per "
-                     f"pair; got {len(seeds)}")
+    if len(seeds) % 2 or len(seeds) < 4:
+        parser.error(f"--seeds takes an even number of seeds, at least four, a session in "
+                     f"each order per pair; got {len(seeds)}")
     workload = WORKLOADS[args.workload]
     n_items, cpu = workload.size(SECONDS), max(os.sched_getaffinity(0))
 
